@@ -17,11 +17,10 @@ One claim is asserted:
   identical first — instrumentation must never change results.
 
 The report (and the ``BENCH_observability.json`` artifact CI uploads)
-also drives the same workload through the instrumented in-process
-serving stack (``VenueRouter`` + ``ServingFrontend``, both sharing one
-registry) and prints one row per layer histogram — count, p50, p95,
-p99 — the exact numbers ``ClusterFrontend.metrics()`` exposes
-cluster-wide.
+also drives the same workload through an instrumented ``VenueRouter``
+(``router.execute``, engines sharing the router's registry) and prints
+one row per layer histogram — count, p50, p95, p99 — the exact numbers
+``ClusterFrontend.metrics()`` exposes cluster-wide.
 
 Run standalone::
 
@@ -48,7 +47,7 @@ from repro.datasets import load_venue, random_objects
 from repro.datasets.workloads import mixed_queries
 from repro.engine import QueryEngine
 from repro.obs import MetricsRegistry, metric_key, summarize
-from repro.serving import Request, ServingFrontend, VenueRouter
+from repro.serving import Request, VenueRouter
 from repro.storage import SnapshotCatalog
 
 #: the paper's workhorse venue — same fixture bench_kernels asserts on
@@ -68,7 +67,6 @@ MIX, K = {"knn": 1.0}, 25
 LAYER_SERIES = (
     ("engine", metric_key("engine_query_seconds", {"kind": "knn"})),
     ("router warm start", metric_key("router_warm_start_seconds", {})),
-    ("frontend", metric_key("frontend_request_seconds", {"kind": "knn"})),
 )
 
 
@@ -125,8 +123,9 @@ def measure_overhead(space, tree, *, count=N_QUERIES, n_objects=N_OBJECTS,
 
 
 def measure_layers(space, *, count=N_QUERIES, n_objects=N_OBJECTS, seed=47):
-    """Drive the instrumented in-process stack once; returns one row
-    per layer histogram (count, p50/p95/p99 in microseconds)."""
+    """Drive an instrumented router once through ``router.execute``;
+    returns one row per layer histogram (count, p50/p95/p99 in
+    microseconds)."""
     queries = mixed_queries(space, count, MIX, seed=seed, pool=None, k=K)
     registry = MetricsRegistry()
     rows = []
@@ -135,12 +134,9 @@ def measure_layers(space, *, count=N_QUERIES, n_objects=N_OBJECTS, seed=47):
                              registry=registry)
         vid = router.add_venue(
             space, objects=random_objects(space, n_objects, seed=seed))
-        with ServingFrontend(router, workers=2, registry=registry) as fe:
-            futures = [fe.submit(Request(venue=vid, kind="knn",
-                                         source=q.source, k=q.k))
-                       for q in queries]
-            for f in futures:
-                f.result(timeout=120.0)
+        for q in queries:
+            router.execute(Request(venue=vid, kind="knn",
+                                   source=q.source, k=q.k))
         snapshot = summarize(registry.snapshot())
     for layer, key in LAYER_SERIES:
         hist = snapshot["histograms"].get(key)
@@ -223,7 +219,7 @@ def main(argv=None) -> int:
     print()
 
     layers = Table(
-        title="Per-layer latency (instrumented in-process stack)",
+        title="Per-layer latency (instrumented router, in-process)",
         headers=["layer", "count", "p50 us", "p95 us", "p99 us"],
         notes="the same histograms ClusterFrontend.metrics() merges "
               "cluster-wide",

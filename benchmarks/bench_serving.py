@@ -1,27 +1,15 @@
-"""Concurrent multi-venue serving: correctness and worker scaling.
+"""Concurrent multi-venue serving: correctness and shard scaling.
 
 "An Experimental Analysis of Indoor Spatial Queries" argues that what
 separates indoor indexes in practice is throughput under concurrent
 mixed workloads, not single-query latency. This benchmark drives the
 serving layer (:mod:`repro.serving`) exactly that way: several venues
-behind one :class:`VenueRouter`, a :class:`ServingFrontend` worker
-pool, and per-venue mixed update+query streams replayed at 1/2/4/8
-workers.
+behind a :class:`ClusterFrontend` of shard processes, per-venue mixed
+update+query streams checked against sequential replay, and a
+CPU-bound query mix replayed at 1/2/4 shards.
 
-Four claims are asserted (the scaling ones hardware permitting):
+Two claims are asserted (the scaling one hardware permitting):
 
-* **Thread correctness** — concurrent replay through the in-thread
-  :class:`ServingFrontend` returns answers element-wise identical to
-  sequential replay of the same streams (updates act as per-venue
-  barriers; venues share no state).
-* **Thread scaling** — with a simulated per-request downstream service
-  time (``--service-ms``, default 2ms — the blocking I/O share of a
-  real request: response serialization, socket writes, downstream
-  calls), 4 workers sustain at least 2x the single-worker throughput
-  on a read-heavy mix. This is the honest thread-scaling claim for
-  CPython: ``time.sleep`` releases the GIL like real I/O does, while
-  the pure-Python index math does not — the ``service=0ms`` rows in
-  the report show exactly that, and are *not* asserted for threads.
 * **Cluster correctness** — replaying mixed update+query streams
   through a 4-shard :class:`ClusterFrontend` (4 worker *processes*
   behind the wire protocol) is element-wise identical to sequential
@@ -29,10 +17,10 @@ Four claims are asserted (the scaling ones hardware permitting):
   (:func:`~repro.serving.protocol.result_to_doc` — floats cross the
   socket bit-exactly). Runs on any machine: 4 processes on 1 core are
   still correct, just not faster.
-* **Cluster scaling** — on the ``service_ms=0`` CPU-bound mix threads
-  cannot scale, 4 shard processes sustain at least 2x one shard
-  process. Asserted only where it is physically possible: the pytest
-  entry skips (and standalone runs warn) below 4 available CPUs,
+* **Cluster scaling** — on a CPU-bound query mix, which threads
+  cannot scale under the GIL, 4 shard processes sustain at least 2x
+  one shard process. Asserted only where it is physically possible:
+  the pytest entry skips (and standalone runs warn) below 4 CPUs,
   because shard processes on a single core share it. The scaling mix
   draws every query endpoint fresh (``pool=None``) so answers come
   from index computation, not from the engines' result caches —
@@ -44,9 +32,9 @@ consistent-hash ring lands exactly ``per_shard`` venues on each of the
 independently — so the ladder measures process parallelism, not
 placement luck.
 
-Results (thread + cluster sections) are also written as a
-machine-readable ``BENCH_serving.json`` artifact so the throughput
-trajectory is trackable across PRs (CI uploads it).
+Results are also written as a machine-readable ``BENCH_serving.json``
+artifact so the throughput trajectory is trackable across PRs (CI
+uploads it).
 
 Run standalone::
 
@@ -63,7 +51,6 @@ import argparse
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 from repro.bench.reporting import Table
@@ -73,7 +60,6 @@ from repro.serving import (
     ClusterFrontend,
     HashRing,
     Request,
-    ServingFrontend,
     VenueRouter,
     concurrent_replay,
     sequential_replay,
@@ -86,8 +72,6 @@ from repro.storage.snapshot import venue_fingerprint
 SUITE_VENUES = ("MC", "Men-2", "CL-2")
 #: read-heavy mix for the scaling measurement (the deployed shape)
 READ_HEAVY_MIX = {"knn": 0.6, "distance": 0.3, "range": 0.1}
-MIN_SPEEDUP_AT_4 = 2.0
-WORKER_LADDER = (1, 2, 4, 8)
 
 #: shard-process count of the cluster claims
 CLUSTER_SHARDS = 4
@@ -106,136 +90,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class LatencyRouter:
-    """Router wrapper adding a fixed per-request service time.
-
-    Models the blocking, GIL-releasing share of a real request
-    (serializing the response, writing the socket, calling a
-    downstream service) so worker scaling measures what threads
-    actually buy on CPython. ``service_s=0`` is a transparent
-    pass-through.
-    """
-
-    def __init__(self, inner: VenueRouter, service_s: float = 0.0) -> None:
-        self.inner = inner
-        self.service_s = service_s
-
-    def execute(self, request):
-        result = self.inner.execute(request)
-        if self.service_s > 0.0:
-            time.sleep(self.service_s)
-        return result
-
-
-def build_suite(catalog: SnapshotCatalog, profile: str, n_objects: int, seed: int):
-    """``(venues, make_router)`` — venue/object pairs plus a factory
-    returning a fresh router (independent engines, pristine object
-    state) over the shared catalog."""
-    venues = []
-    for i, name in enumerate(SUITE_VENUES):
-        space = load_venue(name, profile)
-        venues.append((space, random_objects(space, n_objects, seed=seed + i)))
-
-    def make_router() -> VenueRouter:
-        router = VenueRouter(catalog, capacity=len(venues) + 1)
-        for space, objects in venues:
-            router.add_venue(space, objects=objects)
-        return router
-
-    return venues, make_router
-
-
-def _normalize(value):
-    if isinstance(value, list):
-        return [(round(n.distance, 10), n.object_id) for n in value]
-    if hasattr(value, "doors"):
-        return (round(value.distance, 10), tuple(value.doors))
-    return value
-
-
-def check_equivalence(
-    catalog: SnapshotCatalog,
-    profile: str = "tiny",
-    n_objects: int = 20,
-    count: int = 150,
-    workers: int = 4,
-    seed: int = 31,
-) -> int:
-    """Concurrent replay must equal sequential replay element-wise.
-
-    Mixed update+query streams (1 update per 2 queries, with churn) on
-    every suite venue at once. Returns the number of compared events.
-    """
-    venues, make_router = build_suite(catalog, profile, n_objects, seed)
-    streams = multi_venue_streams(
-        venues, count, update_ratio=0.5, churn=0.2, seed=seed,
-        mix={"knn": 0.4, "distance": 0.2, "range": 0.2, "path": 0.2},
-    )
-    router_seq = make_router()
-    ids = router_seq.venue_ids()
-    keyed = dict(zip(ids, streams))
-    sequential, _ = sequential_replay(router_seq, keyed)
-
-    router_conc = make_router()
-    with ServingFrontend(router_conc, workers=workers, queue_size=128) as frontend:
-        concurrent, _ = concurrent_replay(frontend, keyed)
-
-    compared = 0
-    for vid in ids:
-        assert len(sequential[vid]) == len(concurrent[vid]) == count
-        for i, (a, b) in enumerate(zip(sequential[vid], concurrent[vid])):
-            assert _normalize(a) == _normalize(b), \
-                f"venue {vid[:8]} event {i} diverged between sequential and concurrent"
-            compared += 1
-    return compared
-
-
-def measure_scaling(
-    catalog: SnapshotCatalog,
-    profile: str = "tiny",
-    n_objects: int = 20,
-    count: int = 150,
-    service_ms: float = 2.0,
-    update_ratio: float = 0.1,
-    seed: int = 47,
-    workers_ladder=WORKER_LADDER,
-) -> list[dict]:
-    """Replay a read-heavy multi-venue mix at each worker count.
-
-    Every measurement uses a fresh router (pristine engines loaded from
-    the shared catalog) and the same streams. Returns one result dict
-    per worker count with ``eps`` (events/s) and ``speedup`` vs the
-    single-worker row.
-    """
-    venues, make_router = build_suite(catalog, profile, n_objects, seed)
-    streams = multi_venue_streams(
-        venues, count, update_ratio=update_ratio, seed=seed, mix=READ_HEAVY_MIX,
-    )
-    results = []
-    base_eps = None
-    for workers in workers_ladder:
-        router = LatencyRouter(make_router(), service_s=service_ms / 1e3)
-        keyed = dict(zip(router.inner.venue_ids(), streams))
-        with ServingFrontend(router, workers=workers, queue_size=256) as frontend:
-            _, report = concurrent_replay(frontend, keyed)
-        if base_eps is None:
-            base_eps = report.eps
-        results.append({
-            "workers": workers,
-            "venues": len(venues),
-            "events": report.events,
-            "updates": report.updates,
-            "seconds": report.seconds,
-            "eps": report.eps,
-            "service_ms": service_ms,
-            "speedup": report.eps / base_eps,
-        })
-    return results
-
-
-# ----------------------------------------------------------------------
-# Cluster section: multi-process scaling + wire-exact equivalence
-# ----------------------------------------------------------------------
 def pick_balanced_venues(
     profile: str, n_objects: int, seed: int,
     shards: int = CLUSTER_SHARDS, per_shard: int = VENUES_PER_SHARD,
@@ -286,9 +140,10 @@ def check_cluster_equivalence(
 ) -> int:
     """Cluster replay must equal sequential replay, wire-exactly.
 
-    The same mixed update+query streams as the thread equivalence
-    check, replayed once sequentially in-process and once through a
-    ``shards``-process :class:`ClusterFrontend`; every answer is
+    Mixed update+query streams (1 update per 2 queries, with churn) on
+    every suite venue at once, replayed once sequentially in-process
+    and once through a ``shards``-process :class:`ClusterFrontend`;
+    every answer is
     compared in the wire normal form (:func:`result_to_doc`), so the
     check also proves the codec round-trips results bit-exactly.
     Sequential and cluster runs get separate catalog directories and
@@ -386,7 +241,6 @@ def measure_cluster_scaling(
             "events": report.events,
             "seconds": report.seconds,
             "eps": report.eps,
-            "service_ms": 0.0,
             "speedup": report.eps / base_eps,
             "venues_by_shard": {str(k): v for k, v in sorted(by_shard.items())},
         })
@@ -396,30 +250,6 @@ def measure_cluster_scaling(
 # ----------------------------------------------------------------------
 # CI acceptance (pytest entry points)
 # ----------------------------------------------------------------------
-def test_concurrent_replay_identical_to_sequential():
-    """Acceptance: concurrent multi-venue replay (4 workers) answers a
-    mixed update+query stream element-wise identically to sequential
-    replay."""
-    with tempfile.TemporaryDirectory() as tmp:
-        compared = check_equivalence(SnapshotCatalog(Path(tmp) / "catalog"))
-        assert compared == len(SUITE_VENUES) * 150
-
-
-def test_four_workers_at_least_2x_one_worker():
-    """Acceptance: on a read-heavy mix with per-request service time,
-    4 workers sustain >= 2x single-worker throughput."""
-    with tempfile.TemporaryDirectory() as tmp:
-        results = measure_scaling(
-            SnapshotCatalog(Path(tmp) / "catalog"), workers_ladder=(1, 4),
-        )
-        one, four = results[0], results[1]
-        assert four["eps"] >= MIN_SPEEDUP_AT_4 * one["eps"], (
-            f"4 workers: {four['eps']:,.0f} events/s is only "
-            f"{four['eps'] / one['eps']:.2f}x the single-worker "
-            f"{one['eps']:,.0f} events/s (need >= {MIN_SPEEDUP_AT_4}x)"
-        )
-
-
 def test_cluster_replay_identical_to_sequential():
     """Acceptance: 4 shard processes answer a mixed update+query
     stream over 3 venues element-wise identically to sequential
@@ -430,9 +260,9 @@ def test_cluster_replay_identical_to_sequential():
 
 
 def test_cluster_4_shards_at_least_2x_one_process():
-    """Acceptance: on the service_ms=0 CPU-bound mix — the one threads
-    cannot scale under the GIL — 4 shard processes sustain >= 2x one
-    shard process. Needs real parallelism: skipped below 4 CPUs."""
+    """Acceptance: on the CPU-bound mix — the one threads cannot scale
+    under the GIL — 4 shard processes sustain >= 2x one shard process.
+    Needs real parallelism: skipped below 4 CPUs."""
     import pytest
 
     cpus = available_cpus()
@@ -457,113 +287,61 @@ def main(argv=None) -> int:
     parser.add_argument("--objects", type=int, default=20)
     parser.add_argument("--count", type=int, default=150,
                         help="events per venue and measurement")
-    parser.add_argument("--service-ms", type=float, default=2.0,
-                        help="simulated per-request downstream service time")
-    parser.add_argument("--update-ratio", type=float, default=0.1,
-                        help="updates per query in the scaling mix")
     parser.add_argument("--seed", type=int, default=47)
-    parser.add_argument("--catalog", metavar="DIR",
-                        help="snapshot catalog to warm-start from (default: temp dir)")
     parser.add_argument("--json", metavar="FILE", default="BENCH_serving.json",
                         help="bench-history artifact path (default: "
                              "BENCH_serving.json; CI uploads it)")
-    parser.add_argument("--no-cluster", action="store_true",
-                        help="skip the multi-process cluster section")
     args = parser.parse_args(argv)
 
-    if args.catalog:
-        catalog = SnapshotCatalog(args.catalog)
-        cleanup = None
-    else:
-        cleanup = tempfile.TemporaryDirectory()
-        catalog = SnapshotCatalog(Path(cleanup.name) / "catalog")
-
     cpus = available_cpus()
-    try:
-        compared = check_equivalence(catalog, args.profile, args.objects,
-                                     min(args.count, 150), seed=args.seed)
-        print(f"equivalence: {compared} concurrent events identical to sequential\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        compared = check_cluster_equivalence(
+            Path(tmp), args.profile, args.objects,
+            min(args.count, 150), seed=args.seed,
+        )
+        print(f"cluster equivalence: {compared} events over "
+              f"{CLUSTER_SHARDS} shard processes wire-identical to "
+              "sequential\n")
+        rows = measure_cluster_scaling(
+            Path(tmp) / "scaling", args.profile, args.objects,
+            args.count, seed=args.seed,
+        )
+    table = Table(
+        title=f"Cluster throughput — {rows[0]['venues']} venues"
+              f" x {args.count} events, profile={args.profile}, CPU-bound",
+        headers=["shards", "events", "seconds", "events/s",
+                 "speedup vs 1", "venues/shard"],
+        notes=f"cache-miss mix {READ_HEAVY_MIX} (pool=None, k=10); "
+              f"{cpus} CPU(s) available",
+    )
+    for r in rows:
+        table.add_row(
+            r["shards"], r["events"], f"{r['seconds']:.3f}s",
+            f"{r['eps']:,.0f}", f"{r['speedup']:.2f}x",
+            "/".join(str(v) for v in r["venues_by_shard"].values()),
+        )
+    print(table.render())
+    if cpus < CLUSTER_SHARDS:
+        print(f"note: only {cpus} CPU(s) available — shard processes "
+              "share cores, so the ladder above measures wire "
+              f"overhead, not parallelism (the >= "
+              f"{MIN_CLUSTER_SPEEDUP_AT_4}x claim needs "
+              f">= {CLUSTER_SHARDS} CPUs)")
+    print()
 
-        thread_rows = []
-        for service_ms in (args.service_ms, 0.0):
-            rows = measure_scaling(
-                catalog, args.profile, args.objects, args.count,
-                service_ms=service_ms, update_ratio=args.update_ratio,
-                seed=args.seed,
-            )
-            thread_rows.extend(rows)
-            label = (f"{service_ms:g}ms simulated service time"
-                     if service_ms else "no service time (GIL-bound: CPU only)")
-            table = Table(
-                title=f"Serving throughput — {len(SUITE_VENUES)} venues x "
-                      f"{args.count} events, profile={args.profile}, {label}",
-                headers=["workers", "events", "seconds", "events/s", "speedup vs 1"],
-                notes="read-heavy mix "
-                      f"{READ_HEAVY_MIX}, update_ratio={args.update_ratio}",
-            )
-            for r in rows:
-                table.add_row(r["workers"], r["events"], f"{r['seconds']:.3f}s",
-                              f"{r['eps']:,.0f}", f"{r['speedup']:.2f}x")
-            print(table.render())
-            print()
-
-        cluster_rows: list[dict] = []
-        cluster_compared = 0
-        if not args.no_cluster:
-            with tempfile.TemporaryDirectory() as tmp:
-                cluster_compared = check_cluster_equivalence(
-                    Path(tmp), args.profile, args.objects,
-                    min(args.count, 150), seed=args.seed,
-                )
-                print(f"cluster equivalence: {cluster_compared} events over "
-                      f"{CLUSTER_SHARDS} shard processes wire-identical to "
-                      "sequential\n")
-                cluster_rows = measure_cluster_scaling(
-                    Path(tmp) / "scaling", args.profile, args.objects,
-                    args.count, seed=args.seed,
-                )
-            table = Table(
-                title=f"Cluster throughput — {cluster_rows[0]['venues']} venues"
-                      f" x {args.count} events, profile={args.profile}, "
-                      "service_ms=0 (CPU-bound)",
-                headers=["shards", "events", "seconds", "events/s",
-                         "speedup vs 1", "venues/shard"],
-                notes=f"cache-miss mix {READ_HEAVY_MIX} (pool=None, k=10); "
-                      f"{cpus} CPU(s) available",
-            )
-            for r in cluster_rows:
-                table.add_row(
-                    r["shards"], r["events"], f"{r['seconds']:.3f}s",
-                    f"{r['eps']:,.0f}", f"{r['speedup']:.2f}x",
-                    "/".join(str(v) for v in r["venues_by_shard"].values()),
-                )
-            print(table.render())
-            if cpus < CLUSTER_SHARDS:
-                print(f"note: only {cpus} CPU(s) available — shard processes "
-                      "share cores, so the ladder above measures wire "
-                      f"overhead, not parallelism (the >= "
-                      f"{MIN_CLUSTER_SPEEDUP_AT_4}x claim needs "
-                      f">= {CLUSTER_SHARDS} CPUs)")
-            print()
-
-        if args.json:
-            Path(args.json).write_text(json.dumps({
-                "bench": "serving",
-                "schema": 2,
-                "profile": args.profile,
-                "count": args.count,
-                "objects": args.objects,
-                "seed": args.seed,
-                "cpus": cpus,
-                "equivalence_events": compared,
-                "cluster_equivalence_events": cluster_compared,
-                "threads": thread_rows,
-                "cluster": cluster_rows,
-            }, indent=2))
-            print(f"json written to {args.json}")
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
+    if args.json:
+        Path(args.json).write_text(json.dumps({
+            "bench": "serving",
+            "schema": 3,
+            "profile": args.profile,
+            "count": args.count,
+            "objects": args.objects,
+            "seed": args.seed,
+            "cpus": cpus,
+            "cluster_equivalence_events": compared,
+            "cluster": rows,
+        }, indent=2))
+        print(f"json written to {args.json}")
     return 0
 
 

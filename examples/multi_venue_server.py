@@ -1,12 +1,13 @@
-"""Multi-venue serving: one process answers for a mall, an office and
+"""Multi-venue serving: one service answers for a mall, an office and
 a campus at once.
 
 The production shape the serving layer is built for: a snapshot catalog
-holds one built index per venue, a `VenueRouter` keeps a bounded pool
-of thread-safe engines warm-started from it, and a `ServingFrontend`
-worker pool serves venue-tagged requests from many concurrent "users" —
-queries overlapping with live object updates, each answer delivered
-through a future.
+holds one built index per venue, a `ClusterFrontend` places the venues
+on shard processes (each a `VenueRouter` pool of engines warm-started
+from the catalog), and venue-tagged requests from many concurrent
+"users" — queries overlapping with live object updates — are answered
+through futures. Every update is in the venue's durable op log before
+it is acknowledged.
 
 Run:  python examples/multi_venue_server.py
 """
@@ -23,8 +24,7 @@ from repro.datasets import (
     random_objects,
     random_point,
 )
-from repro.serving import ServingFrontend, VenueRouter, concurrent_replay
-from repro.storage import SnapshotCatalog
+from repro.serving import ClusterFrontend, concurrent_replay
 
 
 def main():
@@ -38,12 +38,6 @@ def main():
         space = build("tiny", name=name)
         venues.append((space, random_objects(space, n_objects, seed=11)))
 
-    catalog_dir = Path(tempfile.mkdtemp()) / "catalog"
-    router = VenueRouter(SnapshotCatalog(catalog_dir), capacity=4)
-    venue_ids = [router.add_venue(space, objects=objects) for space, objects in venues]
-    for (space, _), vid in zip(venues, venue_ids):
-        print(f"registered {space.name:15s} -> venue id {vid[:12]}")
-
     # A read-heavy mixed workload per venue: users querying while
     # tracked objects move (1 update per 4 queries).
     streams = multi_venue_streams(
@@ -51,11 +45,18 @@ def main():
         mix={"knn": 0.6, "distance": 0.25, "range": 0.15},
     )
 
-    with ServingFrontend(router, workers=4, queue_size=128) as frontend:
+    catalog_dir = Path(tempfile.mkdtemp()) / "catalog"
+    with ClusterFrontend(catalog_dir, shards=2, flush_interval=0) as cluster:
+        venue_ids = [cluster.add_venue(space, objects=objects)
+                     for space, objects in venues]
+        for (space, _), vid in zip(venues, venue_ids):
+            print(f"registered {space.name:15s} -> venue id {vid[:12]} "
+                  f"on shard {cluster.shard_for(vid)}")
+
         # Ad-hoc requests: one user per venue, answers via futures.
         rng = random.Random(7)
         futures = [
-            frontend.request(vid, "knn", source=random_point(space, rng), k=3)
+            cluster.request(vid, "knn", source=random_point(space, rng), k=3)
             for (space, _), vid in zip(venues, venue_ids)
         ]
         for (space, _), future in zip(venues, futures):
@@ -64,18 +65,21 @@ def main():
             print(f"{space.name:15s} nearest 3: {pretty}")
 
         # The full concurrent workload: every venue in flight at once.
-        _, report = concurrent_replay(frontend, dict(zip(venue_ids, streams)))
+        _, report = concurrent_replay(cluster, dict(zip(venue_ids, streams)))
         print(f"\nserved: {report.summary()}")
-        frontend.drain()
-        fstats = frontend.stats()
-        print(f"frontend: {fstats.submitted} submitted, {fstats.completed} ok, "
-              f"{fstats.failed} failed, {fstats.rejected} rejected")
-
-    rstats = router.stats()
-    print(f"router:   {rstats.venues} venues, {rstats.pooled} pooled engines, "
-          f"{rstats.requests} requests, {rstats.warm_starts} warm starts")
-    written = router.flush()
-    print(f"flushed:  {written} updated engine(s) written back to {catalog_dir.name}/")
+        cluster.drain()
+        cstats = cluster.stats()
+        print(f"cluster: {cstats.submitted} submitted over "
+              f"{cstats.alive}/{cstats.shards} shards, "
+              f"{cstats.rejected} rejected")
+        for shard in cluster.shard_stats():
+            router = shard["router"]
+            print(f"shard {shard['shard']}: {router['venues']} venue(s), "
+                  f"{router['requests']} requests, "
+                  f"{router['log_appends']} logged updates")
+        written = cluster.flush()
+        print(f"flushed: {written} updated engine(s) snapshotted to "
+              f"{catalog_dir.name}/, op logs compacted")
 
 
 if __name__ == "__main__":

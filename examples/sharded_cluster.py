@@ -5,8 +5,8 @@ hash-partitions venue fingerprints across shard processes, each owning
 a `VenueRouter` warm-started from the shared snapshot catalog and
 speaking the wire protocol over a socket. Because shards are
 processes, the CPU-bound index math runs truly in parallel — and a
-crashed shard restarts from its snapshots, losing at most the updates
-since its last flush (the durability window).
+crashed shard restarts from its snapshots plus each venue's op log,
+losing no acknowledged update.
 
 The demo registers three venues on a 2-shard cluster, replays a mixed
 concurrent workload, proves the answers identical to a single-threaded
@@ -69,9 +69,9 @@ def main():
         concurrent, report = concurrent_replay(cluster, keyed)
         print(f"\ncluster served: {report.summary()}")
 
-        # The baseline gets its own catalog: the cluster's periodic
-        # flusher may write post-update engine state back to
-        # `catalog_dir`, and the comparison needs pristine objects.
+        # The baseline gets its own catalog: the cluster's op logs and
+        # flushes hold post-update state in `catalog_dir`, and the
+        # comparison needs pristine objects.
         router = VenueRouter(
             SnapshotCatalog(catalog_dir.parent / "baseline"), capacity=4)
         for space, objects in venues:
@@ -85,10 +85,10 @@ def main():
         print(f"answers identical to sequential replay: {identical}")
 
         # Chaos: kill a shard mid-service, keep serving. The next
-        # request respawns it, warm-started from the catalog snapshots.
+        # request respawns it, warm-started from the catalog snapshots
+        # plus the op-log tail of every update acked since.
         mall_space, _ = venues[0]
         mall_id = venue_ids[0]
-        cluster.flush()
         try:
             cluster.request(mall_id, "crash").result()
         except ServingError as exc:

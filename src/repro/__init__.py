@@ -15,8 +15,9 @@ Public API highlights:
   versioned, integrity-checked files and warm-start engines without
   rebuild (``QueryEngine.from_snapshot``, ``SnapshotCatalog``).
 * :mod:`repro.serving` — concurrent multi-venue serving: thread-safe
-  engines behind a ``VenueRouter`` engine pool and a worker-thread
-  ``ServingFrontend`` with bounded-queue backpressure.
+  engines behind a ``VenueRouter`` engine pool with a durable per-venue
+  op log, sharded across processes by ``ClusterFrontend`` and served
+  over TCP by ``AsyncFrontDoor``.
 * :mod:`repro.datasets` — synthetic venue generators (MC/Men/CL families)
   and query workloads.
 

@@ -1,8 +1,8 @@
 """One schema for the stats zoo: the :class:`StatsDoc` mixin.
 
 Every layer of the stack reports counters through a slots dataclass —
-``EngineStats``, ``RouterStats``, ``FrontendStats``, ``ClusterStats``,
-``ShardStats`` — and before this module each grew its own ad-hoc
+``EngineStats``, ``RouterStats``, ``ClusterStats``, ``ShardStats``
+— and before this module each grew its own ad-hoc
 serialization (``asdict`` here, a hand-rolled dict there). The mixin
 gives them all the same two methods:
 

@@ -1,73 +1,50 @@
 """Concurrent multi-venue serving layer.
 
 The production-shaped top of the stack: many venues (airport terminals,
-malls, campuses), many concurrent users. Three explicit layers, each
-usable alone:
+malls, campuses), many concurrent users. One path from socket to
+engine, each layer usable alone:
 
-* **Protocol** (:mod:`~repro.serving.protocol`) — the one request/
-  response shape every transport speaks: :class:`Request` (exported as
-  ``ServingRequest`` too) / :class:`Response` / :class:`ErrorResponse`
-  plus a length-prefixed canonical-JSON wire codec with bit-exact
-  packed numerics. A query answered over a socket is element-wise
-  identical to the same query answered in-process.
-* **Workers** — two transports behind that protocol:
-
-  * :class:`ServingFrontend` — **in-thread**: a worker-thread pool
-    draining a bounded request queue (backpressure) over a
-    :class:`VenueRouter`, one :class:`~concurrent.futures.Future` per
-    request. Threads overlap the blocking share of requests but the
-    GIL serializes the CPU-bound index math.
-  * :class:`~repro.serving.shard.ShardWorker` /
-    :class:`~repro.serving.shard.ShardProcess` — **one process per
-    shard**: the same router behind a socket, requests multiplexed
-    with per-request futures, a background
-    :class:`~repro.serving.router.PeriodicFlusher` for durability, and
-    flush-on-drain.
-* **Cluster** (:class:`ClusterFrontend`) — hash-partitions venue
-  fingerprints across N shard processes: true multi-core scaling for
-  the CPU-bound query math, crash restart from catalog snapshots (the
-  flush interval bounds the durability window), backpressure, graceful
-  drain, and optional per-venue **admission control**
-  (:class:`AdmissionController`: token-bucket rate limiting +
-  queue-depth shedding; shed requests raise a typed
+* **Protocol** (:mod:`~repro.serving.protocol`) — :class:`Request`
+  (also exported as ``ServingRequest``) / :class:`Response` /
+  :class:`ErrorResponse` plus a length-prefixed canonical-JSON wire
+  codec; a query answered over a socket is element-wise identical to
+  the same query answered in-process.
+* **Router** (:class:`VenueRouter`) — a bounded LRU pool of
+  thread-safe engines keyed by venue fingerprint, warm-started from a
+  :class:`~repro.storage.catalog.SnapshotCatalog` plus each venue's
+  operation-log tail. Every update is fsynced to the venue's
+  :class:`~repro.storage.oplog.OpLog` before it is acknowledged.
+* **Shards** (:class:`ShardWorker` / :class:`ShardProcess`) — one
+  process per shard: a router behind a socket, with a
+  :class:`PeriodicFlusher` that snapshots dirty engines and compacts
+  their logs.
+* **Cluster** (:class:`ClusterFrontend`) — consistent-hash placement
+  over N shard processes: multi-core scaling, log-tailing replicas,
+  failover and restart with zero acknowledged updates lost, and
+  optional per-venue admission control
+  (:class:`AdmissionController`; shed requests raise a typed
   :class:`~repro.exceptions.OverloadedError` with a retry-after hint).
-* **Front door** (:class:`AsyncFrontDoor`) — one asyncio event loop
-  multiplexing every TCP client over the framed protocol: single
-  frames exactly as before, plus multi-request **batch frames**
-  (:class:`~repro.serving.protocol.BatchRequest`) answered in order
-  with per-element error isolation. :class:`FrontDoorClient` is the
-  matching synchronous client. ``python -m repro.serving`` serves a
-  catalog this way over TCP.
+* **Front door** (:class:`AsyncFrontDoor`) — one asyncio loop serving
+  every TCP client, single and batch frames alike;
+  :class:`FrontDoorClient` is the matching client and
+  ``python -m repro.serving`` serves a catalog this way.
 
-:class:`VenueRouter` — a bounded LRU pool of **thread-safe**
-:class:`~repro.engine.engine.QueryEngine` instances keyed by venue
-fingerprint, lazily warm-started from a
-:class:`~repro.storage.catalog.SnapshotCatalog` with eviction
-write-back — is the per-process serving unit both transports share.
-:func:`concurrent_replay` / :func:`sequential_replay` drive multi-venue
-workloads through either frontend; concurrent replay is guaranteed (and
-CI-checked by ``benchmarks/bench_serving.py``) to return element-wise
-identical answers to sequential replay, in-thread and across the
-cluster alike.
+:func:`sequential_replay` over a plain :class:`VenueRouter` is the
+model; :func:`concurrent_replay` through a :class:`ClusterFrontend`
+returns element-wise identical answers (CI-checked by
+``benchmarks/bench_serving.py``). Every public method is safe to call
+from any thread; the lock ordering is router -> venue log ->
+engine/catalog (details in ``docs/serving.md``).
 
-Thread-safety model (details in ``docs/serving.md``): engines guard
-object updates with a :class:`~repro.engine.locking.RWLock` (queries
-read-side, updates write-side) and their caches with a mutex; the
-router and frontend each add one mutex of their own. Lock ordering is
-frontend -> router -> engine/catalog, strictly acyclic. Every public
-method in this package is safe to call from any thread; per-method
-guarantees are documented on the methods themselves.
+Quickstart (in-process model, one router)::
 
-Quickstart (in-thread)::
-
-    from repro.serving import ServingFrontend, VenueRouter
+    from repro.serving import Request, VenueRouter
     from repro.storage import SnapshotCatalog
 
     router = VenueRouter(SnapshotCatalog("snapshots/"), capacity=8)
     vid = router.add_venue(space, objects=objects)
-    with ServingFrontend(router, workers=4) as frontend:
-        future = frontend.request(vid, "knn", source=point, k=5)
-        neighbors = future.result()
+    neighbors = router.execute(Request(venue=vid, kind="knn",
+                                       source=point, k=5))
 
 Quickstart (sharded cluster — same requests, N processes)::
 
@@ -82,7 +59,6 @@ from .admission import AdmissionController, AdmissionStats, TokenBucket
 from .async_frontend import AsyncFrontDoor
 from .client import FrontDoorClient
 from .cluster import ClusterFrontend, ClusterStats
-from .frontend import FrontendStats, ServingFrontend
 from .protocol import (
     CONTROL_KINDS,
     BatchRequest,
@@ -122,7 +98,6 @@ __all__ = [
     "ErrorResponse",
     "FAULT_KINDS",
     "FrontDoorClient",
-    "FrontendStats",
     "HashRing",
     "MAX_BATCH_REQUESTS",
     "PeriodicFlusher",
@@ -132,7 +107,6 @@ __all__ = [
     "Request",
     "Response",
     "RouterStats",
-    "ServingFrontend",
     "ServingReport",
     "ServingRequest",
     "ShardProcess",

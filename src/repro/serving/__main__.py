@@ -210,7 +210,7 @@ def _cmd_serve(args) -> int:
                       if args.slow_query_ms > 0 else None)
     with ClusterFrontend(
         catalog, shards=args.shards, replication=args.replication,
-        flush_interval=args.flush_interval, oplog=not args.no_oplog,
+        flush_interval=args.flush_interval,
         slow_query_threshold=slow_threshold,
         admission=_admission_from_args(args),
     ) as cluster:
@@ -291,10 +291,6 @@ def main(argv=None) -> int:
     serve.add_argument("--replication", type=int, default=1,
                        help="copies of each venue: 1 primary plus N-1 "
                             "log-tailing read replicas (default 1)")
-    serve.add_argument("--no-oplog", action="store_true",
-                       help="disable the per-venue operation log "
-                            "(restores the snapshot-only durability "
-                            "window; incompatible with --replication > 1)")
     serve.add_argument("--workers", type=int, default=8,
                        help="submission executor threads in the async front "
                             "door (clients that can be stalled on shard "
@@ -323,9 +319,9 @@ def main(argv=None) -> int:
                             "cannot grow the controller unboundedly "
                             "(0: keep every venue forever)")
     serve.add_argument("--flush-interval", type=float, default=30.0,
-                       help="per-shard background flush period in seconds "
-                            "(with the oplog: bounds log length; without: "
-                            "the durability window; 0 disables)")
+                       help="per-shard background snapshot-and-compaction "
+                            "period in seconds; bounds op-log length, not "
+                            "durability (0 disables)")
     serve.add_argument("--metrics-port", type=int, default=None,
                        metavar="PORT",
                        help="also serve merged cluster metrics over HTTP: "

@@ -9,11 +9,12 @@ catalog — and places venue fingerprints on them with a
 each venue's first ring successor is its **primary**, the next
 ``replication - 1`` distinct successors its **replicas**. Requests are
 venue-tagged :class:`~repro.serving.protocol.Request` objects (the
-same protocol the in-thread frontend speaks), answered through
-per-request futures; because shards are processes, the CPU-bound index
-math of different venues runs on different cores.
+same protocol a :class:`~repro.serving.router.VenueRouter` executes
+in-process), answered through per-request futures; because shards are
+processes, the CPU-bound index math of different venues runs on
+different cores.
 
-Replication and durability (``replication`` / ``oplog``):
+Replication and durability (``replication``):
 
 * **Single-writer updates** — every update goes to the venue's
   primary, which applies it and appends it to the venue's durable
@@ -33,17 +34,15 @@ Replication and durability (``replication`` / ``oplog``):
   while reads keep flowing (updates for a venue pause briefly while it
   moves — the single-writer handoff).
 
-Operational behavior (unchanged from the unreplicated cluster):
+Operational behavior:
 
 * **Backpressure** — each shard bounds its in-flight window
   (``max_inflight``); ``submit`` blocks while the target shard is
   saturated and raises :class:`~repro.exceptions.ServingError` after
   ``timeout`` seconds.
 * **Crash restart** — a dead shard fails its in-flight futures; the
-  next request for one of its venues respawns the process, which
-  warm-starts from the catalog's snapshots **plus each venue's log
-  tail**. With ``oplog=False`` the old durability window applies
-  (updates since the last flush are lost).
+  next request for one of its venues respawns it from the catalog's
+  snapshots plus each venue's log tail.
 * **Graceful drain/shutdown** — :meth:`drain` barriers on every shard;
   :meth:`shutdown` drains, flushes dirty engines, and joins every
   worker process.
@@ -154,10 +153,9 @@ class ClusterFrontend:
             primary when theirs dies.
         kind: default index kind for :meth:`add_venue`.
         capacity: per-shard engine-pool bound.
-        flush_interval: per-shard background flush period (seconds).
-            With the log enabled this bounds log *length* (flush
-            compacts), not durability; with ``oplog=False`` it is the
-            durability window. ``0`` disables periodic flushing.
+        flush_interval: per-shard snapshot-and-compaction period in
+            seconds; it bounds log *length*, not durability. ``0``
+            disables periodic flushing.
         max_inflight: per-shard bound on concurrently in-flight
             requests (the backpressure knob).
         mmap: shard workers memory-map snapshot binary sections on warm
@@ -166,11 +164,6 @@ class ClusterFrontend:
             their venues (on by default; ``False`` turns a crash into a
             permanent ``ServingError`` for that shard's venues once no
             live replica remains).
-        oplog: durable per-venue operation logs (default on): acked
-            updates survive crashes, replicas tail the log. ``False``
-            restores the snapshot-only durability window (and degrades
-            replicas to frozen snapshots — only meaningful with
-            ``replication=1``).
         vnodes: virtual points per shard on the placement ring.
         registry: :class:`~repro.obs.MetricsRegistry` for the cluster's
             own series (submission counters, respawn/move durations).
@@ -208,7 +201,6 @@ class ClusterFrontend:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         restart: bool = True,
         mmap: bool = True,
-        oplog: bool = True,
         vnodes: int = DEFAULT_VNODES,
         registry: MetricsRegistry | None = None,
         admission: AdmissionController | None = None,
@@ -219,11 +211,6 @@ class ClusterFrontend:
             raise ServingError(f"shards must be >= 1, got {shards}")
         if replication < 1:
             raise ServingError(f"replication must be >= 1, got {replication}")
-        if replication > 1 and not oplog:
-            raise ServingError(
-                "replication needs the operation log: replicas tail it — "
-                "pass oplog=True (the default) or replication=1"
-            )
         self.catalog_root = str(catalog_root)
         self.replication = int(replication)
         self.default_kind = kind
@@ -232,7 +219,6 @@ class ClusterFrontend:
         self.max_inflight = int(max_inflight)
         self.mmap = bool(mmap)
         self.restart = bool(restart)
-        self.oplog = bool(oplog)
         self.slow_query_threshold = (
             float(slow_query_threshold)
             if slow_query_threshold is not None else None
@@ -427,7 +413,6 @@ class ClusterFrontend:
                 flush_interval=self.flush_interval,
                 max_inflight=self.max_inflight,
                 mmap=self.mmap,
-                oplog=self.oplog,
                 slow_query_threshold=self.slow_query_threshold,
                 mp_context=self._mp_context,
             ).start()
@@ -739,9 +724,9 @@ class ClusterFrontend:
 
     def flush(self) -> int:
         """Flush dirty primary engines on every live shard; returns
-        snapshots written. With the log enabled this also compacts the
-        flushed venues' logs (durability does not depend on it — acked
-        updates are already logged)."""
+        snapshots written. This also compacts the flushed venues' logs
+        (durability does not depend on it — acked updates are already
+        logged)."""
         written = 0
         for handle in self._live_handles():
             written += handle.call(Request(venue="", kind="flush"))
@@ -804,13 +789,6 @@ class ClusterFrontend:
         ))
 
     # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Shard-process count — the cluster's parallelism. Named for
-        drop-in use where a :class:`ServingFrontend` is expected
-        (:func:`~repro.serving.replay.concurrent_replay` reports it)."""
-        return self.shards
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats()
         return (

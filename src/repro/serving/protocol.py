@@ -1,10 +1,11 @@
 """Serving protocol: serializable requests/responses + wire codec.
 
-Every serving transport — the in-thread
-:class:`~repro.serving.frontend.ServingFrontend`, a
-:class:`~repro.serving.shard.ShardWorker` process behind a socket, and
-the multi-process :class:`~repro.serving.cluster.ClusterFrontend` —
-speaks the same protocol defined here:
+Every serving layer — a :class:`~repro.serving.router.VenueRouter`
+executing in-process, a :class:`~repro.serving.shard.ShardWorker`
+process behind a socket, the multi-process
+:class:`~repro.serving.cluster.ClusterFrontend` and the TCP
+:class:`~repro.serving.async_frontend.AsyncFrontDoor` — speaks the
+same protocol defined here:
 
 * :class:`Request` — one venue-tagged query/update/control operation
   (this *is* the ``ServingRequest`` the router dispatches; the name

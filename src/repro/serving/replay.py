@@ -1,4 +1,4 @@
-"""Multi-venue replay: sequential oracle vs concurrent serving.
+"""Multi-venue replay: sequential model vs concurrent cluster serving.
 
 Two drivers over the same input shape — ``streams`` maps venue id to an
 ordered list of events (:class:`~repro.datasets.workloads.MixedQuery`
@@ -6,16 +6,14 @@ or :class:`~repro.model.objects.UpdateOp`, e.g. from
 :func:`repro.datasets.multi_venue.multi_venue_streams`):
 
 * :func:`sequential_replay` — one thread, one venue at a time, events
-  strictly in stream order through ``router.execute``. The correctness
-  baseline.
+  strictly in stream order through a plain
+  :class:`~repro.serving.router.VenueRouter`'s ``execute``. The model.
 * :func:`concurrent_replay` — one submitter thread per venue feeding a
-  frontend; all venues are in flight at once, queries of one
-  update-free block are in flight concurrently. The frontend may be an
-  in-thread :class:`~repro.serving.frontend.ServingFrontend` *or* a
-  multi-process :class:`~repro.serving.cluster.ClusterFrontend`
-  (cluster mode) — both expose ``submit``/``workers``, and the
-  equivalence guarantee below holds for both, because the wire
-  protocol round-trips answers bit-exactly.
+  multi-process :class:`~repro.serving.cluster.ClusterFrontend`; all
+  venues are in flight at once, queries of one update-free block are
+  in flight concurrently. The wire protocol round-trips answers
+  bit-exactly, so the equivalence guarantee below holds across the
+  process boundary.
 
 **Equivalence guarantee.** Concurrent replay returns element-wise
 identical answers to sequential replay, because the only events whose
@@ -36,7 +34,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..model.objects import UpdateOp
-from .frontend import ServingFrontend
+from .cluster import ClusterFrontend
 from .router import ServingRequest, VenueRouter
 
 
@@ -106,7 +104,7 @@ def sequential_replay(
 
 
 def _submit_venue(
-    frontend: ServingFrontend, venue: str, stream: list, slots: list
+    cluster: ClusterFrontend, venue: str, stream: list, slots: list
 ) -> None:
     """Submit one venue's stream, updates acting as barriers.
 
@@ -125,11 +123,11 @@ def _submit_venue(
                 for f in outstanding:
                     f.exception()  # waits; inspect, don't raise here
                 outstanding.clear()
-                future = frontend.submit(request)
+                future = cluster.submit(request)
                 slots[i] = future
                 future.exception()  # wait for the update itself
             else:
-                future = frontend.submit(request)
+                future = cluster.submit(request)
                 slots[i] = future
                 outstanding.append(future)
     except BaseException as exc:  # noqa: BLE001 - surfaced via the slots
@@ -141,30 +139,25 @@ def _submit_venue(
 
 
 def concurrent_replay(
-    frontend, streams: dict[str, list]
+    cluster: ClusterFrontend, streams: dict[str, list]
 ) -> tuple[dict[str, list], ServingReport]:
-    """Replay all venues concurrently through a serving frontend.
+    """Replay all venues concurrently through a sharded cluster.
 
     One submitter thread per venue keeps every venue in flight at once;
     within a venue, updates are barriers (see the module docstring), so
     the returned answers are element-wise identical to
-    :func:`sequential_replay` over the same streams and initial state.
-
-    ``frontend`` is anything with ``submit(request) -> Future`` and a
-    ``workers`` attribute — an in-thread
-    :class:`~repro.serving.frontend.ServingFrontend` or a sharded
-    :class:`~repro.serving.cluster.ClusterFrontend` (**cluster mode**:
-    same streams, N processes; compare answers through
-    :func:`~repro.serving.protocol.result_to_doc`, which strips the
-    per-transport ``QueryStats``). The frontend must be started; it is
-    left running (callers own its lifecycle). Raises the first
-    request's exception if any event failed.
+    :func:`sequential_replay` over the same streams and initial state —
+    compare them through :func:`~repro.serving.protocol.result_to_doc`,
+    which strips the per-transport ``QueryStats``. The cluster is left
+    running (callers own its lifecycle); ``report.workers`` is its
+    shard count. Raises the first request's exception if any event
+    failed.
     """
     queries, updates, by_venue = _count(streams)
     slots: dict[str, list] = {venue: [None] * len(stream) for venue, stream in streams.items()}
     submitters = [
         threading.Thread(
-            target=_submit_venue, args=(frontend, venue, stream, slots[venue]),
+            target=_submit_venue, args=(cluster, venue, stream, slots[venue]),
             name=f"replay-{venue[:8]}", daemon=True,
         )
         for venue, stream in streams.items()
@@ -180,6 +173,6 @@ def concurrent_replay(
     seconds = time.perf_counter() - start
     return results, ServingReport(
         events=queries + updates, queries=queries, updates=updates,
-        seconds=seconds, venues=len(streams), workers=frontend.workers,
+        seconds=seconds, venues=len(streams), workers=cluster.shards,
         by_venue=by_venue,
     )

@@ -16,24 +16,26 @@ that served updates is first snapshotted back into its catalog slot
 (*write-back*), so its object state survives eviction and the next
 request for that venue warm-starts from where it left off.
 
-Replication roles (``oplog=True``)
-----------------------------------
-With the per-venue operation log enabled, every venue is registered in
-one of two roles:
+Operation log and replication roles
+-----------------------------------
+Every venue with an object set keeps a durable
+:class:`~repro.storage.oplog.OpLog` next to its snapshot, and is
+registered in one of two roles:
 
-* a **primary** applies updates and appends each one to the venue's
-  :class:`~repro.storage.oplog.OpLog` *before acknowledging it* — so
-  an acked update survives any crash — and compacts the log whenever
-  a write-back snapshots the state it covers,
-* a **replica** refuses updates and *tails* the log instead: before
-  answering a request it stats the log file and applies any records
-  past its engine's object-set version. Replicas never write
-  snapshots back (a lagging replica must not clobber newer primary
-  state) and never compact (only the single writer may rewrite the
-  file another process is appending to).
+* a **primary** applies updates and appends each one to the log
+  *before acknowledging it* — so an acked update survives any crash —
+  and compacts the log whenever a write-back snapshots the state it
+  covers,
+* a **replica** refuses updates and *tails* the log instead. Replicas
+  never write snapshots back (a lagging replica must not clobber newer
+  primary state) and never compact (only the single writer may rewrite
+  the file another process is appending to).
 
-Warm starts in either role replay the log tail on top of the loaded
-snapshot, which is what makes a restart lose nothing.
+Both roles catch up the same way: a request stats the log file and
+reads it only when its ``(size, mtime)`` signature moved since the
+engine was last in sync — an in-sync venue costs one ``stat`` per
+request. Warm starts replay the log tail on top of the loaded snapshot
+unconditionally, which is what makes a restart lose nothing.
 
 Thread safety: every public method may be called from any thread. The
 router holds one internal mutex around its pool bookkeeping; engine
@@ -62,9 +64,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 
-#: stand-in context manager for "no log lock needed" paths (also reused
-#: for "no trace span" paths — nullcontext is stateless and reentrant)
-_NO_LOCK = nullcontext()
+#: reusable no-op context for untraced requests (stateless, reentrant)
+_NO_SPAN = nullcontext()
 
 from ..core.results import QueryStats
 from ..engine.engine import QueryEngine
@@ -89,7 +90,7 @@ REQUEST_KINDS = QUERY_KINDS
 
 #: The router's request shape *is* the serving protocol's
 #: :class:`~repro.serving.protocol.Request` — one request object drives
-#: the in-thread frontend, the shard socket transport, and the cluster.
+#: the router in-process, the shard socket transport, and the cluster.
 ServingRequest = Request
 
 
@@ -146,8 +147,7 @@ class RouterStats(StatsDoc):
     write_backs: int = 0
     #: operations appended to venue logs (primaries only)
     log_appends: int = 0
-    #: operations replayed *from* venue logs (warm-start recovery and
-    #: replica tailing combined)
+    #: operations replayed from venue logs (warm starts and catch-up)
     log_replays: int = 0
     by_venue: dict = field(default_factory=dict)
 
@@ -165,16 +165,6 @@ class VenueRouter:
         mmap: memory-map snapshot binary sections on warm start instead
             of copying them into each engine — the shard worker turns
             this on so sibling engines of one venue share page cache.
-        oplog: keep a durable per-venue operation log next to each
-            snapshot (see the module docstring): primaries append every
-            applied update before acking, replicas tail the log, and
-            warm starts replay the tail — zero acknowledged updates are
-            lost on a crash. Off by default (the single-process
-            frontends keep their snapshot-only durability window); the
-            cluster turns it on.
-        oplog_sync: fsync each appended record (the durability
-            guarantee). ``False`` keeps replication working but lets a
-            host power-loss eat the OS write-back window.
         registry: optional
             :class:`~repro.obs.registry.MetricsRegistry`. When set, the
             router times warm starts / write-backs / flush cycles /
@@ -204,8 +194,6 @@ class VenueRouter:
         capacity: int = 8,
         kind: str = "VIP-Tree",
         mmap: bool = False,
-        oplog: bool = False,
-        oplog_sync: bool = True,
         registry=None,
         slow_query_threshold: float | None = None,
         slowlog_path=None,
@@ -215,8 +203,6 @@ class VenueRouter:
         self.capacity = int(capacity)
         self.default_kind = kind
         self.mmap = bool(mmap)
-        self.oplog = bool(oplog)
-        self.oplog_sync = bool(oplog_sync)
         engine_kwargs["thread_safe"] = True
         self.registry = registry
         if registry is not None:
@@ -252,7 +238,7 @@ class VenueRouter:
         self._log_appends = 0
         self._log_replays = 0
         self._by_venue: dict[str, int] = {}
-        # Per-venue log state, created lazily on first logged access.
+        # Per-venue log state, created lazily on first access.
         # Guarded by its own tiny lock so log bookkeeping never contends
         # with the pool mutex.
         self._log_guard = threading.Lock()
@@ -277,9 +263,8 @@ class VenueRouter:
         new ``role`` and the pooled engine is kept (a promoted replica
         catches up from the log, it does not re-warm-start).
 
-        ``role`` only matters with the operation log enabled: a
-        ``"replica"`` refuses updates and tails the venue's log instead
-        of writing snapshots back.
+        A ``"replica"`` refuses updates and tails the venue's log
+        instead of writing snapshots back.
 
         Thread safety: safe from any thread.
         """
@@ -389,17 +374,17 @@ class VenueRouter:
             return engine, pin
 
     def _warm_start(self, venue_id: str, slot: _VenueSlot) -> QueryEngine:
-        """Load-or-build the venue's engine and, with the log enabled,
-        replay the log tail on top of it — *before* the engine is
-        published to the pool, so nobody observes pre-recovery state.
-        A compaction racing the load (snapshot newer than the one we
-        read) is retried once against the fresh files."""
+        """Load-or-build the venue's engine and replay the log tail on
+        top of it — *before* the engine is published to the pool, so
+        nobody observes pre-recovery state. A compaction racing the
+        load (snapshot newer than the one we read) is retried once
+        against the fresh files."""
         for attempt in (0, 1):
             engine = self.catalog.engine_for(
                 slot.space, slot.kind, objects=slot.objects,
                 builder=slot.builder, mmap=self.mmap, **self._engine_kwargs,
             )
-            if not self._logged(slot, engine):
+            if engine.objects is None:
                 return engine
             state = self._log_state(venue_id, slot)
             try:
@@ -449,19 +434,19 @@ class VenueRouter:
         *primary* — i.e. has served updates since its last write-back.
         Runs under the engine's read lock, so the saved state is
         point-in-time consistent: concurrent updates wait, concurrent
-        queries do not. With the log enabled the save also compacts the
-        venue's log (the snapshot now covers those records), holding
-        the log lock across both so no append lands between them.
+        queries do not. The save also compacts the venue's log (the
+        snapshot now covers those records), holding the log lock across
+        both so no append lands between them.
         Replicas never write back: a lagging replica snapshotting over
         the primary's newer state would un-apply acknowledged updates.
+        Engines without an object set never have updates to save.
         Returns whether a snapshot was written.
         """
-        if slot is not None and self.oplog and slot.role != "primary":
+        if slot is None or slot.role != "primary" or engine.objects is None:
             return False
         start = perf_counter()
-        state = (self._log_state(venue_id, slot)
-                 if slot is not None and self._logged(slot, engine) else None)
-        with state.lock if state is not None else _NO_LOCK:
+        state = self._log_state(venue_id, slot)
+        with state.lock:
             with engine.lock.read():
                 updates = engine.stats().updates
                 if updates <= self._saved_updates.get(venue_id, 0):
@@ -470,10 +455,8 @@ class VenueRouter:
                     engine.index,
                     engine.object_index if engine.object_index is not None else engine.objects,
                 )
-                saved_version = (engine.objects.version
-                                 if engine.objects is not None else 0)
-            if state is not None:
-                state.log.compact(saved_version)
+                saved_version = engine.objects.version
+            state.log.compact(saved_version)
         self._saved_updates[venue_id] = updates
         if self._write_back_timer is not None:
             self._write_back_timer.observe(perf_counter() - start)
@@ -482,12 +465,6 @@ class VenueRouter:
     # ------------------------------------------------------------------
     # Operation log (replication roles)
     # ------------------------------------------------------------------
-    def _logged(self, slot: _VenueSlot, engine: QueryEngine) -> bool:
-        """Whether this venue participates in the operation log —
-        requires the log to be enabled *and* an engine that actually
-        carries mutable object state."""
-        return self.oplog and engine.objects is not None
-
     def _log_state(self, venue_id: str, slot: _VenueSlot) -> _VenueLog:
         with self._log_guard:
             state = self._logs.get(venue_id)
@@ -495,8 +472,7 @@ class VenueRouter:
                 path = oplog_path(self.catalog.path_for(slot.space, slot.kind))
                 observe = (self._oplog_timer.observe
                            if self._oplog_timer is not None else None)
-                state = _VenueLog(OpLog(path, sync=self.oplog_sync,
-                                        observe=observe))
+                state = _VenueLog(OpLog(path, observe=observe))
                 self._logs[venue_id] = state
             return state
 
@@ -516,17 +492,11 @@ class VenueRouter:
                 self._log_replays += len(records)
         return len(records)
 
-    def _sync_from_log(self, venue_id: str, slot: _VenueSlot,
-                       engine: QueryEngine) -> None:
-        """Catch the engine up with its venue's log — the replica read
-        path (and a just-promoted primary's first touch). In-sync costs
-        one ``stat``; behind costs replaying the delta."""
-        state = self._log_state(venue_id, slot)
-        if state.log.tail_signature() == state.synced_sig:
-            return
-        with state.lock:
-            if state.log.tail_signature() == state.synced_sig:
-                return
+    def _catch_up_locked(self, engine: QueryEngine, state: _VenueLog) -> None:
+        """The one catch-up routine for reads and updates (caller holds
+        the log lock): replay only when the log's signature moved since
+        the engine was last in sync. In-sync costs one ``stat``."""
+        if state.log.tail_signature() != state.synced_sig:
             self._replay_locked(engine, state)
 
     def log_positions(self) -> dict:
@@ -565,9 +535,7 @@ class VenueRouter:
         Raises:
             ServingError: unknown venue id or unknown request kind.
 
-        Thread safety: safe from any thread — this is the method the
-        :class:`~repro.serving.frontend.ServingFrontend` workers call
-        concurrently.
+        Thread safety: safe from any thread.
         """
         obs = current_observation()
         slowlog = self.slowlog
@@ -580,7 +548,7 @@ class VenueRouter:
             obs.stats = stats
         delay = self._take_injected_latency()
         start = perf_counter()
-        with trace.span(f"router.{request.kind}") if trace is not None else _NO_LOCK:
+        with trace.span(f"router.{request.kind}") if trace is not None else _NO_SPAN:
             if delay > 0.0:
                 time.sleep(delay)
             result = self._execute(request, stats, trace)
@@ -627,11 +595,16 @@ class VenueRouter:
                 self._requests += 1
                 self._by_venue[request.venue] = self._by_venue.get(request.venue, 0) + 1
                 slot = self._venues.get(request.venue)
-            if slot is not None and self._logged(slot, engine):
+            if slot is not None and engine.objects is not None:
+                state = self._log_state(request.venue, slot)
                 try:
                     if request.kind == "update":
-                        return self._logged_update(request, slot, engine)
-                    self._sync_from_log(request.venue, slot, engine)
+                        return self._logged_update(request, slot, state,
+                                                   engine)
+                    # the unlocked stat lets in-sync reads skip the lock
+                    if state.log.tail_signature() != state.synced_sig:
+                        with state.lock:
+                            self._catch_up_locked(engine, state)
                 except SnapshotError:
                     # The log was compacted past this engine (it lagged
                     # across a primary's snapshot+compact). Its state is
@@ -640,9 +613,10 @@ class VenueRouter:
                     # the surviving tail.
                     engine = self._refresh_engine(request.venue, engine)
                     if request.kind == "update":
-                        return self._logged_update(request, slot, engine)
+                        return self._logged_update(request, slot, state,
+                                                   engine)
             kind = request.kind
-            with trace.span(f"engine.{kind}") if trace is not None else _NO_LOCK:
+            with trace.span(f"engine.{kind}") if trace is not None else _NO_SPAN:
                 if kind == "distance":
                     return engine.distance(request.source, request.target,
                                            stats=stats)
@@ -664,7 +638,7 @@ class VenueRouter:
                 self._release(request.venue)
 
     def _logged_update(self, request: ServingRequest, slot: _VenueSlot,
-                       engine: QueryEngine):
+                       state: _VenueLog, engine: QueryEngine):
         """The primary's update path: catch up from the log (a freshly
         promoted primary may be behind its predecessor's appends), apply,
         then durably append — all under the venue's log lock, so the
@@ -676,12 +650,21 @@ class VenueRouter:
                 f"venue {request.venue[:12]!r} is a read replica here; "
                 "updates must go to the venue's primary"
             )
-        state = self._log_state(request.venue, slot)
-        with state.lock:
-            self._replay_locked(engine, state)
-            result = engine.update(request.op)
-            state.log.append(engine.objects.version, request.op)
-            state.synced_sig = state.log.tail_signature()
+        applied = False
+        try:
+            with state.lock:
+                self._catch_up_locked(engine, state)
+                result = engine.update(request.op)
+                applied = True
+                state.log.append(engine.objects.version, request.op)
+                state.synced_sig = state.log.tail_signature()
+        except BaseException:
+            if applied:
+                # A failed append left the engine ahead of its log: re-warm
+                # it (outside the log lock, which the replay takes) so no
+                # read serves the unacknowledged op.
+                self._refresh_engine(request.venue, engine)
+            raise
         with self._log_guard:
             self._log_appends += 1
         return result
@@ -703,11 +686,10 @@ class VenueRouter:
         """Write every *dirty* pooled engine back to the catalog.
 
         Dirty means updated since its last write-back — repeat flushes
-        of an unchanged engine are no-ops, so periodic background
-        flushes cost nothing at steady state. Returns the number of
-        snapshots written. Call during shutdown (the frontend's
-        ``shutdown`` does not flush automatically) or periodically for
-        durability. Engines stay pooled.
+        of an unchanged engine are no-ops. Each written venue's log is
+        compacted, so flushing bounds log length (durability does not
+        depend on it). Returns the number of snapshots written; engines
+        stay pooled.
 
         Thread safety: safe concurrently with requests. Each engine is
         serialized under its read lock, so every written snapshot is
@@ -729,7 +711,7 @@ class VenueRouter:
         return written
 
     # ------------------------------------------------------------------
-    # Background durability
+    # Background snapshot + compaction schedule
     # ------------------------------------------------------------------
     def start_auto_flush(
         self, interval: float = 30.0, *, jitter: float = 0.1,
@@ -741,9 +723,8 @@ class VenueRouter:
         every ``interval`` seconds (randomized by ``±jitter`` so a
         fleet of routers/shards started together does not flush in
         lock-step). Idempotent while a flusher is running; a stopped
-        flusher is replaced. This bounds the durability window of the
-        serving layer: after a crash, at most one interval's worth of
-        updates has not been written back to the catalog.
+        flusher is replaced. The schedule bounds how much op log a warm
+        start replays.
 
         Thread safety: safe from any thread.
         """
@@ -794,7 +775,7 @@ class VenueRouter:
 
 
 class PeriodicFlusher:
-    """Background durability: a daemon thread flushing a router.
+    """Background snapshot-and-compaction: a thread flushing a router.
 
     Calls ``router.flush()`` every ``interval`` seconds, each cycle's
     sleep randomized to ``interval * (1 ± jitter)`` so many flushers
@@ -807,7 +788,7 @@ class PeriodicFlusher:
     A flush that raises (e.g. the catalog directory became unwritable)
     is recorded in :attr:`last_error` and counted in :attr:`errors`;
     the thread keeps running — transient I/O failures must not silently
-    end durability.
+    end compaction.
 
     Prefer :meth:`VenueRouter.start_auto_flush` over constructing this
     directly. :meth:`stop` is idempotent and joins the thread, letting
@@ -853,8 +834,8 @@ class PeriodicFlusher:
         """Stop and join the thread; optionally flush once more.
 
         ``final_flush=True`` runs one last synchronous ``flush()``
-        after the thread exits — what a shard worker does on graceful
-        drain so the durability window closes at zero.
+        after the thread exits, so a restart has no log tail to
+        replay.
         """
         self._stop.set()
         thread, self._thread = self._thread, None

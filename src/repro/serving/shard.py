@@ -7,7 +7,7 @@ snapshot catalog, and serves the wire protocol of
 :mod:`repro.serving.protocol` over one connected socket. Because each
 shard is a separate process with its own interpreter, the CPU-bound
 index math of different shards runs truly in parallel — the scaling
-the GIL denies to the in-thread :class:`ServingFrontend`.
+the GIL denies to threads.
 
 :class:`ShardProcess` is the **parent-side handle**: it spawns the
 child, connects the socket, and multiplexes concurrent requests over
@@ -15,19 +15,19 @@ it — each request gets a wire id and a
 :class:`~concurrent.futures.Future`; a reader thread matches replies
 (the worker answers strictly in order, ids make the pairing robust)
 and a bounded in-flight window (``max_inflight``) provides
-backpressure exactly like the frontend's bounded queue.
+backpressure.
 
 Lifecycle and durability:
 
 * venues are registered over the wire (``add_venue`` requests carry
-  the venue document), so a shard starts empty and needs nothing but
-  the catalog directory — which is also everything a *restarted* shard
-  needs: it warm-starts from the snapshots, replaying nothing,
+  the venue document and ``role``), so a shard starts empty and needs
+  nothing but the catalog directory. A *restarted* shard warm-starts
+  from the snapshots plus each venue's operation-log tail, so it
+  recovers every acknowledged update,
 * the worker runs a background :class:`~repro.serving.router.
-  PeriodicFlusher` by default (interval + jitter, stoppable), and
-  flushes dirty engines once more on graceful drain/shutdown — so the
-  **durability window** is at most one flush interval of updates, zero
-  after a clean drain,
+  PeriodicFlusher` by default, and flushes once more on graceful
+  drain/shutdown. Each flush snapshots dirty engines and compacts
+  their logs, which bounds how much log a restart replays,
 * the fault-injection kinds (:data:`~repro.serving.protocol.
   FAULT_KINDS`) make the worker die *without* flushing: ``crash``
   immediately, ``crash_after_n_ops`` mid-update-stream after letting
@@ -35,11 +35,6 @@ Lifecycle and durability:
   acknowledged), ``drop_connection`` after closing the socket first —
   a partition as the parent sees it. Tests use them to prove restart,
   failover and log-recovery behavior,
-* with ``oplog=True`` the router keeps a durable per-venue operation
-  log: primaries append each acked update, replicas (``add_venue``
-  with ``role: "replica"`` in the payload) tail it — a restarted shard
-  then recovers every acknowledged update (snapshot + log tail), not
-  just the last flush,
 * when the connection drops or the process dies, the handle fails
   every in-flight future with :class:`~repro.exceptions.ServingError`
   — the cluster layer restarts the shard and callers retry.
@@ -123,22 +118,18 @@ class ShardWorker:
 
     Args:
         catalog_root: snapshot catalog directory this shard warm-starts
-            its venues from (and flushes updated object state back to).
+            its venues from (and flushes updated object state back to);
+            the per-venue operation logs live next to the snapshots.
         shard_id: this shard's index (diagnostics only).
         kind: default index kind for venues registered without one.
         capacity: engine-pool bound of the underlying router.
-        flush_interval: background flush period in seconds; ``0``
-            disables the periodic flusher (a graceful shutdown still
-            flushes).
+        flush_interval: background snapshot-and-compaction period in
+            seconds; ``0`` disables the periodic flusher (a graceful
+            shutdown still flushes).
         mmap: memory-map snapshot binary sections on warm start
             (default ``True``): shard processes of one host serving the
             same catalog then share the bulk index pages through the OS
             page cache instead of each holding a private copy.
-        oplog: enable the per-venue operation log (see
-            :mod:`repro.storage.oplog`): primaries append every acked
-            update, replicas tail, warm starts replay the tail. The
-            cluster turns this on for replication and zero-ack-loss
-            recovery.
         slow_query_threshold: seconds; requests slower than this are
             recorded in the shard's structured slow-query log (a JSONL
             file under ``<catalog_root>/obs/``). ``None`` disables the
@@ -167,7 +158,6 @@ class ShardWorker:
         capacity: int = 8,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         mmap: bool = True,
-        oplog: bool = False,
         slow_query_threshold: float | None = None,
     ) -> None:
         self.shard_id = int(shard_id)
@@ -177,7 +167,7 @@ class ShardWorker:
             if slow_query_threshold is not None else None
         )
         self.router = VenueRouter(SnapshotCatalog(catalog_root), capacity=capacity,
-                                  kind=kind, mmap=mmap, oplog=oplog,
+                                  kind=kind, mmap=mmap,
                                   registry=self.registry,
                                   slow_query_threshold=slow_query_threshold,
                                   slowlog_path=slowlog_path)
@@ -275,7 +265,7 @@ class ShardWorker:
                 request, request_id = request_from_doc(doc)
                 if request.kind == "crash":
                     # Fault injection: die *without* flushing, exactly
-                    # like a SIGKILL — the durability window applies.
+                    # like a SIGKILL — recovery replays the op log.
                     os._exit(2)
                 if request.kind == "drop_connection":
                     # Partition-style fault: the parent sees a clean
@@ -348,7 +338,6 @@ def _no_delay(sock: socket.socket) -> None:
 
 def _shard_entry(port: int, catalog_root: str, shard_id: int, kind: str,
                  capacity: int, flush_interval: float, mmap: bool = True,
-                 oplog: bool = False,
                  slow_query_threshold: float | None = None) -> None:
     """Child-process entry point: connect back to the parent and serve."""
     sock = socket.create_connection(("127.0.0.1", port), timeout=_CONNECT_TIMEOUT)
@@ -357,7 +346,7 @@ def _shard_entry(port: int, catalog_root: str, shard_id: int, kind: str,
     try:
         worker = ShardWorker(
             catalog_root, shard_id=shard_id, kind=kind, capacity=capacity,
-            flush_interval=flush_interval, mmap=mmap, oplog=oplog,
+            flush_interval=flush_interval, mmap=mmap,
             slow_query_threshold=slow_query_threshold,
         )
         worker.serve(sock)
@@ -396,7 +385,6 @@ class ShardProcess:
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         mmap: bool = True,
-        oplog: bool = False,
         slow_query_threshold: float | None = None,
         mp_context=None,
     ) -> None:
@@ -408,7 +396,6 @@ class ShardProcess:
         self.capacity = int(capacity)
         self.flush_interval = float(flush_interval)
         self.mmap = bool(mmap)
-        self.oplog = bool(oplog)
         self.slow_query_threshold = (
             float(slow_query_threshold)
             if slow_query_threshold is not None else None
@@ -446,7 +433,7 @@ class ShardProcess:
                 target=_shard_entry,
                 args=(port, self.catalog_root, self.shard_id, self.kind,
                       self.capacity, self.flush_interval, self.mmap,
-                      self.oplog, self.slow_query_threshold),
+                      self.slow_query_threshold),
                 name=f"repro-shard-{self.shard_id}",
                 daemon=True,
             )

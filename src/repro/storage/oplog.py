@@ -1,9 +1,8 @@
 """Per-venue update-operation log: the snapshot's durable tail.
 
-Snapshots persist a venue's *full* object state, so between flushes
-every acknowledged update lives only in process memory — the serving
-layer's documented durability window. The operation log closes it:
-the venue's **primary** appends each applied
+Snapshots persist a venue's *full* object state as of their last
+flush; the operation log holds every acknowledged update since. The
+venue's **primary** appends each applied
 :class:`~repro.model.objects.UpdateOp` to an append-only, checksummed
 file next to the snapshot *before acknowledging it*, so
 
@@ -11,8 +10,8 @@ file next to the snapshot *before acknowledging it*, so
   replay the records past its object-set version, lose nothing,
 * a **replica** tails the same file and applies new records to its own
   engine, serving reads at the primary's heels,
-* the durability window shrinks from "one flush interval" to "the
-  last fsynced record" — zero acknowledged updates on a crash.
+* a crash loses zero acknowledged updates: each one is fsynced before
+  its ack.
 
 File format — one record per op, strictly version-ordered::
 
@@ -32,7 +31,8 @@ or checksum-invalid final record. :meth:`OpLog.read` stops at the
 first damaged record and returns the valid prefix — exactly the ops
 that could ever have been acknowledged, since the writer fsyncs before
 acking. The writer repairs (truncates) a damaged tail before its next
-append so the stream stays parseable forever.
+append, and cuts off the bytes of an append that failed mid-write, so
+the stream stays parseable forever.
 
 Single-writer by contract: one primary appends; any number of readers
 tail concurrently (reads never take the writer's handle). Compaction
@@ -42,6 +42,7 @@ discipline snapshots use.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -186,8 +187,8 @@ class OpLog:
 
     def tail_signature(self) -> tuple[int, int] | None:
         """A cheap change detector: ``(size, mtime_ns)`` of the file,
-        ``None`` when it does not exist. Replicas stat instead of
-        re-reading on every request."""
+        ``None`` when it does not exist. The serving router stats
+        instead of re-reading on every request."""
         try:
             st = os.stat(self.path)
         except FileNotFoundError:
@@ -206,6 +207,9 @@ class OpLog:
         Raises:
             SnapshotError: out-of-order version — the caller broke the
                 single-writer contract; refusing keeps the log sound.
+            OSError: the write or fsync failed. The record's bytes are
+                cut off again, so the log still ends at the previous
+                record and the next append continues it.
         """
         with self._mutex:
             fh = self._open_locked()
@@ -216,10 +220,21 @@ class OpLog:
                     "order by exactly one writer"
                 )
             start = perf_counter() if self._observe is not None else 0.0
-            fh.write(_encode_record(version, op))
-            fh.flush()
-            if self.sync:
-                os.fsync(fh.fileno())
+            offset = fh.tell()
+            try:
+                fh.write(_encode_record(version, op))
+                fh.flush()
+                if self.sync:
+                    os.fsync(fh.fileno())
+            except BaseException:
+                # Cut the unacknowledged bytes off again (best effort:
+                # the next append's re-open also repairs a torn tail).
+                self._fh = None
+                with contextlib.suppress(OSError):
+                    fh.close()
+                with contextlib.suppress(OSError):
+                    os.truncate(self.path, offset)
+                raise
             if self._observe is not None:
                 self._observe(perf_counter() - start)
             self._last_version = int(version)

@@ -3,10 +3,9 @@
 Covers the worker and cluster layers end to end with real child
 processes: wire-exact answers vs a local router, exception classes
 surviving the socket, backpressure on the in-flight window, fault
-injection (``crash``) → automatic restart warm-started from snapshots,
-the documented durability window (updates since the last flush are
-lost, flushed ones are not), and the background flusher that bounds
-that window.
+injection (``crash``) → automatic restart warm-started from snapshots
+plus the op-log tail, and the background snapshot-and-compaction
+flusher.
 """
 
 from __future__ import annotations
@@ -35,7 +34,8 @@ from repro.serving import (
 )
 from repro.serving.protocol import result_to_doc
 from repro.serving.__main__ import main as serving_cli
-from repro.storage import SnapshotCatalog
+from repro.storage import SnapshotCatalog, scan_oplog
+from repro.testing import venue_oplog_path
 
 import random
 
@@ -147,6 +147,9 @@ class TestRouterAutoFlush:
         flusher = router.start_auto_flush(0.05, seed=1)
         assert wait_until(lambda: flusher.written >= 1)
         router.stop_auto_flush()
+        # the snapshot now covers the insert, so its log record is gone
+        oplog = venue_oplog_path(tmp_path / "cat", space)
+        assert oplog.exists() and scan_oplog(oplog).records == []
 
         # A fresh router over the same catalog sees the inserted object:
         # deleting it succeeds instead of raising QueryError.
@@ -385,42 +388,6 @@ class TestClusterFrontend:
             with pytest.raises(ServingError, match="restart is disabled"):
                 cluster.request(vid, "ping")
 
-    def test_durability_window_is_exactly_the_unflushed_updates(self, tmp_path):
-        space, objects = make_venues()[0]
-        rng = random.Random(11)
-
-        def insert():
-            return Request(
-                venue=vid, kind="update",
-                op=UpdateOp(kind="insert", location=random_point(space, rng),
-                            label="cart", category="cart"),
-            )
-
-        def delete(object_id):
-            return Request(venue=vid, kind="update",
-                           op=UpdateOp(kind="delete", object_id=object_id))
-
-        # oplog=False: this test pins down the *snapshot-only* durability
-        # semantics; with the operation log on (the default) nothing
-        # acknowledged is ever lost — tests/test_replication.py covers that.
-        with ClusterFrontend(tmp_path / "cat", shards=1,
-                             flush_interval=0, oplog=False) as cluster:
-            vid = cluster.add_venue(space, objects=objects)
-            kept = cluster.submit(insert()).result()
-            assert cluster.flush() >= 1  # closes the window behind `kept`
-            lost = cluster.submit(insert()).result()
-            assert kept != lost
-            with pytest.raises(ServingError):
-                cluster.request(vid, "crash").result()
-            wait_until(lambda: cluster.stats().alive == 0)
-
-            # Restarted shard warm-starts from the flushed snapshot:
-            # `kept` survived, `lost` is inside the durability window.
-            with pytest.raises(QueryError, match="not in the index"):
-                cluster.submit(delete(lost)).result()
-            cluster.submit(delete(kept)).result()
-            assert cluster.stats().restarts == 1
-
     def test_drain_barriers_and_stats_count(self, tmp_path):
         venues = make_venues()
         with ClusterFrontend(tmp_path / "cat", shards=2,
@@ -444,9 +411,6 @@ class TestClusterFrontend:
             ClusterFrontend(tmp_path / "cat", shards=0)
         with pytest.raises(ServingError, match="replication"):
             ClusterFrontend(tmp_path / "cat", shards=2, replication=0)
-        with pytest.raises(ServingError, match="oplog"):
-            ClusterFrontend(tmp_path / "cat", shards=2, replication=2,
-                            oplog=False)
         # Placement comes from the consistent-hash ring: stable across
         # frontend instances over the same shard count, and always a
         # valid shard id.

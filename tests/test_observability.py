@@ -41,7 +41,6 @@ from repro.serving import (
     ClusterStats,
     Request,
     Response,
-    ServingFrontend,
     VenueRouter,
     stats_from_doc,
     stats_to_doc,
@@ -397,34 +396,35 @@ class TestEngineInstrumentation:
 
 
 # ----------------------------------------------------------------------
-# Router + frontend instrumentation (in-process)
+# Router instrumentation (in-process)
 # ----------------------------------------------------------------------
 class TestServingInstrumentation:
     def test_router_frontend_and_oplog_series(self, tmp_path):
+        """Router, engine and op-log series for requests executed
+        in-process through ``router.execute``."""
         space = build_mall("tiny", name="obs-mall")
         objects = random_objects(space, 8, seed=2)
         reg = MetricsRegistry()
         router = VenueRouter(SnapshotCatalog(tmp_path), capacity=4,
-                             oplog=True, registry=reg)
+                             registry=reg)
         vid = router.add_venue(space, objects=objects)
         rng = random.Random(9)
-        with ServingFrontend(router, workers=2, registry=reg) as frontend:
-            for _ in range(5):
-                frontend.request(vid, "knn", source=random_point(space, rng),
-                                 k=2).result(timeout=30.0)
-            from repro.model.objects import UpdateOp
-            frontend.request(vid, "update", op=UpdateOp(
-                kind="insert", location=random_point(space, rng),
-                label="cart", category="cart")).result(timeout=30.0)
+        for _ in range(5):
+            router.execute(Request(venue=vid, kind="knn",
+                                   source=random_point(space, rng), k=2))
+        from repro.model.objects import UpdateOp
+        router.execute(Request(venue=vid, kind="update", op=UpdateOp(
+            kind="insert", location=random_point(space, rng),
+            label="cart", category="cart")))
         snap = reg.snapshot()
         counters = {e["name"]: e["value"] for e in snap["counters"].values()}
-        assert counters["router_warm_starts_total"] >= 1
-        assert counters["router_requests_total"] >= 6
-        assert counters["frontend_completed_total"] == 6
+        assert counters["router_warm_starts_total"] == 1
+        assert counters["router_requests_total"] == 6
+        assert counters["router_log_appends_total"] == 1
         hists = {e["name"]: e for e in snap["histograms"].values()}
-        assert hists["router_warm_start_seconds"]["count"] >= 1
-        assert hists["oplog_append_seconds"]["count"] >= 1
-        knn_key = metric_key("frontend_request_seconds", {"kind": "knn"})
+        assert hists["router_warm_start_seconds"]["count"] == 1
+        assert hists["oplog_append_seconds"]["count"] == 1
+        knn_key = metric_key("engine_query_seconds", {"kind": "knn"})
         assert snap["histograms"][knn_key]["count"] == 5
 
     def test_router_slowlog_via_injected_latency(self, tmp_path):

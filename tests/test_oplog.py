@@ -3,10 +3,13 @@
 Covers the format round-trip, the valid-prefix recovery contract for
 torn and corrupted tails (damage is data, never an exception), tail
 repair on the next append, atomic compaction with gap detection for
-readers left behind, and the single-writer ordering guard.
+readers left behind, the single-writer ordering guard, and the
+rollback of an append whose write or fsync failed.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
@@ -119,6 +122,26 @@ class TestWriterContract:
             log.append(3, ops(1)[0][1])
         # the refused record left no trace
         assert [r.version for r in log.read()] == [1]
+
+    def test_failed_fsync_cuts_the_record_off_again(self, log, monkeypatch):
+        (v1, first), (_, doomed), (_, retry) = ops(3)
+        log.append(v1, first)
+
+        def failing_fsync(fd):
+            raise OSError("injected fsync failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(OSError, match="injected"):
+                log.append(2, doomed)  # written and flushed, never synced
+        # the unacknowledged record is gone and the writer continues at
+        # version 2 with a record every reader can reach
+        assert [r.op for r in log.read()] == [first]
+        log.append(2, retry)
+        scan = scan_oplog(log.path)
+        assert [(r.version, r.op) for r in scan.records] == [(1, first),
+                                                             (2, retry)]
+        assert not scan.damaged
 
     def test_a_version_gap_inside_the_file_ends_the_prefix(self, log):
         log.append(1, ops(1)[0][1])

@@ -6,7 +6,9 @@ zero acknowledged updates — is proved the only way that means
 anything: every scenario recovers a cluster (or router) from a fault
 staged by :class:`repro.testing.ClusterFaultHarness` and asserts its
 answers element-wise equal to a sequential replay of exactly the
-acknowledged operations.
+acknowledged operations. Router-level tests pin down the single
+catch-up path (an in-sync primary never re-reads its log) and the
+failed-append rollback.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import threading
 import pytest
 
 from repro.datasets import (
+    MixedQuery,
     build_mall,
     build_office,
     multi_venue_streams,
@@ -35,7 +38,7 @@ from repro.serving import (
     sequential_replay,
 )
 from repro.serving.protocol import result_to_doc
-from repro.storage import SnapshotCatalog
+from repro.storage import OpLog, SnapshotCatalog, scan_oplog
 
 # Real child processes + sockets: wedges fail fast with a stack dump.
 pytestmark = pytest.mark.net_guard
@@ -243,7 +246,7 @@ class TestReplicaFailure:
 # ----------------------------------------------------------------------
 class TestLogDamage:
     def _crashed_router_with_ops(self, tmp_path, space, ops, seed):
-        crashed = VenueRouter(SnapshotCatalog(tmp_path / "cat"), oplog=True)
+        crashed = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
         vid = crashed.add_venue(
             space, objects=random_objects(space, 8, seed=seed))
         apply_all(crashed, vid, ops)  # acked: in the log, not the snapshot
@@ -257,7 +260,7 @@ class TestLogDamage:
         vid = self._crashed_router_with_ops(tmp_path, space, ops, seed=85)
         tear_oplog_tail(venue_oplog_path(tmp_path / "cat", space))
 
-        recovered = VenueRouter(SnapshotCatalog(tmp_path / "cat"), oplog=True)
+        recovered = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
         assert recovered.add_venue(space) == vid  # warm start: snap + log
         local, lvid = baseline_router(tmp_path, space, objects_seed=85,
                                       n_objects=8)
@@ -275,7 +278,7 @@ class TestLogDamage:
         vid = self._crashed_router_with_ops(tmp_path, space, ops, seed=87)
         corrupt_oplog_tail(venue_oplog_path(tmp_path / "cat", space))
 
-        recovered = VenueRouter(SnapshotCatalog(tmp_path / "cat"), oplog=True)
+        recovered = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
         recovered.add_venue(space)
         # the last record is unreadable, so recovery equals a sequential
         # replay of all but the final op — the valid-prefix contract
@@ -291,7 +294,7 @@ class TestLogDamage:
 
     def test_replicas_refuse_updates(self, tmp_path):
         space = build_mall("tiny", name="role-mall")
-        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"), oplog=True)
+        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
         vid = router.add_venue(space, role="replica",
                                objects=random_objects(space, 6, seed=89))
         with pytest.raises(ServingError, match="read replica"):
@@ -299,6 +302,118 @@ class TestLogDamage:
                                    op=insert_op(space, random.Random(1))))
         with pytest.raises(ServingError, match="role"):
             router.add_venue(space, role="observer")
+
+
+# ----------------------------------------------------------------------
+# One catch-up path: primaries and replicas share the signature gate
+# ----------------------------------------------------------------------
+class TestCatchUpGate:
+    def test_in_sync_primary_reads_its_log_zero_times(self, tmp_path,
+                                                      monkeypatch):
+        space = build_mall("tiny", name="gate-mall")
+        rng = random.Random(3)
+        probes = [random_point(space, random.Random(4))]
+        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
+        vid = router.add_venue(space,
+                               objects=random_objects(space, 8, seed=5))
+        router.engine(vid)  # warm start: the one unconditional replay
+
+        reads = []
+        real_read = OpLog.read
+
+        def counting_read(self, after_version=0):
+            reads.append(after_version)
+            return real_read(self, after_version)
+
+        monkeypatch.setattr(OpLog, "read", counting_read)
+        for i in range(50):
+            apply_all(router, vid, [insert_op(space, rng)])
+            if i % 10 == 0:  # reads ride the same gate
+                answers(router.execute, vid, probes)
+        assert reads == []
+
+        versions = [r.version for r in scan_oplog(
+            venue_oplog_path(tmp_path / "cat", space)).records]
+        assert len(versions) == 50
+        assert versions == list(range(versions[0], versions[0] + 50))
+        assert router.log_positions()[vid] == versions[-1]
+
+    def test_promoted_replica_replays_what_it_missed_before_updating(
+            self, tmp_path):
+        space = build_mall("tiny", name="promote-mall")
+        rng = random.Random(7)
+        ops = [insert_op(space, rng) for _ in range(10)]
+        k = 5  # records appended while the replica looks away
+        probes = [random_point(space, random.Random(8 + i)) for i in range(3)]
+        catalog = tmp_path / "cat"
+
+        primary = VenueRouter(SnapshotCatalog(catalog))
+        vid = primary.add_venue(space,
+                                objects=random_objects(space, 8, seed=9))
+        apply_all(primary, vid, ops[:2])
+        replica = VenueRouter(SnapshotCatalog(catalog))
+        replica.add_venue(space, role="replica")
+        answers(replica.execute, vid, probes)  # in sync after 2 ops
+        apply_all(primary, vid, ops[2:2 + k])
+        assert (primary.log_positions()[vid]
+                - replica.log_positions()[vid]) == k
+
+        replica.add_venue(space, role="primary")  # promotion keeps the engine
+        replays = replica.stats().log_replays
+        acked = apply_all(replica, vid, ops[2 + k:2 + k + 1])
+        assert replica.stats().log_replays == replays + k
+        acked += apply_all(replica, vid, ops[2 + k + 1:])
+
+        # the model: one router over its own catalog, every op in order
+        model = VenueRouter(SnapshotCatalog(tmp_path / "model"))
+        mvid = model.add_venue(space, objects=random_objects(space, 8, seed=9))
+        queries = [MixedQuery(kind="knn", source=p, k=3) for p in probes]
+        results, _ = sequential_replay(model, {mvid: ops + queries})
+        assert acked == results[mvid][2 + k:len(ops)]
+        assert ([result_to_doc(replica.execute(Request.from_event(vid, q)))
+                 for q in queries]
+                == [result_to_doc(r) for r in results[mvid][len(ops):]])
+        versions = [r.version for r in scan_oplog(
+            venue_oplog_path(catalog, space)).records]
+        assert versions == list(range(versions[0], versions[0] + len(ops)))
+
+    def test_failed_append_leaves_no_trace_of_the_op(self, tmp_path,
+                                                     monkeypatch):
+        space = build_mall("tiny", name="append-fail-mall")
+        rng = random.Random(11)
+        first, doomed, last = (insert_op(space, rng) for _ in range(3))
+        probes = [doomed.location, random_point(space, random.Random(12))]
+        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
+        vid = router.add_venue(space,
+                               objects=random_objects(space, 8, seed=13))
+        local, lvid = baseline_router(tmp_path, space, objects_seed=13,
+                                      n_objects=8)
+        assert apply_all(router, vid, [first]) == apply_all(local, lvid,
+                                                            [first])
+
+        real_append = OpLog.append
+        failures = [OSError("injected: disk full")]
+
+        def failing_append(self, version, op):
+            if failures:
+                raise failures.pop()
+            return real_append(self, version, op)
+
+        monkeypatch.setattr(OpLog, "append", failing_append)
+        with pytest.raises(OSError, match="injected"):
+            router.execute(Request(venue=vid, kind="update", op=doomed))
+
+        # the next read does not see the unacknowledged op ...
+        assert (answers(router.execute, vid, probes)
+                == answers(local.execute, lvid, probes))
+        # ... and the next update is logged at the next contiguous version
+        assert apply_all(router, vid, [last]) == apply_all(local, lvid,
+                                                           [last])
+        records = scan_oplog(venue_oplog_path(tmp_path / "cat", space)).records
+        assert [r.op for r in records] == [first, last]
+        assert records[1].version == records[0].version + 1
+        assert (answers(router.execute, vid, probes)
+                == answers(local.execute, lvid, probes))
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""The serving layer: RWLock, VenueRouter, ServingFrontend, replay.
+"""The serving layer: RWLock, VenueRouter, request wrapping, streams.
 
 Covers the concurrency contracts the serving layer promises: reader
 parallelism with writer exclusion and preference (RWLock), single warm
-start under concurrent demand (catalog slot locks), LRU eviction with
-write-back (router), backpressure and graceful shutdown (frontend), and
-— the headline guarantee — concurrent multi-venue replay element-wise
-identical to sequential replay.
+start under concurrent demand (catalog slot locks) and LRU eviction
+with write-back (router). Concurrent replay through the cluster is
+checked against sequential replay in ``tests/test_cluster.py`` and
+``tests/test_replication.py``.
 """
 
 from __future__ import annotations
@@ -21,21 +21,12 @@ from repro.datasets import (
     build_office,
     multi_venue_streams,
     random_objects,
-    random_point,
 )
-from repro.engine import QueryEngine, RWLock
+from repro.engine import RWLock
 from repro.exceptions import ServingError
-from repro.serving import (
-    ServingFrontend,
-    ServingRequest,
-    VenueRouter,
-    concurrent_replay,
-    sequential_replay,
-)
+from repro.serving import ServingRequest, VenueRouter
 from repro.storage import SnapshotCatalog, venue_fingerprint
 from repro.testing import sample_points
-
-import random
 
 
 # ----------------------------------------------------------------------
@@ -286,143 +277,6 @@ class TestVenueRouter:
         assert router.flush() == 1      # the new update must be persisted
         fresh, _ = make_router(catalog, two_venues, capacity=4)
         assert fresh.engine(vid).objects.get(new_id) is not None
-
-
-# ----------------------------------------------------------------------
-# ServingFrontend (driven against a controllable fake router)
-# ----------------------------------------------------------------------
-class FakeRouter:
-    """Scriptable stand-in: blocks on demand, fails on demand."""
-
-    def __init__(self):
-        self.block = threading.Event()
-        self.block.set()  # unblocked by default
-        self.executed: list[ServingRequest] = []
-        self._mutex = threading.Lock()
-
-    def execute(self, request):
-        assert self.block.wait(timeout=10)
-        with self._mutex:
-            self.executed.append(request)
-        if request.kind == "boom":
-            raise RuntimeError("scripted failure")
-        return ("ok", request.venue, request.kind)
-
-
-def req(kind="distance", venue="v"):
-    return ServingRequest(venue=venue, kind=kind)
-
-
-class TestServingFrontend:
-    def test_results_travel_via_futures(self):
-        router = FakeRouter()
-        with ServingFrontend(router, workers=2, queue_size=8) as fe:
-            futures = [fe.submit(req(venue=f"v{i}")) for i in range(6)]
-            assert [f.result(timeout=5) for f in futures] == \
-                [("ok", f"v{i}", "distance") for i in range(6)]
-            stats = fe.stats()
-            assert stats.submitted == 6 and stats.completed == 6 and stats.failed == 0
-
-    def test_request_failure_does_not_kill_worker(self):
-        router = FakeRouter()
-        with ServingFrontend(router, workers=1, queue_size=8) as fe:
-            bad = fe.submit(req(kind="boom"))
-            good = fe.submit(req())
-            with pytest.raises(RuntimeError, match="scripted failure"):
-                bad.result(timeout=5)
-            assert good.result(timeout=5)[0] == "ok"
-            assert fe.stats().failed == 1
-
-    def test_submit_requires_started_frontend(self):
-        fe = ServingFrontend(FakeRouter(), workers=1)
-        with pytest.raises(ServingError):
-            fe.submit(req())
-
-    def test_backpressure_timeout_raises(self):
-        router = FakeRouter()
-        router.block.clear()  # worker wedges on the first request
-        fe = ServingFrontend(router, workers=1, queue_size=1).start()
-        try:
-            fe.submit(req())          # taken by the worker (blocked)
-            fe.submit(req())          # fills the queue
-            with pytest.raises(ServingError, match="backpressure"):
-                fe.submit(req(), timeout=0.05)
-            assert fe.stats().rejected == 1
-        finally:
-            router.block.set()
-            fe.shutdown()
-
-    def test_shutdown_without_drain_cancels_backlog(self):
-        router = FakeRouter()
-        router.block.clear()
-        fe = ServingFrontend(router, workers=1, queue_size=8).start()
-        running = fe.submit(req())
-        # The contract only guarantees completion for requests already
-        # *executing* at shutdown — wait until the worker has actually
-        # picked this one up before queueing the backlog behind it.
-        deadline = time.monotonic() + 5
-        while not running.running() and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert running.running()
-        queued = [fe.submit(req()) for _ in range(3)]
-        shutter = threading.Thread(target=fe.shutdown, kwargs={"drain": False})
-        shutter.start()
-        # Unblock the in-flight request only once the cancel sweep has
-        # emptied the backlog, so the worker can never pick up a queued
-        # request the sweep hadn't reached yet.
-        deadline = time.monotonic() + 5
-        while not all(f.cancelled() for f in queued) and time.monotonic() < deadline:
-            time.sleep(0.001)
-        router.block.set()  # let the in-flight request finish
-        shutter.join(timeout=5)
-        assert running.result(timeout=5)[0] == "ok"
-        assert all(f.cancelled() for f in queued)
-        with pytest.raises(ServingError):
-            fe.submit(req())
-
-    def test_drain_waits_for_backlog(self):
-        router = FakeRouter()
-        with ServingFrontend(router, workers=2, queue_size=32) as fe:
-            futures = [fe.submit(req(venue=f"v{i}")) for i in range(20)]
-            fe.drain()
-            assert all(f.done() for f in futures)
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ServingError):
-            ServingFrontend(FakeRouter(), workers=0)
-
-
-# ----------------------------------------------------------------------
-# Replay equivalence (the headline guarantee)
-# ----------------------------------------------------------------------
-def _normalize(value):
-    if isinstance(value, list):
-        return [(n.distance, n.object_id) for n in value]
-    if hasattr(value, "doors"):
-        return (value.distance, tuple(value.doors))
-    return value
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_concurrent_replay_identical_to_sequential(catalog, two_venues, workers):
-    streams = multi_venue_streams(
-        two_venues, 80, update_ratio=0.5, churn=0.2, seed=13,
-        mix={"knn": 0.4, "distance": 0.2, "range": 0.2, "path": 0.2},
-    )
-    router_a, ids = make_router(catalog, two_venues, capacity=4)
-    keyed = dict(zip(ids, streams))
-    sequential, seq_report = sequential_replay(router_a, keyed)
-
-    router_b, ids_b = make_router(catalog, two_venues, capacity=4)
-    assert ids_b == ids
-    with ServingFrontend(router_b, workers=workers, queue_size=32) as frontend:
-        concurrent, conc_report = concurrent_replay(frontend, keyed)
-
-    assert seq_report.events == conc_report.events == 2 * 80
-    assert seq_report.updates == conc_report.updates > 0
-    for vid in ids:
-        for i, (a, b) in enumerate(zip(sequential[vid], concurrent[vid])):
-            assert _normalize(a) == _normalize(b), f"venue {vid[:8]} event {i} diverged"
 
 
 def test_multi_venue_streams_deterministic_and_independent(two_venues):
