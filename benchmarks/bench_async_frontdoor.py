@@ -141,6 +141,7 @@ def check_frontdoor_equivalence(
     ids = router.venue_ids()
     keyed = dict(zip(ids, streams))
     sequential, _ = sequential_replay(router, keyed)
+    router.close()
 
     compared = 0
     with ClusterFrontend(Path(root) / "door", shards=2) as cluster:

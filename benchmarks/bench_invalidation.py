@@ -113,7 +113,7 @@ def replay(engine: QueryEngine, events, seed=49):
     return answers, perf_counter() - t0
 
 
-def run_bench(profile: str, *, objects_seed=47, kernels="auto"):
+def run_bench(profile: str, *, objects_seed=47, kernels="numpy"):
     """Both invalidation modes on the 1:8 mix: list of result rows.
 
     Asserts element-wise answer identity between modes.
@@ -194,8 +194,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--profile", default=ASSERT_PROFILE,
                         choices=("tiny", "small", "paper"))
-    parser.add_argument("--kernels", default="auto",
-                        choices=("auto", "python", "numpy"))
+    parser.add_argument("--kernels", default="numpy",
+                        choices=("numpy", "python"))
     parser.add_argument("--seed", type=int, default=47)
     parser.add_argument("--json", metavar="FILE",
                         default="BENCH_invalidation.json",

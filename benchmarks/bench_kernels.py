@@ -1,9 +1,9 @@
 """Numpy query kernels vs the pure-python reference, single thread.
 
 The paper's query algorithms are dict-loop pseudo-code; the numpy
-backend (:mod:`repro.kernels`) answers whole kNN/range queries with a
+path (:mod:`repro.kernels`) answers whole kNN/range queries with a
 handful of level-batched array ops instead (see
-:meth:`~repro.kernels.NumpyKernels.knn_full`). This benchmark measures
+:meth:`~repro.kernels.NumpyKernels.knn`). This benchmark measures
 what that buys on one thread, on cache-miss traffic (every endpoint
 fresh, ``pool=None`` — no result cache can help), on the paper's
 workhorse venue Men-2.

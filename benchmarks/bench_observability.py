@@ -137,6 +137,7 @@ def measure_layers(space, *, count=N_QUERIES, n_objects=N_OBJECTS, seed=47):
         for q in queries:
             router.execute(Request(venue=vid, kind="knn",
                                    source=q.source, k=q.k))
+        router.close()
         snapshot = summarize(registry.snapshot())
     for layer, key in LAYER_SERIES:
         hist = snapshot["histograms"].get(key)

@@ -132,6 +132,7 @@ def measure_read_scaling(
         space, objects=random_objects(space, n_objects, seed=seed))
     keyed = {vid: stream}
     sequential, _ = sequential_replay(router, keyed)
+    router.close()
 
     results = []
     base_eps = None
@@ -243,6 +244,7 @@ def measure_recovery(
                                        k=3))
             assert result_to_doc(a) == result_to_doc(b), \
                 "post-failover answers diverged from sequential replay"
+        router.close()
 
     return {
         "replication": 2,

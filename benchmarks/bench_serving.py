@@ -172,6 +172,7 @@ def check_cluster_equivalence(
     ids = router.venue_ids()
     keyed = dict(zip(ids, streams))
     sequential, _ = sequential_replay(router, keyed)
+    router.close()
 
     with ClusterFrontend(Path(root) / "cluster", shards=shards) as cluster:
         for space, objects in make_venues():
@@ -221,6 +222,7 @@ def measure_cluster_scaling(
     for vid, stream in zip(ids, streams):
         warm.execute(Request.from_event(vid, stream[0]))
     warm.flush()
+    warm.close()
     keyed = dict(zip(ids, streams))
 
     results = []

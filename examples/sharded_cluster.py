@@ -77,6 +77,7 @@ def main():
         for space, objects in venues:
             router.add_venue(space, objects=objects)
         sequential, _ = sequential_replay(router, keyed)
+        router.close()  # releases the op-log handles its updates opened
         identical = all(
             result_to_doc(a) == result_to_doc(b)
             for vid in venue_ids

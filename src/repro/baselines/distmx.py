@@ -68,13 +68,6 @@ class DistanceMatrix:
         return path
 
     # ------------------------------------------------------------------
-    def _candidates(self, raw, other_partition: int | None, optimized: bool):
-        offsets, pid = endpoint_offsets(self.space, raw)
-        doors = candidate_doors(
-            self.space, pid, list(offsets), other_partition
-        ) if optimized else list(offsets)
-        return offsets, doors, pid
-
     def distance_query(self, source, target, optimized: bool = True) -> tuple[float, int]:
         """Shortest distance plus the number of door pairs enumerated
         (the Fig 9(a) metric). ``optimized=False`` is the paper's

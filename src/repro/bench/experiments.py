@@ -26,10 +26,6 @@ QUERY_COUNTS = {"tiny": 30, "small": 120, "paper": 400}
 OBJECT_COUNTS = {"tiny": 8, "small": 50, "paper": 50}
 
 
-def _contexts(venues, profile):
-    return {name: VenueContext(name, profile) for name in venues}
-
-
 # ----------------------------------------------------------------------
 # Table 1 — complexity parameters (measured)
 # ----------------------------------------------------------------------

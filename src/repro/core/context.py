@@ -71,7 +71,6 @@ class QueryContext:
 
     __slots__ = (
         "tree",
-        "kernels",
         "endpoints",
         "climbs",
         "searches",
@@ -84,13 +83,9 @@ class QueryContext:
     )
 
     def __init__(
-        self, tree: "IPTree", *, endpoint_cache=None, climb_cache=None, search_cache=None, kernels=None
+        self, tree: "IPTree", *, endpoint_cache=None, climb_cache=None, search_cache=None
     ) -> None:
         self.tree = tree
-        #: optional array-at-a-time kernel backend (:mod:`repro.kernels`)
-        #: used for climbs performed on behalf of this context; queries
-        #: passing this context inherit it unless they override.
-        self.kernels = kernels
         self.endpoints = {} if endpoint_cache is None else endpoint_cache
         self.climbs = {} if climb_cache is None else climb_cache
         self.searches = {} if search_cache is None else search_cache
@@ -130,7 +125,7 @@ class QueryContext:
             return hit
         self.climb_misses += 1
         known, pred, _ = self.tree.endpoint_distances(
-            endpoint, target_node, leaf_id=leaf_id, kernels=self.kernels
+            endpoint, target_node, leaf_id=leaf_id
         )
         self.climbs[key] = (known, pred)
         return known, pred
@@ -155,7 +150,6 @@ class QueryContext:
             self.tree.root_id,
             leaf_id=endpoint.leaves[0],
             collect_chain=True,
-            kernels=self.kernels,
         )
         state = dict(chain_map)
         self.searches[key] = state

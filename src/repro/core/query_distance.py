@@ -192,20 +192,15 @@ def same_leaf_distance(
 
 
 def shortest_distance(
-    tree: "IPTree", source, target, ctx: "QueryContext | None" = None, kernels=None
+    tree: "IPTree", source, target, ctx: "QueryContext | None" = None
 ) -> DistanceResult:
     """Algorithm 3: shortest indoor distance between two endpoints.
 
     ``ctx`` optionally supplies cached endpoint resolution and tree
     climbs shared across a query stream (see
     :class:`~repro.core.context.QueryContext`); the answer is identical
-    with or without it. ``kernels`` selects the array-at-a-time
-    implementation of the climbs and the LCA combine
-    (:mod:`repro.kernels`); answers are bit-identical to this module's
-    python reference.
+    with or without it.
     """
-    if kernels is None and ctx is not None:
-        kernels = ctx.kernels
     if ctx is not None:
         ea = ctx.resolve(source)
         eb = ctx.resolve(target)
@@ -226,25 +221,21 @@ def shortest_distance(
         ds, _ = ctx.climb(ea, ns, leaf_a)
         dt, _ = ctx.climb(eb, nt, leaf_b)
     else:
-        ds, _, _ = tree.endpoint_distances(ea, ns, leaf_id=leaf_a, kernels=kernels)
-        dt, _, _ = tree.endpoint_distances(eb, nt, leaf_id=leaf_b, kernels=kernels)
+        ds, _, _ = tree.endpoint_distances(ea, ns, leaf_id=leaf_a)
+        dt, _, _ = tree.endpoint_distances(eb, nt, leaf_id=leaf_b)
     table = tree.nodes[lca].table
 
     ad_s = tree.nodes[ns].access_doors
     ad_t = tree.nodes[nt].access_doors
-    combine = getattr(kernels, "combine_lca", None)
-    if combine is not None:
-        best = combine(table, ad_s, ad_t, ds, dt)
-    else:
-        best = INF
-        for di in ad_s:
-            dsi = ds[di]
-            if dsi >= best:
-                continue
-            for dj in ad_t:
-                d = dsi + table.distance(di, dj) + dt[dj]
-                if d < best:
-                    best = d
+    best = INF
+    for di in ad_s:
+        dsi = ds[di]
+        if dsi >= best:
+            continue
+        for dj in ad_t:
+            d = dsi + table.distance(di, dj) + dt[dj]
+            if d < best:
+                best = d
     stats.pairs_considered = len(ad_s) * len(ad_t)
     stats.superior_pairs = len(ea.entry_doors) * len(eb.entry_doors)
     return DistanceResult(best, stats)

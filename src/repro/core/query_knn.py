@@ -10,12 +10,12 @@ run.
 Result-set semantics: the k nearest objects under the lexicographic
 ``(distance, object_id)`` order. Objects tied at the k-th distance are
 therefore resolved deterministically — the smaller object id wins — and
-the answer is identical across index kinds, kernels, and scan orders.
+the answer is identical across index kinds, implementations, and scan
+orders.
 
-The inner loops (Lemma 8/9 door combination, access-list scans) have
-array-at-a-time implementations in :mod:`repro.kernels`; pass
-``kernels=`` to use them. The pure-python paths in this module are the
-reference the kernels are asserted bit-identical against.
+This module is the reference: :class:`repro.kernels.NumpyKernels`
+answers the same queries eagerly with numpy, reusing :class:`_Search`
+for the endpoint setup, and is asserted bit-identical against it.
 """
 
 from __future__ import annotations
@@ -51,17 +51,12 @@ class _Search:
         index: ObjectIndex,
         query,
         ctx: "QueryContext | None" = None,
-        kernels=None,
         stats: QueryStats | None = None,
-        collect_leaves: bool = False,
     ) -> None:
         if index.tree is not tree:
             raise QueryError("object index was built for a different tree")
-        if kernels is None and ctx is not None:
-            kernels = ctx.kernels
         self.tree = tree
         self.index = index
-        self.kernels = kernels
         self.endpoint = ctx.resolve(query) if ctx is not None else Endpoint(tree, query)
         self.leaf_q = self.endpoint.leaves[0]
         self.chain = tree.chain_of_leaf(self.leaf_q)
@@ -76,16 +71,11 @@ class _Search:
                 tree.root_id,
                 leaf_id=self.leaf_q,
                 collect_chain=True,
-                kernels=kernels,
             )
             self.node_dists = dict(chain_map)
         # An out-parameter when the caller wants the counters (the
         # engine's stats= plumbing); otherwise a private scratch object.
         self.stats = stats if stats is not None else QueryStats()
-        #: when True the search reports the conservative bound-ball leaf
-        #: closure of its answer in ``stats.result_leaves`` (the engine's
-        #: leaf-scoped cache invalidation reads it)
-        self.collect_leaves = collect_leaves
 
     # ------------------------------------------------------------------
     def child_distances(self, parent_id: int, child_id: int) -> dict[int, float]:
@@ -98,10 +88,6 @@ class _Search:
         cached = self.node_dists.get(child_id)
         if cached is not None:
             return cached
-        if self.kernels is not None:
-            dists = self.kernels.child_distances(self, parent_id, child_id)
-            self.node_dists[child_id] = dists
-            return dists
         parent = self.tree.nodes[parent_id]
         pos = self.chain_pos.get(parent_id)
         if pos is not None and pos > 0:
@@ -173,9 +159,6 @@ class _Search:
                     yield best, oid
         else:
             dq = self.node_dists[leaf_id]
-            if self.kernels is not None:
-                yield from self.kernels.leaf_objects(self, leaf_id, dq, bound, self.stats)
-                return
             # k-way merge of the per-door sorted lists by ascending total
             # distance. The first time an object id surfaces, that total
             # is its exact minimum (all later occurrences are >=), so it
@@ -251,7 +234,6 @@ def knn(
     query,
     k: int,
     ctx: "QueryContext | None" = None,
-    kernels=None,
     stats: QueryStats | None = None,
     collect_leaves: bool = False,
 ) -> list[Neighbor]:
@@ -266,19 +248,7 @@ def knn(
     """
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")
-    search = _Search(tree, index, query, ctx, kernels, stats,
-                     collect_leaves=collect_leaves)
-    if search.kernels is not None:
-        # Array backends may answer the whole query eagerly (every
-        # node's distances in a few level-batched ops) instead of
-        # best-first; the result set is identical because the per-object
-        # distances are the same floats and both select the k
-        # lexicographically smallest (distance, object_id) pairs.
-        full = getattr(search.kernels, "knn_full", None)
-        if full is not None:
-            out = full(search, k)
-            if out is not None:
-                return out
+    search = _Search(tree, index, query, ctx, stats)
     stats = search.stats
 
     # Max-heap via negation of both fields: results[0] is the current

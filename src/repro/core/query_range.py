@@ -26,7 +26,6 @@ def range_query(
     query,
     radius: float,
     ctx: "QueryContext | None" = None,
-    kernels=None,
     stats: QueryStats | None = None,
     collect_leaves: bool = False,
 ) -> list[Neighbor]:
@@ -40,15 +39,7 @@ def range_query(
     """
     if radius < 0:
         raise QueryError(f"radius must be non-negative, got {radius}")
-    search = _Search(tree, index, query, ctx, kernels, stats,
-                     collect_leaves=collect_leaves)
-    if search.kernels is not None:
-        # See query_knn.knn: eager array backends answer whole queries.
-        full = getattr(search.kernels, "range_full", None)
-        if full is not None:
-            out = full(search, radius)
-            if out is not None:
-                return out
+    search = _Search(tree, index, query, ctx, stats)
     stats = search.stats
 
     found: list[tuple[float, int]] = []

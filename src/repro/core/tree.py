@@ -472,51 +472,43 @@ class IPTree:
         target_node: int,
         leaf_id: int | None = None,
         collect_chain: bool = False,
-        kernels=None,
     ):
         """Algorithm 2 dispatch: distances from an endpoint to the access
         doors of an ancestor node. VIP-Tree overrides this with its O(αρ)
-        materialized variant (§3.1.2). A kernels backend may provide a
-        ``climb_ip`` hook to take over the climb (the numpy backend does
-        not: at fixture ρ the python loop wins, and the array path
-        vectorizes whole queries instead — see :mod:`repro.kernels`)."""
-        climb = getattr(kernels, "climb_ip", None)
-        if climb is not None:
-            return climb(self, endpoint, target_node, leaf_id, collect_chain)
+        materialized variant (§3.1.2)."""
         from .query_distance import get_distances
 
         return get_distances(self, endpoint, target_node, leaf_id, collect_chain)
 
-    def shortest_distance(self, source, target, ctx=None, kernels=None) -> float:
+    def shortest_distance(self, source, target, ctx=None) -> float:
         from .query_distance import shortest_distance
 
-        return shortest_distance(self, source, target, ctx, kernels=kernels).distance
+        return shortest_distance(self, source, target, ctx).distance
 
-    def distance_query(self, source, target, ctx=None, kernels=None):
+    def distance_query(self, source, target, ctx=None):
         """Shortest distance with query statistics (QueryResult)."""
         from .query_distance import shortest_distance
 
-        return shortest_distance(self, source, target, ctx, kernels=kernels)
+        return shortest_distance(self, source, target, ctx)
 
     def shortest_path(self, source, target, ctx=None):
         from .query_path import shortest_path
 
         return shortest_path(self, source, target, ctx)
 
-    def knn(self, object_index, query, k: int, ctx=None, kernels=None,
-            stats=None, collect_leaves: bool = False):
+    def knn(self, object_index, query, k: int, ctx=None, stats=None,
+            collect_leaves: bool = False):
         from .query_knn import knn
 
-        return knn(self, object_index, query, k, ctx, kernels=kernels,
-                   stats=stats, collect_leaves=collect_leaves)
+        return knn(self, object_index, query, k, ctx, stats=stats,
+                   collect_leaves=collect_leaves)
 
     def range_query(self, object_index, query, radius: float, ctx=None,
-                    kernels=None, stats=None, collect_leaves: bool = False):
+                    stats=None, collect_leaves: bool = False):
         from .query_range import range_query
 
         return range_query(self, object_index, query, radius, ctx,
-                           kernels=kernels, stats=stats,
-                           collect_leaves=collect_leaves)
+                           stats=stats, collect_leaves=collect_leaves)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

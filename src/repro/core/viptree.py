@@ -150,20 +150,12 @@ class VIPTree(IPTree):
         target_node: int,
         leaf_id: int | None = None,
         collect_chain: bool = False,
-        kernels=None,
     ):
         """O(αρ) replacement for Algorithm 2 (paper §3.1.2).
 
         ``dist(s, a) = min over superior doors du of dist(s, du) +
-        materialized dist(du, a)`` — no climbing required. A kernels
-        backend may provide a ``climb_vip`` hook to take over the climb
-        (the numpy backend does not: at fixture ρ the python loop wins,
-        and the array path vectorizes whole queries instead — see
-        :mod:`repro.kernels`).
+        materialized dist(du, a)`` — no climbing required.
         """
-        climb = getattr(kernels, "climb_vip", None)
-        if climb is not None:
-            return climb(self, endpoint, target_node, leaf_id, collect_chain)
         if leaf_id is None:
             leaf_id = endpoint.leaves[0]
         chain = self.chain_of_leaf(leaf_id)

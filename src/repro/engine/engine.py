@@ -76,7 +76,7 @@ from ..core.objects_index import ObjectIndex
 from ..core.results import Neighbor, PathResult, QueryStats
 from ..core.tree import IPTree
 from ..exceptions import QueryError
-from ..kernels import resolve_kernels
+from ..kernels import NumpyKernels
 from ..model.entities import IndoorPoint
 from ..model.objects import UpdateOp
 from ..obs.registry import counter_entry, gauge_entry
@@ -275,12 +275,13 @@ class QueryEngine:
             Non-tree indexes always behave as ``"full"`` (their cached
             answers carry no leaf structure). Answers are identical
             either way; only cache retention changes.
-        kernels: query-kernel backend for tree indexes —
-            ``"auto"`` (default: numpy when importable, else the python
-            reference), ``"numpy"``, ``"python"``, or a backend
-            instance (see :mod:`repro.kernels`). Answers are
-            bit-identical across backends; only speed changes. Ignored
-            for non-tree indexes.
+        kernels: kNN/range implementation for tree indexes —
+            ``"numpy"`` (default: the eager
+            :class:`~repro.kernels.NumpyKernels` path) or ``"python"``
+            (the tree's own Algorithm 5 best-first reference). Answers
+            are bit-identical; only speed changes. Distance and path
+            queries run the python code either way, and non-tree
+            indexes ignore the choice.
         registry: optional
             :class:`~repro.obs.registry.MetricsRegistry`. When set, the
             engine records per-kind query and update latency histograms
@@ -304,7 +305,7 @@ class QueryEngine:
         context_cache_size: int = 16384,
         thread_safe: bool = False,
         invalidation: str = "scoped",
-        kernels="auto",
+        kernels: str = "numpy",
         registry=None,
     ) -> None:
         self.index = index
@@ -314,7 +315,17 @@ class QueryEngine:
                 f"invalidation must be 'scoped' or 'full', got {invalidation!r}"
             )
         self.invalidation = invalidation
-        self.kernels = resolve_kernels(kernels) if self._is_tree else None
+        if kernels not in ("numpy", "python"):
+            raise QueryError(
+                f"kernels must be 'numpy' or 'python', got {kernels!r}"
+            )
+        #: what tree kNN/range queries call — the eager numpy path or the
+        #: tree's own Algorithm 5; both take the :class:`IPTree`
+        #: ``knn``/``range_query`` signatures
+        self._searcher = (
+            (NumpyKernels() if kernels == "numpy" else index)
+            if self._is_tree else None
+        )
         self.registry = registry
         if registry is not None:
             self._query_timers = {
@@ -323,15 +334,9 @@ class QueryEngine:
             }
             self._update_timer = registry.histogram("engine_update_seconds")
             self._inval_timer = registry.histogram("engine_invalidation_seconds")
-            if not self._is_tree:
-                backend = "none"
-            elif self.kernels is None:
-                backend = "python"
-            else:
-                backend = getattr(self.kernels, "name",
-                                  type(self.kernels).__name__)
             self._kernel_counter = registry.counter(
-                "engine_kernel_queries_total", backend=backend)
+                "engine_kernel_queries_total",
+                backend=kernels if self._is_tree else "none")
             registry.register_collector(self, _collect_engine_stats)
         else:
             self._query_timers = None
@@ -819,7 +824,6 @@ class QueryEngine:
             endpoint_cache=LRUCache(self._context_cache_size),
             climb_cache=LRUCache(self._context_cache_size),
             search_cache=LRUCache(self._context_cache_size),
-            kernels=self.kernels,
         )
 
     def _batch_ctx(self) -> QueryContext | None:
@@ -827,7 +831,7 @@ class QueryEngine:
             return self.ctx
         if self._is_tree:
             # per-batch amortization only
-            return QueryContext(self.index, kernels=self.kernels)
+            return QueryContext(self.index)
         return None
 
     # ------------------------------------------------------------------
@@ -857,8 +861,8 @@ class QueryEngine:
     def _raw_distance(self, source, target, ctx, stats=None) -> float:
         if self._is_tree:
             if stats is None:
-                return self.index.shortest_distance(source, target, ctx, kernels=self.kernels)
-            result = self.index.distance_query(source, target, ctx, kernels=self.kernels)
+                return self.index.shortest_distance(source, target, ctx)
+            result = self.index.distance_query(source, target, ctx)
             stats.merge(result.stats)
             return result.distance
         return self.index.shortest_distance(source, target)
@@ -941,8 +945,8 @@ class QueryEngine:
         if self._is_tree:
             if self.object_index is None:
                 raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            return index.knn(self.object_index, query, k, ctx, kernels=self.kernels,
-                             stats=stats, collect_leaves=collect_leaves)
+            return self._searcher.knn(self.object_index, query, k, ctx,
+                                      stats=stats, collect_leaves=collect_leaves)
         if isinstance(index, DijkstraOracle):
             if self.objects is None:
                 raise QueryError("engine has no object set; pass objects= to QueryEngine")
@@ -993,8 +997,8 @@ class QueryEngine:
         if self._is_tree:
             if self.object_index is None:
                 raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            return index.range_query(self.object_index, query, radius, ctx, kernels=self.kernels,
-                                     stats=stats, collect_leaves=collect_leaves)
+            return self._searcher.range_query(self.object_index, query, radius, ctx,
+                                              stats=stats, collect_leaves=collect_leaves)
         if isinstance(index, DijkstraOracle):
             if self.objects is None:
                 raise QueryError("engine has no object set; pass objects= to QueryEngine")

@@ -48,9 +48,6 @@ class Graph:
         """Iterate ``(neighbour, weight)`` pairs of ``u``."""
         return iter(self._adj[u].items())
 
-    def neighbor_map(self, u: int) -> dict[int, float]:
-        return self._adj[u]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 

@@ -1,77 +1,37 @@
-"""Array-at-a-time kernels for the hot query math.
+"""Array-at-a-time kNN and range queries.
 
 The query algorithms in :mod:`repro.core` are written as pure-python
 loops — the reference implementation the paper's pseudo-code maps onto
 line by line. Inside a serving shard those loops are the bottleneck:
-every Lemma 8/9 child expansion is a ρ² dict-lookup double loop, every
-access-list scan walks python tuples, and every climb rebuilds the same
-per-door dicts. This package provides numpy implementations of exactly
-those inner loops:
+Algorithm 5's best-first search pays a ρ² dict-lookup double loop per
+Lemma 8/9 child expansion and walks the access lists as python tuples.
 
-* :meth:`NumpyKernels.child_distances` — one
-  ``min(source[:, None] + table, axis=0)`` per child instead of the
-  ρ² loop;
-* :meth:`NumpyKernels.leaf_objects` — per-door sorted ``(distance,
-  object_id)`` arrays combined, cut against the pruning bound and
-  deduplicated in bulk;
-* :meth:`NumpyKernels.knn_full` / :meth:`NumpyKernels.range_full` — the
-  eager whole-query path: the Lemma 8/9 recursion for *every* tree node
-  replayed as a handful of level-batched gather/add/segmented-min ops
-  over a flat slot vector, one global access-list scan, and a
-  vectorized ``(distance, object_id)`` selection. Per-query cost is a
-  few dozen numpy calls regardless of how many nodes the best-first
-  reference would expand — this is where the single-thread speedup
-  comes from, since fixture trees have ρ ≈ 5 and per-node calls cannot
-  amortize numpy dispatch overhead.
+:class:`NumpyKernels` answers the same kNN/range queries *eagerly*
+instead (:meth:`NumpyKernels.knn` / :meth:`NumpyKernels.range_query`,
+the signatures of :meth:`IPTree.knn <repro.core.tree.IPTree.knn>` /
+:meth:`IPTree.range_query <repro.core.tree.IPTree.range_query>`): the
+Lemma 8/9 recursion for *every* tree node replayed as a handful of
+level-batched gather/add/segmented-min ops over a flat slot vector, one
+global access-list scan, and a vectorized ``(distance, object_id)``
+selection. Per-query cost is a few dozen numpy calls regardless of how
+many nodes the best-first reference would expand — this is where the
+single-thread speedup comes from, since fixture trees have ρ ≈ 5 and
+per-node calls cannot amortize numpy dispatch overhead.
 
-Hooks are discovered with ``getattr``, so a backend provides exactly
-the set that pays off: the numpy backend deliberately does *not* hook
-the per-endpoint climbs or the Algorithm 3 LCA combine (python dict
-loops win at fixture ρ; distance queries run the reference path on
-every backend).
-
-Every kernel is **bit-identical** to the python reference (asserted by
+Answers are **bit-identical** to the python reference (asserted by
 ``tests/test_kernels.py``): the vectorized expressions perform the same
 IEEE-754 additions in the same association order, ``min`` over a fixed
-candidate set is evaluation-order independent, and min/argmin
-tie-breaking matches the reference's first-strict-improvement scans.
+candidate set is evaluation-order independent, and the result set is
+the k lexicographically smallest ``(distance, object_id)`` pairs on
+both paths.
 
-Selection is per-engine: ``QueryEngine(kernels="numpy"|"python"|"auto")``
-(default ``"auto"`` — numpy when importable). The python paths stay
-available unconditionally and remain the oracle-checked reference.
+Selection is per engine: ``QueryEngine(kernels="numpy"|"python")``
+(default ``"numpy"``). Distance and path queries always run the python
+code in :mod:`repro.core`, which stays the oracle-checked reference.
 """
 
 from __future__ import annotations
 
-from ..exceptions import QueryError
+from .numpy_backend import NumpyKernels
 
-try:  # numpy is an optional dependency of this package only
-    from .numpy_backend import NumpyKernels
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only without numpy
-    NumpyKernels = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-__all__ = ["HAVE_NUMPY", "NumpyKernels", "resolve_kernels"]
-
-
-def resolve_kernels(spec="auto"):
-    """Resolve a kernels spec to a backend instance (or ``None``).
-
-    ``None``/"auto" → :class:`NumpyKernels` when numpy is importable,
-    else the python reference; ``"python"`` → the python reference
-    (returns ``None``); ``"numpy"`` → :class:`NumpyKernels` or raise; a
-    backend instance passes through unchanged.
-    """
-    if spec is None or spec == "auto":
-        return NumpyKernels() if HAVE_NUMPY else None
-    if spec == "python":
-        return None
-    if spec == "numpy":
-        if not HAVE_NUMPY:
-            raise QueryError("kernels='numpy' requested but numpy is not importable")
-        return NumpyKernels()
-    if isinstance(spec, str):
-        raise QueryError(f"unknown kernels spec {spec!r} (expected 'auto', 'numpy' or 'python')")
-    return spec
+__all__ = ["NumpyKernels"]

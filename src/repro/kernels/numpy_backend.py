@@ -1,34 +1,25 @@
-"""Numpy implementations of the hot query kernels.
+"""Numpy implementation of the eager whole-query kNN/range path.
 
 Bit-identity with the python reference is a hard requirement here, not a
 nicety — the equivalence suite compares answers with ``==``, never with
 a tolerance. The rules that make it hold:
 
-* additions keep the reference's association order (e.g. the Lemma 8/9
-  combine is ``source[:, None] + table`` — one add per entry, exactly
-  the reference's ``dd + table.distance(d, a)``);
-* ``min``/``argmin`` return the first occurrence of the minimum, which
-  matches the reference's first-strict-improvement scans because rows
-  are laid out in the same iteration order;
-* access-list cuts compare the *totals* array (``base + dists``) against
-  the entry bound in one vector op, replicating ``break on total >
-  bound`` including ties kept at the bound (each door's segment is
-  sorted, so the mask count equals the reference's per-door cuts);
-* the whole-query eager path (:meth:`NumpyKernels.knn_full` /
-  :meth:`NumpyKernels.range_full`) evaluates the Lemma 8/9 recursion for
-  *every* tree node level by level with ``np.minimum.reduceat`` over a
-  flat slot vector, then scans all access lists in one gather + add +
-  per-object min. Each candidate value is still a single ``a + b`` add
-  in the reference's operand order, and ``min`` over a fixed set is
-  evaluation-order independent, so the distances — and therefore the
-  ``(distance, object_id)``-lexicographic result sets — are bit-identical
-  to the best-first reference even though the traversal order differs.
-  (The query leaf's Dijkstra branch is the reference code, reused.)
+* the Lemma 8/9 recursion is evaluated for *every* tree node level by
+  level with ``np.minimum.reduceat`` over a flat slot vector; each
+  candidate is still one ``source + table`` add in the reference's
+  operand order, exactly the reference's ``dd + table.distance(d, a)``;
+* all access lists are then scanned in one gather + add + per-object
+  min, again one ``base + list distance`` add per entry;
+* ``min`` over a fixed candidate set is evaluation-order independent,
+  so the distances — and therefore the ``(distance,
+  object_id)``-lexicographic result sets — are bit-identical to the
+  best-first reference even though the traversal order differs. (The
+  query leaf's Dijkstra branch is the reference code, reused.)
 
-Instances cache derived array forms (index arrays per tree node, packed
-access lists per object-index version, materialized VIP climb matrices,
-per-leaf eager propagation programs) keyed by identity + version, so
-they are safe to share across queries of one engine; updates bump
+Instances cache derived array forms (the per-tree slot table, per-leaf
+eager propagation programs, and the global access-list entry arrays per
+object-index version) keyed by identity + version, so they are safe to
+share across queries of one engine; updates bump
 ``ObjectIndex.version`` under the engine's write lock, and readers
 re-derive on the next query.
 """
@@ -37,28 +28,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.query_knn import _Search
 from ..core.results import Neighbor
+from ..exceptions import QueryError
 
 INF = float("inf")
 _INTP = np.intp
 
 
 class NumpyKernels:
-    """Array-at-a-time backend selected via ``kernels=`` (see
-    :func:`repro.kernels.resolve_kernels`)."""
-
-    name = "numpy"
+    """Eager kNN/range answering, selected with
+    ``QueryEngine(kernels="numpy")`` (the default)."""
 
     def __init__(self) -> None:
-        # access-list arrays: (leaf_id, door) -> (dist_f64, oid_i64),
-        # valid for one (ObjectIndex identity, version) pair
-        self._al_cache: dict = {}
-        self._al_index = None
-        self._al_version = -1
-        # child_distances index arrays: (parent, source_node, child) ->
-        # (row_idx, col_idx)
-        self._cd_cache: dict = {}
-        self._cd_tree = None
         # eager whole-query state: flat (node, access door) slot table,
         # BFS node levels, per-query-leaf propagation programs, and the
         # global access-list entry arrays (per object-index version)
@@ -75,109 +57,6 @@ class NumpyKernels:
         # flat_slot_idx, reduceat_starts) — the vectorized bound-ball
         # closure (leaf mindist mask) reads these
         self._eg_leaf_seg = None
-
-    # ------------------------------------------------------------------
-    # Lemmas 8/9: child expansion
-    # ------------------------------------------------------------------
-    def child_distances(self, search, parent_id: int, child_id: int) -> dict[int, float]:
-        """``min(source[:, None] + table, axis=0)`` over the parent's
-        matrix; returns the same ``{access door: distance}`` dict as the
-        reference."""
-        tree = search.tree
-        pos = search.chain_pos.get(parent_id)
-        if pos is not None and pos > 0:
-            source_nid = search.chain[pos - 1]
-        else:
-            source_nid = parent_id
-        source = search.node_dists[source_nid]
-        table = tree.nodes[parent_id].table
-        child_ad = tree.nodes[child_id].access_doors
-        if not source or not child_ad:
-            return {a: INF for a in child_ad}
-
-        if self._cd_tree is not tree:
-            self._cd_cache.clear()
-            self._cd_tree = tree
-        key = (parent_id, source_nid, child_id)
-        sub = self._cd_cache.get(key)
-        if sub is None:
-            # Gather the (source doors x child access doors) submatrix
-            # once — the tree is static across queries, so every later
-            # call is just one broadcasted add + min over it.
-            ri = table.row_index
-            ci = table.col_index
-            rows = np.fromiter((ri[d] for d in source), dtype=_INTP, count=len(source))
-            cols = np.fromiter((ci[a] for a in child_ad), dtype=_INTP, count=len(child_ad))
-            sub = np.ascontiguousarray(table.dist_matrix[np.ix_(rows, cols)])
-            self._cd_cache[key] = sub
-        src = np.fromiter(source.values(), dtype=np.float64, count=len(source))
-        best = (src[:, None] + sub).min(axis=0)
-        return dict(zip(child_ad, best.tolist()))
-
-    # ------------------------------------------------------------------
-    # kNN/range leaf combination
-    # ------------------------------------------------------------------
-    def _leaf_arrays(self, index, leaf_id: int, dq: dict[int, float]):
-        """Concatenated per-leaf access arrays: every door's sorted list
-        laid out back to back, plus each entry's position of its door in
-        ``dq``'s (static) iteration order — derived once per
-        (object-index version, leaf)."""
-        version = index.version
-        if self._al_index is not index or self._al_version != version:
-            self._al_cache.clear()
-            self._al_index = index
-            self._al_version = version
-        arrs = self._al_cache.get(leaf_id)
-        if arrs is None:
-            lists = index.access_lists[leaf_id]
-            doors = tuple(dq)
-            entries = [(e, pos) for pos, a in enumerate(doors) for e in lists[a]]
-            n = len(entries)
-            dists = np.fromiter((e[0][0] for e in entries), dtype=np.float64, count=n)
-            oids = np.fromiter((e[0][1] for e in entries), dtype=np.int64, count=n)
-            door_pos = np.fromiter((e[1] for e in entries), dtype=_INTP, count=n)
-            arrs = (doors, dists, oids, door_pos)
-            self._al_cache[leaf_id] = arrs
-        return arrs
-
-    def leaf_objects(self, search, leaf_id: int, dq: dict[int, float], bound, stats):
-        """Vectorized access-list combine for one non-query leaf.
-
-        Cuts the entries at the entry bound in one vector comparison
-        (each door's segment is sorted, so the per-entry mask count
-        equals the reference's per-door ``searchsorted`` cuts), keeps
-        the minimum total per object id, and yields ``(distance,
-        object_id)`` in ascending ``(distance, object_id)`` order — the
-        same stream the reference's k-way merge produces, so the
-        caller's live bound prunes identically.
-        """
-        doors, dists, oids, door_pos = self._leaf_arrays(search.index, leaf_id, dq)
-        if not dists.size:
-            return
-        b0 = bound()
-        bases = np.fromiter((dq[a] for a in doors), dtype=np.float64, count=len(doors))
-        totals = bases[door_pos] + dists
-        mask = totals <= b0
-        scanned = int(np.count_nonzero(mask))
-        stats.list_entries_scanned += scanned
-        if not scanned:
-            return
-        totals = totals[mask]
-        kept = oids[mask]
-        # group by object id, keep the minimum total per object
-        order = np.lexsort((totals, kept))
-        so = kept[order]
-        st = totals[order]
-        keep = np.empty(len(so), dtype=bool)
-        keep[0] = True
-        np.not_equal(so[1:], so[:-1], out=keep[1:])
-        uo = so[keep]
-        ut = st[keep]
-        asc = np.argsort(ut, kind="stable")  # stable: ties stay oid-ascending
-        for d, oid in zip(ut[asc].tolist(), uo[asc].tolist()):
-            if d > bound():
-                break
-            yield d, int(oid)
 
     # ------------------------------------------------------------------
     # Eager whole-query kNN / range (Algorithm 5, array-at-a-time)
@@ -411,17 +290,22 @@ class NumpyKernels:
             )
         return frozenset(leaves)
 
-    def knn_full(self, search, k: int):
-        """Whole-query kNN: the k lexicographically smallest
-        ``(distance, object_id)`` pairs over the eager distance arrays —
-        the same result set Algorithm 5's best-first traversal keeps.
+    def knn(self, object_index, query, k: int, ctx=None, stats=None,
+            collect_leaves: bool = False) -> list[Neighbor]:
+        """Algorithm 5's answer, eagerly: the k lexicographically
+        smallest ``(distance, object_id)`` pairs over the eager distance
+        arrays — the result set the best-first traversal keeps.
 
-        Stats are reported in aggregate (all nodes propagated, all list
-        entries combined); ``heap_pops`` stays 0 on this path.
+        Same contract as :func:`repro.core.query_knn.knn`, except that
+        ``stats`` is counted in aggregate (all nodes propagated, all
+        list entries combined; ``heap_pops`` stays 0).
         """
+        if k <= 0:
+            raise QueryError(f"k must be positive, got {k}")
+        search = _Search(object_index.tree, object_index, query, ctx, stats)
         dists, oids, vals = self._eager_distances(search)
         order = np.lexsort((oids, dists))[:k] if dists.size else np.empty(0, _INTP)
-        if search.collect_leaves:
+        if collect_leaves:
             # Fewer than k results: the effective kth-distance bound is
             # infinite, so the answer depends on every leaf (None tag).
             search.stats.result_leaves = (
@@ -434,11 +318,16 @@ class NumpyKernels:
             for i in order.tolist()
         ]
 
-    def range_full(self, search, radius: float):
-        """Whole-query range: every object with distance <= radius,
-        sorted by ``(distance, object_id)`` like the reference."""
+    def range_query(self, object_index, query, radius: float, ctx=None,
+                    stats=None, collect_leaves: bool = False) -> list[Neighbor]:
+        """Every object with distance <= radius, sorted by ``(distance,
+        object_id)`` — the contract of
+        :func:`repro.core.query_range.range_query`."""
+        if radius < 0:
+            raise QueryError(f"radius must be non-negative, got {radius}")
+        search = _Search(object_index.tree, object_index, query, ctx, stats)
         dists, oids, vals = self._eager_distances(search)
-        if search.collect_leaves:
+        if collect_leaves:
             # The radius bound holds even for an empty answer: an insert
             # inside the ball could make the next answer non-empty.
             search.stats.result_leaves = self._eager_leaf_ball(

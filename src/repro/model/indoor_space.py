@@ -137,9 +137,6 @@ class IndoorSpace:
         """True if the door connects the venue to the outside world."""
         return len(self.door_partitions[door_id]) == 1
 
-    def doors_of_partition(self, partition_id: int) -> list[int]:
-        return self.partitions[partition_id].door_ids
-
     def adjacent_partitions(self, partition_id: int) -> dict[int, list[int]]:
         """Neighbouring partitions, mapped to the shared door ids.
 
@@ -173,9 +170,6 @@ class IndoorSpace:
     # ------------------------------------------------------------------
     # Metric
     # ------------------------------------------------------------------
-    def door_point(self, door_id: int) -> Point:
-        return self.doors[door_id].position
-
     def partition_door_distance(self, partition_id: int, door_a: int, door_b: int) -> float:
         """Distance between two doors *through* the given partition.
 

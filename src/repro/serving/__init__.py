@@ -45,6 +45,7 @@ Quickstart (in-process model, one router)::
     vid = router.add_venue(space, objects=objects)
     neighbors = router.execute(Request(venue=vid, kind="knn",
                                        source=point, k=5))
+    router.close()
 
 Quickstart (sharded cluster — same requests, N processes)::
 

@@ -747,6 +747,23 @@ class VenueRouter:
         if flusher is not None:
             flusher.stop()
 
+    def close(self) -> None:
+        """Stop the background flusher and close every venue's op-log
+        append handle (idempotent). Flushes nothing: acked updates are
+        already durable in the logs.
+
+        The router stays usable — a later update reopens its venue's
+        log — so ``close`` only releases what is open right now.
+
+        Thread safety: safe from any thread; each log closes under its
+        own lock, so an append in flight finishes first.
+        """
+        self.stop_auto_flush()
+        with self._log_guard:
+            states = list(self._logs.values())
+        for state in states:
+            state.log.close()
+
     def stats(self) -> RouterStats:
         """A consistent snapshot of router counters.
 
@@ -830,20 +847,12 @@ class PeriodicFlusher:
             self._thread.start()
         return self
 
-    def stop(self, *, final_flush: bool = False) -> None:
-        """Stop and join the thread; optionally flush once more.
-
-        ``final_flush=True`` runs one last synchronous ``flush()``
-        after the thread exits, so a restart has no log tail to
-        replay.
-        """
+    def stop(self) -> None:
+        """Stop and join the thread (an in-progress flush finishes)."""
         self._stop.set()
         thread, self._thread = self._thread, None
         if thread is not None:
             thread.join()
-        if final_flush:
-            self.written += self.router.flush()
-            self.cycles += 1
 
     def _delay(self) -> float:
         return self.interval * (1.0 + self._rng.uniform(-self.jitter, self.jitter))

@@ -322,11 +322,10 @@ class ShardWorker:
             self.close()
 
     def close(self) -> None:
-        """Stop the flusher and flush dirty engines (idempotent)."""
-        if self._flusher is not None:
-            self._flusher.stop()
-            self._flusher = None
+        """Flush dirty engines, then close the router — its flusher and
+        op-log handles (idempotent)."""
         self.router.flush()
+        self.router.close()
 
 
 def _no_delay(sock: socket.socket) -> None:

@@ -454,10 +454,9 @@ def load_snapshot(
             the binary section into **zero-copy numpy views** of the
             mapping — bulk payloads (distance matrices, VIP stores) are
             never deserialized or copied, so warm starts on large venues
-            are page-cache-speed. Requires numpy. The returned
-            :class:`Snapshot` keeps the mapping alive and exposes
-            :meth:`Snapshot.reverify` to detect on-disk modification
-            after mapping.
+            are page-cache-speed. The returned :class:`Snapshot` keeps
+            the mapping alive and exposes :meth:`Snapshot.reverify` to
+            detect on-disk modification after mapping.
 
     Raises:
         SnapshotError: bad magic, unsupported format version, integrity
@@ -466,10 +465,6 @@ def load_snapshot(
     p = Path(path)
     mm = None
     if mmap:
-        try:
-            import numpy  # noqa: F401  (views need it at query time anyway)
-        except ImportError as exc:  # pragma: no cover - numpy is a test dep
-            raise SnapshotError(f"{p}: mmap=True requires numpy ({exc})") from None
         import mmap as mmap_mod
 
         try:

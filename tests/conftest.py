@@ -1,5 +1,6 @@
 """Shared fixtures: handcrafted venues echoing the paper's running
-example, generator-built venues, and prebuilt indexes.
+example, generator-built venues, prebuilt indexes, and in-process
+serving routers closed at teardown.
 
 The venue builders and point sampler live in :mod:`repro.testing` so
 test modules can import them without relying on ``conftest`` being
@@ -13,6 +14,7 @@ import pytest
 from repro import IndoorPoint, IPTree, VIPTree, make_object_set
 from repro.baselines import DijkstraOracle
 from repro.datasets import build_campus, build_mall, build_office
+from repro.serving import VenueRouter
 from repro.testing import (  # noqa: F401 — re-exported for fixtures below
     deadline_guard,
     make_fig1_like_space,
@@ -110,3 +112,21 @@ def all_fixture_spaces(fig1_space, tower_space, mall_space, office_space, campus
         "office": office_space,
         "campus": campus_space,
     }
+
+
+# In-process routers open one op-log append handle per updated venue;
+# closing them at teardown keeps a test's handles from outliving it.
+@pytest.fixture()
+def open_router():
+    """``open_router(catalog, **kwargs)`` builds a :class:`VenueRouter`
+    that is closed when the test ends."""
+    routers = []
+
+    def make(catalog, **kwargs):
+        router = VenueRouter(catalog, **kwargs)
+        routers.append(router)
+        return router
+
+    yield make
+    for router in routers:
+        router.close()

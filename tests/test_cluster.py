@@ -10,7 +10,10 @@ flusher.
 
 from __future__ import annotations
 
+import gc
 import time
+import warnings
+import weakref
 
 import pytest
 
@@ -92,13 +95,6 @@ class TestPeriodicFlusher:
         assert isinstance(flusher.last_error, OSError)
         assert flusher.written == 0
 
-    def test_stop_with_final_flush_closes_the_window(self):
-        router = CountingRouter(written=3)
-        flusher = PeriodicFlusher(router, interval=60.0)
-        flusher.start()
-        flusher.stop(final_flush=True)
-        assert flusher.written == 3 and router.calls >= 1
-
     def test_stop_is_idempotent_and_start_after_stop_is_a_noop(self):
         flusher = PeriodicFlusher(CountingRouter(), interval=60.0).start()
         flusher.stop()
@@ -122,8 +118,9 @@ class TestPeriodicFlusher:
 
 
 class TestRouterAutoFlush:
-    def test_start_is_idempotent_and_stop_replaceable(self, tmp_path):
-        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
+    def test_start_is_idempotent_and_stop_replaceable(self, tmp_path,
+                                                      open_router):
+        router = open_router(SnapshotCatalog(tmp_path / "cat"))
         first = router.start_auto_flush(60.0)
         assert router.start_auto_flush(60.0) is first
         router.stop_auto_flush()
@@ -133,10 +130,10 @@ class TestRouterAutoFlush:
         router.stop_auto_flush()
         router.stop_auto_flush()  # idempotent
 
-    def test_background_flush_persists_updates(self, tmp_path):
+    def test_background_flush_persists_updates(self, tmp_path, open_router):
         space = build_mall("tiny", name="flush-mall")
         objects = random_objects(space, 8, seed=3)
-        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"), capacity=2)
+        router = open_router(SnapshotCatalog(tmp_path / "cat"), capacity=2)
         vid = router.add_venue(space, objects=objects)
         new_id = router.execute(Request(
             venue=vid, kind="update",
@@ -153,12 +150,45 @@ class TestRouterAutoFlush:
 
         # A fresh router over the same catalog sees the inserted object:
         # deleting it succeeds instead of raising QueryError.
-        reloaded = VenueRouter(SnapshotCatalog(tmp_path / "cat"), capacity=2)
+        reloaded = open_router(SnapshotCatalog(tmp_path / "cat"), capacity=2)
         reloaded.add_venue(space)
         reloaded.execute(Request(
             venue=vid, kind="update",
             op=UpdateOp(kind="delete", object_id=new_id),
         ))
+
+    def test_close_stops_the_flusher_and_releases_every_log_handle(
+            self, tmp_path):
+        """Each venue that served an update holds an open op-log append
+        handle. ``close`` stops the flusher and releases the handles, so
+        dropping the router warns nothing; it is idempotent, and the
+        router stays usable (the next append reopens its log)."""
+        rng = random.Random(5)
+
+        def insert(router, vid, space):
+            router.execute(Request(venue=vid, kind="update", op=UpdateOp(
+                kind="insert", location=random_point(space, rng))))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            router = VenueRouter(SnapshotCatalog(tmp_path / "cat"), capacity=4)
+            flusher = router.start_auto_flush(60.0)
+            venues = [(router.add_venue(s, objects=o), s)
+                      for s, o in make_venues()]
+            for vid, space in venues:
+                insert(router, vid, space)
+            router.close()
+            router.close()
+            assert not flusher.running
+            insert(router, *venues[0])  # reopens the mall's log
+            assert router.stats().log_appends == 3
+            router.close()
+            dropped = weakref.ref(router)
+            del router, flusher
+            gc.collect()
+            assert dropped() is None
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
 
 # ----------------------------------------------------------------------
@@ -186,13 +216,14 @@ def shard(tmp_path):
 
 
 class TestShardProcess:
-    def test_answers_match_a_local_router_wire_exactly(self, tmp_path, shard_venue):
+    def test_answers_match_a_local_router_wire_exactly(self, tmp_path, shard_venue,
+                                                        open_router):
         space, objects = shard_venue
         stream = multi_venue_streams(
             [(space, random_objects(space, 12, seed=9))], 60,
             update_ratio=0.25, churn=0.2, seed=13,
         )[0]
-        local = VenueRouter(SnapshotCatalog(tmp_path / "local"), capacity=2)
+        local = open_router(SnapshotCatalog(tmp_path / "local"), capacity=2)
         vid = local.add_venue(space, objects=random_objects(space, 12, seed=9))
 
         shard = ShardProcess(tmp_path / "shard", flush_interval=0).start()
@@ -322,11 +353,11 @@ def make_venues():
 
 
 class TestClusterFrontend:
-    def test_replay_identical_to_sequential(self, tmp_path):
+    def test_replay_identical_to_sequential(self, tmp_path, open_router):
         venues = make_venues()
         streams = multi_venue_streams(venues, 50, update_ratio=0.4,
                                       churn=0.2, seed=29)
-        local = VenueRouter(SnapshotCatalog(tmp_path / "seq"), capacity=4)
+        local = open_router(SnapshotCatalog(tmp_path / "seq"), capacity=4)
         ids = [local.add_venue(s, objects=o) for s, o in venues]
         keyed = dict(zip(ids, streams))
         sequential, _ = sequential_replay(local, keyed)

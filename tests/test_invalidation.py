@@ -5,7 +5,7 @@ rules.
 The headline guarantee is correctness, not speed: a scoped engine must
 answer **element-wise identically** to a full-flush engine on arbitrary
 interleavings of updates and queries — hypothesis-tested across all
-fixture venues, both tree kinds and both kernel backends. The speed win
+fixture venues, both tree kinds and both kNN/range paths. The speed win
 is asserted separately in ``benchmarks/bench_invalidation.py``.
 """
 
@@ -25,12 +25,12 @@ from repro.core.results import QueryStats
 from repro.datasets import random_objects, random_point
 from repro.engine import QueryEngine, TaggedLRUCache
 from repro.exceptions import QueryError
-from repro.kernels import HAVE_NUMPY, NumpyKernels
+from repro.kernels import NumpyKernels
 from repro.testing import sample_points
 
 VENUES = ["fig1", "tower", "mall", "office", "campus"]
 TREE_KINDS = {"ip": IPTree, "vip": VIPTree}
-KERNELS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+KERNELS = ["python", "numpy"]
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +106,8 @@ class TestTaggedLRUCache:
 
 
 # ----------------------------------------------------------------------
-# Leaf-ball capture: both backends agree on the conservative closure
+# Leaf-ball capture: both paths agree on the conservative closure
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
 @pytest.mark.parametrize("kind", list(TREE_KINDS))
 @pytest.mark.parametrize("venue", VENUES)
 def test_backends_capture_identical_leaf_balls(built, venue, kind):
@@ -119,8 +118,7 @@ def test_backends_capture_identical_leaf_balls(built, venue, kind):
         for k in (1, 3, 25):
             py, np_ = QueryStats(), QueryStats()
             assert knn(tree, index, q, k, stats=py, collect_leaves=True) == \
-                knn(tree, index, q, k, kernels=kern, stats=np_,
-                    collect_leaves=True)
+                kern.knn(index, q, k, stats=np_, collect_leaves=True)
             assert py.result_leaves == np_.result_leaves
             if k <= 10:  # enough objects: a real bound, a real tag
                 assert py.result_leaves is not None
@@ -128,8 +126,8 @@ def test_backends_capture_identical_leaf_balls(built, venue, kind):
             py, np_ = QueryStats(), QueryStats()
             assert range_query(tree, index, q, radius, stats=py,
                                collect_leaves=True) == \
-                range_query(tree, index, q, radius, kernels=kern, stats=np_,
-                            collect_leaves=True)
+                kern.range_query(index, q, radius, stats=np_,
+                                 collect_leaves=True)
             assert py.result_leaves == np_.result_leaves
             assert py.result_leaves is not None
 

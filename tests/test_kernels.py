@@ -1,11 +1,12 @@
-"""Numpy query kernels: bit-identity against the python reference,
+"""Numpy kNN/range: bit-identity against the python reference,
 deterministic kNN tie-breaking, the live pruning bound, and mmap'd
 snapshot loading (zero-copy views + per-section modification detection).
 
 The python query paths in :mod:`repro.core` are the oracle-checked
-reference; every test here asserts *exact* (``==``) equality of the
-numpy kernels against them — not approximate closeness — across all
-fixture venues, both tree kinds, and after random update streams.
+reference; every test here asserts *exact* (``==``) equality of
+:meth:`NumpyKernels.knn` / :meth:`NumpyKernels.range_query` against
+them — not approximate closeness — across all fixture venues, both tree
+kinds, and after random update streams.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from repro.core.query_distance import shortest_distance
 from repro.datasets import random_objects, random_point
 from repro.engine import QueryEngine
 from repro.exceptions import QueryError, SnapshotError
-from repro.kernels import HAVE_NUMPY, NumpyKernels, resolve_kernels
+from repro.kernels import NumpyKernels
 from repro.storage import SnapshotCatalog, load_snapshot, save_snapshot
 from repro.testing import sample_points
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
 
 VENUES = ["fig1", "tower", "mall", "office", "campus"]
 TREE_KINDS = {"ip": IPTree, "vip": VIPTree}
@@ -53,26 +52,33 @@ def _queries(space, count=8, seed=7):
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# Selection and argument checks
 # ----------------------------------------------------------------------
-class TestResolveKernels:
-    def test_auto_and_none_pick_numpy(self):
-        assert isinstance(resolve_kernels("auto"), NumpyKernels)
-        assert isinstance(resolve_kernels(None), NumpyKernels)
+def test_engine_accepts_only_numpy_and_python(mall_space):
+    tree = VIPTree.build(mall_space)
+    objects = random_objects(mall_space, 6, seed=1)
+    q = sample_points(mall_space, 1, seed=2)[0]
+    answers = [QueryEngine(tree, objects, kernels=kern).knn(q, 3)
+               for kern in ("numpy", "python")]
+    assert answers[0] == answers[1]
+    for spec in ("auto", None, "fortran", NumpyKernels()):
+        with pytest.raises(QueryError, match="kernels must be"):
+            QueryEngine(tree, objects, kernels=spec)
 
-    def test_python_is_reference(self):
-        assert resolve_kernels("python") is None
 
-    def test_numpy_explicit(self):
-        assert isinstance(resolve_kernels("numpy"), NumpyKernels)
-
-    def test_instance_passthrough(self):
-        backend = NumpyKernels()
-        assert resolve_kernels(backend) is backend
-
-    def test_unknown_spec_refused(self):
-        with pytest.raises(QueryError, match="unknown kernels spec"):
-            resolve_kernels("fortran")
+def test_invalid_k_and_radius_raise_like_the_reference(built):
+    space, tree, index = built["mall", "vip"]
+    q = _queries(space, count=1)[0]
+    kern = NumpyKernels()
+    for k in (0, -1):
+        with pytest.raises(QueryError, match="k must be positive"):
+            kern.knn(index, q, k)
+        with pytest.raises(QueryError, match="k must be positive"):
+            knn(tree, index, q, k)
+    with pytest.raises(QueryError, match="radius must be non-negative"):
+        kern.range_query(index, q, -1.0)
+    with pytest.raises(QueryError, match="radius must be non-negative"):
+        range_query(tree, index, q, -1.0)
 
 
 # ----------------------------------------------------------------------
@@ -81,22 +87,12 @@ class TestResolveKernels:
 @pytest.mark.parametrize("venue", VENUES)
 @pytest.mark.parametrize("kind", list(TREE_KINDS))
 class TestBitIdentity:
-    def test_distance_identical(self, built, venue, kind):
-        space, tree, index = built[venue, kind]
-        pts = _queries(space)
-        kern = NumpyKernels()
-        for s in pts:
-            for t in pts:
-                py = shortest_distance(tree, s, t)
-                np_ = shortest_distance(tree, s, t, kernels=kern)
-                assert py == np_  # exact, not approx
-
     def test_knn_identical(self, built, venue, kind):
         space, tree, index = built[venue, kind]
         kern = NumpyKernels()
         for q in _queries(space):
             for k in (1, 3, 10, 25):
-                assert knn(tree, index, q, k) == knn(tree, index, q, k, kernels=kern)
+                assert knn(tree, index, q, k) == kern.knn(index, q, k)
 
     def test_range_identical(self, built, venue, kind):
         space, tree, index = built[venue, kind]
@@ -104,12 +100,11 @@ class TestBitIdentity:
         for q in _queries(space):
             for radius in (5.0, 30.0, 1e9):
                 py = range_query(tree, index, q, radius)
-                np_ = range_query(tree, index, q, radius, kernels=kern)
-                assert py == np_
+                assert py == kern.range_query(index, q, radius)
 
 
 # One randomized equivalence property: apply a random UpdateOp stream,
-# then demand bit-identical answers from both backends on every venue.
+# then demand bit-identical answers from both paths on every venue.
 @settings(
     max_examples=15,
     deadline=None,
@@ -124,7 +119,7 @@ def test_property_equivalence_after_updates(built, seed):
     index = ObjectIndex(tree, random_objects(space, 8, seed=seed % 1000))
     kern = NumpyKernels()
     # Random update stream: inserts, deletes, moves — applied to the one
-    # shared index both backends then query.
+    # shared index both paths then query.
     live = [o.object_id for o in index.objects]
     for _ in range(rng.randint(1, 12)):
         op = rng.choice(("insert", "delete", "move"))
@@ -139,13 +134,11 @@ def test_property_equivalence_after_updates(built, seed):
                 location=random_point(space, rng),
             ))
     q = random_point(space, rng)
-    t = random_point(space, rng)
-    assert shortest_distance(tree, q, t) == shortest_distance(tree, q, t, kernels=kern)
     k = rng.randint(1, 6)
-    assert knn(tree, index, q, k) == knn(tree, index, q, k, kernels=kern)
+    assert knn(tree, index, q, k) == kern.knn(index, q, k)
     radius = rng.uniform(1.0, 80.0)
-    assert range_query(tree, index, q, radius) == range_query(
-        tree, index, q, radius, kernels=kern
+    assert range_query(tree, index, q, radius) == kern.range_query(
+        index, q, radius
     )
 
 
@@ -166,12 +159,13 @@ class TestTieBreak:
     @pytest.mark.parametrize("kernels", ["python", "numpy"])
     def test_kth_tie_resolves_to_smaller_id(self, tied, kernels):
         space, tree, index = tied
-        kern = NumpyKernels() if kernels == "numpy" else None
+        # both answer knn(object_index, query, k)
+        impl = NumpyKernels() if kernels == "numpy" else tree
         rng = random.Random(11)
         for _ in range(5):
             q = random_point(space, rng)
             for k in range(1, 9):
-                got = knn(tree, index, q, k, kernels=kern)
+                got = impl.knn(index, q, k)
                 # Oracle: the k lexicographically smallest (d, oid) pairs
                 # over *all* objects — ties at the k-th must keep the
                 # smaller object ids.
@@ -188,7 +182,7 @@ class TestTieBreak:
         for _ in range(5):
             q = random_point(space, rng)
             for k in (2, 4, 7):
-                assert knn(tree, index, q, k) == knn(tree, index, q, k, kernels=kern)
+                assert knn(tree, index, q, k) == kern.knn(index, q, k)
 
 
 # ----------------------------------------------------------------------
@@ -258,17 +252,15 @@ class TestLiveBound:
         assert tight[0] == loose[0]  # same winner
         assert scanned_live < scanned_stale
 
-    @pytest.mark.parametrize("kernels", ["python", "numpy"])
-    def test_tighter_entry_bound_scans_fewer_entries(self, crowded, kernels):
-        """Both backends thread the bound into the scan itself: the
-        bound kNN carries into a later leaf (already tightened by
-        earlier leaves) cuts the counted access-list entries, instead of
-        only filtering yielded results."""
+    def test_tighter_entry_bound_scans_fewer_entries(self, crowded):
+        """The bound is threaded into the scan itself: the bound kNN
+        carries into a later leaf (already tightened by earlier leaves)
+        cuts the counted access-list entries, instead of only filtering
+        yielded results."""
         tree, index, query, leaf = crowded
-        kern = NumpyKernels() if kernels == "numpy" else None
 
         def drain(bound):
-            search = _Search(tree, index, query, kernels=kern)
+            search = _Search(tree, index, query)
             self._prime(search, leaf)
             got = list(search.leaf_object_distances(leaf, bound))
             return got, search.stats.list_entries_scanned
@@ -278,16 +270,6 @@ class TestLiveBound:
         tight, scanned_tight = drain(nearest)  # what dk() would be at entry
         assert tight[0] == loose[0]
         assert scanned_tight < scanned_loose
-
-    def test_python_and_numpy_agree_on_counter_inputs(self, crowded):
-        """Same bound schedule → same yielded stream on both backends."""
-        tree, index, query, leaf = crowded
-        streams = []
-        for kern in (None, NumpyKernels()):
-            search = _Search(tree, index, query, kernels=kern)
-            self._prime(search, leaf)
-            streams.append(list(search.leaf_object_distances(leaf, 1e12)))
-        assert streams[0] == streams[1]
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,6 @@ from repro.serving import (
     ClusterStats,
     Request,
     Response,
-    VenueRouter,
     stats_from_doc,
     stats_to_doc,
 )
@@ -399,13 +398,13 @@ class TestEngineInstrumentation:
 # Router instrumentation (in-process)
 # ----------------------------------------------------------------------
 class TestServingInstrumentation:
-    def test_router_frontend_and_oplog_series(self, tmp_path):
+    def test_router_frontend_and_oplog_series(self, tmp_path, open_router):
         """Router, engine and op-log series for requests executed
         in-process through ``router.execute``."""
         space = build_mall("tiny", name="obs-mall")
         objects = random_objects(space, 8, seed=2)
         reg = MetricsRegistry()
-        router = VenueRouter(SnapshotCatalog(tmp_path), capacity=4,
+        router = open_router(SnapshotCatalog(tmp_path), capacity=4,
                              registry=reg)
         vid = router.add_venue(space, objects=objects)
         rng = random.Random(9)
@@ -427,11 +426,11 @@ class TestServingInstrumentation:
         knn_key = metric_key("engine_query_seconds", {"kind": "knn"})
         assert snap["histograms"][knn_key]["count"] == 5
 
-    def test_router_slowlog_via_injected_latency(self, tmp_path):
+    def test_router_slowlog_via_injected_latency(self, tmp_path, open_router):
         space = build_mall("tiny", name="obs-slow")
         objects = random_objects(space, 6, seed=4)
         log_path = tmp_path / "slow.jsonl"
-        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"),
+        router = open_router(SnapshotCatalog(tmp_path / "cat"),
                              registry=MetricsRegistry(),
                              slow_query_threshold=0.02,
                              slowlog_path=log_path)

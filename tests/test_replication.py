@@ -77,10 +77,10 @@ def cluster_execute(cluster):
     return lambda request: cluster.submit(request).result(timeout=60.0)
 
 
-def baseline_router(tmp_path, space, objects_seed, n_objects=10):
+def baseline_router(open_router, tmp_path, space, objects_seed, n_objects=10):
     """A fresh sequential router over its own catalog — the oracle
     every recovered cluster is compared against."""
-    router = VenueRouter(SnapshotCatalog(tmp_path / "baseline"))
+    router = open_router(SnapshotCatalog(tmp_path / "baseline"))
     vid = router.add_venue(
         space, objects=random_objects(space, n_objects, seed=objects_seed))
     return router, vid
@@ -90,14 +90,15 @@ def baseline_router(tmp_path, space, objects_seed, n_objects=10):
 # Replicated replay equivalence (the read path through replicas)
 # ----------------------------------------------------------------------
 class TestReplicatedReplay:
-    def test_factor2_concurrent_replay_matches_sequential(self, tmp_path):
+    def test_factor2_concurrent_replay_matches_sequential(self, tmp_path,
+                                                          open_router):
         mall = build_mall("tiny", name="repl-mall")
         office = build_office("tiny", name="repl-office")
         venues = [(mall, random_objects(mall, 10, seed=41)),
                   (office, random_objects(office, 8, seed=42))]
         streams = multi_venue_streams(venues, 40, update_ratio=0.4,
                                       churn=0.2, seed=43)
-        local = VenueRouter(SnapshotCatalog(tmp_path / "seq"), capacity=4)
+        local = open_router(SnapshotCatalog(tmp_path / "seq"), capacity=4)
         ids = [local.add_venue(s, objects=o) for s, o in venues]
         keyed = dict(zip(ids, streams))
         sequential, _ = sequential_replay(local, keyed)
@@ -117,12 +118,13 @@ class TestReplicatedReplay:
             for a, b in zip(sequential[vid], clustered[vid]):
                 assert result_to_doc(a) == result_to_doc(b)
 
-    def test_replica_tails_the_log_and_serves_fresh_reads(self, tmp_path):
+    def test_replica_tails_the_log_and_serves_fresh_reads(self, tmp_path,
+                                                          open_router):
         space = build_mall("tiny", name="tail-mall")
         rng = random.Random(7)
         ops = [insert_op(space, rng) for _ in range(6)]
         probes = [random_point(space, random.Random(50 + i)) for i in range(3)]
-        local, lvid = baseline_router(tmp_path, space, objects_seed=51)
+        local, lvid = baseline_router(open_router, tmp_path, space, objects_seed=51)
         apply_all(local, lvid, ops)
         expected = answers(local.execute, lvid, probes)
 
@@ -153,7 +155,7 @@ class TestReplicatedReplay:
 # ----------------------------------------------------------------------
 class TestPrimaryFailover:
     def test_primary_killed_mid_update_stream_loses_zero_acked_updates(
-            self, tmp_path):
+            self, tmp_path, open_router):
         space = build_mall("tiny", name="failover-mall")
         rng = random.Random(11)
         ops = [insert_op(space, rng) for _ in range(18)]
@@ -181,7 +183,7 @@ class TestPrimaryFailover:
             # zero acknowledged updates lost: the promoted replica's
             # answers (and the acks themselves) are element-wise equal
             # to a sequential replay of every acked op
-            local, lvid = baseline_router(tmp_path, space, objects_seed=61)
+            local, lvid = baseline_router(open_router, tmp_path, space, objects_seed=61)
             assert acked == apply_all(local, lvid, ops)
             assert (answers(cluster_execute(cluster), vid, probes)
                     == answers(local.execute, lvid, probes))
@@ -192,7 +194,7 @@ class TestPrimaryFailover:
                     == local.execute(Request(venue=lvid, kind="update",
                                              op=extra)))
 
-    def test_partitioned_primary_fails_over_too(self, tmp_path):
+    def test_partitioned_primary_fails_over_too(self, tmp_path, open_router):
         space = build_mall("tiny", name="partition-mall")
         rng = random.Random(13)
         ops = [insert_op(space, rng) for _ in range(8)]
@@ -209,8 +211,8 @@ class TestPrimaryFailover:
             acked += [harness.apply_update(vid, op) for op in ops[4:]]
             assert cluster.stats().promotions == 1
 
-            local, lvid = baseline_router(tmp_path, space, objects_seed=71,
-                                          n_objects=8)
+            local, lvid = baseline_router(open_router, tmp_path, space,
+                                          objects_seed=71, n_objects=8)
             assert acked == apply_all(local, lvid, ops)
             assert (answers(cluster_execute(cluster), vid, probes)
                     == answers(local.execute, lvid, probes))
@@ -250,9 +252,12 @@ class TestLogDamage:
         vid = crashed.add_venue(
             space, objects=random_objects(space, 8, seed=seed))
         apply_all(crashed, vid, ops)  # acked: in the log, not the snapshot
-        return vid  # the router is abandoned, as a crash would leave it
+        # the router is abandoned as a crash would leave it: its log
+        # handle released, nothing flushed
+        crashed.close()
+        return vid
 
-    def test_torn_tail_recovers_every_acked_update(self, tmp_path):
+    def test_torn_tail_recovers_every_acked_update(self, tmp_path, open_router):
         space = build_mall("tiny", name="torn-mall")
         rng = random.Random(19)
         ops = [insert_op(space, rng) for _ in range(6)]
@@ -260,17 +265,17 @@ class TestLogDamage:
         vid = self._crashed_router_with_ops(tmp_path, space, ops, seed=85)
         tear_oplog_tail(venue_oplog_path(tmp_path / "cat", space))
 
-        recovered = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
+        recovered = open_router(SnapshotCatalog(tmp_path / "cat"))
         assert recovered.add_venue(space) == vid  # warm start: snap + log
-        local, lvid = baseline_router(tmp_path, space, objects_seed=85,
-                                      n_objects=8)
+        local, lvid = baseline_router(open_router, tmp_path, space,
+                                      objects_seed=85, n_objects=8)
         apply_all(local, lvid, ops)
         assert (answers(recovered.execute, vid, probes)
                 == answers(local.execute, lvid, probes))
         assert recovered.stats().log_replays == len(ops)
 
     def test_corrupted_tail_record_drops_exactly_the_damaged_op(
-            self, tmp_path):
+            self, tmp_path, open_router):
         space = build_mall("tiny", name="corrupt-mall")
         rng = random.Random(29)
         ops = [insert_op(space, rng) for _ in range(6)]
@@ -278,12 +283,12 @@ class TestLogDamage:
         vid = self._crashed_router_with_ops(tmp_path, space, ops, seed=87)
         corrupt_oplog_tail(venue_oplog_path(tmp_path / "cat", space))
 
-        recovered = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
+        recovered = open_router(SnapshotCatalog(tmp_path / "cat"))
         recovered.add_venue(space)
         # the last record is unreadable, so recovery equals a sequential
         # replay of all but the final op — the valid-prefix contract
-        local, lvid = baseline_router(tmp_path, space, objects_seed=87,
-                                      n_objects=8)
+        local, lvid = baseline_router(open_router, tmp_path, space,
+                                      objects_seed=87, n_objects=8)
         apply_all(local, lvid, ops[:-1])
         assert (answers(recovered.execute, vid, probes)
                 == answers(local.execute, lvid, probes))
@@ -292,9 +297,9 @@ class TestLogDamage:
         assert (recovered.execute(Request(venue=vid, kind="update", op=extra))
                 == local.execute(Request(venue=lvid, kind="update", op=extra)))
 
-    def test_replicas_refuse_updates(self, tmp_path):
+    def test_replicas_refuse_updates(self, tmp_path, open_router):
         space = build_mall("tiny", name="role-mall")
-        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
+        router = open_router(SnapshotCatalog(tmp_path / "cat"))
         vid = router.add_venue(space, role="replica",
                                objects=random_objects(space, 6, seed=89))
         with pytest.raises(ServingError, match="read replica"):
@@ -309,11 +314,11 @@ class TestLogDamage:
 # ----------------------------------------------------------------------
 class TestCatchUpGate:
     def test_in_sync_primary_reads_its_log_zero_times(self, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch, open_router):
         space = build_mall("tiny", name="gate-mall")
         rng = random.Random(3)
         probes = [random_point(space, random.Random(4))]
-        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
+        router = open_router(SnapshotCatalog(tmp_path / "cat"))
         vid = router.add_venue(space,
                                objects=random_objects(space, 8, seed=5))
         router.engine(vid)  # warm start: the one unconditional replay
@@ -339,7 +344,7 @@ class TestCatchUpGate:
         assert router.log_positions()[vid] == versions[-1]
 
     def test_promoted_replica_replays_what_it_missed_before_updating(
-            self, tmp_path):
+            self, tmp_path, open_router):
         space = build_mall("tiny", name="promote-mall")
         rng = random.Random(7)
         ops = [insert_op(space, rng) for _ in range(10)]
@@ -347,11 +352,11 @@ class TestCatchUpGate:
         probes = [random_point(space, random.Random(8 + i)) for i in range(3)]
         catalog = tmp_path / "cat"
 
-        primary = VenueRouter(SnapshotCatalog(catalog))
+        primary = open_router(SnapshotCatalog(catalog))
         vid = primary.add_venue(space,
                                 objects=random_objects(space, 8, seed=9))
         apply_all(primary, vid, ops[:2])
-        replica = VenueRouter(SnapshotCatalog(catalog))
+        replica = open_router(SnapshotCatalog(catalog))
         replica.add_venue(space, role="replica")
         answers(replica.execute, vid, probes)  # in sync after 2 ops
         apply_all(primary, vid, ops[2:2 + k])
@@ -365,7 +370,7 @@ class TestCatchUpGate:
         acked += apply_all(replica, vid, ops[2 + k + 1:])
 
         # the model: one router over its own catalog, every op in order
-        model = VenueRouter(SnapshotCatalog(tmp_path / "model"))
+        model = open_router(SnapshotCatalog(tmp_path / "model"))
         mvid = model.add_venue(space, objects=random_objects(space, 8, seed=9))
         queries = [MixedQuery(kind="knn", source=p, k=3) for p in probes]
         results, _ = sequential_replay(model, {mvid: ops + queries})
@@ -378,15 +383,15 @@ class TestCatchUpGate:
         assert versions == list(range(versions[0], versions[0] + len(ops)))
 
     def test_failed_append_leaves_no_trace_of_the_op(self, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch, open_router):
         space = build_mall("tiny", name="append-fail-mall")
         rng = random.Random(11)
         first, doomed, last = (insert_op(space, rng) for _ in range(3))
         probes = [doomed.location, random_point(space, random.Random(12))]
-        router = VenueRouter(SnapshotCatalog(tmp_path / "cat"))
+        router = open_router(SnapshotCatalog(tmp_path / "cat"))
         vid = router.add_venue(space,
                                objects=random_objects(space, 8, seed=13))
-        local, lvid = baseline_router(tmp_path, space, objects_seed=13,
+        local, lvid = baseline_router(open_router, tmp_path, space, objects_seed=13,
                                       n_objects=8)
         assert apply_all(router, vid, [first]) == apply_all(local, lvid,
                                                             [first])
@@ -420,7 +425,7 @@ class TestCatchUpGate:
 # Elastic membership: live shard add/remove under read traffic
 # ----------------------------------------------------------------------
 class TestElasticResize:
-    def test_add_and_remove_shard_under_traffic(self, tmp_path):
+    def test_add_and_remove_shard_under_traffic(self, tmp_path, open_router):
         # names picked so the 3 -> 4 ring change relocates two of the
         # four venues (placement is deterministic, so this is stable)
         spaces = [build_mall("tiny", name=f"elastic-{i}") for i in range(4, 8)]
@@ -486,7 +491,7 @@ class TestElasticResize:
                 for op in per_venue_ops[i][2:]:
                     cluster.submit(Request(venue=vid, kind="update",
                                            op=op)).result(timeout=60.0)
-                local = VenueRouter(SnapshotCatalog(tmp_path / f"seq{i}"))
+                local = open_router(SnapshotCatalog(tmp_path / f"seq{i}"))
                 lvid = local.add_venue(
                     spaces[i], objects=random_objects(spaces[i], 6, seed=i))
                 apply_all(local, lvid, per_venue_ops[i])

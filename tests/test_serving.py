@@ -24,7 +24,7 @@ from repro.datasets import (
 )
 from repro.engine import RWLock
 from repro.exceptions import ServingError
-from repro.serving import ServingRequest, VenueRouter
+from repro.serving import ServingRequest
 from repro.storage import SnapshotCatalog, venue_fingerprint
 from repro.testing import sample_points
 
@@ -132,10 +132,13 @@ def two_venues():
     ]
 
 
-def make_router(catalog, venues, **kwargs):
-    router = VenueRouter(catalog, **kwargs)
-    ids = [router.add_venue(space, objects=objects) for space, objects in venues]
-    return router, ids
+@pytest.fixture()
+def make_router(open_router):
+    def make(catalog, venues, **kwargs):
+        router = open_router(catalog, **kwargs)
+        ids = [router.add_venue(space, objects=objects) for space, objects in venues]
+        return router, ids
+    return make
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +162,7 @@ def test_request_from_event_wraps_queries_and_updates(two_venues):
 # VenueRouter
 # ----------------------------------------------------------------------
 class TestVenueRouter:
-    def test_dispatch_and_ids(self, catalog, two_venues):
+    def test_dispatch_and_ids(self, catalog, two_venues, make_router):
         router, ids = make_router(catalog, two_venues)
         assert router.venue_ids() == ids
         assert ids[0] == venue_fingerprint(two_venues[0][0])
@@ -181,7 +184,7 @@ class TestVenueRouter:
         engine = router.engine(ids[0])
         assert engine.thread_safe and engine is router.engine(ids[0])
 
-    def test_unknown_venue_and_kind_rejected(self, catalog, two_venues):
+    def test_unknown_venue_and_kind_rejected(self, catalog, two_venues, make_router):
         router, ids = make_router(catalog, two_venues)
         with pytest.raises(ServingError):
             router.execute(ServingRequest(venue="nope", kind="distance"))
@@ -190,7 +193,7 @@ class TestVenueRouter:
         with pytest.raises(ServingError):
             router.execute(ServingRequest(venue=ids[0], kind="teleport"))
 
-    def test_second_router_loads_snapshots(self, catalog, two_venues):
+    def test_second_router_loads_snapshots(self, catalog, two_venues, make_router):
         router, ids = make_router(catalog, two_venues)
         for vid in ids:
             router.engine(vid)
@@ -203,7 +206,7 @@ class TestVenueRouter:
         assert [n.object_id for n in fresh.engine(ids[0]).knn(q, 3)] == \
             [n.object_id for n in router.engine(ids[0]).knn(q, 3)]
 
-    def test_eviction_writes_back_updates(self, catalog, two_venues):
+    def test_eviction_writes_back_updates(self, catalog, two_venues, make_router):
         router, ids = make_router(catalog, two_venues, capacity=1)
         (mall, _), vid = two_venues[0], ids[0]
         q = sample_points(mall, 1, seed=4)[0]
@@ -220,7 +223,7 @@ class TestVenueRouter:
         assert after[0].object_id == new_id and after[0].distance == 0.0
         assert before != [n.object_id for n in after]
 
-    def test_concurrent_warm_start_builds_once(self, catalog, two_venues):
+    def test_concurrent_warm_start_builds_once(self, catalog, two_venues, open_router):
         builds = []
         build_lock = threading.Lock()
 
@@ -229,7 +232,7 @@ class TestVenueRouter:
                 builds.append(space.name)
             return VIPTree.build(space)
 
-        router = VenueRouter(catalog, capacity=4)
+        router = open_router(catalog, capacity=4)
         space, objects = two_venues[0]
         vid = router.add_venue(space, objects=objects, builder=counting_builder)
         engines = []
@@ -245,7 +248,7 @@ class TestVenueRouter:
         assert len(builds) == 1, f"cold build ran {len(builds)} times"
         assert len({id(e) for e in engines}) == 1, "pool must share one engine"
 
-    def test_flush_writes_updated_engines(self, catalog, two_venues):
+    def test_flush_writes_updated_engines(self, catalog, two_venues, make_router):
         router, ids = make_router(catalog, two_venues, capacity=4)
         (mall, _), vid = two_venues[0], ids[0]
         q = sample_points(mall, 1, seed=9)[0]
@@ -261,7 +264,7 @@ class TestVenueRouter:
                                       op=UpdateOp("insert", location=q)))
         assert router.flush() == 1 and router.flush() == 0
 
-    def test_rewarmed_engine_dirty_tracking_resets(self, catalog, two_venues):
+    def test_rewarmed_engine_dirty_tracking_resets(self, catalog, two_venues, make_router):
         """After eviction + write-back, a re-warm-started engine's
         first new update must be flushable (the watermark resets with
         the fresh engine's counter)."""
