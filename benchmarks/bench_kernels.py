@@ -24,9 +24,11 @@ Two claims are asserted:
 
 The python rows are the reference the paper maps onto line by line;
 the numpy rows answer the same queries eagerly (every node's distances
-level by level), so the speedup *grows* with k and venue size — the
-best-first reference expands more of the tree while the eager path's
-cost is k-independent.
+level by level), so the speedup *grows* with venue size — the
+best-first reference expands more of the tree. Both costs grow with k:
+the reference expands more nodes, and the eager path's Dijkstra over
+the query's own leaf stops at the k-th smallest distance outside that
+leaf, which grows with k.
 
 Results are also written as a machine-readable ``BENCH_kernels.json``
 artifact (one row per venue/kernel/mix: q/s and speedup vs python) so

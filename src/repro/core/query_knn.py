@@ -118,12 +118,18 @@ class _Search:
         ``(distance, object_id)`` order for non-query leaves (the query
         leaf's Dijkstra branch is unordered). Every yielded distance is
         the object's exact minimum over all access doors, so consumers
-        may tighten the bound immediately. The leaf containing q is
-        handled exactly with a Dijkstra expansion on the D2D graph;
-        other leaves merge the per-door sorted object lists by ascending
-        total distance and stop once the smallest outstanding total
-        exceeds the bound (entries *equal* to the bound are kept — ties
-        at the k-th distance must reach the caller).
+        may tighten the bound immediately. Entries *equal* to the bound
+        are kept — ties at the k-th distance must reach the caller.
+
+        The leaf containing q is handled exactly with a Dijkstra
+        expansion on the D2D graph, stopped at the bound's value at
+        entry (``cutoff``). The cut is exact: an object within the bound
+        is reached through a door at or below it (the door-to-object leg
+        is non-negative), which the cut search settles with the same
+        float additions as an uncut one; an object beyond it is beyond
+        every later, tighter bound too. Other leaves merge the per-door
+        sorted object lists by ascending total distance and stop once
+        the smallest outstanding total exceeds the bound.
         """
         if not callable(bound):
             fixed = bound
@@ -139,7 +145,9 @@ class _Search:
             parts = {index.objects[oid].location.partition_id for oid in oids}
             for pid in parts:
                 targets.update(space.partitions[pid].door_ids)
-            dist, _ = dijkstra(tree.d2d, dict(self.endpoint.offsets), targets=targets)
+            dist, _ = dijkstra(
+                tree.d2d, dict(self.endpoint.offsets), targets=targets, cutoff=bound()
+            )
             for oid in oids:
                 obj = index.objects[oid]
                 pid = obj.location.partition_id

@@ -13,10 +13,18 @@ the signatures of :meth:`IPTree.knn <repro.core.tree.IPTree.knn>` /
 Lemma 8/9 recursion for *every* tree node replayed as a handful of
 level-batched gather/add/segmented-min ops over a flat slot vector, one
 global access-list scan, and a vectorized ``(distance, object_id)``
-selection. Per-query cost is a few dozen numpy calls regardless of how
+selection. That part costs a few dozen numpy calls regardless of how
 many nodes the best-first reference would expand — this is where the
 single-thread speedup comes from, since fixture trees have ρ ≈ 5 and
 per-node calls cannot amortize numpy dispatch overhead.
+
+The objects in the query's own leaf still go through the reference's
+Dijkstra expansion on the D2D graph, stopped at the pruning bound the
+rest of the answer already fixes: the k-th smallest distance outside
+that leaf for kNN, the radius for range. At realistic leaf sizes
+(Men-2 ``paper``: 2,880 doors, 56 leaves) that expansion dominated a
+cache-miss query; the cut shrinks it to the doors within the bound, so
+its cost grows with k and the radius.
 
 Answers are **bit-identical** to the python reference (asserted by
 ``tests/test_kernels.py``): the vectorized expressions perform the same

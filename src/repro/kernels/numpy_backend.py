@@ -13,8 +13,12 @@ a tolerance. The rules that make it hold:
 * ``min`` over a fixed candidate set is evaluation-order independent,
   so the distances — and therefore the ``(distance,
   object_id)``-lexicographic result sets — are bit-identical to the
-  best-first reference even though the traversal order differs. (The
-  query leaf's Dijkstra branch is the reference code, reused.)
+  best-first reference even though the traversal order differs;
+* the query leaf's Dijkstra branch is the reference code, reused, with
+  the pruning bound that the other leaves' distances fix (the k-th
+  smallest for kNN, the radius for range) as its cutoff. Every object
+  within the bound gets the same float additions as an uncut search;
+  the objects beyond it cannot enter the answer and keep distance INF.
 
 Instances cache derived array forms (the per-tree slot table, per-leaf
 eager propagation programs, and the global access-list entry arrays per
@@ -34,6 +38,12 @@ from ..exceptions import QueryError
 
 INF = float("inf")
 _INTP = np.intp
+
+
+def _kth_smallest(values, k: int) -> float:
+    """kNN's pruning bound over ``values``: the k-th smallest entry, INF
+    when there are fewer than k."""
+    return float(np.partition(values, k - 1)[k - 1]) if values.size >= k else INF
 
 
 class NumpyKernels:
@@ -220,12 +230,19 @@ class NumpyKernels:
             self._eg_ent_version = index.version
         return self._eg_ent
 
-    def _eager_distances(self, search):
-        """Exact distance to every object as ``(distances, object_ids,
-        slot_vals)`` arrays; the query leaf goes through the reference
-        Dijkstra branch, everything else through the propagation
-        program. ``slot_vals`` is the propagated per-(node, door)
-        distance vector — the leaf-ball closure reads it."""
+    def _eager_distances(self, search, bound_of):
+        """Distances to the objects as ``(distances, object_ids,
+        slot_vals)`` arrays, exact for every object the query can
+        return.
+
+        Objects outside the query leaf go through the propagation
+        program first. ``bound_of`` maps their distance array (query-leaf
+        entries INF) to the pruning bound — the k-th smallest for kNN,
+        the radius for range — and the query leaf then goes through the
+        reference Dijkstra branch stopped at that bound: its objects
+        beyond the bound cannot enter the answer and keep distance INF.
+        ``slot_vals`` is the propagated per-(node, door) distance vector
+        — the leaf-ball closure reads it."""
         tree = search.tree
         index = search.index
         self._eager_tree_state(tree)
@@ -257,7 +274,8 @@ class NumpyKernels:
         extra_d: list[float] = []
         extra_o: list[int] = []
         if index.objects_in_leaf(search.leaf_q):
-            for dd, oid in search.leaf_object_distances(search.leaf_q, INF):
+            bound = bound_of(dists)  # from the other leaves' distances
+            for dd, oid in search.leaf_object_distances(search.leaf_q, bound):
                 pos = oid_pos.get(oid)
                 if pos is None:
                     extra_d.append(dd)
@@ -303,7 +321,9 @@ class NumpyKernels:
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
         search = _Search(object_index.tree, object_index, query, ctx, stats)
-        dists, oids, vals = self._eager_distances(search)
+        dists, oids, vals = self._eager_distances(
+            search, lambda d: _kth_smallest(d, k)
+        )
         order = np.lexsort((oids, dists))[:k] if dists.size else np.empty(0, _INTP)
         if collect_leaves:
             # Fewer than k results: the effective kth-distance bound is
@@ -326,7 +346,7 @@ class NumpyKernels:
         if radius < 0:
             raise QueryError(f"radius must be non-negative, got {radius}")
         search = _Search(object_index.tree, object_index, query, ctx, stats)
-        dists, oids, vals = self._eager_distances(search)
+        dists, oids, vals = self._eager_distances(search, lambda _: radius)
         if collect_leaves:
             # The radius bound holds even for an empty answer: an insert
             # inside the ball could make the next answer non-empty.

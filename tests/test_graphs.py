@@ -1,6 +1,8 @@
 """Unit tests for the graph substrate: adjacency, Dijkstra, D2D, AB."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import DisconnectedVenueError, IndoorSpaceBuilder, build_ab_graph, build_d2d_graph
 from repro.graph.adjacency import Graph
@@ -11,6 +13,24 @@ from repro.graph.dijkstra import (
     pseudo_diameter,
 )
 from repro.model.d2d import average_out_degree
+
+
+@st.composite
+def cutoff_cases(draw):
+    """A graph with small-integer weights (so exact ties at the cutoff
+    are common), multi-source offsets, an optional target set and a
+    cutoff."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    g = Graph(n)
+    for u, v, w in draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 4)),
+                                 max_size=3 * n)):
+        g.add_edge(u, v, float(w))
+    sources = draw(st.dictionaries(vertex, st.integers(0, 3).map(float),
+                                   min_size=1, max_size=3))
+    targets = draw(st.none() | st.sets(vertex, max_size=n))
+    cutoff = float(draw(st.integers(min_value=0, max_value=12)))
+    return g, sources, targets, cutoff
 
 
 class TestGraph:
@@ -113,6 +133,19 @@ class TestDijkstra:
     def test_cutoff(self):
         dist, _ = dijkstra(self.diamond(), 0, cutoff=1.5)
         assert set(dist) == {0, 1}
+
+    @given(case=cutoff_cases())
+    def test_cutoff_keeps_exactly_the_uncut_entries_within_it(self, case):
+        """The contract the query-leaf cut rests on: a bounded search
+        settles, in the same order and with the same parents, exactly
+        the unbounded search's vertices at distance <= cutoff (ties at
+        the cutoff kept)."""
+        g, sources, targets, cutoff = case
+        dist, parent = dijkstra(g, sources, targets=targets)
+        cut_dist, cut_parent = dijkstra(g, sources, targets=targets, cutoff=cutoff)
+        kept = [v for v, d in dist.items() if d <= cutoff]
+        assert list(cut_dist.items()) == [(v, dist[v]) for v in kept]
+        assert cut_parent == {v: parent[v] for v in kept}
 
     def test_first_hops(self):
         _, hops = dijkstra_first_hops(self.diamond(), 0)

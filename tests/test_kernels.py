@@ -1,6 +1,7 @@
 """Numpy kNN/range: bit-identity against the python reference,
-deterministic kNN tie-breaking, the live pruning bound, and mmap'd
-snapshot loading (zero-copy views + per-section modification detection).
+deterministic kNN tie-breaking, the live pruning bound, the query
+leaf's Dijkstra cut at that bound, and mmap'd snapshot loading
+(zero-copy views + per-section modification detection).
 
 The python query paths in :mod:`repro.core` are the oracle-checked
 reference; every test here asserts *exact* (``==``) equality of
@@ -21,9 +22,10 @@ from repro import IndoorPoint, IPTree, ObjectIndex, UpdateOp, VIPTree, make_obje
 from repro.core.query_knn import INF, _Search, knn
 from repro.core.query_range import range_query
 from repro.core.query_distance import shortest_distance
-from repro.datasets import random_objects, random_point
-from repro.engine import QueryEngine
+from repro.datasets import load_venue, moving_objects, random_objects, random_point
+from repro.engine import QueryEngine, replay
 from repro.exceptions import QueryError, SnapshotError
+from repro.graph.dijkstra import dijkstra
 from repro.kernels import NumpyKernels
 from repro.storage import SnapshotCatalog, load_snapshot, save_snapshot
 from repro.testing import sample_points
@@ -270,6 +272,113 @@ class TestLiveBound:
         tight, scanned_tight = drain(nearest)  # what dk() would be at entry
         assert tight[0] == loose[0]
         assert scanned_tight < scanned_loose
+
+
+# ----------------------------------------------------------------------
+# The query leaf's Dijkstra stops at the pruning bound
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def men2_small():
+    """Men-2 at ``small`` scale (752 doors, 56 leaves): its leaves hold
+    tens of doors, so the query leaf's Dijkstra has room to stop early —
+    fixture leaves hold a few doors, and there the cut rarely bites."""
+    space = load_venue("Men-2", "small")
+    return space, VIPTree.build(space)
+
+
+class _DijkstraProbe:
+    """Stands in for the ``dijkstra`` that :mod:`repro.core.query_knn`
+    calls: records each call's ``(cutoff, settled vertices, stopped
+    before settling every target)`` and, with ``cut=False``, runs the
+    search without its cutoff."""
+
+    def __init__(self, cut: bool = True) -> None:
+        self.cut = cut
+        self.calls: list[tuple] = []
+
+    def __call__(self, graph, sources, targets=None, cutoff=None):
+        dist, parent = dijkstra(graph, sources, targets=targets,
+                                cutoff=cutoff if self.cut else None)
+        self.calls.append((cutoff, len(dist), not targets <= dist.keys()))
+        return dist, parent
+
+
+def _query_leaf_reach(tree, index, q):
+    """Reference distances from ``q`` to the objects outside its leaf
+    (ascending), and to the farthest door of a room holding an object
+    inside it: where an uncut query-leaf search stops."""
+    search = _Search(tree, index, q)
+    in_leaf = set(index.objects_in_leaf(search.leaf_q))
+    partitions = tree.space.partitions
+    doors = {d for oid in in_leaf
+             for d in partitions[index.objects[oid].location.partition_id].door_ids}
+    dist, _ = dijkstra(tree.d2d, dict(search.endpoint.offsets))
+    outside = [n.distance for n in range_query(tree, index, q, INF)
+               if n.object_id not in in_leaf]
+    return outside, max((dist[d] for d in doors), default=-INF)
+
+
+def test_query_leaf_dijkstra_stops_at_the_pruning_bound(men2_small, monkeypatch):
+    space, tree = men2_small
+    # the object density of the served benchmark (1,000 objects on
+    # Men-2 paper), so the k-th nearest object is often a neighbour leaf's
+    index = ObjectIndex(tree, random_objects(space, 300, seed=3))
+    k = 10
+    # a query whose own leaf holds an object behind a door farther than
+    # the k-th nearest object outside the leaf: a cut search must stop
+    # before the uncut one
+    q, outside = next(
+        (p, outside) for p in sample_points(space, 20, seed=1)
+        for outside, reach in [_query_leaf_reach(tree, index, p)]
+        if len(outside) >= k and reach > outside[k - 1]
+    )
+    radius = outside[k - 1] / 2
+    reference = {"knn": knn(tree, index, q, k),
+                 "range": range_query(tree, index, q, radius)}
+
+    for kind, bound in (("knn", outside[k - 1]), ("range", radius)):
+        answers = []
+        probes = (_DijkstraProbe(), _DijkstraProbe(cut=False))
+        for probe in probes:
+            monkeypatch.setattr("repro.core.query_knn.dijkstra", probe)
+            kern = NumpyKernels()
+            answers.append(kern.knn(index, q, k) if kind == "knn"
+                           else kern.range_query(index, q, radius))
+        (cutoff, settled, _), = probes[0].calls
+        (_, settled_uncut, _), = probes[1].calls
+        assert cutoff == bound
+        assert settled < settled_uncut
+        assert answers[0] == answers[1] == reference[kind]
+
+    # the python reference's range query is cut at its radius too
+    probe = _DijkstraProbe()
+    monkeypatch.setattr("repro.core.query_knn.dijkstra", probe)
+    assert range_query(tree, index, q, radius) == reference["range"]
+    assert [cutoff for cutoff, _, _ in probe.calls] == [radius]
+
+
+@pytest.mark.slow
+def test_men2_small_numpy_equals_python_under_updates(men2_small, monkeypatch):
+    """Kernel identity at realistic leaf size: fresh-endpoint kNN (k=10)
+    and range reads interleaved with door-crossing moves, answered by
+    both paths and compared with ``==``."""
+    space, tree = men2_small
+    stream = moving_objects(
+        space, random_objects(space, 200, seed=5), 600, update_ratio=0.5,
+        mix={"knn": 0.7, "range": 0.3}, pool=None, k=10, seed=13,
+        d2d=tree.d2d,
+    )
+    probe = _DijkstraProbe()
+    monkeypatch.setattr("repro.core.query_knn.dijkstra", probe)
+    answers = []
+    for kernels in ("numpy", "python"):
+        engine = QueryEngine(tree, random_objects(space, 200, seed=5),
+                             kernels=kernels)
+        answers.append(replay(engine, stream, batched=False)[0])
+    assert answers[0] == answers[1]
+    # the stream exercises the cut: some query-leaf searches stopped at
+    # the bound before settling every door of their objects' rooms
+    assert any(stopped for _, _, stopped in probe.calls)
 
 
 # ----------------------------------------------------------------------

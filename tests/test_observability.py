@@ -669,7 +669,9 @@ class TestMetricsExposition:
 
             with pytest.raises(HTTPError) as caught:
                 urlopen(f"http://127.0.0.1:{port}/nope", timeout=30.0)
-            assert caught.value.code == 404
+            # the error carries the open response: close its socket
+            with caught.value:
+                assert caught.value.code == 404
         finally:
             server.shutdown()
             server.server_close()
