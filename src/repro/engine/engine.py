@@ -80,7 +80,6 @@ from ..kernels import NumpyKernels
 from ..model.entities import IndoorPoint
 from ..model.objects import UpdateOp
 from ..obs.registry import counter_entry, gauge_entry
-from ..obs.stats import StatsDoc
 from .cache import LRUCache
 from .invalidation import TaggedLRUCache
 from .locking import NULL_LOCK, NULL_RWLOCK, RWLock
@@ -89,7 +88,7 @@ _MISSING = object()
 
 
 @dataclass(slots=True)
-class EngineStats(StatsDoc):
+class EngineStats:
     """Monotone engine counters — a snapshot returned by
     :meth:`QueryEngine.stats`.
 
@@ -118,8 +117,8 @@ class EngineStats(StatsDoc):
       per ``batch_update`` call (that is the batch amortization), one
       per stale-version detection. Both stay zero when ``cache=False``
       (there is nothing to flush). The legacy ``invalidations``
-      property — and the ``"invalidations"`` key in :meth:`to_doc` —
-      is their sum.
+      property — and the ``engine_invalidations_total`` series — is
+      their sum.
     * ``invalidation_entries_dropped`` — cached kNN/range *entries*
       removed by invalidation events (scoped and full alike). The gap
       between this and cache occupancy over time is exactly what
@@ -202,15 +201,6 @@ class EngineStats(StatsDoc):
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def to_doc(self) -> dict:
-        # explicit base call: dataclass(slots=True) recreates the class,
-        # so zero-arg super() would hold a stale __class__ cell
-        doc = StatsDoc.to_doc(self)
-        # pre-split wire compatibility: consumers of the stats document
-        # keep seeing the total event count under the old key
-        doc["invalidations"] = self.invalidations
-        return doc
-
 
 def _sym_key(ka: tuple, kb: tuple) -> tuple:
     """Order-independent pair key (indoor distance is symmetric)."""
@@ -219,8 +209,10 @@ def _sym_key(ka: tuple, kb: tuple) -> tuple:
 
 def _collect_engine_stats(engine: "QueryEngine"):
     """Registry collector: export :class:`EngineStats` counters as
-    registry metrics. Held weakly by the registry — an evicted engine's
-    series retire when the engine is garbage-collected."""
+    registry metrics. Held weakly by the registry — a standalone
+    engine's series leave with it when it is garbage-collected; the
+    router retires the engines it drops into permanent counters
+    (:meth:`~repro.obs.registry.MetricsRegistry.retire`)."""
     s = engine.stats()
     for f in fields(s):
         yield counter_entry(f"engine_{f.name}_total", getattr(s, f.name))
@@ -290,8 +282,10 @@ class QueryEngine:
             backend (``engine_kernel_queries_total{backend=...}``) and
             registers a weakly-held collector exporting every
             :class:`EngineStats` counter plus an
-            ``engine_cache_hit_ratio`` gauge. ``None`` (default) keeps
-            the hot path entirely instrumentation-free.
+            ``engine_cache_hit_ratio`` gauge — the one collector in the
+            stack, because these counts sit in the caches on the query
+            hot path. ``None`` (default) keeps the hot path entirely
+            instrumentation-free.
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Observability: metrics registry, tracing, slow-query log, stats schema.
+"""Observability: metrics registry, conservation laws, tracing, slow-query log.
 
 The measurement substrate under the serving stack, in four stdlib-only
 pieces (no imports from the rest of :mod:`repro`, so every layer can
@@ -10,15 +10,19 @@ depend on this one):
   that :func:`~repro.obs.registry.merge_snapshots` folds across
   processes, :func:`~repro.obs.registry.summarize` annotates with
   p50/p95/p99, and :func:`~repro.obs.registry.render_prometheus`
-  renders for scraping.
+  renders for scraping. It is the one accounting system: router,
+  cluster, shard and admission counts are registry series their owners
+  increment, and their ``stats()`` views read them back.
+* :mod:`~repro.obs.conservation` —
+  :func:`~repro.obs.conservation.conservation_violations`, the laws a
+  merged cluster snapshot obeys (counts of one piece of work agree
+  across layers).
 * :mod:`~repro.obs.tracing` — per-request
   :class:`~repro.obs.tracing.Trace` span timings, carried between
   layers by a thread-local :class:`~repro.obs.tracing.Observation`.
 * :mod:`~repro.obs.slowlog` — threshold-triggered structured
   :class:`~repro.obs.slowlog.SlowQueryLog` records (in-memory ring +
   JSONL file + :mod:`logging`).
-* :mod:`~repro.obs.stats` — the :class:`~repro.obs.stats.StatsDoc`
-  mixin giving every stats dataclass the same ``to_doc``/``log_line``.
 
 Front doors: the ``metrics`` protocol request returns a shard's
 snapshot, ``ClusterFrontend.metrics()`` merges all live shards with
@@ -27,6 +31,7 @@ exposes the merged view over HTTP (Prometheus text + JSON), and
 ``python -m repro.obs dump`` fetches it from a running server.
 """
 
+from .conservation import conservation_violations
 from .registry import (
     Counter,
     Gauge,
@@ -43,7 +48,6 @@ from .registry import (
     summarize,
 )
 from .slowlog import SlowQueryLog, read_slowlog
-from .stats import StatsDoc
 from .tracing import (
     Observation,
     Trace,
@@ -61,8 +65,8 @@ __all__ = [
     "MetricsRegistry",
     "Observation",
     "SlowQueryLog",
-    "StatsDoc",
     "Trace",
+    "conservation_violations",
     "counter_entry",
     "current_observation",
     "gauge_entry",

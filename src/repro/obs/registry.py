@@ -30,13 +30,16 @@ gauges combine per their ``agg`` policy. ``ClusterFrontend.metrics()``
 merges its own snapshot with one fetched from every live shard over
 the ``metrics`` protocol request.
 
-Collectors bridge the existing stats dataclasses into the registry:
-:meth:`register_collector` holds a *weak* reference to an owner (an
-engine, a router) and a function that converts its counters into
-snapshot fragments (:func:`counter_entry`/:func:`gauge_entry`); dead
-owners are pruned, so a bounded engine pool never leaks registry
-entries. Collector functions run *outside* the registry lock — they
-may take their owner's own locks freely.
+Collectors read counts that live elsewhere — a query engine's, which
+sit in its caches on the query hot path: :meth:`register_collector`
+holds a *weak* reference to an owner and a function that converts its
+counters into snapshot fragments
+(:func:`counter_entry`/:func:`gauge_entry`). Dead owners are pruned,
+so a bounded engine pool never leaks registry entries, and
+:meth:`retire` folds an owner its user has dropped into permanent
+counters, so a counter total never falls. Collector functions run
+*outside* the registry lock — they may take their owner's own locks
+freely.
 
 :func:`render_prometheus` renders a snapshot in the Prometheus text
 exposition format (cumulative ``_bucket{le=...}`` series), which is
@@ -314,6 +317,27 @@ class MetricsRegistry:
         """
         with self._lock:
             self._collectors.append((weakref.ref(owner), collect))
+
+    def retire(self, owner) -> None:
+        """Run ``owner``'s collector once more, add its counter
+        fragments to this registry's own counters, drop its gauges and
+        remove the collector — so no counter falls when the owner goes
+        (the router retires each engine it drops). Later counts of the
+        owner are not exported; a no-op without a collector here."""
+        with self._lock:
+            mine = [c for c in self._collectors if c[0]() is owner]
+        fragments = [frag for _, collect in mine for frag in collect(owner)]
+        with self._lock:
+            if any(c not in self._collectors for c in mine):
+                return  # retired concurrently: its counts are in already
+            self._collectors = [c for c in self._collectors if c not in mine]
+            for frag in fragments:
+                if frag["type"] == "counter":
+                    name, labels = frag["name"], frag["labels"]
+                    self._counters.setdefault(
+                        metric_key(name, labels),
+                        Counter(name, labels, self._lock),
+                    ).value += frag["value"]
 
     # ------------------------------------------------------------------
     # Snapshots

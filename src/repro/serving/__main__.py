@@ -68,7 +68,7 @@ from ..datasets.multi_venue import multi_venue_streams
 from ..datasets.venues import VENUE_NAMES, load_venue
 from ..datasets.workloads import random_objects
 from ..model.io_json import load_space
-from ..obs import render_prometheus
+from ..obs import conservation_violations, render_prometheus
 from .admission import AdmissionController
 from .async_frontend import AsyncFrontDoor
 from .client import FrontDoorClient
@@ -95,6 +95,10 @@ def _self_test(address, venues, events: int, seed: int, *,
     Queries only (``update_ratio=0``): the self test must be safe to
     run against a pre-existing catalog whose object state has drifted
     from this process's freshly generated sets.
+
+    Fails (returns 1) when a request failed or when the served
+    cluster's metrics break a conservation law
+    (:func:`~repro.obs.conservation_violations`), listing each one.
     """
     with FrontDoorClient(address, timeout=60.0) as client:
         listing = client.call(Request(venue="", kind="venues"))
@@ -138,6 +142,8 @@ def _self_test(address, venues, events: int, seed: int, *,
         failed = sum(errors.values())
 
         stats = client.call(Request(venue="", kind="stats"))
+        violations = conservation_violations(
+            client.call(Request(venue="", kind="metrics")))
         print(
             f"self-test: {len(flat)} events over TCP in {seconds:.3f}s "
             f"({len(flat) / seconds:,.0f} events/s, {mode}, "
@@ -146,7 +152,9 @@ def _self_test(address, venues, events: int, seed: int, *,
         for key, n in sorted(errors.items(), key=lambda kv: -kv[1]):
             print(f"self-test: {n}x {key}")
         print(f"self-test: cluster stats {stats}")
-        return 1 if failed else 0
+        for law in violations:
+            print(f"self-test: conservation law broken: {law}")
+        return 1 if failed or violations else 0
 
 
 # ----------------------------------------------------------------------

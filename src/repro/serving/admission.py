@@ -30,16 +30,18 @@ Per-venue state is bounded: with ``idle_timeout`` set, venues with no
 admit/release activity past that horizon (and nothing in flight) are
 evicted by an amortized sweep piggy-backed on ``admit``, so a
 venue-churn workload — many fingerprints seen once — cannot grow the
-state dict without bound. A returning venue simply starts fresh (full
-bucket, zeroed counters).
+state dict without bound. A returning venue gets a fresh policy state
+(full bucket, empty queue) and continues its counts, which live in the
+registry.
 
-Observability: given a ``registry``, the controller exports
+Observability: the controller counts into its registry — the one
+passed in, else a private one — as
 ``admission_admitted_total{venue=...}``,
 ``admission_rejected_total{venue=..., reason=rate|depth}`` and an
-``admission_queue_depth{venue=...}`` gauge — venue labels are the
-fingerprint's first 12 hex chars, matching log/diagnostic shorthand
-elsewhere. They surface in ``/metrics`` through the cluster's merged
-snapshot.
+``admission_queue_depth{venue=...}`` gauge; :meth:`~AdmissionController.
+stats` reads them back. Venue labels are the fingerprint's first 12 hex
+chars, matching log/diagnostic shorthand elsewhere. They surface in
+``/metrics`` through the cluster's merged snapshot.
 
 Time is injectable (``clock``) so property tests drive deterministic
 arrival schedules; production uses :func:`time.monotonic`.
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass
 
 from ..exceptions import OverloadedError
 from ..obs import MetricsRegistry
@@ -100,45 +103,43 @@ class TokenBucket:
         return (1.0 - self.tokens) / self.rate
 
 
+@dataclass(slots=True)
 class AdmissionStats:
     """Point-in-time controller counters (all monotone except
-    ``in_flight``)."""
+    ``in_flight``): a view of one venue's registry series."""
 
-    __slots__ = ("admitted", "rejected_rate", "rejected_depth", "in_flight")
-
-    def __init__(self, admitted: int, rejected_rate: int,
-                 rejected_depth: int, in_flight: int) -> None:
-        self.admitted = admitted
-        self.rejected_rate = rejected_rate
-        self.rejected_depth = rejected_depth
-        self.in_flight = in_flight
+    admitted: int
+    rejected_rate: int
+    rejected_depth: int
+    in_flight: int
 
     @property
     def rejected(self) -> int:
         return self.rejected_rate + self.rejected_depth
 
-    def to_doc(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "rejected_rate": self.rejected_rate,
-            "rejected_depth": self.rejected_depth,
-            "rejected": self.rejected,
-            "in_flight": self.in_flight,
-        }
-
 
 class _VenueState:
-    __slots__ = ("bucket", "depth", "admitted", "rejected_rate",
-                 "rejected_depth", "last_seen")
+    """One venue's policy state plus handles on its registry series."""
 
-    def __init__(self, bucket: TokenBucket | None, *, now: float) -> None:
+    __slots__ = ("bucket", "depth", "last_seen", "admitted", "rejected",
+                 "depth_gauge")
+
+    def __init__(self, bucket: TokenBucket | None, registry: MetricsRegistry,
+                 label: str, *, now: float) -> None:
         self.bucket = bucket
         self.depth = 0
-        self.admitted = 0
-        self.rejected_rate = 0
-        self.rejected_depth = 0
         #: last admit/release activity — the idle-eviction clock
         self.last_seen = now
+        self.admitted = registry.counter("admission_admitted_total",
+                                         venue=label)
+        #: reason (``"rate"``/``"depth"``) -> rejection counter
+        self.rejected = {
+            reason: registry.counter("admission_rejected_total",
+                                     venue=label, reason=reason)
+            for reason in ("rate", "depth")
+        }
+        self.depth_gauge = registry.gauge("admission_queue_depth",
+                                          agg="sum", venue=label)
 
 
 class AdmissionController:
@@ -153,13 +154,15 @@ class AdmissionController:
             admitting a flood.
         max_queue_depth: per-venue bound on concurrently in-flight
             admitted requests; ``None`` disables depth shedding.
-        idle_timeout: evict a venue's bucket/depth/counters after this
+        idle_timeout: evict a venue's bucket and depth after this
             many seconds with no admit/release activity and nothing in
             flight (sweep amortized onto ``admit``, at most once per
-            quarter horizon). ``None`` (default) keeps every venue
-            forever — the pre-eviction behaviour.
-        registry: optional :class:`~repro.obs.MetricsRegistry` the
-            admission counters and depth gauges are exported through.
+            quarter horizon); its counts stay in the registry and
+            continue when it returns. ``None`` (default) keeps every
+            venue forever — the pre-eviction behaviour.
+        registry: the :class:`~repro.obs.MetricsRegistry` the
+            admission counters and depth gauges live in; a private one
+            when not given.
         clock: monotonic time source (injectable for tests).
 
     At least one of ``rate``/``max_queue_depth`` must be set — a
@@ -201,7 +204,7 @@ class AdmissionController:
         if idle_timeout is not None and idle_timeout <= 0.0:
             raise ValueError(f"idle_timeout must be > 0, got {idle_timeout}")
         self.idle_timeout = None if idle_timeout is None else float(idle_timeout)
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
         self._clock = clock
         self._mutex = threading.Lock()
         self._venues: dict[str, _VenueState] = {}
@@ -218,7 +221,8 @@ class AdmissionController:
                 TokenBucket(self.rate, self.burst, now=now)
                 if self.rate is not None else None
             )
-            state = self._venues[venue] = _VenueState(bucket, now=now)
+            state = self._venues[venue] = _VenueState(
+                bucket, self.registry, self._label(venue), now=now)
         return state
 
     def _sweep_idle_locked(self, now: float) -> int:
@@ -246,19 +250,6 @@ class AdmissionController:
     def _label(self, venue: str) -> str:
         return venue[:_LABEL_CHARS]
 
-    def _observe_depth(self, venue: str, depth: int) -> None:
-        if self.registry is not None:
-            self.registry.gauge(
-                "admission_queue_depth", agg="sum", venue=self._label(venue)
-            ).set(float(depth))
-
-    def _count_rejection(self, venue: str, reason: str) -> None:
-        if self.registry is not None:
-            self.registry.counter(
-                "admission_rejected_total",
-                venue=self._label(venue), reason=reason,
-            ).inc()
-
     # ------------------------------------------------------------------
     def admit(self, venue: str) -> None:
         """Admit one request for ``venue`` or raise
@@ -278,9 +269,8 @@ class AdmissionController:
             state.last_seen = now
             if (self.max_queue_depth is not None
                     and state.depth >= self.max_queue_depth):
-                state.rejected_depth += 1
+                state.rejected["depth"].inc()
                 depth = state.depth
-                self._count_rejection(venue, "depth")
                 raise OverloadedError(
                     f"venue {self._label(venue)!r} overloaded: {depth} "
                     f"requests already in flight (bound {self.max_queue_depth})"
@@ -288,8 +278,7 @@ class AdmissionController:
             if state.bucket is not None:
                 retry_after = state.bucket.try_acquire(now)
                 if retry_after > 0.0:
-                    state.rejected_rate += 1
-                    self._count_rejection(venue, "rate")
+                    state.rejected["rate"].inc()
                     raise OverloadedError(
                         f"venue {self._label(venue)!r} overloaded: rate "
                         f"allowance exhausted ({self.rate:g}/s, burst "
@@ -297,12 +286,9 @@ class AdmissionController:
                         retry_after=retry_after,
                     )
             state.depth += 1
-            state.admitted += 1
             depth = state.depth
-        if self.registry is not None:
-            self.registry.counter(
-                "admission_admitted_total", venue=self._label(venue)).inc()
-        self._observe_depth(venue, depth)
+        state.admitted.inc()
+        state.depth_gauge.set(depth)
 
     def release(self, venue: str) -> None:
         """Settle one previously admitted request for ``venue``."""
@@ -316,7 +302,7 @@ class AdmissionController:
             state.depth -= 1
             state.last_seen = self._clock()
             depth = state.depth
-        self._observe_depth(venue, depth)
+        state.depth_gauge.set(depth)
 
     # ------------------------------------------------------------------
     def depth(self, venue: str) -> int:
@@ -326,23 +312,16 @@ class AdmissionController:
             return 0 if state is None else state.depth
 
     def stats(self, venue: str) -> AdmissionStats:
-        """One venue's admission counters (zeros for unseen venues)."""
+        """One venue's admission counters, read from its registry
+        series; zeros for a venue without admission state (unseen, or
+        evicted idle — its counts resume when it returns)."""
         with self._mutex:
             state = self._venues.get(venue)
-            if state is None:
-                return AdmissionStats(0, 0, 0, 0)
-            return AdmissionStats(state.admitted, state.rejected_rate,
-                                  state.rejected_depth, state.depth)
-
-    def stats_by_venue(self) -> dict[str, dict]:
-        """Every seen venue's counters, keyed by full venue id."""
-        with self._mutex:
-            return {
-                venue: AdmissionStats(
-                    s.admitted, s.rejected_rate, s.rejected_depth, s.depth
-                ).to_doc()
-                for venue, s in self._venues.items()
-            }
+        if state is None:
+            return AdmissionStats(0, 0, 0, 0)
+        return AdmissionStats(state.admitted.value,
+                              state.rejected["rate"].value,
+                              state.rejected["depth"].value, state.depth)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

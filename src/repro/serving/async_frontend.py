@@ -45,6 +45,7 @@ import asyncio
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from time import perf_counter
 
 from ..exceptions import ProtocolError, ServingError
@@ -396,8 +397,9 @@ class AsyncFrontDoor:
             self.cluster.drain()  # a front-door ping is a cluster barrier
             return {"ok": True}
         if request.kind == "stats":
-            # StatsDoc.to_doc stringifies the by_shard keys for the wire
-            return self.cluster.stats().to_doc()
+            # by_shard's int keys reach the client as strings: the wire
+            # codec is JSON, whose object keys are strings
+            return asdict(self.cluster.stats())
         if request.kind == "metrics":
             return self.cluster.metrics()
         if request.kind == "flush":

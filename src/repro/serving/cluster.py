@@ -63,14 +63,7 @@ from time import perf_counter
 from ..exceptions import OverloadedError, ServingError
 from ..model.indoor_space import IndoorSpace
 from ..model.io_json import objects_to_dict, space_to_dict
-from ..obs import (
-    MetricsRegistry,
-    StatsDoc,
-    counter_entry,
-    gauge_entry,
-    merge_snapshots,
-    summarize,
-)
+from ..obs import MetricsRegistry, merge_snapshots, summarize
 from ..storage.snapshot import venue_fingerprint
 from .admission import AdmissionController
 from .protocol import FAULT_KINDS, QUERY_KINDS, READ_KINDS, Request
@@ -86,21 +79,9 @@ from .shard import (
 _MOVE_WAIT = 60.0
 
 
-def _collect_cluster_stats(cluster: "ClusterFrontend"):
-    """Registry collector: cluster counters as metric fragments."""
-    s = cluster.stats()
-    yield counter_entry("cluster_submitted_total", s.submitted)
-    yield counter_entry("cluster_rejected_total", s.rejected)
-    yield counter_entry("cluster_restarts_total", s.restarts)
-    yield counter_entry("cluster_promotions_total", s.promotions)
-    yield counter_entry("cluster_moves_total", s.moves)
-    yield gauge_entry("cluster_shards_alive", float(s.alive), agg="sum")
-    yield gauge_entry("cluster_venues", float(s.venues), agg="sum")
-
-
 @dataclass(slots=True)
-class ClusterStats(StatsDoc):
-    """Point-in-time cluster counters.
+class ClusterStats:
+    """Point-in-time cluster counters, read from the cluster's registry.
 
     ``submitted``, ``restarts``, ``promotions`` and ``moves`` are
     monotone; ``alive`` counts currently-running shard processes
@@ -166,9 +147,10 @@ class ClusterFrontend:
             live replica remains).
         vnodes: virtual points per shard on the placement ring.
         registry: :class:`~repro.obs.MetricsRegistry` for the cluster's
-            own series (submission counters, respawn/move durations).
-            A private one is created when not given; :meth:`metrics`
-            merges it with every live shard's registry snapshot.
+            own series (the ``cluster_*_total`` counters :meth:`stats`
+            reads back, respawn/move durations). A private one is
+            created when not given; :meth:`metrics` merges it with
+            every live shard's registry snapshot.
         admission: optional per-venue
             :class:`~repro.serving.admission.AdmissionController`.
             When set, engine-backed requests pass it before any shard
@@ -176,9 +158,9 @@ class ClusterFrontend:
             is shed with a typed
             :class:`~repro.exceptions.OverloadedError` (retry-after
             hint attached) instead of being queued — one pathological
-            venue then cannot starve the rest. A controller without
-            its own registry inherits the cluster's, so its
-            counters/gauges surface in :meth:`metrics`.
+            venue then cannot starve the rest. :meth:`metrics` merges
+            the controller's registry too, when it is not the
+            cluster's, so its counters/gauges always surface there.
         slow_query_threshold: seconds; forwarded to every shard worker
             — requests slower than this land in the shard's structured
             slow-query log under ``<catalog_root>/obs/``. ``None``
@@ -223,13 +205,20 @@ class ClusterFrontend:
             float(slow_query_threshold)
             if slow_query_threshold is not None else None
         )
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.registry.register_collector(self, _collect_cluster_stats)
+        self.registry = registry = (registry if registry is not None
+                                    else MetricsRegistry())
         self.admission = admission
-        if admission is not None and admission.registry is None:
-            admission.registry = self.registry
-        self._respawn_timer = self.registry.histogram("cluster_respawn_seconds")
-        self._move_timer = self.registry.histogram("cluster_move_seconds")
+        self._respawn_timer = registry.histogram("cluster_respawn_seconds")
+        self._move_timer = registry.histogram("cluster_move_seconds")
+        self._submitted = registry.counter("cluster_submitted_total")
+        self._rejected = registry.counter("cluster_rejected_total")
+        self._restarts = registry.counter("cluster_restarts_total")
+        self._promotions = registry.counter("cluster_promotions_total")
+        self._moves = registry.counter("cluster_moves_total")
+        self._alive_gauge = registry.gauge("cluster_shards_alive", agg="sum")
+        self._venues_gauge = registry.gauge("cluster_venues", agg="sum")
+        self._alive_gauge.set(0)
+        self._venues_gauge.set(0)
         self._mp_context = mp_context
         self._handles: dict[int, ShardProcess | None] = {
             idx: None for idx in range(int(shards))
@@ -243,11 +232,6 @@ class ClusterFrontend:
         self._registrations: dict[str, _Registration] = {}
         self._reg_order: list[str] = []
         self._accepting = True
-        self._submitted = 0
-        self._rejected = 0
-        self._restarts = 0
-        self._promotions = 0
-        self._moves = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -345,6 +329,7 @@ class ClusterFrontend:
                 self._reg_order.append(venue_id)
             self._registrations[venue_id] = _Registration(nodes=nodes,
                                                           payload=payload)
+            self._venues_gauge.set(len(self._registrations))
         for position, idx in enumerate(nodes):
             echoed = self._shard(idx).call(
                 Request(venue=venue_id, kind="add_venue",
@@ -394,7 +379,7 @@ class ClusterFrontend:
                         f"shard {idx} died and restart is disabled"
                     )
                 if crashed:
-                    self._restarts += 1
+                    self._restarts.inc()
                 regs = [
                     (vid, self._role_payload(reg.payload,
                                              reg.nodes.index(idx)))
@@ -430,6 +415,7 @@ class ClusterFrontend:
                 future.result()
             self._respawn_timer.observe(perf_counter() - spawn_start)
             self._handles[idx] = fresh
+            self._alive_gauge.set(len(self._live_handles()))
             return fresh
 
     def add_shard(self) -> int:
@@ -526,7 +512,7 @@ class ClusterFrontend:
             # a node that just forgot it. Updates are still gated.
             with self._mutex:
                 reg.nodes = list(new_nodes)
-                self._moves += 1
+            self._moves.inc()
             # Retire the old primary if it lost the role: demote first
             # (a replica never compacts — compacting a log another
             # process is appending to would orphan its writes), then
@@ -603,8 +589,7 @@ class ClusterFrontend:
             try:
                 admission.admit(request.venue)
             except OverloadedError:
-                with self._mutex:
-                    self._rejected += 1
+                self._rejected.inc()
                 raise
         try:
             handle = (self._read_handle(reg) if is_read
@@ -619,8 +604,7 @@ class ClusterFrontend:
         if admitted:
             future.add_done_callback(
                 lambda _f, venue=request.venue: admission.release(venue))
-        with self._mutex:
-            self._submitted += 1
+        self._submitted.inc()
         return future
 
     def _primary_handle(self, venue_id: str, reg: _Registration) -> ShardProcess:
@@ -653,8 +637,8 @@ class ClusterFrontend:
             if reg is None or reg.nodes[0] != dead or target not in reg.nodes:
                 return  # raced with another promoter or a relocation
             reg.nodes = [target] + [n for n in reg.nodes if n != target]
-            self._promotions += 1
             payload = self._role_payload(reg.payload, 0)
+        self._promotions.inc()
         handle = self._handle(target)
         if handle is not None and handle.alive:
             try:
@@ -733,26 +717,27 @@ class ClusterFrontend:
         return written
 
     def stats(self) -> ClusterStats:
-        """Local cluster counters (no worker round-trips — see
-        :meth:`shard_stats` for the workers' own view)."""
+        """Local cluster counters, read from the cluster's registry
+        series (no worker round-trips — see :meth:`shard_stats` for
+        the workers' own view)."""
         with self._mutex:
             by_shard: dict[int, int] = {}
             for reg in self._registrations.values():
                 primary = reg.nodes[0]
                 by_shard[primary] = by_shard.get(primary, 0) + 1
-            return ClusterStats(
-                shards=len(self._handles),
-                alive=sum(1 for h in self._handles.values()
-                          if h is not None and h.alive),
-                venues=len(self._registrations),
-                submitted=self._submitted,
-                rejected=self._rejected,
-                restarts=self._restarts,
-                replication=self.replication,
-                promotions=self._promotions,
-                moves=self._moves,
-                by_shard=by_shard,
-            )
+            shards, venues = len(self._handles), len(self._registrations)
+        return ClusterStats(
+            shards=shards,
+            alive=len(self._live_handles()),
+            venues=venues,
+            submitted=self._submitted.value,
+            rejected=self._rejected.value,
+            restarts=self._restarts.value,
+            replication=self.replication,
+            promotions=self._promotions.value,
+            moves=self._moves.value,
+            by_shard=by_shard,
+        )
 
     def shard_stats(self) -> list[dict]:
         """Each live shard's own stats document (pid, request counts,
@@ -777,15 +762,21 @@ class ClusterFrontend:
         """One merged, summarized metrics snapshot for the cluster.
 
         Merges the frontend's own registry (cluster counters,
-        respawn/move durations) with every live shard's registry
+        respawn/move durations), the admission controller's when it
+        keeps its own, and every live shard's registry
         (engine/router/oplog/shard series) — counters and histogram
         buckets add, gauges combine by their aggregation policy — and
         annotates each histogram with ``p50``/``p95``/``p99``/``mean``.
         The result is JSON-safe: ship it, or render it with
         :func:`~repro.obs.render_prometheus`.
         """
+        self._alive_gauge.set(len(self._live_handles()))
+        own = [self.registry]
+        admission = self.admission
+        if admission is not None and admission.registry is not self.registry:
+            own.append(admission.registry)
         return summarize(merge_snapshots(
-            [self.registry.snapshot()] + self.shard_metrics()
+            [reg.snapshot() for reg in own] + self.shard_metrics()
         ))
 
     # ------------------------------------------------------------------

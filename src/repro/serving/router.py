@@ -61,7 +61,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 #: reusable no-op context for untraced requests (stateless, reentrant)
@@ -71,9 +71,8 @@ from ..core.results import QueryStats
 from ..engine.engine import QueryEngine
 from ..exceptions import ServingError, SnapshotError
 from ..model.indoor_space import IndoorSpace
-from ..obs.registry import counter_entry, gauge_entry
+from ..obs.registry import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog
-from ..obs.stats import StatsDoc
 from ..obs.tracing import current_observation
 from ..storage.catalog import SnapshotCatalog
 from ..storage.oplog import OpLog, oplog_path
@@ -120,24 +119,10 @@ class _VenueLog:
         self.synced_sig = object()  # never equals a real signature
 
 
-def _collect_router_stats(router: "VenueRouter"):
-    """Registry collector: export :class:`RouterStats` counters as
-    registry metrics (weakly held; see
-    :meth:`~repro.obs.registry.MetricsRegistry.register_collector`)."""
-    s = router.stats()
-    yield counter_entry("router_requests_total", s.requests)
-    yield counter_entry("router_warm_starts_total", s.warm_starts)
-    yield counter_entry("router_evictions_total", s.evictions)
-    yield counter_entry("router_write_backs_total", s.write_backs)
-    yield counter_entry("router_log_appends_total", s.log_appends)
-    yield counter_entry("router_log_replays_total", s.log_replays)
-    yield gauge_entry("router_venues", s.venues, agg="sum")
-    yield gauge_entry("router_pooled_engines", s.pooled, agg="sum")
-
-
 @dataclass(slots=True)
-class RouterStats(StatsDoc):
-    """Point-in-time router counters (monotone except ``pooled``)."""
+class RouterStats:
+    """Point-in-time router counters (monotone except ``venues`` and
+    ``pooled``): a view of the router's registry series."""
 
     venues: int = 0
     pooled: int = 0
@@ -149,7 +134,6 @@ class RouterStats(StatsDoc):
     log_appends: int = 0
     #: operations replayed from venue logs (warm starts and catch-up)
     log_replays: int = 0
-    by_venue: dict = field(default_factory=dict)
 
 
 class VenueRouter:
@@ -165,13 +149,14 @@ class VenueRouter:
         mmap: memory-map snapshot binary sections on warm start instead
             of copying them into each engine — the shard worker turns
             this on so sibling engines of one venue share page cache.
-        registry: optional
-            :class:`~repro.obs.registry.MetricsRegistry`. When set, the
-            router times warm starts / write-backs / flush cycles /
-            oplog appends into latency histograms, exports its
-            :class:`RouterStats` counters via a weakly-held collector,
-            and forwards the registry to every engine it warm-starts
-            (so their query latency lands in the same snapshot).
+        registry: the :class:`~repro.obs.registry.MetricsRegistry`
+            the router counts into (the ``router_*_total`` series that
+            :meth:`stats` reads back) and times warm starts /
+            write-backs / flush cycles / oplog appends into; a private
+            one when not given. A given registry is also forwarded to
+            every engine the router warm-starts (so their query
+            latency lands in the same snapshot); without one the
+            engines stay bare.
         slow_query_threshold: seconds; when set, every request is
             timed and those at or above the threshold emit one
             structured :class:`~repro.obs.slowlog.SlowQueryLog` record
@@ -204,21 +189,24 @@ class VenueRouter:
         self.default_kind = kind
         self.mmap = bool(mmap)
         engine_kwargs["thread_safe"] = True
-        self.registry = registry
-        if registry is not None:
-            engine_kwargs.setdefault("registry", registry)
-            self._warm_start_timer = registry.histogram("router_warm_start_seconds")
-            self._write_back_timer = registry.histogram("router_write_back_seconds")
-            self._flush_timer = registry.histogram("router_flush_seconds")
-            self._oplog_timer = registry.histogram("oplog_append_seconds")
-            self._slow_counter = registry.counter("router_slow_queries_total")
-            registry.register_collector(self, _collect_router_stats)
-        else:
-            self._warm_start_timer = None
-            self._write_back_timer = None
-            self._flush_timer = None
-            self._oplog_timer = None
-            self._slow_counter = None
+        engine_kwargs.setdefault("registry", registry)
+        self.registry = registry = (registry if registry is not None
+                                    else MetricsRegistry())
+        self._warm_start_timer = registry.histogram("router_warm_start_seconds")
+        self._write_back_timer = registry.histogram("router_write_back_seconds")
+        self._flush_timer = registry.histogram("router_flush_seconds")
+        self._oplog_timer = registry.histogram("oplog_append_seconds")
+        self._slow_counter = registry.counter("router_slow_queries_total")
+        self._requests = registry.counter("router_requests_total")
+        self._warm_starts = registry.counter("router_warm_starts_total")
+        self._evictions = registry.counter("router_evictions_total")
+        self._write_backs = registry.counter("router_write_backs_total")
+        self._log_appends = registry.counter("router_log_appends_total")
+        self._log_replays = registry.counter("router_log_replays_total")
+        self._venues_gauge = registry.gauge("router_venues", agg="sum")
+        self._pooled_gauge = registry.gauge("router_pooled_engines", agg="sum")
+        self._venues_gauge.set(0)
+        self._pooled_gauge.set(0)
         self.slowlog = (
             SlowQueryLog(slow_query_threshold, path=slowlog_path)
             if slow_query_threshold is not None else None
@@ -231,13 +219,6 @@ class VenueRouter:
         self._venues: dict[str, _VenueSlot] = {}
         self._engines: OrderedDict[str, QueryEngine] = OrderedDict()
         self._inflight: dict[str, int] = {}
-        self._requests = 0
-        self._warm_starts = 0
-        self._evictions = 0
-        self._write_backs = 0
-        self._log_appends = 0
-        self._log_replays = 0
-        self._by_venue: dict[str, int] = {}
         # Per-venue log state, created lazily on first access.
         # Guarded by its own tiny lock so log bookkeeping never contends
         # with the pool mutex.
@@ -277,6 +258,7 @@ class VenueRouter:
                           objects=objects, builder=builder, role=role)
         with self._mutex:
             self._venues[venue_id] = slot
+            self._venues_gauge.set(len(self._venues))
         return venue_id
 
     def remove_venue(self, venue_id: str) -> bool:
@@ -290,10 +272,12 @@ class VenueRouter:
         with self._mutex:
             slot = self._venues.pop(venue_id, None)
             engine = self._engines.pop(venue_id, None)
-            if engine is not None and slot is not None:
-                if self._write_back(venue_id, engine, slot):
-                    self._write_backs += 1
+            if engine is not None:
+                self._write_back(venue_id, engine, slot)
+                self._retire(engine)
             self._saved_updates.pop(venue_id, None)
+            self._venues_gauge.set(len(self._venues))
+            self._pooled_gauge.set(len(self._engines))
         with self._log_guard:
             state = self._logs.pop(venue_id, None)
         if state is not None:
@@ -352,11 +336,8 @@ class VenueRouter:
 
         # Warm start outside the router mutex: the catalog slot lock
         # serializes concurrent builds of the same venue.
-        if self._warm_start_timer is None:
+        with self._warm_start_timer.time():
             fresh = self._warm_start(venue_id, slot)
-        else:
-            with self._warm_start_timer.time():
-                fresh = self._warm_start(venue_id, slot)
         with self._mutex:
             engine = self._engines.get(venue_id)
             if engine is None:
@@ -365,10 +346,12 @@ class VenueRouter:
                 # the fresh engine's update counter restarts at zero:
                 # reset the venue's persisted-updates watermark with it
                 self._saved_updates.pop(venue_id, None)
-                self._warm_starts += 1
+                self._warm_starts.inc()
                 self._evict_idle_locked()
+                self._pooled_gauge.set(len(self._engines))
             else:
                 self._engines.move_to_end(venue_id)  # lost the race: share theirs
+                self._retire(fresh)
             if pin:
                 self._inflight[venue_id] = self._inflight.get(venue_id, 0) + 1
             return engine, pin
@@ -424,9 +407,16 @@ class VenueRouter:
             if victim is None:
                 return  # everything busy: soft bound, retry on next insert
             engine = self._engines.pop(victim)
-            self._evictions += 1
-            if self._write_back(victim, engine, self._venues.get(victim)):
-                self._write_backs += 1
+            self._evictions.inc()
+            self._write_back(victim, engine, self._venues.get(victim))
+            self._retire(engine)
+
+    @staticmethod
+    def _retire(engine: QueryEngine) -> None:
+        """Fold a dropped engine's counts into permanent registry
+        counters, so no ``engine_*_total`` series falls when it goes."""
+        if engine.registry is not None:
+            engine.registry.retire(engine)
 
     def _write_back(self, venue_id: str, engine: QueryEngine,
                     slot: _VenueSlot | None) -> bool:
@@ -458,8 +448,8 @@ class VenueRouter:
                 saved_version = engine.objects.version
             state.log.compact(saved_version)
         self._saved_updates[venue_id] = updates
-        if self._write_back_timer is not None:
-            self._write_back_timer.observe(perf_counter() - start)
+        self._write_backs.inc()
+        self._write_back_timer.observe(perf_counter() - start)
         return True
 
     # ------------------------------------------------------------------
@@ -470,9 +460,7 @@ class VenueRouter:
             state = self._logs.get(venue_id)
             if state is None:
                 path = oplog_path(self.catalog.path_for(slot.space, slot.kind))
-                observe = (self._oplog_timer.observe
-                           if self._oplog_timer is not None else None)
-                state = _VenueLog(OpLog(path, observe=observe))
+                state = _VenueLog(OpLog(path, observe=self._oplog_timer.observe))
                 self._logs[venue_id] = state
             return state
 
@@ -485,11 +473,7 @@ class VenueRouter:
         for record in records:
             engine.update(record.op)
         state.synced_sig = state.log.tail_signature()
-        if records:
-            # not the router mutex: flush holds it while waiting on the
-            # log lock, and the caller holds the log lock right now
-            with self._log_guard:
-                self._log_replays += len(records)
+        self._log_replays.inc(len(records))
         return len(records)
 
     def _catch_up_locked(self, engine: QueryEngine, state: _VenueLog) -> None:
@@ -554,8 +538,7 @@ class VenueRouter:
             result = self._execute(request, stats, trace)
         seconds = perf_counter() - start
         if slowlog is not None and seconds >= slowlog.threshold:
-            if self._slow_counter is not None:
-                self._slow_counter.inc()
+            self._slow_counter.inc()
             slowlog.record(
                 venue=request.venue,
                 kind=request.kind,
@@ -591,9 +574,8 @@ class VenueRouter:
     def _execute(self, request: ServingRequest, stats=None, trace=None):
         engine, pinned = self._acquire(request.venue, pin=True)
         try:
+            self._requests.inc()
             with self._mutex:
-                self._requests += 1
-                self._by_venue[request.venue] = self._by_venue.get(request.venue, 0) + 1
                 slot = self._venues.get(request.venue)
             if slot is not None and engine.objects is not None:
                 state = self._log_state(request.venue, slot)
@@ -665,8 +647,7 @@ class VenueRouter:
                 # read serves the unacknowledged op.
                 self._refresh_engine(request.venue, engine)
             raise
-        with self._log_guard:
-            self._log_appends += 1
+        self._log_appends.inc()
         return result
 
     def _refresh_engine(self, venue_id: str, stale: QueryEngine) -> QueryEngine:
@@ -676,6 +657,8 @@ class VenueRouter:
             if self._engines.get(venue_id) is stale:
                 del self._engines[venue_id]
                 self._saved_updates.pop(venue_id, None)
+                self._pooled_gauge.set(len(self._engines))
+        self._retire(stale)
         # pin accounting is per venue, not per engine object — the pin
         # taken on the stale engine keeps guarding the fresh one
         engine, _ = self._acquire(venue_id, pin=False)
@@ -705,9 +688,7 @@ class VenueRouter:
             for venue_id, engine in items:
                 if self._write_back(venue_id, engine, self._venues.get(venue_id)):
                     written += 1
-                    self._write_backs += 1
-        if self._flush_timer is not None:
-            self._flush_timer.observe(perf_counter() - start)
+        self._flush_timer.observe(perf_counter() - start)
         return written
 
     # ------------------------------------------------------------------
@@ -765,23 +746,23 @@ class VenueRouter:
             state.log.close()
 
     def stats(self) -> RouterStats:
-        """A consistent snapshot of router counters.
+        """The router's counters, read from its registry series, plus
+        its current registration and pool sizes.
 
-        Thread safety: taken under the router mutex — safe and
-        consistent at any time.
+        Thread safety: safe at any time; each counter is read whole.
         """
         with self._mutex:
-            return RouterStats(
-                venues=len(self._venues),
-                pooled=len(self._engines),
-                requests=self._requests,
-                warm_starts=self._warm_starts,
-                evictions=self._evictions,
-                write_backs=self._write_backs,
-                log_appends=self._log_appends,
-                log_replays=self._log_replays,
-                by_venue=dict(self._by_venue),
-            )
+            venues, pooled = len(self._venues), len(self._engines)
+        return RouterStats(
+            venues=venues,
+            pooled=pooled,
+            requests=self._requests.value,
+            warm_starts=self._warm_starts.value,
+            evictions=self._evictions.value,
+            write_backs=self._write_backs.value,
+            log_appends=self._log_appends.value,
+            log_replays=self._log_replays.value,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats()

@@ -48,13 +48,13 @@ import threading
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from time import perf_counter
 
 from ..exceptions import ProtocolError, ServingError
 from ..model.io_json import objects_from_dict, space_from_dict
-from ..obs import MetricsRegistry, Observation, StatsDoc, Trace, observing
+from ..obs import MetricsRegistry, Observation, Trace, observing
 from ..storage.catalog import SnapshotCatalog
 from .protocol import (
     CONTROL_KINDS,
@@ -86,7 +86,7 @@ _NO_SPAN = nullcontext()
 
 
 @dataclass(slots=True)
-class FlusherStats(StatsDoc):
+class FlusherStats:
     """Point-in-time counters of a shard's background flusher."""
 
     interval: float = 0.0
@@ -96,13 +96,14 @@ class FlusherStats(StatsDoc):
 
 
 @dataclass(slots=True)
-class ShardStats(StatsDoc):
+class ShardStats:
     """The typed schema behind a shard's ``stats`` control reply.
 
-    ``log_positions`` maps venue id to the object-set version this
-    shard has applied — replica lag is visible by diffing these across
-    a venue's shards. ``flusher`` is ``None`` when the periodic flusher
-    is disabled.
+    ``requests`` counts completed requests — the sum of the shard's
+    ``shard_request_seconds{kind}`` counts. ``log_positions`` maps
+    venue id to the object-set version this shard has applied —
+    replica lag is visible by diffing these across a venue's shards.
+    ``flusher`` is ``None`` when the periodic flusher is disabled.
     """
 
     shard: int
@@ -174,7 +175,6 @@ class ShardWorker:
         #: per-kind ``shard_request_seconds`` timers (single-threaded
         #: worker — a plain dict is enough)
         self._request_timers: dict = {}
-        self.requests = 0
         #: armed ``crash_after_n_ops`` countdown (``None`` = disarmed):
         #: how many more updates to serve before dying on the next one
         self.crash_after: int | None = None
@@ -191,7 +191,6 @@ class ShardWorker:
         here. Raises on failure — the serve loop turns exceptions into
         :class:`~repro.serving.protocol.ErrorResponse` frames.
         """
-        self.requests += 1
         kind = request.kind
         if kind not in CONTROL_KINDS:
             return self.router.execute(request)
@@ -217,10 +216,10 @@ class ShardWorker:
                     "venues": len(self.router.venue_ids())}
         if kind == "stats":
             flusher = self._flusher
-            return ShardStats(
+            return asdict(ShardStats(
                 shard=self.shard_id,
                 pid=os.getpid(),
-                requests=self.requests,
+                requests=sum(t.count for t in self._request_timers.values()),
                 router=self.router.stats(),
                 log_positions=self.router.log_positions(),
                 flusher=None if flusher is None else FlusherStats(
@@ -229,7 +228,7 @@ class ShardWorker:
                     written=flusher.written,
                     errors=flusher.errors,
                 ),
-            ).to_doc()
+            ))
         if kind == "metrics":
             return self.registry.snapshot()
         if kind == "inject_latency":

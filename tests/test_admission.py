@@ -275,17 +275,22 @@ def test_rejections_are_exported_to_the_registry():
                      (("reason", "rate"), ("venue", label)))] == 1
 
 
-def test_stats_by_venue_round_trips():
+def test_stats_view_reads_the_venue_series():
+    """Built without a registry, the controller still counts — into a
+    private one — and ``stats`` reads those series back."""
     clock = FakeClock()
     controller = AdmissionController(max_queue_depth=1, clock=clock)
     controller.admit("v1")
     with pytest.raises(OverloadedError):
         controller.admit("v1")
-    docs = controller.stats_by_venue()
-    assert docs["v1"] == {
-        "admitted": 1, "rejected_rate": 0, "rejected_depth": 1,
-        "rejected": 1, "in_flight": 1,
-    }
+    stats = controller.stats("v1")
+    assert (stats.admitted, stats.rejected_rate, stats.rejected_depth,
+            stats.rejected, stats.in_flight) == (1, 0, 1, 1, 1)
+    counters = {(c["name"], c["labels"].get("reason")): c["value"]
+                for c in controller.registry.snapshot()["counters"].values()}
+    assert counters == {("admission_admitted_total", None): 1,
+                        ("admission_rejected_total", "rate"): 0,
+                        ("admission_rejected_total", "depth"): 1}
 
 
 # ----------------------------------------------------------------------
@@ -342,9 +347,13 @@ class TestIdleEviction:
         controller.release("v")
         clock.advance(100.0)
         assert controller.evict_idle() == 1
+        assert controller.stats("v").admitted == 0  # no state, no view
         # fresh state: the full burst is available again immediately
         controller.admit("v")
         controller.admit("v")
+        # ... while the counts, which live in the registry, continue
+        stats = controller.stats("v")
+        assert (stats.admitted, stats.rejected_rate) == (4, 1)
 
     def test_sweep_is_amortized_not_per_admit(self):
         clock = FakeClock()

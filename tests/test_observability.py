@@ -18,8 +18,9 @@ import pytest
 
 from repro.core.results import QueryStats
 from repro.datasets import build_mall, build_office, random_objects, random_point
+from repro.datasets.multi_venue import multi_venue_streams
 from repro.engine import QueryEngine
-from repro.exceptions import ProtocolError
+from repro.exceptions import OverloadedError, ProtocolError
 from repro.model.io_json import canonical_dumps
 from repro.obs import (
     LATENCY_BUCKETS,
@@ -27,7 +28,10 @@ from repro.obs import (
     Observation,
     SlowQueryLog,
     Trace,
+    conservation_violations,
+    counter_entry,
     current_observation,
+    gauge_entry,
     merge_snapshots,
     metric_key,
     observing,
@@ -37,13 +41,15 @@ from repro.obs import (
     summarize,
 )
 from repro.serving import (
+    AdmissionController,
+    AsyncFrontDoor,
     ClusterFrontend,
-    ClusterStats,
     Request,
     Response,
     stats_from_doc,
     stats_to_doc,
 )
+from repro.serving.client import FrontDoorClient
 from repro.serving.protocol import (
     reply_from_doc,
     reply_to_doc,
@@ -119,6 +125,25 @@ class TestRegistry:
         assert p50 < 0.01 < p99
         assert p99 <= 0.9 + 1e-9
 
+    def test_retire_folds_a_collector_into_permanent_counters(self):
+        class Owner:
+            hits = 3
+
+        def collect(owner):
+            yield counter_entry("owner_hits_total", owner.hits)
+            yield gauge_entry("owner_ratio", 0.5)
+
+        reg = MetricsRegistry()
+        owner = Owner()
+        reg.register_collector(owner, collect)
+        reg.retire(owner)
+        owner.hits = 99  # counts made after retiring are not exported
+        reg.retire(owner)  # a second retire adds nothing
+        del owner
+        snap = reg.snapshot()
+        assert snap["counters"]["owner_hits_total"]["value"] == 3
+        assert "owner_ratio" not in snap["gauges"]
+
     def test_timer_context_records_one_observation(self):
         reg = MetricsRegistry()
         with reg.histogram("t").time():
@@ -154,6 +179,45 @@ class TestConcurrentRecording:
         assert sum(doc["counts"]) == threads * per_thread
         assert doc["sum"] == pytest.approx(threads * per_thread * 0.001)
         assert snap["counters"][metric_key("c", {})]["value"] == threads * per_thread
+
+    def test_concurrent_retires_count_each_owner_exactly_once(self):
+        """Threads retire the same owners while snapshotting: every
+        snapshot counts each owner once, through its collector or the
+        permanent counter, never both and never neither."""
+        import sys
+        import time
+
+        class Owner:
+            pass
+
+        def collect(_owner):
+            time.sleep(0.001)  # let another retire run between two locks
+            return [counter_entry("owned_total", 1)]
+
+        reg = MetricsRegistry()
+        owners = [Owner() for _ in range(10)]
+        for owner in owners:
+            reg.register_collector(owner, collect)
+        seen = []
+
+        def work():
+            for owner in owners:
+                reg.retire(owner)
+                seen.append(reg.snapshot()["counters"]["owned_total"]["value"])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work) for _ in range(8)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in pool)
+        assert set(seen) == {len(owners)}
+        assert reg.snapshot()["counters"]["owned_total"]["value"] == len(owners)
 
 
 class TestMergeSnapshots:
@@ -426,6 +490,41 @@ class TestServingInstrumentation:
         knn_key = metric_key("engine_query_seconds", {"kind": "knn"})
         assert snap["histograms"][knn_key]["count"] == 5
 
+    def test_engine_counters_never_fall_when_the_router_drops_an_engine(
+            self, tmp_path, open_router):
+        import gc
+
+        spaces = [build_mall("tiny", name="obs-drop-A"),
+                  build_office("tiny", name="obs-drop-B")]
+        reg = MetricsRegistry()
+        router = open_router(SnapshotCatalog(tmp_path), capacity=1,
+                             registry=reg)
+        ids = [router.add_venue(s, objects=random_objects(s, 6, seed=i))
+               for i, s in enumerate(spaces)]
+        rng = random.Random(3)
+
+        def knn(i):
+            router.execute(Request(venue=ids[i], kind="knn",
+                                   source=random_point(spaces[i], rng), k=2))
+
+        def counter(name):
+            gc.collect()  # a dropped engine must not take its counts along
+            snap = reg.snapshot()
+            return sum(e["value"] for e in snap["counters"].values()
+                       if e["name"] == name)
+
+        for _ in range(5):
+            knn(0)
+        assert counter("engine_knn_queries_total") == 5
+        knn(1)  # capacity 1: evicts venue A's engine
+        assert counter("engine_knn_queries_total") == 6
+        assert counter("router_requests_total") == 6
+        assert router.remove_venue(ids[1])
+        assert counter("engine_knn_queries_total") == 6
+        gauges = reg.snapshot()["gauges"]
+        assert gauges["router_pooled_engines"]["value"] == 0
+        assert gauges["router_venues"]["value"] == 1
+
     def test_router_slowlog_via_injected_latency(self, tmp_path, open_router):
         space = build_mall("tiny", name="obs-slow")
         objects = random_objects(space, 6, seed=4)
@@ -566,14 +665,20 @@ class TestClusterObservability:
 # Stats schema unification
 # ----------------------------------------------------------------------
 class TestStatsDocSchema:
-    def test_cluster_stats_doc_and_log_line(self):
-        stats = ClusterStats(shards=2, alive=2, venues=3, submitted=10,
-                             by_shard={0: 2, 1: 1})
-        doc = stats.to_doc()
-        assert doc["by_shard"] == {"0": 2, "1": 1}  # wire-safe keys
-        line = stats.log_line()
-        assert line.startswith("ClusterStats ")
-        assert "submitted=10" in line
+    def test_frontdoor_stats_reply_keeps_contract_keys(self, tmp_path):
+        """The front door's ``stats`` reply (``perfbench`` reads its
+        ``rejected``): exactly the ClusterStats fields, with the
+        ``by_shard`` keys as strings, as JSON carries them."""
+        space = build_mall("tiny", name="obs-door-keys")
+        with ClusterFrontend(tmp_path, shards=1, flush_interval=0) as cluster:
+            cluster.add_venue(space)
+            with AsyncFrontDoor(cluster) as door, \
+                    FrontDoorClient(door.address) as client:
+                doc = client.call(Request(venue="", kind="stats"))
+        assert set(doc) == {"shards", "alive", "venues", "submitted",
+                            "rejected", "restarts", "replication",
+                            "promotions", "moves", "by_shard"}
+        assert doc["by_shard"] == {"0": 1}
 
     def test_shard_stats_doc_keeps_contract_keys(self, tmp_path):
         space = build_mall("tiny", name="obs-keys")
@@ -582,11 +687,53 @@ class TestStatsDocSchema:
             docs = cluster.shard_stats()
         assert len(docs) == 1
         doc = docs[0]
-        for key in ("shard", "pid", "requests", "router", "log_positions",
-                    "flusher"):
-            assert key in doc
-        assert isinstance(doc["router"], dict)
-        assert "warm_starts" in doc["router"]
+        assert set(doc) == {"shard", "pid", "requests", "router",
+                            "log_positions", "flusher"}
+        assert set(doc["router"]) == {"venues", "pooled", "requests",
+                                      "warm_starts", "evictions",
+                                      "write_backs", "log_appends",
+                                      "log_replays"}
+        assert doc["requests"] == 1  # the add_venue; not this stats call
+
+
+# ----------------------------------------------------------------------
+# Conservation laws: counts of one piece of work agree across layers
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("capacity", [1, 8])
+def test_cluster_counters_obey_conservation_laws(tmp_path, capacity):
+    """A 2-shard cluster with admission serves a seeded mix over three
+    venues; at capacity 1 every venue switch evicts an engine, whose
+    counts must survive in the registry."""
+    spaces = [build_mall("tiny", name=f"obs-law-{i}") for i in range(3)]
+    pairs = [(s, random_objects(s, 8, seed=i)) for i, s in enumerate(spaces)]
+    streams = multi_venue_streams(pairs, 200, update_ratio=0.25, seed=13)
+    admission = AdmissionController(rate=200, burst=20)
+    with ClusterFrontend(tmp_path, shards=2, capacity=capacity,
+                         flush_interval=0, admission=admission) as cluster:
+        ids = [cluster.add_venue(s, objects=o) for s, o in pairs]
+        futures, shed = [], 0
+        for events in zip(*streams):
+            for vid, event in zip(ids, events):
+                try:
+                    futures.append(cluster.submit(Request.from_event(vid, event)))
+                except OverloadedError:
+                    shed += 1
+        cluster.drain()
+        for future in futures:
+            future.exception(timeout=60.0)  # settled; some updates may fail
+        snap = cluster.metrics()
+        stats = cluster.stats()
+
+    def total(name):
+        return sum(e["value"] for e in snap["counters"].values()
+                   if e["name"] == name)
+
+    assert shed > 0 and futures  # admission both shed and admitted
+    assert (total("cluster_rejected_total") == total("admission_rejected_total")
+            == stats.rejected == shed)
+    assert total("cluster_submitted_total") == len(futures)
+    assert total("engine_knn_queries_total") > 0
+    assert conservation_violations(snap) == []
 
 
 # ----------------------------------------------------------------------
