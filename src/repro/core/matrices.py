@@ -9,10 +9,14 @@ computed level-(l-1) distances. Because leaf matrices come from the full
 graph, all matrix distances are globally exact.
 
 This module also derives the **superior doors** of each partition
-(paper Definition 2) from the same Dijkstra shortest-path trees.
+(paper Definition 2) from the same Dijkstra shortest-path trees, and
+the per-leaf **door matrices** that answer same-leaf distances from the
+leaf tables (:func:`derive_leaf_door_matrix`).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..graph.adjacency import Graph
 from ..graph.dijkstra import dijkstra
@@ -176,3 +180,47 @@ def compute_group_table(level_graph: Graph, matrix_doors: list[int]) -> Distance
             fh = first_hop[y]
             table.set_entry(x, y, dist[y], NO_DOOR if fh == y else fh)
     return table
+
+
+def derive_leaf_door_matrix(d2d: Graph, table: DistanceTable) -> np.ndarray:
+    """Global distances between every pair of one leaf's doors.
+
+    ``table`` is the leaf's table: its rows are all the leaf's doors,
+    its columns the access doors, its entries global distances. The
+    result is a read-only ``(n, n)`` float64 array indexed like the
+    table's rows. Entry ``(d, d')`` is the smaller of two values:
+
+    * the shortest path over D2D edges among the leaf's doors
+      (Floyd-Warshall on the induced subgraph);
+    * ``min over access doors a of T[d, a] + T[d', a]``.
+
+    This is exact. A D2D edge joins two doors of one partition, so a
+    path that leaves the leaf's doors crosses an access door first;
+    there it splits into two legs the table already holds. Every
+    temporary is ``n x n`` (the min-plus step takes one access door at
+    a time), and the arithmetic is deterministic, so two threads that
+    derive the same leaf get equal arrays.
+    """
+    pos = table.row_index
+    n = table.num_rows
+    rows: list[int] = []
+    cols: list[int] = []
+    weights: list[float] = []
+    for i, d in enumerate(table.row_doors):
+        for v, w in d2d.neighbors(d):
+            j = pos.get(v)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+                weights.append(w)
+    m = np.full((n, n), np.inf)
+    m[rows, cols] = weights
+    np.fill_diagonal(m, 0.0)
+    for k in range(n):
+        np.minimum(m, m[:, k, None] + m[k], out=m)
+    t = table.dist_matrix
+    for j in range(table.num_cols):
+        col = t[:, j]
+        np.minimum(m, col[:, None] + col, out=m)
+    m.flags.writeable = False
+    return m

@@ -2,15 +2,21 @@
 
 Query endpoints are arbitrary :class:`~repro.model.entities.IndoorPoint`
 locations or door ids. When both endpoints fall in the same leaf, the
-distance comes from a Dijkstra expansion on the D2D graph (as in the
-paper); otherwise Algorithm 2 climbs the tree computing distances from
-each endpoint to the access doors of the children of the lowest common
-ancestor, and Algorithm 3 combines them through the LCA's matrix.
+paper expands a Dijkstra on the D2D graph; here the distance is read
+from the leaf's door matrix instead (:func:`same_leaf_matrix_distance`),
+which holds the same global door-to-door distances, and only path
+queries, which need the door sequence, keep the Dijkstra
+(:func:`same_leaf_distance`). Otherwise Algorithm 2 climbs the tree
+computing distances from each endpoint to the access doors of the
+children of the lowest common ancestor, and Algorithm 3 combines them
+through the LCA's matrix.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..exceptions import QueryError
 from ..graph.dijkstra import dijkstra
@@ -158,11 +164,46 @@ def get_distances(
     return known, pred, chain_map
 
 
+def leaf_door_distances(
+    tree: "IPTree", leaf_id: int, offsets: dict[int, float]
+) -> list[float]:
+    """Distances from a virtual source (``offsets``: door -> initial
+    distance, every door in the leaf) to every door of the leaf, indexed
+    like its table's rows: ``min over u of offsets[u] + M[u, v]`` over
+    the leaf's door matrix ``M``."""
+    pos = tree.nodes[leaf_id].table.row_index
+    rows = tree.leaf_door_matrix(leaf_id)[[pos[u] for u in offsets]]
+    offs = np.fromiter(offsets.values(), np.float64, len(offsets))
+    return np.min(rows + offs[:, None], axis=0).tolist()
+
+
+def same_leaf_matrix_distance(
+    tree: "IPTree", ea: Endpoint, eb: Endpoint, leaf_id: int
+) -> float:
+    """Distance when both endpoints lie in leaf ``leaf_id``, from the
+    leaf's door matrix (:func:`leaf_door_distances`), or the direct
+    segment when both are points in one partition."""
+    if ea.is_door and eb.is_door and ea.door == eb.door:
+        return 0.0
+    best = INF
+    if not ea.is_door and not eb.is_door and ea.partition == eb.partition:
+        best = tree.space.direct_point_distance(ea.point, eb.point)
+    dist = leaf_door_distances(tree, leaf_id, ea.offsets)
+    pos = tree.nodes[leaf_id].table.row_index
+    for dv, off in eb.offsets.items():
+        d = dist[pos[dv]] + off
+        if d < best:
+            best = d
+    return best
+
+
 def same_leaf_distance(
     tree: "IPTree", ea: Endpoint, eb: Endpoint
 ) -> tuple[float, dict[int, float], dict[int, int], int]:
-    """Distance when both endpoints share a leaf: Dijkstra on the D2D
-    graph with virtual sources (paper §3.1.1 first paragraph).
+    """Same-leaf path search: Dijkstra on the D2D graph with virtual
+    sources (paper §3.1.1 first paragraph). Path queries use it, because
+    they need the door sequence; distance queries read the leaf's door
+    matrix instead (:func:`same_leaf_matrix_distance`).
 
     Returns ``(distance, dist_map, parent_map, best_target_door)`` so the
     path query can reuse the expansion. ``best_target_door`` is -1 when
@@ -212,7 +253,7 @@ def shortest_distance(
     shared = set(ea.leaves) & set(eb.leaves)
     if shared:
         stats.same_leaf = True
-        best, _, _, _ = same_leaf_distance(tree, ea, eb)
+        best = same_leaf_matrix_distance(tree, ea, eb, min(shared))
         return DistanceResult(best, stats)
 
     leaf_a, leaf_b = ea.leaves[0], eb.leaves[0]

@@ -7,6 +7,13 @@ are derived incrementally from the parent's distances via the paper's
 Lemmas 8 and 9, so each node costs O(ρ²) instead of a full Algorithm 3
 run.
 
+Objects in the query's own leaf are the exception: the paper expands a
+Dijkstra on the D2D graph for them (§3.1.1). Here they are read from
+the leaf's door matrix instead (:meth:`_Search.query_leaf_distances`),
+which holds the same global distances, so the kNN/range path runs no
+Dijkstra at all. The answers agree with the paper's up to float
+association (ULP level).
+
 Result-set semantics: the k nearest objects under the lexicographic
 ``(distance, object_id)`` order. Objects tied at the k-th distance are
 therefore resolved deterministically — the smaller object id wins — and
@@ -15,7 +22,8 @@ orders.
 
 This module is the reference: :class:`repro.kernels.NumpyKernels`
 answers the same queries eagerly with numpy, reusing :class:`_Search`
-for the endpoint setup, and is asserted bit-identical against it.
+for the endpoint setup and the query leaf, and is asserted
+bit-identical against it.
 """
 
 from __future__ import annotations
@@ -24,9 +32,8 @@ import heapq
 from typing import TYPE_CHECKING
 
 from ..exceptions import QueryError
-from ..graph.dijkstra import dijkstra
 from .objects_index import ObjectIndex
-from .query_distance import Endpoint
+from .query_distance import Endpoint, leaf_door_distances
 from .results import Neighbor, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,6 +114,46 @@ class _Search:
         self.node_dists[child_id] = dists
         return dists
 
+    def query_leaf_distances(self) -> list[tuple[float, int]]:
+        """Exact ``(distance, object_id)`` for every object in the query
+        leaf, in no particular order.
+
+        The paper expands a Dijkstra on the D2D graph here (§3.1.1).
+        The leaf's door matrix (:meth:`IPTree.leaf_door_matrix`) already
+        holds the global distance between any two of the leaf's doors,
+        so q's distance to each door comes from it
+        (:func:`~repro.core.query_distance.leaf_door_distances`), and an
+        object's is the minimum over its room's doors of that plus the
+        door-to-object leg (or the direct segment when q shares the
+        room). The matrix reads are not counted into
+        :class:`QueryStats`. The numpy kernels call this same method, so
+        both paths get these distances bit for bit.
+        """
+        tree = self.tree
+        index = self.index
+        oids = index.objects_in_leaf(self.leaf_q)
+        if not oids:
+            return []
+        space = tree.space
+        endpoint = self.endpoint
+        pos = tree.nodes[self.leaf_q].table.row_index
+        qd = leaf_door_distances(tree, self.leaf_q, endpoint.offsets)
+        out = []
+        for oid in oids:
+            loc = index.objects[oid].location
+            pid = loc.partition_id
+            best = INF
+            for dv in space.partitions[pid].door_ids:
+                d = qd[pos[dv]] + space.point_to_door_distance(loc, dv)
+                if d < best:
+                    best = d
+            if not endpoint.is_door and pid == endpoint.partition:
+                direct = space.direct_point_distance(endpoint.point, loc)
+                if direct < best:
+                    best = direct
+            out.append((best, oid))
+        return out
+
     def leaf_object_distances(self, leaf_id: int, bound):
         """Exact object distances for one leaf, pruned by ``bound``.
 
@@ -116,89 +163,60 @@ class _Search:
 
         Yields ``(distance, object_id)`` pairs in ascending
         ``(distance, object_id)`` order for non-query leaves (the query
-        leaf's Dijkstra branch is unordered). Every yielded distance is
-        the object's exact minimum over all access doors, so consumers
-        may tighten the bound immediately. Entries *equal* to the bound
-        are kept — ties at the k-th distance must reach the caller.
+        leaf's are unordered). Every yielded distance is the object's
+        exact minimum over all access doors, so consumers may tighten
+        the bound immediately. Entries *equal* to the bound are kept —
+        ties at the k-th distance must reach the caller.
 
-        The leaf containing q is handled exactly with a Dijkstra
-        expansion on the D2D graph, stopped at the bound's value at
-        entry (``cutoff``). The cut is exact: an object within the bound
-        is reached through a door at or below it (the door-to-object leg
-        is non-negative), which the cut search settles with the same
-        float additions as an uncut one; an object beyond it is beyond
-        every later, tighter bound too. Other leaves merge the per-door
+        The leaf containing q is answered from its door matrix
+        (:meth:`query_leaf_distances`). Other leaves merge the per-door
         sorted object lists by ascending total distance and stop once
         the smallest outstanding total exceeds the bound.
         """
         if not callable(bound):
             fixed = bound
             bound = lambda: fixed  # noqa: E731
-        tree = self.tree
-        index = self.index
-        oids = index.objects_in_leaf(leaf_id)
-        if not oids:
-            return
         if leaf_id == self.leaf_q:
-            space = tree.space
-            targets: set[int] = set()
-            parts = {index.objects[oid].location.partition_id for oid in oids}
-            for pid in parts:
-                targets.update(space.partitions[pid].door_ids)
-            dist, _ = dijkstra(
-                tree.d2d, dict(self.endpoint.offsets), targets=targets, cutoff=bound()
-            )
-            for oid in oids:
-                obj = index.objects[oid]
-                pid = obj.location.partition_id
-                best = INF
-                for dv in space.partitions[pid].door_ids:
-                    d = dist.get(dv, INF) + space.point_to_door_distance(obj.location, dv)
-                    if d < best:
-                        best = d
-                if (
-                    not self.endpoint.is_door
-                    and pid == self.endpoint.partition
-                ):
-                    direct = space.direct_point_distance(self.endpoint.point, obj.location)
-                    if direct < best:
-                        best = direct
-                if best <= bound():
-                    yield best, oid
-        else:
-            dq = self.node_dists[leaf_id]
-            # k-way merge of the per-door sorted lists by ascending total
-            # distance. The first time an object id surfaces, that total
-            # is its exact minimum (all later occurrences are >=), so it
-            # can be yielded immediately and the caller's bound tightens
-            # before the next pop.
-            lists = index.access_lists[leaf_id]
-            stats = self.stats
-            seqs = []
-            bases = []
-            heap: list[tuple[float, int, int, int]] = []
-            for si, (a, base) in enumerate(dq.items()):
-                lst = lists[a]
-                seqs.append(lst)
-                bases.append(base)
-                if lst:
-                    d0, o0 = lst[0]
-                    heap.append((base + d0, o0, si, 0))
-            heapq.heapify(heap)
-            seen: set[int] = set()
-            while heap:
-                total, oid, si, i = heapq.heappop(heap)
-                if total > bound():
-                    break
-                stats.list_entries_scanned += 1
-                if oid not in seen:
-                    seen.add(oid)
-                    yield total, oid
-                i += 1
-                lst = seqs[si]
-                if i < len(lst):
-                    d, o = lst[i]
-                    heapq.heappush(heap, (bases[si] + d, o, si, i))
+            for d, oid in self.query_leaf_distances():
+                if d <= bound():
+                    yield d, oid
+            return
+        index = self.index
+        if not index.objects_in_leaf(leaf_id):
+            return
+        dq = self.node_dists[leaf_id]
+        # k-way merge of the per-door sorted lists by ascending total
+        # distance. The first time an object id surfaces, that total
+        # is its exact minimum (all later occurrences are >=), so it
+        # can be yielded immediately and the caller's bound tightens
+        # before the next pop.
+        lists = index.access_lists[leaf_id]
+        stats = self.stats
+        seqs = []
+        bases = []
+        heap: list[tuple[float, int, int, int]] = []
+        for si, (a, base) in enumerate(dq.items()):
+            lst = lists[a]
+            seqs.append(lst)
+            bases.append(base)
+            if lst:
+                d0, o0 = lst[0]
+                heap.append((base + d0, o0, si, 0))
+        heapq.heapify(heap)
+        seen: set[int] = set()
+        while heap:
+            total, oid, si, i = heapq.heappop(heap)
+            if total > bound():
+                break
+            stats.list_entries_scanned += 1
+            if oid not in seen:
+                seen.add(oid)
+                yield total, oid
+            i += 1
+            lst = seqs[si]
+            if i < len(lst):
+                d, o = lst[i]
+                heapq.heappush(heap, (bases[si] + d, o, si, i))
 
 
 def contributing_leaves(search: _Search, bound: float) -> frozenset:

@@ -22,7 +22,9 @@ class QueryStats:
     #: (kNN/range); the live pruning bound shrinks this as results
     #: tighten mid-leaf
     list_entries_scanned: int = 0
-    #: True when the query was answered by the same-leaf Dijkstra fallback
+    #: True when both endpoints share a leaf: a distance query then
+    #: reads the leaf's door matrix, a path query runs a Dijkstra on the
+    #: D2D graph
     same_leaf: bool = False
     #: True when the engine answered from its result/distance cache
     #: (the other counters then describe zero work — the cached entry's

@@ -4,7 +4,9 @@ The tree combines adjacent indoor partitions into leaf nodes, then
 iteratively merges adjacent nodes (Algorithm 1) until a single root
 remains. Every node stores its access doors and a distance matrix
 (:mod:`repro.core.table`); leaves additionally know their partitions and
-every partition knows its superior doors.
+every partition knows its superior doors. Each leaf's door-to-door
+matrix (:func:`~repro.core.matrices.derive_leaf_door_matrix`) is
+derived from its table on first use and cached on the tree.
 
 Query processing lives in :mod:`repro.core.query_distance`,
 :mod:`repro.core.query_path`, :mod:`repro.core.query_knn` and
@@ -22,7 +24,12 @@ from ..model.d2d import build_d2d_graph
 from ..model.entities import DEFAULT_DELTA
 from ..model.indoor_space import IndoorSpace
 from .leaves import build_leaves, leaf_access_doors, leaf_door_sets
-from .matrices import build_level_graph, compute_group_table, compute_leaf_tables
+from .matrices import (
+    build_level_graph,
+    compute_group_table,
+    compute_leaf_tables,
+    derive_leaf_door_matrix,
+)
 from .merging import create_next_level, merged_access_doors
 from .table import DistanceTable
 
@@ -101,6 +108,8 @@ class IPTree:
         for node in nodes:
             if node.is_leaf:
                 self._chains[node.nid] = self._compute_chain(node.nid)
+        # leaf id -> door matrix, derived on first use (never snapshotted)
+        self._door_matrices: dict = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -363,6 +372,23 @@ class IPTree:
     def leaf_of_point_partition(self, partition_id: int) -> int:
         return self.leaf_node_of_partition[partition_id]
 
+    def leaf_door_matrix(self, leaf_id: int):
+        """Global distances among all doors of a leaf, indexed like its
+        table's rows (``table.row_index``); see
+        :func:`~repro.core.matrices.derive_leaf_door_matrix`.
+
+        Derived on first use and cached by leaf id. Readers take no
+        lock: threads racing on a first use derive equal arrays, and
+        ``setdefault`` keeps exactly one of them.
+        """
+        m = self._door_matrices.get(leaf_id)
+        if m is None:
+            table = self.nodes[leaf_id].table
+            m = self._door_matrices.setdefault(
+                leaf_id, derive_leaf_door_matrix(self.d2d, table)
+            )
+        return m
+
     def lca_info(self, leaf_a: int, leaf_b: int) -> tuple[int, int, int]:
         """Lowest common ancestor of two leaves.
 
@@ -447,20 +473,26 @@ class IPTree:
         )
 
     def memory_bytes(self) -> int:
-        """Index storage estimate (tables + structure), excluding the D2D
-        graph (reported separately, as the paper's Fig 8(b) does for the
-        common substrate)."""
+        """Index storage estimate (tables + leaf door matrices +
+        structure), excluding the D2D graph (reported separately, as the
+        paper's Fig 8(b) does for the common substrate). Every leaf's
+        door matrix counts 8 bytes per door pair whether or not it has
+        been derived yet, so the figure does not depend on the queries
+        run so far."""
         total = 0
         for node in self.nodes:
             if node.table is not None:
                 total += node.table.memory_bytes()
+                if node.is_leaf:
+                    total += 8 * node.table.num_rows ** 2
             total += 16 * (len(node.access_doors) + len(node.children) + len(node.partitions))
         total += 16 * sum(len(s) for s in self.superior_doors)
         total += 16 * self.space.num_doors  # door -> leaf maps
         return total
 
     def total_memory_bytes(self) -> int:
-        """Index + D2D graph (needed for same-leaf queries, §2.1.3)."""
+        """Index + D2D graph. The graph serves same-leaf path queries
+        (§2.1.3) and the derivation of the leaf door matrices."""
         return self.memory_bytes() + self.d2d.memory_bytes()
 
     # ------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 ``verify_tree`` audits a built IP-Tree / VIP-Tree against its venue:
 structural invariants (paper §2.1), matrix exactness on a sample of
-entries, superior-door soundness and VIP materialization consistency.
+entries (node tables and leaf door matrices), superior-door soundness
+and VIP materialization consistency.
 Downstream users can run it after loading venues from untrusted sources
 or after modifying construction parameters; the test suite uses it as a
 one-call integration check.
@@ -83,6 +84,8 @@ def _verify_access_doors(tree: IPTree, report: VerificationReport) -> None:
 
 
 def _verify_matrices(tree: IPTree, report: VerificationReport, samples: int) -> None:
+    """Sampled rows of every node table, and of every leaf's door matrix
+    (derived here if no query has derived it yet), against Dijkstra."""
     for node in tree.nodes:
         table = node.table
         if table is None:
@@ -91,15 +94,28 @@ def _verify_matrices(tree: IPTree, report: VerificationReport, samples: int) -> 
         if not table.is_complete():
             report.fail(f"node {node.nid} matrix incomplete")
             continue
-        for row in table.row_doors[:samples]:
+        door_matrix = tree.leaf_door_matrix(node.nid) if node.is_leaf else None
+        for i, row in enumerate(table.row_doors[:samples]):
             report.note()
-            dist, _ = dijkstra(tree.d2d, row, targets=set(table.col_doors))
+            targets = set(table.col_doors)
+            if door_matrix is not None:
+                targets.update(table.row_doors)
+            dist, _ = dijkstra(tree.d2d, row, targets=targets)
             for col in table.col_doors:
                 stored = table.distance(row, col)
                 if abs(stored - dist[col]) > 1e-6:
                     report.fail(
                         f"node {node.nid} entry ({row},{col}) = {stored}, "
                         f"oracle {dist[col]}"
+                    )
+                    break
+            if door_matrix is None:
+                continue
+            for j, col in enumerate(table.row_doors):
+                if abs(door_matrix[i, j] - dist[col]) > 1e-6:
+                    report.fail(
+                        f"leaf {node.nid} door matrix ({row},{col}) = "
+                        f"{door_matrix[i, j]}, oracle {dist[col]}"
                     )
                     break
 
@@ -141,7 +157,8 @@ def verify_tree(tree: IPTree, matrix_samples: int = 4) -> VerificationReport:
     Args:
         tree: an :class:`IPTree` or :class:`VIPTree`.
         matrix_samples: matrix rows (and VIP doors) sampled per node for
-            the exactness checks — the structural checks are exhaustive.
+            the exactness checks (table rows and leaf door-matrix rows) —
+            the structural checks are exhaustive.
     """
     report = VerificationReport()
     _verify_structure(tree, report)

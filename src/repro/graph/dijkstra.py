@@ -2,7 +2,7 @@
 
 All index-construction steps of the paper (§2.1.2) are phrased as
 "Dijkstra's like expansion until all doors in ... have been reached"; the
-query baselines (DistAw) and the same-leaf fallback of the trees are
+query baselines (DistAw) and the trees' same-leaf path queries are
 Dijkstra expansions with virtual sources. This module provides those
 primitives with early termination, parent tracking (for next-hop doors)
 and first-hop tracking (for the DistMx path matrix).
@@ -22,7 +22,6 @@ def dijkstra(
     graph: Graph,
     sources: dict[int, float] | int,
     targets: set[int] | None = None,
-    cutoff: float | None = None,
 ) -> tuple[dict[int, float], dict[int, int]]:
     """Single/multi-source Dijkstra with early termination.
 
@@ -33,7 +32,6 @@ def dijkstra(
             query point connected to the doors of its partition).
         targets: if given, the search stops once *all* targets are
             settled (paper: "until all doors in the node N are reached").
-        cutoff: if given, vertices farther than this are not settled.
 
     Returns:
         ``(dist, parent)`` dictionaries over settled vertices. ``parent``
@@ -60,8 +58,6 @@ def dijkstra(
         d, u, via = heapq.heappop(pq)
         if u in dist:
             continue
-        if cutoff is not None and d > cutoff:
-            break
         dist[u] = d
         parent[u] = via
         if remaining is not None:

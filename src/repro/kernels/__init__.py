@@ -18,13 +18,9 @@ many nodes the best-first reference would expand — this is where the
 single-thread speedup comes from, since fixture trees have ρ ≈ 5 and
 per-node calls cannot amortize numpy dispatch overhead.
 
-The objects in the query's own leaf still go through the reference's
-Dijkstra expansion on the D2D graph, stopped at the pruning bound the
-rest of the answer already fixes: the k-th smallest distance outside
-that leaf for kNN, the radius for range. At realistic leaf sizes
-(Men-2 ``paper``: 2,880 doors, 56 leaves) that expansion dominated a
-cache-miss query; the cut shrinks it to the doors within the bound, so
-its cost grows with k and the radius.
+The objects in the query's own leaf are read from that leaf's door
+matrix, by the very method the python reference calls
+(``_Search.query_leaf_distances``), so neither path runs a Dijkstra.
 
 Answers are **bit-identical** to the python reference (asserted by
 ``tests/test_kernels.py``): the vectorized expressions perform the same

@@ -14,11 +14,10 @@ a tolerance. The rules that make it hold:
   so the distances — and therefore the ``(distance,
   object_id)``-lexicographic result sets — are bit-identical to the
   best-first reference even though the traversal order differs;
-* the query leaf's Dijkstra branch is the reference code, reused, with
-  the pruning bound that the other leaves' distances fix (the k-th
-  smallest for kNN, the radius for range) as its cutoff. Every object
-  within the bound gets the same float additions as an uncut search;
-  the objects beyond it cannot enter the answer and keep distance INF.
+* the query leaf's objects come from the reference's own
+  :meth:`~repro.core.query_knn._Search.query_leaf_distances`, which
+  reads the leaf's door matrix; they overwrite whatever the access-list
+  scan combined for them.
 
 Instances cache derived array forms (the per-tree slot table, per-leaf
 eager propagation programs, and the global access-list entry arrays per
@@ -38,12 +37,6 @@ from ..exceptions import QueryError
 
 INF = float("inf")
 _INTP = np.intp
-
-
-def _kth_smallest(values, k: int) -> float:
-    """kNN's pruning bound over ``values``: the k-th smallest entry, INF
-    when there are fewer than k."""
-    return float(np.partition(values, k - 1)[k - 1]) if values.size >= k else INF
 
 
 class NumpyKernels:
@@ -193,7 +186,6 @@ class NumpyKernels:
             oid_l: list[int] = []
             dist_l: list[float] = []
             slot_l: list[int] = []
-            leaf_l: list[int] = []
             for leaf_id, per_door in index.access_lists.items():
                 base = slots[leaf_id]
                 for j, a in enumerate(doors[leaf_id]):
@@ -201,7 +193,6 @@ class NumpyKernels:
                         oid_l.append(oid)
                         dist_l.append(dd)
                         slot_l.append(base + j)
-                        leaf_l.append(leaf_id)
             n = len(oid_l)
             oids = np.asarray(oid_l, dtype=np.int64)
             if n:
@@ -209,44 +200,35 @@ class NumpyKernels:
                 oids = oids[order]
                 e_dist = np.asarray(dist_l, dtype=np.float64)[order]
                 e_slot = np.asarray(slot_l, dtype=_INTP)[order]
-                leaf_arr = np.asarray(leaf_l, dtype=np.int64)[order]
                 newgrp = np.empty(n, dtype=bool)
                 newgrp[0] = True
                 np.not_equal(oids[1:], oids[:-1], out=newgrp[1:])
                 starts = np.flatnonzero(newgrp).astype(_INTP)
                 uniq = oids[starts]
-                leaf_pos = {
-                    int(lid): np.flatnonzero(leaf_arr == lid).astype(_INTP)
-                    for lid in set(leaf_l)
-                }
             else:
                 e_dist = np.empty(0, dtype=np.float64)
                 e_slot = starts = np.empty(0, dtype=_INTP)
                 uniq = np.empty(0, dtype=np.int64)
-                leaf_pos = {}
             oid_pos = {int(o): i for i, o in enumerate(uniq.tolist())}
-            self._eg_ent = (uniq, e_dist, e_slot, starts, leaf_pos, oid_pos)
+            self._eg_ent = (uniq, e_dist, e_slot, starts, oid_pos)
             self._eg_ent_index = index
             self._eg_ent_version = index.version
         return self._eg_ent
 
-    def _eager_distances(self, search, bound_of):
-        """Distances to the objects as ``(distances, object_ids,
-        slot_vals)`` arrays, exact for every object the query can
-        return.
+    def _eager_distances(self, search):
+        """Exact distances to every object as ``(distances, object_ids,
+        slot_vals)`` arrays.
 
         Objects outside the query leaf go through the propagation
-        program first. ``bound_of`` maps their distance array (query-leaf
-        entries INF) to the pruning bound — the k-th smallest for kNN,
-        the radius for range — and the query leaf then goes through the
-        reference Dijkstra branch stopped at that bound: its objects
-        beyond the bound cannot enter the answer and keep distance INF.
+        program and the access-list scan; the query leaf's objects then
+        take the reference's door-matrix distances
+        (:meth:`~repro.core.query_knn._Search.query_leaf_distances`).
         ``slot_vals`` is the propagated per-(node, door) distance vector
         — the leaf-ball closure reads it."""
         tree = search.tree
         index = search.index
         self._eager_tree_state(tree)
-        uniq, e_dist, e_slot, starts, leaf_pos, oid_pos = self._eager_entries(index)
+        uniq, e_dist, e_slot, starts, oid_pos = self._eager_entries(index)
         chain_fill, level_ops = self._eager_program(tree, search.leaf_q)
         stats = search.stats
 
@@ -262,10 +244,6 @@ class NumpyKernels:
 
         if uniq.size:
             totals = vals[e_slot] + e_dist
-            qpos = leaf_pos.get(search.leaf_q)
-            if qpos is not None and qpos.size:
-                # the query leaf's objects are handled exactly below
-                totals[qpos] = INF
             dists = np.minimum.reduceat(totals, starts)
             stats.list_entries_scanned += int(totals.size)
         else:
@@ -273,15 +251,13 @@ class NumpyKernels:
 
         extra_d: list[float] = []
         extra_o: list[int] = []
-        if index.objects_in_leaf(search.leaf_q):
-            bound = bound_of(dists)  # from the other leaves' distances
-            for dd, oid in search.leaf_object_distances(search.leaf_q, bound):
-                pos = oid_pos.get(oid)
-                if pos is None:
-                    extra_d.append(dd)
-                    extra_o.append(oid)
-                else:
-                    dists[pos] = dd
+        for dd, oid in search.query_leaf_distances():
+            pos = oid_pos.get(oid)
+            if pos is None:  # no access-list entry: a leaf without access doors
+                extra_d.append(dd)
+                extra_o.append(oid)
+            else:
+                dists[pos] = dd
         if extra_d:
             dists = np.concatenate([dists, np.asarray(extra_d, dtype=np.float64)])
             oids = np.concatenate([uniq, np.asarray(extra_o, dtype=np.int64)])
@@ -321,9 +297,7 @@ class NumpyKernels:
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
         search = _Search(object_index.tree, object_index, query, ctx, stats)
-        dists, oids, vals = self._eager_distances(
-            search, lambda d: _kth_smallest(d, k)
-        )
+        dists, oids, vals = self._eager_distances(search)
         order = np.lexsort((oids, dists))[:k] if dists.size else np.empty(0, _INTP)
         if collect_leaves:
             # Fewer than k results: the effective kth-distance bound is
@@ -346,7 +320,7 @@ class NumpyKernels:
         if radius < 0:
             raise QueryError(f"radius must be non-negative, got {radius}")
         search = _Search(object_index.tree, object_index, query, ctx, stats)
-        dists, oids, vals = self._eager_distances(search, lambda _: radius)
+        dists, oids, vals = self._eager_distances(search)
         if collect_leaves:
             # The radius bound holds even for an empty answer: an insert
             # inside the ball could make the next answer non-empty.

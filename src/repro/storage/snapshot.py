@@ -549,7 +549,9 @@ def verify_snapshot(
       ``ObjectIndex``, when present, re-counts to the object set),
     * a handful of seeded door-to-door distances match a fresh
       :class:`~repro.baselines.oracle.DijkstraOracle` — a corrupted
-      matrix cannot hide behind a correct hash of corrupted bytes.
+      matrix cannot hide behind a correct hash of corrupted bytes. For
+      a tree, one of them joins two doors of one leaf, so the check
+      also reads a leaf door matrix derived on the loaded tree.
     """
     p = Path(path)
     if not deep:
@@ -579,13 +581,18 @@ def verify_snapshot(
     oracle = DijkstraOracle(snap.space, d2d)
     rng = random.Random(0)
     doors = range(snap.space.num_doors)
-    for _ in range(4):
-        a, b = rng.choice(doors), rng.choice(doors)
+    checks = [("doors", rng.choice(doors), rng.choice(doors)) for _ in range(4)]
+    if isinstance(snap.index, IPTree):
+        leaves = [n for n in snap.index.nodes if n.is_leaf and n.table.num_rows > 1]
+        if leaves:
+            a, b = rng.sample(rng.choice(leaves).table.row_doors, 2)
+            checks.insert(0, ("same-leaf doors", a, b))
+    for what, a, b in checks:
         got = snap.index.shortest_distance(a, b)
         want = oracle.shortest_distance(a, b)
         if abs(got - want) > 1e-6:
             raise SnapshotError(
                 f"{p}: loaded index answers diverge from the Dijkstra oracle "
-                f"(doors {a}->{b}: {got} != {want})"
+                f"({what} {a}->{b}: {got} != {want})"
             )
     return snap.info

@@ -1,7 +1,7 @@
 """Numpy kNN/range: bit-identity against the python reference,
-deterministic kNN tie-breaking, the live pruning bound, the query
-leaf's Dijkstra cut at that bound, and mmap'd snapshot loading
-(zero-copy views + per-section modification detection).
+deterministic kNN tie-breaking, the live pruning bound, the query leaf
+answered without a Dijkstra, and mmap'd snapshot loading (zero-copy
+views + per-section modification detection).
 
 The python query paths in :mod:`repro.core` are the oracle-checked
 reference; every test here asserts *exact* (``==``) equality of
@@ -13,12 +13,14 @@ kinds, and after random update streams.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import IndoorPoint, IPTree, ObjectIndex, UpdateOp, VIPTree, make_object_set
+from repro.baselines import DijkstraOracle
 from repro.core.query_knn import INF, _Search, knn
 from repro.core.query_range import range_query
 from repro.core.query_distance import shortest_distance
@@ -275,90 +277,71 @@ class TestLiveBound:
 
 
 # ----------------------------------------------------------------------
-# The query leaf's Dijkstra stops at the pruning bound
+# The query leaf is answered from its door matrix, without a Dijkstra
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def men2_small():
     """Men-2 at ``small`` scale (752 doors, 56 leaves): its leaves hold
-    tens of doors, so the query leaf's Dijkstra has room to stop early —
-    fixture leaves hold a few doors, and there the cut rarely bites."""
+    tens of doors, where a query-leaf Dijkstra would spread far beyond
+    the leaf — fixture leaves hold a few doors."""
     space = load_venue("Men-2", "small")
     return space, VIPTree.build(space)
 
 
-class _DijkstraProbe:
-    """Stands in for the ``dijkstra`` that :mod:`repro.core.query_knn`
-    calls: records each call's ``(cutoff, settled vertices, stopped
-    before settling every target)`` and, with ``cut=False``, runs the
-    search without its cutoff."""
+def _record_dijkstra(monkeypatch) -> list:
+    """Route every loaded ``repro`` module's ``dijkstra`` through a
+    recorder; returns the list that each call appends its sources to."""
+    calls: list = []
 
-    def __init__(self, cut: bool = True) -> None:
-        self.cut = cut
-        self.calls: list[tuple] = []
+    def probe(graph, sources, *args, **kwargs):
+        calls.append(sources)
+        return dijkstra(graph, sources, *args, **kwargs)
 
-    def __call__(self, graph, sources, targets=None, cutoff=None):
-        dist, parent = dijkstra(graph, sources, targets=targets,
-                                cutoff=cutoff if self.cut else None)
-        self.calls.append((cutoff, len(dist), not targets <= dist.keys()))
-        return dist, parent
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "dijkstra", None) is dijkstra:
+            monkeypatch.setattr(module, "dijkstra", probe)
+    return calls
 
 
-def _query_leaf_reach(tree, index, q):
-    """Reference distances from ``q`` to the objects outside its leaf
-    (ascending), and to the farthest door of a room holding an object
-    inside it: where an uncut query-leaf search stops."""
-    search = _Search(tree, index, q)
-    in_leaf = set(index.objects_in_leaf(search.leaf_q))
-    partitions = tree.space.partitions
-    doors = {d for oid in in_leaf
-             for d in partitions[index.objects[oid].location.partition_id].door_ids}
-    dist, _ = dijkstra(tree.d2d, dict(search.endpoint.offsets))
-    outside = [n.distance for n in range_query(tree, index, q, INF)
-               if n.object_id not in in_leaf]
-    return outside, max((dist[d] for d in doors), default=-INF)
-
-
-def test_query_leaf_dijkstra_stops_at_the_pruning_bound(men2_small, monkeypatch):
+def test_query_leaf_answers_without_a_dijkstra(men2_small, monkeypatch):
     space, tree = men2_small
     # the object density of the served benchmark (1,000 objects on
-    # Men-2 paper), so the k-th nearest object is often a neighbour leaf's
-    index = ObjectIndex(tree, random_objects(space, 300, seed=3))
+    # Men-2 paper), so query leaves hold objects
+    objects = random_objects(space, 300, seed=3)
+    index = ObjectIndex(tree, objects)
+    oracle = DijkstraOracle(space, tree.d2d)
     k = 10
-    # a query whose own leaf holds an object behind a door farther than
-    # the k-th nearest object outside the leaf: a cut search must stop
-    # before the uncut one
-    q, outside = next(
-        (p, outside) for p in sample_points(space, 20, seed=1)
-        for outside, reach in [_query_leaf_reach(tree, index, p)]
-        if len(outside) >= k and reach > outside[k - 1]
-    )
-    radius = outside[k - 1] / 2
-    reference = {"knn": knn(tree, index, q, k),
-                 "range": range_query(tree, index, q, radius)}
+    queries = [
+        p for p in sample_points(space, 20, seed=1)
+        if index.objects_in_leaf(tree.leaf_of_point_partition(p.partition_id))
+    ][:6]
+    assert queries
+    expected = []
+    for q in queries:
+        want_knn = oracle.knn(q, objects, k)
+        # halfway between the k-th and (k+1)-th distance: no object sits
+        # on the boundary, so ULP-level differences cannot move it
+        ranked = oracle.knn(q, objects, k + 1)
+        radius = (ranked[k - 1][0] + ranked[k][0]) / 2
+        expected.append((want_knn, radius, oracle.range_query(q, objects, radius)))
 
-    for kind, bound in (("knn", outside[k - 1]), ("range", radius)):
-        answers = []
-        probes = (_DijkstraProbe(), _DijkstraProbe(cut=False))
-        for probe in probes:
-            monkeypatch.setattr("repro.core.query_knn.dijkstra", probe)
-            kern = NumpyKernels()
-            answers.append(kern.knn(index, q, k) if kind == "knn"
-                           else kern.range_query(index, q, radius))
-        (cutoff, settled, _), = probes[0].calls
-        (_, settled_uncut, _), = probes[1].calls
-        assert cutoff == bound
-        assert settled < settled_uncut
-        assert answers[0] == answers[1] == reference[kind]
-
-    # the python reference's range query is cut at its radius too
-    probe = _DijkstraProbe()
-    monkeypatch.setattr("repro.core.query_knn.dijkstra", probe)
-    assert range_query(tree, index, q, radius) == reference["range"]
-    assert [cutoff for cutoff, _, _ in probe.calls] == [radius]
+    calls = _record_dijkstra(monkeypatch)
+    kern = NumpyKernels()
+    for q, (want_knn, radius, want_range) in zip(queries, expected):
+        got_knn = knn(tree, index, q, k)
+        assert kern.knn(index, q, k) == got_knn
+        got_range = range_query(tree, index, q, radius)
+        assert kern.range_query(index, q, radius) == got_range
+        for got, want in ((got_knn, want_knn), (got_range, want_range)):
+            assert [n.object_id for n in got] == [oid for _, oid in want]
+            assert [n.distance for n in got] == pytest.approx(
+                [d for d, _ in want], abs=1e-8
+            )
+    assert calls == []
 
 
 @pytest.mark.slow
-def test_men2_small_numpy_equals_python_under_updates(men2_small, monkeypatch):
+def test_men2_small_numpy_equals_python_under_updates(men2_small):
     """Kernel identity at realistic leaf size: fresh-endpoint kNN (k=10)
     and range reads interleaved with door-crossing moves, answered by
     both paths and compared with ``==``."""
@@ -368,17 +351,12 @@ def test_men2_small_numpy_equals_python_under_updates(men2_small, monkeypatch):
         mix={"knn": 0.7, "range": 0.3}, pool=None, k=10, seed=13,
         d2d=tree.d2d,
     )
-    probe = _DijkstraProbe()
-    monkeypatch.setattr("repro.core.query_knn.dijkstra", probe)
     answers = []
     for kernels in ("numpy", "python"):
         engine = QueryEngine(tree, random_objects(space, 200, seed=5),
                              kernels=kernels)
         answers.append(replay(engine, stream, batched=False)[0])
     assert answers[0] == answers[1]
-    # the stream exercises the cut: some query-leaf searches stopped at
-    # the bound before settling every door of their objects' rooms
-    assert any(stopped for _, _, stopped in probe.calls)
 
 
 # ----------------------------------------------------------------------
