@@ -5,18 +5,23 @@ For each object the index records the leaf node containing its
 partition; for each access door of a leaf it keeps the list of leaf
 objects sorted by distance from that door; and every tree node knows how
 many objects live in its subtree (branch-and-bound pruning skips empty
-nodes, Algorithm 5 line 10).
+nodes, Algorithm 5 line 10). It also keeps each object's *door legs*:
+its direct distance to every door of its partition, in ``door_ids``
+order. Embedding computes them anyway, and the query-leaf step of
+kNN/range reads them instead of recomputing them per query
+(:meth:`~repro.core.query_knn._Search.query_leaf_distances`).
 
 The index is **incrementally maintainable** — the paper attaches objects
 to leaves precisely so that insertion, deletion and movement are cheap
 (§3.4: "the objects can be easily inserted/deleted"). :meth:`insert`,
 :meth:`delete` and :meth:`move` update the leaf lists, the per-door
-sorted access lists (via bisect) and the subtree counts (bubbling the
-±1 delta up the leaf's ancestor chain) in place, in O(ρ · |leaf
-objects| + height) per update instead of an O(|O|) rebuild. All three
-mutate the underlying :class:`ObjectSet` too, so index and set never
-diverge; after any update sequence the index is structurally identical
-to one freshly built from the same set (asserted by the test suite).
+sorted access lists (via bisect), the door legs and the subtree counts
+(bubbling the ±1 delta up the leaf's ancestor chain) in place, in
+O(ρ · |leaf objects| + height) per update instead of an O(|O|) rebuild.
+All three mutate the underlying :class:`ObjectSet` too, so index and set
+never diverge; after any update sequence the index is structurally
+identical to one freshly built from the same set (asserted by the test
+suite).
 """
 
 from __future__ import annotations
@@ -57,6 +62,11 @@ class ObjectIndex:
         #: deletion locate its access-list entries with a bisect instead
         #: of a scan
         self._entries: dict[int, tuple[int, dict[int, float]]] = {}
+        #: object id -> door legs: its direct distance to each door of
+        #: its partition, in the partition's ``door_ids`` order. Written
+        #: only on insertion/deletion (under the engine's write lock),
+        #: so reads need no lock; never snapshotted
+        self.door_legs: dict[int, tuple[float, ...]] = {}
         #: update operations applied since construction (monotone)
         self.updates = 0
         for obj in objects:
@@ -70,23 +80,28 @@ class ObjectIndex:
     # ------------------------------------------------------------------
     # Construction / incremental maintenance
     # ------------------------------------------------------------------
-    def _door_distances(self, obj, leaf_id: int) -> dict[int, float]:
+    def _door_legs(self, location: IndoorPoint) -> tuple[float, ...]:
+        """The point's direct distance to each door of its partition, in
+        ``door_ids`` order."""
+        space = self.tree.space
+        return tuple(
+            space.point_to_door_distance(location, dv)
+            for dv in space.partitions[location.partition_id].door_ids
+        )
+
+    def _door_distances(self, obj, leaf_id: int, legs) -> dict[int, float]:
         """Exact dist(a, o) for every access door ``a`` of the leaf: leave
-        the object's partition through any of its doors (matrix distances
-        are globally exact)."""
+        the object's partition through any of its doors, paying that
+        door's leg (matrix distances are globally exact)."""
         tree = self.tree
-        space = tree.space
         node = tree.nodes[leaf_id]
         table = node.table
-        part_doors = space.partitions[obj.location.partition_id].door_ids
-        offsets = [
-            (dv, space.point_to_door_distance(obj.location, dv)) for dv in part_doors
-        ]
+        part_doors = tree.space.partitions[obj.location.partition_id].door_ids
         out: dict[int, float] = {}
         for a in node.access_doors:
             best = INF
-            for dv, off in offsets:
-                d = table.distance(dv, a) + off
+            for dv, leg in zip(part_doors, legs):
+                d = table.distance(dv, a) + leg
                 if d < best:
                     best = d
             out[a] = best
@@ -95,7 +110,8 @@ class ObjectIndex:
     def _register(self, obj, *, bubble_counts: bool = True) -> None:
         tree = self.tree
         leaf_id = tree.leaf_node_of_partition[obj.location.partition_id]
-        dists = self._door_distances(obj, leaf_id)
+        legs = self._door_legs(obj.location)
+        dists = self._door_distances(obj, leaf_id, legs)
         self.leaf_objects.setdefault(leaf_id, []).append(obj.object_id)
         per_door = self.access_lists.get(leaf_id)
         if per_door is None:
@@ -104,12 +120,14 @@ class ObjectIndex:
         for a, d in dists.items():
             insort(per_door[a], (d, obj.object_id))
         self._entries[obj.object_id] = (leaf_id, dists)
+        self.door_legs[obj.object_id] = legs
         if bubble_counts:
             for nid in tree.chain_of_leaf(leaf_id):
                 self.node_counts[nid] = self.node_counts.get(nid, 0) + 1
 
     def _unregister(self, object_id: int, *, bubble_counts: bool = True) -> int:
         leaf_id, dists = self._entries.pop(object_id)
+        del self.door_legs[object_id]
         self.leaf_objects[leaf_id].remove(object_id)
         per_door = self.access_lists[leaf_id]
         for a, d in dists.items():
@@ -175,7 +193,8 @@ class ObjectIndex:
         the subtree counts, the per-object entry map and the ``updates``
         counter — everything needed to restore the index without
         re-embedding a single object. Int-keyed maps are emitted as
-        sorted pair lists (JSON objects would stringify the keys).
+        sorted pair lists (JSON objects would stringify the keys). The
+        door legs are left out: :meth:`from_state` derives them.
         """
         return {
             "updates": self.updates,
@@ -204,9 +223,9 @@ class ObjectIndex:
         cls, tree: "IPTree", objects: ObjectSet, state: dict
     ) -> "ObjectIndex":
         """Restore an index from :meth:`to_state` output with zero
-        re-embedding. ``tree`` and ``objects`` must be the instances the
-        state was serialized against (the snapshot layer restores all
-        three together)."""
+        re-embedding; only the door legs are recomputed. ``tree`` and
+        ``objects`` must be the instances the state was serialized
+        against (the snapshot layer restores all three together)."""
         objects.validate(tree.space)
         index = object.__new__(cls)
         index.tree = tree
@@ -221,6 +240,9 @@ class ObjectIndex:
         index._entries = {
             oid: (leaf, {door: d for door, d in dists})
             for oid, leaf, dists in state["entries"]
+        }
+        index.door_legs = {
+            oid: index._door_legs(objects[oid].location) for oid in index._entries
         }
         return index
 
@@ -244,6 +266,7 @@ class ObjectIndex:
             total += 24 * sum(len(lst) for lst in per_door.values())
         total += 16 * len(self.node_counts)
         total += 24 * sum(len(d) for _, d in self._entries.values())
+        total += 8 * sum(len(legs) for legs in self.door_legs.values())
         return total
 
     def __len__(self) -> int:

@@ -11,7 +11,9 @@ Objects in the query's own leaf are the exception: the paper expands a
 Dijkstra on the D2D graph for them (§3.1.1). Here they are read from
 the leaf's door matrix instead (:meth:`_Search.query_leaf_distances`),
 which holds the same global distances, so the kNN/range path runs no
-Dijkstra at all. The answers agree with the paper's up to float
+Dijkstra at all. Each object's last leg, from a door of its room to the
+object, is read from the :class:`ObjectIndex`, which stores it when the
+object is embedded. The answers agree with the paper's up to float
 association (ULP level).
 
 Result-set semantics: the k nearest objects under the lexicographic
@@ -124,10 +126,12 @@ class _Search:
         so q's distance to each door comes from it
         (:func:`~repro.core.query_distance.leaf_door_distances`), and an
         object's is the minimum over its room's doors of that plus the
-        door-to-object leg (or the direct segment when q shares the
-        room). The matrix reads are not counted into
-        :class:`QueryStats`. The numpy kernels call this same method, so
-        both paths get these distances bit for bit.
+        object's door leg, which the index stored when it embedded the
+        object (:attr:`ObjectIndex.door_legs`). Only the direct segment
+        to an object in q's own room depends on q and is computed here.
+        The matrix reads are not counted into :class:`QueryStats`. The
+        numpy kernels call this same method, so both paths get these
+        distances bit for bit.
         """
         tree = self.tree
         index = self.index
@@ -138,13 +142,14 @@ class _Search:
         endpoint = self.endpoint
         pos = tree.nodes[self.leaf_q].table.row_index
         qd = leaf_door_distances(tree, self.leaf_q, endpoint.offsets)
+        legs = index.door_legs
         out = []
         for oid in oids:
             loc = index.objects[oid].location
             pid = loc.partition_id
             best = INF
-            for dv in space.partitions[pid].door_ids:
-                d = qd[pos[dv]] + space.point_to_door_distance(loc, dv)
+            for dv, leg in zip(space.partitions[pid].door_ids, legs[oid]):
+                d = qd[pos[dv]] + leg
                 if d < best:
                     best = d
             if not endpoint.is_door and pid == endpoint.partition:

@@ -19,8 +19,9 @@ single-thread speedup comes from, since fixture trees have ρ ≈ 5 and
 per-node calls cannot amortize numpy dispatch overhead.
 
 The objects in the query's own leaf are read from that leaf's door
-matrix, by the very method the python reference calls
-(``_Search.query_leaf_distances``), so neither path runs a Dijkstra.
+matrix and the door legs the object index stored, by the very method
+the python reference calls (``_Search.query_leaf_distances``), so
+neither path runs a Dijkstra.
 
 Answers are **bit-identical** to the python reference (asserted by
 ``tests/test_kernels.py``): the vectorized expressions perform the same

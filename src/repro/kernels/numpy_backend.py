@@ -16,8 +16,9 @@ a tolerance. The rules that make it hold:
   best-first reference even though the traversal order differs;
 * the query leaf's objects come from the reference's own
   :meth:`~repro.core.query_knn._Search.query_leaf_distances`, which
-  reads the leaf's door matrix; they overwrite whatever the access-list
-  scan combined for them.
+  reads the leaf's door matrix and the door legs the object index
+  stored at insertion; they overwrite whatever the access-list scan
+  combined for them.
 
 Instances cache derived array forms (the per-tree slot table, per-leaf
 eager propagation programs, and the global access-list entry arrays per
@@ -221,7 +222,7 @@ class NumpyKernels:
 
         Objects outside the query leaf go through the propagation
         program and the access-list scan; the query leaf's objects then
-        take the reference's door-matrix distances
+        take the reference's door-matrix distances plus stored door legs
         (:meth:`~repro.core.query_knn._Search.query_leaf_distances`).
         ``slot_vals`` is the propagated per-(node, door) distance vector
         — the leaf-ball closure reads it."""

@@ -551,7 +551,11 @@ def verify_snapshot(
       :class:`~repro.baselines.oracle.DijkstraOracle` — a corrupted
       matrix cannot hide behind a correct hash of corrupted bytes. For
       a tree, one of them joins two doors of one leaf, so the check
-      also reads a leaf door matrix derived on the loaded tree.
+      also reads a leaf door matrix derived on the loaded tree,
+    * with a restored ``ObjectIndex`` that holds objects, one seeded
+      kNN from a point in the leaf holding the most objects matches the
+      oracle, so the check also reads the door legs the index derived
+      on load.
     """
     p = Path(path)
     if not deep:
@@ -594,5 +598,29 @@ def verify_snapshot(
             raise SnapshotError(
                 f"{p}: loaded index answers diverge from the Dijkstra oracle "
                 f"({what} {a}->{b}: {got} != {want})"
+            )
+    object_index = snap.object_index
+    if object_index is not None and object_index.leaf_objects:
+        from ..datasets import random_point
+
+        # the leaf holding the most objects, queried from a room of it
+        # that holds none: every object there is then reached through
+        # its door legs, not a direct segment
+        by_leaf = object_index.leaf_objects
+        leaf = max(sorted(by_leaf), key=lambda nid: len(by_leaf[nid]))
+        held = {snap.objects[oid].location.partition_id for oid in by_leaf[leaf]}
+        rooms = snap.index.nodes[leaf].partitions
+        q = random_point(
+            snap.space, rng, [pid for pid in rooms if pid not in held] or rooms
+        )
+        k = len(by_leaf[leaf])
+        got = [(n.distance, n.object_id) for n in snap.index.knn(object_index, q, k)]
+        want = oracle.knn(q, snap.objects, k)
+        if [oid for _, oid in got] != [oid for _, oid in want] or any(
+            abs(g - w) > 1e-6 for (g, _), (w, _) in zip(got, want)
+        ):
+            raise SnapshotError(
+                f"{p}: loaded index answers diverge from the Dijkstra oracle "
+                f"(objects kNN k={k} from {q}: {got} != {want})"
             )
     return snap.info

@@ -156,6 +156,7 @@ def test_concurrent_queries_with_interleaved_updates(storm_setup):
         {k: sorted(v) for k, v in fresh.leaf_objects.items()}
     assert incremental.access_lists == fresh.access_lists
     assert incremental.node_counts == fresh.node_counts
+    assert incremental.door_legs == fresh.door_legs
 
     for q in points[:8]:
         got = _neighbors(engine.knn(q, 5))

@@ -1,7 +1,8 @@
 """Numpy kNN/range: bit-identity against the python reference,
 deterministic kNN tie-breaking, the live pruning bound, the query leaf
-answered without a Dijkstra, and mmap'd snapshot loading (zero-copy
-views + per-section modification detection).
+answered without a Dijkstra or per-query object legs, and mmap'd
+snapshot loading (zero-copy views + per-section modification
+detection).
 
 The python query paths in :mod:`repro.core` are the oracle-checked
 reference; every test here asserts *exact* (``==``) equality of
@@ -19,7 +20,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import IndoorPoint, IPTree, ObjectIndex, UpdateOp, VIPTree, make_object_set
+from repro import (
+    IndoorPoint,
+    IndoorSpace,
+    IPTree,
+    ObjectIndex,
+    UpdateOp,
+    VIPTree,
+    make_object_set,
+)
 from repro.baselines import DijkstraOracle
 from repro.core.query_knn import INF, _Search, knn
 from repro.core.query_range import range_query
@@ -303,35 +312,83 @@ def _record_dijkstra(monkeypatch) -> list:
     return calls
 
 
+def _record_leg_points(monkeypatch) -> list:
+    """Route ``IndoorSpace.point_to_door_distance`` through a recorder;
+    returns the list that each call appends its point to."""
+    points: list = []
+    real = IndoorSpace.point_to_door_distance
+
+    def probe(self, point, door_id):
+        points.append(point)
+        return real(self, point, door_id)
+
+    monkeypatch.setattr(IndoorSpace, "point_to_door_distance", probe)
+    return points
+
+
+def _most_doors_placement(space, tree, count: int, seed: int):
+    """An index over ``count`` objects, all in the venue's rooms and
+    hallways with the most doors (where the served benchmark's
+    door-crossing walks drift objects), and query points from the
+    leaves holding them: half in those partitions (q shares a room with
+    objects), half elsewhere in those leaves."""
+    rng = random.Random(seed)
+    rooms = [p for p in space.partitions
+             if p.floor is not None and p.fixed_traversal is None]
+    most = max(len(p.door_ids) for p in rooms)
+    crowded = [p.partition_id for p in rooms if len(p.door_ids) == most]
+    leaves = {tree.leaf_of_point_partition(pid) for pid in crowded}
+    around = [p.partition_id for p in rooms
+              if p.partition_id not in crowded
+              and tree.leaf_of_point_partition(p.partition_id) in leaves]
+    objects = make_object_set(
+        space, [random_point(space, rng, crowded) for _ in range(count)]
+    )
+    queries = ([random_point(space, rng, crowded) for _ in range(3)]
+               + [random_point(space, rng, around) for _ in range(3)])
+    return ObjectIndex(tree, objects), queries
+
+
 def test_query_leaf_answers_without_a_dijkstra(men2_small, monkeypatch):
+    """kNN/range read the query leaf from its door matrix and the door
+    legs the index stored: no Dijkstra, and no door leg computed at
+    query time except the query point's own."""
     space, tree = men2_small
     # the object density of the served benchmark (1,000 objects on
     # Men-2 paper), so query leaves hold objects
-    objects = random_objects(space, 300, seed=3)
-    index = ObjectIndex(tree, objects)
+    index = ObjectIndex(tree, random_objects(space, 300, seed=3))
+    placements = [
+        (index, [
+            p for p in sample_points(space, 20, seed=1)
+            if index.objects_in_leaf(tree.leaf_of_point_partition(p.partition_id))
+        ][:6]),
+        _most_doors_placement(space, tree, 300, seed=3),
+    ]
     oracle = DijkstraOracle(space, tree.d2d)
     k = 10
-    queries = [
-        p for p in sample_points(space, 20, seed=1)
-        if index.objects_in_leaf(tree.leaf_of_point_partition(p.partition_id))
-    ][:6]
-    assert queries
-    expected = []
-    for q in queries:
-        want_knn = oracle.knn(q, objects, k)
-        # halfway between the k-th and (k+1)-th distance: no object sits
-        # on the boundary, so ULP-level differences cannot move it
-        ranked = oracle.knn(q, objects, k + 1)
-        radius = (ranked[k - 1][0] + ranked[k][0]) / 2
-        expected.append((want_knn, radius, oracle.range_query(q, objects, radius)))
+    cases = []
+    for index, queries in placements:
+        assert queries
+        for q in queries:
+            assert index.objects_in_leaf(tree.leaf_of_point_partition(q.partition_id))
+            want_knn = oracle.knn(q, index.objects, k)
+            # halfway between the k-th and (k+1)-th distance: no object
+            # sits on the boundary, so ULP-level differences cannot move it
+            ranked = oracle.knn(q, index.objects, k + 1)
+            radius = (ranked[k - 1][0] + ranked[k][0]) / 2
+            cases.append((index, q, want_knn, radius,
+                          oracle.range_query(q, index.objects, radius)))
 
     calls = _record_dijkstra(monkeypatch)
+    leg_points = _record_leg_points(monkeypatch)
     kern = NumpyKernels()
-    for q, (want_knn, radius, want_range) in zip(queries, expected):
+    for index, q, want_knn, radius, want_range in cases:
+        leg_points.clear()
         got_knn = knn(tree, index, q, k)
         assert kern.knn(index, q, k) == got_knn
         got_range = range_query(tree, index, q, radius)
         assert kern.range_query(index, q, radius) == got_range
+        assert leg_points and all(p == q for p in leg_points)
         for got, want in ((got_knn, want_knn), (got_range, want_range)):
             assert [n.object_id for n in got] == [oid for _, oid in want]
             assert [n.distance for n in got] == pytest.approx(

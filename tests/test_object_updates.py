@@ -43,6 +43,7 @@ def assert_index_equivalent(incremental: ObjectIndex, fresh: ObjectIndex):
     }
     assert incremental.access_lists == fresh.access_lists
     assert incremental.node_counts == fresh.node_counts
+    assert incremental.door_legs == fresh.door_legs
 
 
 @pytest.mark.parametrize("venue", ["fig1", "tower", "mall", "office", "campus"])

@@ -151,6 +151,22 @@ class TestObjectIndex:
         assert oi.memory_bytes() > 0
         assert len(oi) == len(objects)
 
+    def test_door_legs_exact_and_counted(self, setting):
+        """One leg per door of an object's partition, in ``door_ids``
+        order, each the direct distance; ``memory_bytes`` counts 8 bytes
+        per leg."""
+        space, ip, _, _, objects = setting
+        oi = ObjectIndex(ip, objects)
+        for obj in objects:
+            doors = space.partitions[obj.location.partition_id].door_ids
+            assert oi.door_legs[obj.object_id] == tuple(
+                space.point_to_door_distance(obj.location, dv) for dv in doors
+            )
+        legs = sum(len(v) for v in oi.door_legs.values())
+        total = oi.memory_bytes()
+        oi.door_legs = {}
+        assert total - oi.memory_bytes() == 8 * legs
+
     def test_empty_object_set(self, setting):
         space, ip, _, _, _ = setting
         oi = ObjectIndex(ip, make_object_set(space, []))

@@ -113,6 +113,7 @@ def test_crash_at_any_log_offset_recovers_the_acked_prefix(
     assert rec_oi.access_lists == ref_oi.access_lists
     assert rec_oi.node_counts == ref_oi.node_counts
     assert rec_oi._entries == ref_oi._entries
+    assert rec_oi.door_legs == ref_oi.door_legs
     rebuilt = ObjectIndex(recovered.index, recovered.objects)
     assert rec_oi.access_lists == rebuilt.access_lists
     assert rec_oi.node_counts == rebuilt.node_counts

@@ -101,6 +101,7 @@ class TestRoundTrip:
         assert restored.access_lists == index.access_lists
         assert restored.node_counts == index.node_counts
         assert restored._entries == index._entries
+        assert restored.door_legs == index.door_legs
         assert restored.updates == index.updates
         # ... and identical to a from-scratch rebuild over the loaded set
         rebuilt = ObjectIndex(snap.index, snap.objects)
@@ -245,6 +246,20 @@ class TestRefusals:
         saved_snapshot.write_bytes(prefix)
         verify_snapshot(saved_snapshot)  # shallow: hash is "right"
         with pytest.raises(SnapshotError, match="subtree counts"):
+            verify_snapshot(saved_snapshot, deep=True)
+
+    def test_deep_verify_reads_the_derived_door_legs(self, saved_snapshot,
+                                                     monkeypatch):
+        """Door legs are derived on load, not stored: deep verify's kNN
+        must read them, so a skewed leg fails it as ``objects``."""
+        verify_snapshot(saved_snapshot, deep=True)
+        real = ObjectIndex._door_legs
+
+        def skewed(self, location):
+            return tuple(leg + 1.0 for leg in real(self, location))
+
+        monkeypatch.setattr(ObjectIndex, "_door_legs", skewed)
+        with pytest.raises(SnapshotError, match="objects kNN"):
             verify_snapshot(saved_snapshot, deep=True)
 
 

@@ -67,6 +67,7 @@ def test_update_stream_snapshot_round_trip(space, seed, n_ops):
     assert restored.access_lists == live_oi.access_lists
     assert restored.node_counts == live_oi.node_counts
     assert restored._entries == live_oi._entries
+    assert restored.door_legs == live_oi.door_legs
     rebuilt = ObjectIndex(loaded.index, loaded.objects)
     assert restored.access_lists == rebuilt.access_lists
     assert restored.node_counts == rebuilt.node_counts
