@@ -1,10 +1,10 @@
 """Ablation: the superior-door optimization (paper §3.1.1, Definition 2).
 
-DESIGN.md calls out superior doors as a load-bearing design choice: the
-entry step of every tree query enumerates only the superior doors of
-the query's partition instead of all of them. This suite benchmarks the
-same queries with the optimization on and off (answers are identical;
-see tests/test_validate.py)."""
+Superior doors are a load-bearing design choice: the entry step of
+every tree query enumerates only the superior doors of the query's
+partition instead of all of them. This suite benchmarks the same
+queries with the optimization on and off (answers are identical; see
+tests/test_validate.py)."""
 
 import pytest
 

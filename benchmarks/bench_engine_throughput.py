@@ -4,7 +4,10 @@ Replays a 70/20/10 kNN/distance/range mixed workload (drawn from a
 bounded pool of hot locations, as deployed services see) against a
 VIP-Tree twice: once through an uncached engine issuing one query at a
 time, once through a cache-enabled engine using the batch endpoints.
-Reports queries/sec and the speedup per venue.
+Reports queries/sec and the speedup per venue. The cached side's
+speedup comes from the result caches alone: a repeat read at one of
+the pool's locations is a cache hit, while a miss runs the query from
+scratch, exactly as the uncached side does.
 
 Run standalone::
 

@@ -44,7 +44,6 @@ from .core import (
     Neighbor,
     ObjectIndex,
     PathResult,
-    QueryContext,
     QueryStats,
     TreeStats,
     VIPTree,
@@ -96,7 +95,6 @@ __all__ = [
     "PartitionKind",
     "PathResult",
     "Point",
-    "QueryContext",
     "QueryError",
     "QueryStats",
     "Rect",

@@ -8,8 +8,9 @@ distances bottom-up through the lowest common ancestor.
 
 As in the original system, non-leaf matrices are computed within each
 node's subgraph; on non-convex decompositions this yields upper bounds
-(exact on road-network-like and on our structured indoor venues — see
-DESIGN.md §5). Same-leaf queries fall back to a bounded Dijkstra on the
+(exact on road-network-like and on our structured indoor venues, as
+``tests/test_gtree_road.py`` checks against the Dijkstra oracle).
+Same-leaf queries fall back to a bounded Dijkstra on the
 full graph, mirroring how the paper adapts the index to indoor spaces.
 """
 

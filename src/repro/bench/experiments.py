@@ -3,12 +3,13 @@ Figures 7-11).
 
 Each ``exp_*`` function regenerates the rows/series of one table or
 figure and returns :class:`~repro.bench.reporting.Table` objects. The
-CLI (``python -m repro.bench``) prints them; ``EXPERIMENTS.md`` records
-a reference run against the paper's reported shapes.
+CLI (``python -m repro.bench``) prints them. No reference run is
+committed; ROADMAP.md records how far a ``small`` run reproduces the
+paper's figures.
 
 Absolute latencies are pure-Python and therefore ~2 orders of magnitude
 above the paper's C++ numbers; the comparisons (who wins, by what
-factor, where trends bend) are the reproduction target (DESIGN.md §5).
+factor, where trends bend) are the reproduction target.
 """
 
 from __future__ import annotations

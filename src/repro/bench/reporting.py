@@ -1,8 +1,8 @@
 """Plain-text table rendering for the experiment harness.
 
 The benchmark CLI prints the same rows/series the paper's figures and
-tables report, as aligned text tables (plus optional markdown for
-EXPERIMENTS.md).
+tables report, as aligned text tables (plus optional markdown, which
+the CLI writes with ``--markdown``).
 """
 
 from __future__ import annotations

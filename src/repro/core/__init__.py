@@ -1,6 +1,5 @@
 """The paper's primary contribution: IP-Tree / VIP-Tree and query processing."""
 
-from .context import QueryContext, endpoint_key
 from .objects_index import ObjectIndex
 from .results import DistanceResult, Neighbor, PathResult, QueryStats
 from .table import NO_DOOR, DistanceTable
@@ -17,10 +16,8 @@ __all__ = [
     "Neighbor",
     "ObjectIndex",
     "PathResult",
-    "QueryContext",
     "QueryStats",
     "TreeNode",
-    "endpoint_key",
     "TreeStats",
     "VIPTree",
     "VerificationReport",

@@ -52,7 +52,8 @@ def _leaf_next_hop(
     leaf, the next-hop is simply the first door; if it leaves the leaf,
     the next-hop is the first door that is an access door of *some* leaf
     (falling back to the first door when the whole detour stays inside a
-    single neighbouring leaf — see DESIGN.md §4).
+    single neighbouring leaf: the first door lies on the shortest path
+    too, so decomposing through it stays exact).
     """
     if seq[0] == target:
         return NO_DOOR  # direct edge: final

@@ -21,11 +21,9 @@ import numpy as np
 from ..exceptions import QueryError
 from ..graph.dijkstra import dijkstra
 from ..model.entities import IndoorPoint
-from .context import endpoint_key
 from .results import DistanceResult, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .context import QueryContext
     from .tree import IPTree
 
 INF = float("inf")
@@ -43,14 +41,12 @@ class Endpoint:
             the superior doors for a point (paper Definition 2), the door
             itself for a door endpoint.
         leaves: candidate leaf node ids containing the endpoint.
-        key: hashable endpoint identity (used by :class:`QueryContext`).
     """
 
-    __slots__ = ("is_door", "door", "point", "partition", "leaves", "entry_doors", "offsets", "key")
+    __slots__ = ("is_door", "door", "point", "partition", "leaves", "entry_doors", "offsets")
 
     def __init__(self, tree: "IPTree", raw) -> None:
         space = tree.space
-        self.key = endpoint_key(raw)
         if isinstance(raw, IndoorPoint):
             space.validate_point(raw)
             self.is_door = False
@@ -232,22 +228,10 @@ def same_leaf_distance(
     return best, dist, parent, best_door
 
 
-def shortest_distance(
-    tree: "IPTree", source, target, ctx: "QueryContext | None" = None
-) -> DistanceResult:
-    """Algorithm 3: shortest indoor distance between two endpoints.
-
-    ``ctx`` optionally supplies cached endpoint resolution and tree
-    climbs shared across a query stream (see
-    :class:`~repro.core.context.QueryContext`); the answer is identical
-    with or without it.
-    """
-    if ctx is not None:
-        ea = ctx.resolve(source)
-        eb = ctx.resolve(target)
-    else:
-        ea = Endpoint(tree, source)
-        eb = Endpoint(tree, target)
+def shortest_distance(tree: "IPTree", source, target) -> DistanceResult:
+    """Algorithm 3: shortest indoor distance between two endpoints."""
+    ea = Endpoint(tree, source)
+    eb = Endpoint(tree, target)
     stats = QueryStats()
 
     shared = set(ea.leaves) & set(eb.leaves)
@@ -258,12 +242,8 @@ def shortest_distance(
 
     leaf_a, leaf_b = ea.leaves[0], eb.leaves[0]
     lca, ns, nt = tree.lca_info(leaf_a, leaf_b)
-    if ctx is not None:
-        ds, _ = ctx.climb(ea, ns, leaf_a)
-        dt, _ = ctx.climb(eb, nt, leaf_b)
-    else:
-        ds, _, _ = tree.endpoint_distances(ea, ns, leaf_id=leaf_a)
-        dt, _, _ = tree.endpoint_distances(eb, nt, leaf_id=leaf_b)
+    ds, _, _ = tree.endpoint_distances(ea, ns, leaf_id=leaf_a)
+    dt, _, _ = tree.endpoint_distances(eb, nt, leaf_id=leaf_b)
     table = tree.nodes[lca].table
 
     ad_s = tree.nodes[ns].access_doors

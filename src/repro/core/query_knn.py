@@ -39,49 +39,40 @@ from .query_distance import Endpoint, leaf_door_distances
 from .results import Neighbor, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .context import QueryContext
     from .tree import IPTree
 
 INF = float("inf")
 
 
 class _Search:
-    """Shared machinery for kNN and range queries.
-
-    With a :class:`QueryContext` the root climb and every previously
-    expanded node's distances are shared across searches from the same
-    endpoint (the search keeps growing the cached state as it expands
-    new nodes).
-    """
+    """Shared machinery for kNN and range queries: one query's
+    endpoint, its tree climb and the node distances it derives."""
 
     def __init__(
         self,
         tree: "IPTree",
         index: ObjectIndex,
         query,
-        ctx: "QueryContext | None" = None,
         stats: QueryStats | None = None,
     ) -> None:
         if index.tree is not tree:
             raise QueryError("object index was built for a different tree")
         self.tree = tree
         self.index = index
-        self.endpoint = ctx.resolve(query) if ctx is not None else Endpoint(tree, query)
+        self.endpoint = Endpoint(tree, query)
         self.leaf_q = self.endpoint.leaves[0]
         self.chain = tree.chain_of_leaf(self.leaf_q)
         self.chain_pos = {nid: i for i, nid in enumerate(self.chain)}
         # Distances from q to the access doors of every chain node
-        # (Algorithm 5 line 2: getDistances(q, root)).
-        if ctx is not None:
-            self.node_dists: dict[int, dict[int, float]] = ctx.search_state(self.endpoint)
-        else:
-            _, _, chain_map = tree.endpoint_distances(
-                self.endpoint,
-                tree.root_id,
-                leaf_id=self.leaf_q,
-                collect_chain=True,
-            )
-            self.node_dists = dict(chain_map)
+        # (Algorithm 5 line 2: getDistances(q, root)), then of every
+        # node the search expands (Lemmas 8/9).
+        _, _, chain_map = tree.endpoint_distances(
+            self.endpoint,
+            tree.root_id,
+            leaf_id=self.leaf_q,
+            collect_chain=True,
+        )
+        self.node_dists: dict[int, dict[int, float]] = chain_map
         # An out-parameter when the caller wants the counters (the
         # engine's stats= plumbing); otherwise a private scratch object.
         self.stats = stats if stats is not None else QueryStats()
@@ -264,7 +255,6 @@ def knn(
     index: ObjectIndex,
     query,
     k: int,
-    ctx: "QueryContext | None" = None,
     stats: QueryStats | None = None,
     collect_leaves: bool = False,
 ) -> list[Neighbor]:
@@ -279,7 +269,7 @@ def knn(
     """
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")
-    search = _Search(tree, index, query, ctx, stats)
+    search = _Search(tree, index, query, stats)
     stats = search.stats
 
     # Max-heap via negation of both fields: results[0] is the current

@@ -17,7 +17,6 @@ from .results import PathResult, QueryStats
 from .table import NO_DOOR
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .context import QueryContext
     from .tree import IPTree
 
 INF = float("inf")
@@ -105,23 +104,10 @@ def _dedupe(doors: list[int]) -> list[int]:
     return out
 
 
-def shortest_path(
-    tree: "IPTree", source, target, ctx: "QueryContext | None" = None
-) -> PathResult:
-    """Shortest path between two endpoints (doors or indoor points).
-
-    ``ctx`` caches endpoint resolution and tree climbs across queries.
-    Note: a context routes climbs through ``tree.endpoint_distances``,
-    so pass a VIP-Tree through :meth:`VIPTree.shortest_path` (which
-    understands the materialized predecessor hints) rather than through
-    this free function.
-    """
-    if ctx is not None:
-        ea = ctx.resolve(source)
-        eb = ctx.resolve(target)
-    else:
-        ea = Endpoint(tree, source)
-        eb = Endpoint(tree, target)
+def shortest_path(tree: "IPTree", source, target) -> PathResult:
+    """Shortest path between two endpoints (doors or indoor points)."""
+    ea = Endpoint(tree, source)
+    eb = Endpoint(tree, target)
     stats = QueryStats()
 
     shared = set(ea.leaves) & set(eb.leaves)
@@ -139,12 +125,8 @@ def shortest_path(
 
     leaf_a, leaf_b = ea.leaves[0], eb.leaves[0]
     lca, ns, nt = tree.lca_info(leaf_a, leaf_b)
-    if ctx is not None:
-        ds, pred_s = ctx.climb(ea, ns, leaf_a)
-        dt, pred_t = ctx.climb(eb, nt, leaf_b)
-    else:
-        ds, pred_s, _ = get_distances(tree, ea, ns, leaf_id=leaf_a)
-        dt, pred_t, _ = get_distances(tree, eb, nt, leaf_id=leaf_b)
+    ds, pred_s, _ = get_distances(tree, ea, ns, leaf_id=leaf_a)
+    dt, pred_t, _ = get_distances(tree, eb, nt, leaf_id=leaf_b)
     table = tree.nodes[lca].table
     stats.superior_pairs = len(ea.entry_doors) * len(eb.entry_doors)
 

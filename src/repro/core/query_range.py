@@ -16,7 +16,6 @@ from .query_knn import _Search, contributing_leaves
 from .results import Neighbor, QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .context import QueryContext
     from .tree import IPTree
 
 
@@ -25,7 +24,6 @@ def range_query(
     index: ObjectIndex,
     query,
     radius: float,
-    ctx: "QueryContext | None" = None,
     stats: QueryStats | None = None,
     collect_leaves: bool = False,
 ) -> list[Neighbor]:
@@ -39,7 +37,7 @@ def range_query(
     """
     if radius < 0:
         raise QueryError(f"radius must be non-negative, got {radius}")
-    search = _Search(tree, index, query, ctx, stats)
+    search = _Search(tree, index, query, stats)
     stats = search.stats
 
     found: list[tuple[float, int]] = []

@@ -512,34 +512,34 @@ class IPTree:
 
         return get_distances(self, endpoint, target_node, leaf_id, collect_chain)
 
-    def shortest_distance(self, source, target, ctx=None) -> float:
+    def shortest_distance(self, source, target) -> float:
         from .query_distance import shortest_distance
 
-        return shortest_distance(self, source, target, ctx).distance
+        return shortest_distance(self, source, target).distance
 
-    def distance_query(self, source, target, ctx=None):
+    def distance_query(self, source, target):
         """Shortest distance with query statistics (QueryResult)."""
         from .query_distance import shortest_distance
 
-        return shortest_distance(self, source, target, ctx)
+        return shortest_distance(self, source, target)
 
-    def shortest_path(self, source, target, ctx=None):
+    def shortest_path(self, source, target):
         from .query_path import shortest_path
 
-        return shortest_path(self, source, target, ctx)
+        return shortest_path(self, source, target)
 
-    def knn(self, object_index, query, k: int, ctx=None, stats=None,
+    def knn(self, object_index, query, k: int, stats=None,
             collect_leaves: bool = False):
         from .query_knn import knn
 
-        return knn(self, object_index, query, k, ctx, stats=stats,
+        return knn(self, object_index, query, k, stats=stats,
                    collect_leaves=collect_leaves)
 
-    def range_query(self, object_index, query, radius: float, ctx=None,
+    def range_query(self, object_index, query, radius: float,
                     stats=None, collect_leaves: bool = False):
         from .query_range import range_query
 
-        return range_query(self, object_index, query, radius, ctx,
+        return range_query(self, object_index, query, radius,
                            stats=stats, collect_leaves=collect_leaves)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -217,18 +217,14 @@ class VIPTree(IPTree):
             seq.extend(seg[1:])
         return seq
 
-    def shortest_path(self, source, target, ctx=None) -> PathResult:
+    def shortest_path(self, source, target) -> PathResult:
         """Shortest path via materialized tables (expected O(ρ² + w))."""
         from .query_distance import same_leaf_distance
         from .query_path import _dedupe, backtrack_chain, decompose_edge
         from .results import QueryStats
 
-        if ctx is not None:
-            ea = ctx.resolve(source)
-            eb = ctx.resolve(target)
-        else:
-            ea = Endpoint(self, source)
-            eb = Endpoint(self, target)
+        ea = Endpoint(self, source)
+        eb = Endpoint(self, target)
         stats = QueryStats()
 
         shared = set(ea.leaves) & set(eb.leaves)
@@ -243,12 +239,8 @@ class VIPTree(IPTree):
 
         leaf_a, leaf_b = ea.leaves[0], eb.leaves[0]
         lca, ns, nt = self.lca_info(leaf_a, leaf_b)
-        if ctx is not None:
-            ds, pred_s = ctx.climb(ea, ns, leaf_a)
-            dt, pred_t = ctx.climb(eb, nt, leaf_b)
-        else:
-            ds, pred_s, _ = self.endpoint_distances(ea, ns, leaf_id=leaf_a)
-            dt, pred_t, _ = self.endpoint_distances(eb, nt, leaf_id=leaf_b)
+        ds, pred_s, _ = self.endpoint_distances(ea, ns, leaf_id=leaf_a)
+        dt, pred_t, _ = self.endpoint_distances(eb, nt, leaf_id=leaf_b)
         table = self.nodes[lca].table
 
         ad_s = self.nodes[ns].access_doors

@@ -3,8 +3,8 @@
 The paper evaluates on three real venues (Melbourne Central, the Menzies
 building and the Clayton campus) plus replicated variants (Table 2). The
 floor plans are not redistributable, so the generators in this package
-synthesize venues with the same *topology class* and tunable counts
-(see DESIGN.md §5, substitution 1). Three profiles are provided:
+synthesize venues with the same *topology class* and tunable counts.
+Three profiles are provided:
 
 * ``tiny``  — seconds-fast venues for unit tests,
 * ``small`` — default benchmark scale for the pure-Python runtime,

@@ -183,8 +183,8 @@ def mixed_queries(
         seed: deterministic stream seed.
         pool: number of distinct endpoint locations queries draw from —
             real deployments hit popular locations repeatedly, which is
-            what makes result/endpoint caches effective. ``None``
-            samples a fresh point per endpoint (no reuse).
+            what makes result caches effective. ``None`` samples a
+            fresh point per endpoint (no reuse).
         k: the k of every kNN query.
         radius: the radius of every range query; defaults to 20% of the
             venue's pseudo-diameter.

@@ -1,10 +1,9 @@
 """A small LRU cache with hit/miss counters.
 
 Used by :class:`~repro.engine.engine.QueryEngine` for its result caches
-(door-to-door distances, kNN/range/path results) and usable as a bounded
-backing store for :class:`~repro.core.context.QueryContext`. Exposes the
-mapping subset those callers need: ``get``, ``__setitem__``,
-``__contains__`` and ``__len__``.
+(door-to-door distances, kNN/range/path results). Exposes the mapping
+subset those callers need: ``get``, ``__setitem__``, ``__contains__``
+and ``__len__``.
 """
 
 from __future__ import annotations

@@ -6,29 +6,26 @@ The engine wraps one built index — :class:`~repro.core.tree.IPTree`,
 
 * ``distance`` / ``path`` / ``knn`` / ``range_query`` — single queries,
 * ``batch_distance`` / ``batch_path`` / ``batch_knn`` / ``batch_range``
-  — request lists that amortize per-query setup (endpoint resolution,
-  leaf lookup, tree climbs) across the batch,
+  — request lists, answered element by element,
 * ``update`` / ``batch_update`` (plus ``insert_object`` /
   ``delete_object`` / ``move_object``) — dynamic object updates that
   maintain the object index incrementally and invalidate **only** the
-  object-dependent result caches (kNN/range); distance/path caches and
-  the query context survive, because they never depend on objects. For
-  tree indexes the kNN/range invalidation is further **leaf-scoped**:
-  each cached entry is tagged with the conservative set of leaves that
-  could contribute to its answer (the bound-ball closure), and an
-  update drops only the entries tagged with the leaf(s) it touched —
-  see :mod:`repro.engine.invalidation`,
+  object-dependent result caches (kNN/range); the distance/path caches
+  survive, because they never depend on objects. For tree indexes the
+  kNN/range invalidation is further **leaf-scoped**: each cached entry
+  is tagged with the conservative set of leaves that could contribute
+  to its answer (the bound-ball closure), and an update drops only the
+  entries tagged with the leaf(s) it touched — see
+  :mod:`repro.engine.invalidation`,
 * ``stats()`` — a monotone snapshot of query counts, update counts and
   cache hit/miss counters.
 
-Two cache layers (both optional via ``cache=False``):
-
-* a :class:`~repro.core.context.QueryContext` shared with the core query
-  algorithms (endpoint resolution + tree-climb reuse, tree indexes
-  only), and
-* engine-level :class:`~repro.engine.cache.LRUCache` result caches: an
-  LRU **door-to-door / point-to-point distance cache** (symmetric keys)
-  plus kNN, range and path result caches.
+The caches (all off with ``cache=False``) are
+:class:`~repro.engine.cache.LRUCache` result caches: an LRU
+**door-to-door / point-to-point distance cache** (symmetric keys) plus
+kNN, range and path result caches, keyed by :func:`endpoint_key`. A
+miss runs the query from scratch: each query resolves its endpoints and
+climbs the tree itself.
 
 Caching never changes answers — batch results are element-wise identical
 to the single-query APIs, which in turn match the index called directly.
@@ -50,11 +47,8 @@ builds on:
   (distance/path queries never read object state and are not blocked),
 * all caches and counters are guarded by one internal mutex, so
   ``stats()`` returns a **race-free, consistent snapshot** and counter
-  sums are exact once threads are quiescent,
-* each serving thread gets its **own** :class:`QueryContext`
-  (endpoint/climb/search caches are per-thread; ``stats()`` aggregates
-  their counters), so the core query algorithms never share mutable
-  search state across threads.
+  sums are exact once threads are quiescent; the core query algorithms
+  keep their search state per query, so threads share none of it.
 
 The only operation that remains outside the contract is mutating the
 :class:`ObjectSet` *behind the engine's back* while queries are in
@@ -71,7 +65,6 @@ from time import perf_counter
 
 from ..baselines.distmx import DistanceMatrix, DistMxObjects
 from ..baselines.oracle import DijkstraOracle
-from ..core.context import QueryContext, endpoint_key
 from ..core.objects_index import ObjectIndex
 from ..core.results import Neighbor, PathResult, QueryStats
 from ..core.tree import IPTree
@@ -85,6 +78,23 @@ from .invalidation import TaggedLRUCache
 from .locking import NULL_LOCK, NULL_RWLOCK, RWLock
 
 _MISSING = object()
+
+
+def endpoint_key(raw) -> tuple:
+    """A hashable identity for a query endpoint.
+
+    Door ids and indoor points get disjoint, mutually orderable key
+    spaces so the engine can key (and order-normalize) cache entries by
+    endpoint regardless of endpoint type. Rejects invalid types up
+    front so cache lookups never precede endpoint validation.
+    """
+    if isinstance(raw, IndoorPoint):
+        return (1, raw.partition_id, raw.x, raw.y)
+    if isinstance(raw, int):
+        return (0, raw)
+    raise QueryError(
+        f"query endpoints must be IndoorPoint or door id, got {type(raw).__name__}"
+    )
 
 
 @dataclass(slots=True)
@@ -127,11 +137,6 @@ class EngineStats:
       ``range_misses`` — hit/miss pairs of the four engine-level LRU
       result caches. Invalidation does **not** reset them; a query after
       an invalidation simply records a miss when it recomputes.
-    * ``endpoint_*`` / ``climb_*`` / ``search_*`` — hit/miss pairs of
-      the :class:`~repro.core.context.QueryContext` layers (tree
-      indexes only; all zero for baselines and for ``cache=False``).
-      These caches are object-independent, so update invalidation
-      leaves both their entries and their counters untouched.
     """
 
     distance_queries: int = 0
@@ -152,13 +157,6 @@ class EngineStats:
     knn_misses: int = 0
     range_hits: int = 0
     range_misses: int = 0
-    #: QueryContext layers (tree indexes only)
-    endpoint_hits: int = 0
-    endpoint_misses: int = 0
-    climb_hits: int = 0
-    climb_misses: int = 0
-    search_hits: int = 0
-    search_misses: int = 0
 
     @property
     def invalidations(self) -> int:
@@ -239,22 +237,18 @@ class QueryEngine:
         objects: the points of interest for kNN/range queries — an
             :class:`ObjectSet`, or a prebuilt :class:`ObjectIndex` for a
             tree index. Omit for distance/path-only engines.
-        cache: master switch. ``False`` disables the query context and
-            every result cache (each call recomputes from scratch, like
-            calling the index directly).
+        cache: master switch. ``False`` disables every result cache
+            (each call recomputes from scratch, like calling the index
+            directly).
         distance_cache_size: LRU capacity of the distance result cache
             (door-to-door and point pairs share it; keys are symmetric).
         result_cache_size: LRU capacity of each of the kNN / range /
             path result caches.
-        context_cache_size: LRU capacity of each of the query context's
-            endpoint / climb / search-state caches, so a long-lived
-            engine's memory stays bounded under endless distinct
-            endpoints. ``0`` means unbounded.
         thread_safe: enable the concurrent-reader contract described in
             the module docstring (an RWLock serializing updates against
-            kNN/range queries, a mutex guarding caches/counters, and
-            per-thread query contexts). ``False`` — the default — keeps
-            the single-threaded fast path entirely lock-free.
+            kNN/range queries and a mutex guarding caches/counters).
+            ``False`` — the default — keeps the single-threaded fast
+            path entirely lock-free.
         invalidation: update-driven kNN/range cache invalidation
             strategy. ``"scoped"`` (default) tags every cached entry
             with its conservative bound-ball leaf closure and drops
@@ -296,7 +290,6 @@ class QueryEngine:
         cache: bool = True,
         distance_cache_size: int = 65536,
         result_cache_size: int = 8192,
-        context_cache_size: int = 16384,
         thread_safe: bool = False,
         invalidation: str = "scoped",
         kernels: str = "numpy",
@@ -338,28 +331,15 @@ class QueryEngine:
             self._inval_timer = None
             self._kernel_counter = None
         self.cache_enabled = bool(cache)
-        self._context_cache_size = context_cache_size
         self.thread_safe = bool(thread_safe)
-        self._ctx_enabled = self.cache_enabled and self._is_tree
         if self.thread_safe:
             #: lock order (outermost first): RWLock -> mutex. The mutex
             #: is never held while acquiring the RWLock.
             self._lock = RWLock()
             self._mutex: threading.Lock = threading.Lock()
-            self._ctx = None
-            self._ctx_local = threading.local()
-            #: thread ident -> (thread, context); dead threads' entries
-            #: are pruned (counters folded) on the next registration,
-            #: so thread churn cannot grow the registry without bound
-            self._ctx_registry: dict[int, tuple[threading.Thread, QueryContext]] = {}
-            #: counters of retired per-thread contexts (endpoint h/m,
-            #: climb h/m, search h/m) — folded into stats()
-            self._ctx_base = [0, 0, 0, 0, 0, 0]
-            self._ctx_generation = 0
         else:
             self._lock = NULL_RWLOCK
             self._mutex = NULL_LOCK
-            self._ctx = self._new_ctx() if self._ctx_enabled else None
         #: leaf-scoped invalidation needs leaf tags, which only tree
         #: answers carry; baselines always flush fully
         self._scoped_enabled = (
@@ -415,56 +395,6 @@ class QueryEngine:
         reentrant).
         """
         return self._lock
-
-    # ------------------------------------------------------------------
-    # Query context (single shared instance, or one per serving thread)
-    # ------------------------------------------------------------------
-    @property
-    def ctx(self) -> QueryContext | None:
-        """The calling thread's :class:`QueryContext` (or ``None``).
-
-        Single-threaded engines share one long-lived context;
-        ``thread_safe=True`` engines lazily create **one context per
-        calling thread** (tree searches never share mutable state
-        across threads). ``None`` for baselines and ``cache=False``.
-        """
-        if not self.thread_safe:
-            return self._ctx
-        if not self._ctx_enabled:
-            return None
-        local = self._ctx_local
-        if getattr(local, "generation", -1) != self._ctx_generation:
-            ctx = self._new_ctx()
-            with self._mutex:
-                # Read the generation under the mutex so a concurrent
-                # clear_caches() either sweeps this context or leaves it
-                # registered for the new generation — never both.
-                local.generation = self._ctx_generation
-                self._prune_dead_contexts_locked()
-                self._ctx_registry[threading.get_ident()] = (
-                    threading.current_thread(), ctx,
-                )
-            local.ctx = ctx
-        return local.ctx
-
-    def _fold_ctx_locked(self, ctx: QueryContext) -> None:
-        base = self._ctx_base
-        base[0] += ctx.endpoint_hits
-        base[1] += ctx.endpoint_misses
-        base[2] += ctx.climb_hits
-        base[3] += ctx.climb_misses
-        base[4] += ctx.search_hits
-        base[5] += ctx.search_misses
-
-    def _prune_dead_contexts_locked(self) -> None:
-        """Retire contexts of exited threads (fold counters, free their
-        caches). Runs once per *new* thread registration, so the
-        registry size tracks live threads, not threads ever seen."""
-        dead = [ident for ident, (thread, _) in self._ctx_registry.items()
-                if not thread.is_alive()]
-        for ident in dead:
-            _, ctx = self._ctx_registry.pop(ident)
-            self._fold_ctx_locked(ctx)
 
     # ------------------------------------------------------------------
     # Snapshots (persistence, :mod:`repro.storage`)
@@ -527,10 +457,10 @@ class QueryEngine:
         updates."""
         timers = self._query_timers
         if timers is None:
-            return self._distance(source, target, self.ctx, stats)
+            return self._distance(source, target, stats)
         start = perf_counter()
         try:
-            return self._distance(source, target, self.ctx, stats)
+            return self._distance(source, target, stats)
         finally:
             timers["distance"].observe(perf_counter() - start)
 
@@ -543,10 +473,10 @@ class QueryEngine:
         blocked by updates."""
         timers = self._query_timers
         if timers is None:
-            return self._path(source, target, self.ctx, stats)
+            return self._path(source, target, stats)
         start = perf_counter()
         try:
-            return self._path(source, target, self.ctx, stats)
+            return self._path(source, target, stats)
         finally:
             timers["path"].observe(perf_counter() - start)
 
@@ -558,11 +488,11 @@ class QueryEngine:
         observes every update entirely or not at all."""
         timers = self._query_timers
         if timers is None:
-            return self._knn(query, k, self.ctx, stats)
+            return self._knn(query, k, stats)
         self._kernel_counter.inc()
         start = perf_counter()
         try:
-            return self._knn(query, k, self.ctx, stats)
+            return self._knn(query, k, stats)
         finally:
             timers["knn"].observe(perf_counter() - start)
 
@@ -574,35 +504,32 @@ class QueryEngine:
         observes every update entirely or not at all."""
         timers = self._query_timers
         if timers is None:
-            return self._range(query, radius, self.ctx, stats)
+            return self._range(query, radius, stats)
         self._kernel_counter.inc()
         start = perf_counter()
         try:
-            return self._range(query, radius, self.ctx, stats)
+            return self._range(query, radius, stats)
         finally:
             timers["range"].observe(perf_counter() - start)
 
     # ------------------------------------------------------------------
-    # Batch API — amortizes endpoint resolution and tree climbs across
-    # the request list (a per-batch context is used even when the
-    # engine-level caches are disabled). Thread safety: each item
-    # acquires the locks independently, so a concurrent update may land
-    # between two items of a batch — exactly the semantics of the same
-    # requests arriving back-to-back on one connection.
+    # Batch API — answers each element as the single-query API does.
+    # Thread safety: each item acquires the locks independently, so a
+    # concurrent update may land between two items of a batch — exactly
+    # the semantics of the same requests arriving back-to-back on one
+    # connection.
     # ------------------------------------------------------------------
     def batch_distance(self, pairs) -> list[float]:
         """Distances for a list of ``(source, target)`` pairs.
 
         Thread safety: concurrent-safe; never blocked by updates."""
-        ctx = self._batch_ctx()
-        return [self._distance(s, t, ctx) for s, t in pairs]
+        return [self._distance(s, t) for s, t in pairs]
 
     def batch_path(self, pairs) -> list[PathResult]:
         """Paths for a list of ``(source, target)`` pairs.
 
         Thread safety: concurrent-safe; never blocked by updates."""
-        ctx = self._batch_ctx()
-        return [self._path(s, t, ctx) for s, t in pairs]
+        return [self._path(s, t) for s, t in pairs]
 
     def batch_knn(self, queries, k: int) -> list[list[Neighbor]]:
         """kNN for each query point.
@@ -610,21 +537,19 @@ class QueryEngine:
         Thread safety: concurrent-safe; each item takes the read lock
         independently, so updates may land between items (never within
         one)."""
-        ctx = self._batch_ctx()
-        return [self._knn(q, k, ctx) for q in queries]
+        return [self._knn(q, k) for q in queries]
 
     def batch_range(self, queries, radius: float) -> list[list[Neighbor]]:
         """Range results for each query point.
 
         Thread safety: as :meth:`batch_knn`."""
-        ctx = self._batch_ctx()
-        return [self._range(q, radius, ctx) for q in queries]
+        return [self._range(q, radius) for q in queries]
 
     # ------------------------------------------------------------------
     # Dynamic object updates — maintain the object store incrementally
     # and invalidate only the object-dependent caches (kNN/range). The
-    # distance/path caches and the query context never depend on the
-    # object set and survive every update.
+    # distance/path caches never depend on the object set and survive
+    # every update.
     # ------------------------------------------------------------------
     # Each convenience delegates to :meth:`update` and inherits its
     # thread-safety guarantee (exclusive write lock per op).
@@ -812,33 +737,17 @@ class QueryEngine:
         if idur is not None:
             self._observe_invalidation(idur)
 
-    def _new_ctx(self) -> QueryContext:
-        return QueryContext(
-            self.index,
-            endpoint_cache=LRUCache(self._context_cache_size),
-            climb_cache=LRUCache(self._context_cache_size),
-            search_cache=LRUCache(self._context_cache_size),
-        )
-
-    def _batch_ctx(self) -> QueryContext | None:
-        if self.ctx is not None:
-            return self.ctx
-        if self._is_tree:
-            # per-batch amortization only
-            return QueryContext(self.index)
-        return None
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _distance(self, source, target, ctx, stats=None) -> float:
+    def _distance(self, source, target, stats=None) -> float:
         # Distance queries never read object state, so they skip the
         # RWLock entirely — only the cache/counter mutex is taken.
         cache = self._dist_cache
         if cache is None:
             with self._mutex:
                 self._counts["distance"] += 1
-            return self._raw_distance(source, target, ctx, stats)
+            return self._raw_distance(source, target, stats)
         key = _sym_key(endpoint_key(source), endpoint_key(target))
         with self._mutex:
             self._counts["distance"] += 1
@@ -847,27 +756,27 @@ class QueryEngine:
             if stats is not None:
                 stats.cache_hit = True
             return hit
-        d = self._raw_distance(source, target, ctx, stats)
+        d = self._raw_distance(source, target, stats)
         with self._mutex:
             cache[key] = d
         return d
 
-    def _raw_distance(self, source, target, ctx, stats=None) -> float:
+    def _raw_distance(self, source, target, stats=None) -> float:
         if self._is_tree:
             if stats is None:
-                return self.index.shortest_distance(source, target, ctx)
-            result = self.index.distance_query(source, target, ctx)
+                return self.index.shortest_distance(source, target)
+            result = self.index.distance_query(source, target)
             stats.merge(result.stats)
             return result.distance
         return self.index.shortest_distance(source, target)
 
-    def _path(self, source, target, ctx, stats=None) -> PathResult:
+    def _path(self, source, target, stats=None) -> PathResult:
         # Like _distance: object-independent, no RWLock needed.
         cache = self._path_cache
         if cache is None:
             with self._mutex:
                 self._counts["path"] += 1
-            res = self._raw_path(source, target, ctx)
+            res = self._raw_path(source, target)
             if stats is not None:
                 stats.merge(res.stats)
             return res
@@ -879,17 +788,17 @@ class QueryEngine:
             if stats is not None:
                 stats.cache_hit = True
             return hit
-        res = self._raw_path(source, target, ctx)
+        res = self._raw_path(source, target)
         if stats is not None:
             stats.merge(res.stats)
         with self._mutex:
             cache[key] = res
         return res
 
-    def _raw_path(self, source, target, ctx) -> PathResult:
+    def _raw_path(self, source, target) -> PathResult:
         index = self.index
         if self._is_tree:
-            return index.shortest_path(source, target, ctx)
+            return index.shortest_path(source, target)
         if isinstance(index, DijkstraOracle):
             dist, doors = index.shortest_path_doors(source, target)
         elif hasattr(index, "shortest_path"):
@@ -898,7 +807,7 @@ class QueryEngine:
             raise QueryError(f"{type(index).__name__} does not support path queries")
         return PathResult(dist, list(doors))
 
-    def _knn(self, query, k: int, ctx, stats=None) -> list[Neighbor]:
+    def _knn(self, query, k: int, stats=None) -> list[Neighbor]:
         # Object-dependent: the whole query (version check, cache
         # consultation, tree search over the object index) runs under
         # the read lock so no update mutates the embedding mid-search.
@@ -908,7 +817,7 @@ class QueryEngine:
             if cache is None:
                 with self._mutex:
                     self._counts["knn"] += 1
-                return self._raw_knn(query, k, ctx, stats)
+                return self._raw_knn(query, k, stats)
             key = (endpoint_key(query), k)
             with self._mutex:
                 self._counts["knn"] += 1
@@ -922,24 +831,24 @@ class QueryEngine:
                 # closure; the entry is tagged with it so updates to
                 # other leaves leave it cached (None = tag ALL)
                 qstats = QueryStats()
-                res = self._raw_knn(query, k, ctx, qstats, collect_leaves=True)
+                res = self._raw_knn(query, k, qstats, collect_leaves=True)
                 if stats is not None:
                     stats.merge(qstats)
                 with self._mutex:
                     cache.put(key, tuple(res), qstats.result_leaves)
             else:
-                res = self._raw_knn(query, k, ctx, stats)
+                res = self._raw_knn(query, k, stats)
                 with self._mutex:
                     cache[key] = tuple(res)
             return res
 
-    def _raw_knn(self, query, k: int, ctx, stats=None,
+    def _raw_knn(self, query, k: int, stats=None,
                  collect_leaves: bool = False) -> list[Neighbor]:
         index = self.index
         if self._is_tree:
             if self.object_index is None:
                 raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            return self._searcher.knn(self.object_index, query, k, ctx,
+            return self._searcher.knn(self.object_index, query, k,
                                       stats=stats, collect_leaves=collect_leaves)
         if isinstance(index, DijkstraOracle):
             if self.objects is None:
@@ -953,7 +862,7 @@ class QueryEngine:
             raise QueryError(f"{type(index).__name__} does not support kNN queries")
         return [Neighbor(object_id=oid, distance=d) for d, oid in ranked]
 
-    def _range(self, query, radius: float, ctx, stats=None) -> list[Neighbor]:
+    def _range(self, query, radius: float, stats=None) -> list[Neighbor]:
         # Object-dependent: runs under the read lock, like _knn.
         with self._lock.read():
             self._check_object_version()
@@ -961,7 +870,7 @@ class QueryEngine:
             if cache is None:
                 with self._mutex:
                     self._counts["range"] += 1
-                return self._raw_range(query, radius, ctx, stats)
+                return self._raw_range(query, radius, stats)
             key = (endpoint_key(query), radius)
             with self._mutex:
                 self._counts["range"] += 1
@@ -973,25 +882,25 @@ class QueryEngine:
             if self._scoped_enabled:
                 # see _knn: tag the entry with its radius-ball closure
                 qstats = QueryStats()
-                res = self._raw_range(query, radius, ctx, qstats,
+                res = self._raw_range(query, radius, qstats,
                                       collect_leaves=True)
                 if stats is not None:
                     stats.merge(qstats)
                 with self._mutex:
                     cache.put(key, tuple(res), qstats.result_leaves)
             else:
-                res = self._raw_range(query, radius, ctx, stats)
+                res = self._raw_range(query, radius, stats)
                 with self._mutex:
                     cache[key] = tuple(res)
             return res
 
-    def _raw_range(self, query, radius: float, ctx, stats=None,
+    def _raw_range(self, query, radius: float, stats=None,
                    collect_leaves: bool = False) -> list[Neighbor]:
         index = self.index
         if self._is_tree:
             if self.object_index is None:
                 raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            return self._searcher.range_query(self.object_index, query, radius, ctx,
+            return self._searcher.range_query(self.object_index, query, radius,
                                               stats=stats, collect_leaves=collect_leaves)
         if isinstance(index, DijkstraOracle):
             if self.objects is None:
@@ -1019,7 +928,7 @@ class QueryEngine:
         Thread safety: the snapshot is taken under the engine mutex, so
         it is internally consistent even while other threads query and
         update; once those threads are quiescent the counters sum
-        exactly (per-thread context counters are aggregated).
+        exactly.
         """
         with self._mutex:
             s = EngineStats(
@@ -1041,51 +950,14 @@ class QueryEngine:
                 s.knn_misses = self._knn_cache.misses
                 s.range_hits = self._range_cache.hits
                 s.range_misses = self._range_cache.misses
-            if self.thread_safe:
-                if self._ctx_enabled:
-                    totals = list(self._ctx_base)
-                    for _, ctx in self._ctx_registry.values():
-                        totals[0] += ctx.endpoint_hits
-                        totals[1] += ctx.endpoint_misses
-                        totals[2] += ctx.climb_hits
-                        totals[3] += ctx.climb_misses
-                        totals[4] += ctx.search_hits
-                        totals[5] += ctx.search_misses
-                    (s.endpoint_hits, s.endpoint_misses, s.climb_hits,
-                     s.climb_misses, s.search_hits, s.search_misses) = totals
-            elif self._ctx is not None:
-                s.endpoint_hits = self._ctx.endpoint_hits
-                s.endpoint_misses = self._ctx.endpoint_misses
-                s.climb_hits = self._ctx.climb_hits
-                s.climb_misses = self._ctx.climb_misses
-                s.search_hits = self._ctx.search_hits
-                s.search_misses = self._ctx.search_misses
         return s
 
     def clear_caches(self) -> None:
         """Drop cached state (counters keep their lifetime totals).
 
-        Thread safety: safe to call concurrently with queries; a
-        thread-safe engine retires every per-thread context (folding
-        its counters into the aggregate) and each serving thread
-        transparently gets a fresh one on its next query.
+        Thread safety: safe to call concurrently with queries.
         """
         with self._mutex:
-            if self.thread_safe:
-                if self._ctx_enabled:
-                    for _, ctx in self._ctx_registry.values():
-                        self._fold_ctx_locked(ctx)
-                    self._ctx_registry.clear()
-                    self._ctx_generation += 1
-            elif self._ctx is not None:
-                fresh = self._new_ctx()
-                fresh.endpoint_hits = self._ctx.endpoint_hits
-                fresh.endpoint_misses = self._ctx.endpoint_misses
-                fresh.climb_hits = self._ctx.climb_hits
-                fresh.climb_misses = self._ctx.climb_misses
-                fresh.search_hits = self._ctx.search_hits
-                fresh.search_misses = self._ctx.search_misses
-                self._ctx = fresh
             for cache in (self._dist_cache, self._path_cache, self._knn_cache, self._range_cache):
                 if cache is not None:
                     cache.clear()

@@ -13,8 +13,7 @@ implements a deterministic multilevel-style bisection:
 
 Recursive bisection yields k-way partitions. Quality is sufficient for
 the baselines: on indoor D2D graphs the hallway cliques dominate and any
-balanced small-cut split keeps border counts close to what METIS gives
-(see DESIGN.md §5 substitution 2).
+balanced small-cut split keeps border counts close to what METIS gives.
 """
 
 from __future__ import annotations

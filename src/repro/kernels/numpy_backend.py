@@ -285,7 +285,7 @@ class NumpyKernels:
             )
         return frozenset(leaves)
 
-    def knn(self, object_index, query, k: int, ctx=None, stats=None,
+    def knn(self, object_index, query, k: int, stats=None,
             collect_leaves: bool = False) -> list[Neighbor]:
         """Algorithm 5's answer, eagerly: the k lexicographically
         smallest ``(distance, object_id)`` pairs over the eager distance
@@ -297,7 +297,7 @@ class NumpyKernels:
         """
         if k <= 0:
             raise QueryError(f"k must be positive, got {k}")
-        search = _Search(object_index.tree, object_index, query, ctx, stats)
+        search = _Search(object_index.tree, object_index, query, stats)
         dists, oids, vals = self._eager_distances(search)
         order = np.lexsort((oids, dists))[:k] if dists.size else np.empty(0, _INTP)
         if collect_leaves:
@@ -313,14 +313,14 @@ class NumpyKernels:
             for i in order.tolist()
         ]
 
-    def range_query(self, object_index, query, radius: float, ctx=None,
+    def range_query(self, object_index, query, radius: float,
                     stats=None, collect_leaves: bool = False) -> list[Neighbor]:
         """Every object with distance <= radius, sorted by ``(distance,
         object_id)`` — the contract of
         :func:`repro.core.query_range.range_query`."""
         if radius < 0:
             raise QueryError(f"radius must be non-negative, got {radius}")
-        search = _Search(object_index.tree, object_index, query, ctx, stats)
+        search = _Search(object_index.tree, object_index, query, stats)
         dists, oids, vals = self._eager_distances(search)
         if collect_leaves:
             # The radius bound holds even for an empty answer: an insert

@@ -139,7 +139,8 @@ class IndoorSpaceBuilder:
         doors at its connecting floors. ``length_multiplier`` inflates the
         straight-line distance to account for the stair run; the default of
         1.0 keeps the metric Euclidean-consistent (required by the superior
-        door optimization, see DESIGN.md §4).
+        door optimization, which assumes that in-partition distances obey
+        the triangle inequality).
 
         Returns the staircase partition id.
         """

@@ -200,11 +200,17 @@ class IndoorSpace:
                 partition — arbitrary points can only exit their partition
                 through its own doors.
         """
-        part = self.partitions[point.partition_id]
-        if door_id not in part.door_ids:
+        # door_partitions holds at most two partitions per door, so the
+        # check is O(1); the range check keeps a negative id from
+        # indexing from the end of the list
+        if not (
+            0 <= door_id < len(self.door_partitions)
+            and point.partition_id in self.door_partitions[door_id]
+        ):
             raise QueryError(
                 f"door {door_id} is not a door of partition {point.partition_id}"
             )
+        part = self.partitions[point.partition_id]
         if part.fixed_traversal is not None:
             return part.fixed_traversal / 2.0
         return self.point_position(point).distance(

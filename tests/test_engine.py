@@ -181,28 +181,6 @@ class TestStats:
         engine.distance(t, s)  # reversed pair hits the symmetric key
         assert engine.stats().distance_hits == before + 1
 
-    def test_search_counters_separate_from_climb(self, setting):
-        """kNN/range touch the search-state layer, not the climb cache."""
-        space, vip, _, objects = setting
-        engine = QueryEngine(vip, objects, cache=True)
-        queries = sample_points(space, 6, seed=46)
-        engine.batch_knn(queries, 2)
-        engine.batch_knn(queries, 3)  # same endpoints, different k
-        s = engine.stats()
-        assert s.search_misses == len(queries)
-        assert s.search_hits >= len(queries)
-        assert s.climb_hits == 0 and s.climb_misses == 0
-
-    def test_bounded_context_caches_stay_correct(self, setting):
-        """A tiny context cache forces evictions but never changes answers."""
-        space, vip, _, objects = setting
-        small = QueryEngine(vip, objects, cache=True, context_cache_size=2)
-        plain = QueryEngine(vip, objects, cache=False)
-        for s, t in _pairs(space, 8, seed=47):
-            assert small.distance(s, t) == plain.distance(s, t)
-        for q in sample_points(space, 8, seed=48):
-            assert small.knn(q, 3) == plain.knn(q, 3)
-
     def test_uncached_engine_reports_zero_hits(self, setting):
         space, vip, _, objects = setting
         engine = QueryEngine(vip, objects, cache=False)
@@ -224,7 +202,6 @@ class TestStats:
         engine.clear_caches()
         after = engine.stats()
         assert after.knn_hits == before.knn_hits
-        assert after.endpoint_hits == before.endpoint_hits
         # next batch recomputes (misses grow, answers unchanged)
         again = engine.batch_knn(queries, 2)
         assert engine.stats().knn_misses > before.knn_misses

@@ -25,15 +25,23 @@ foundation.
 
 from __future__ import annotations
 
+import gc
 import random
 import threading
+import tracemalloc
 
 import pytest
 
 from repro import ObjectIndex, VIPTree
 from repro.baselines import DijkstraOracle
-from repro.datasets import build_mall, random_objects, random_point
-from repro.engine import QueryEngine
+from repro.datasets import (
+    build_mall,
+    load_venue,
+    mixed_queries,
+    random_objects,
+    random_point,
+)
+from repro.engine import QueryEngine, replay
 
 N_QUERY_THREADS = 4
 QUERIES_PER_THREAD = 300
@@ -187,30 +195,50 @@ def test_thread_safe_engine_answers_match_plain_engine(storm_setup):
     assert a.as_dict() == b.as_dict()
 
 
-def test_thread_churn_does_not_leak_contexts(storm_setup):
-    """Dead threads' QueryContexts are pruned (counters folded), so a
-    thread-per-request embedder cannot grow the registry unboundedly."""
-    space, tree, objects, oracle = storm_setup
-    engine = QueryEngine(tree, ObjectIndex(tree, objects), thread_safe=True)
-    rng = random.Random(3)
-    # distinct points: every query misses the kNN result cache and so
-    # actually exercises (and counts in) its thread's QueryContext
+def test_fresh_endpoint_reads_do_not_grow_state():
+    """A long-running engine keeps no per-endpoint state: once every
+    leaf's lazily derived structures exist (its door matrix and its
+    numpy program), 1,000 reads at fresh endpoints leave behind only
+    what the bounded result caches hold. Short-lived serving threads
+    leave nothing behind either, and their queries are all counted."""
+    space = load_venue("MC", "tiny")
+    tree = VIPTree.build(space)
+    objects = random_objects(space, 60, seed=5)
+    engine = QueryEngine(tree, ObjectIndex(tree, objects), thread_safe=True,
+                         distance_cache_size=8, result_cache_size=8)
+    queries = mixed_queries(space, 1000, seed=41, pool=None, d2d=tree.d2d)
+    radius = next(q.radius for q in queries if q.kind == "range")
+
+    rng = random.Random(7)
+    first_partition = {}
+    for pid, leaf in enumerate(tree.leaf_node_of_partition):
+        first_partition.setdefault(leaf, pid)
+    assert len(first_partition) == sum(node.is_leaf for node in tree.nodes)
+    for pid in first_partition.values():
+        p = random_point(space, rng, [pid])
+        engine.knn(p, 5)
+        engine.range_query(p, radius)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        replay(engine, queries, batched=False)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024, f"{grown / 1024:.0f} KiB kept after 1,000 fresh reads"
+
+    churned = QueryEngine(tree, ObjectIndex(tree, objects), thread_safe=True)
     points = [random_point(space, rng) for _ in range(26)]
-
-    def one_query(p):
-        engine.knn(p, 2)
-
     for p in points[:25]:  # 25 short-lived threads, strictly sequential
-        t = threading.Thread(target=one_query, args=(p,))
+        t = threading.Thread(target=churned.knn, args=(p, 2))
         t.start()
         t.join(timeout=30)
-    # next registration prunes everything dead
-    engine.knn(points[25], 2)
-    assert len(engine._ctx_registry) <= 2
-    stats = engine.stats()
-    assert stats.knn_queries == 26
-    # folded counters survive pruning: every thread resolved its endpoint
-    assert stats.endpoint_hits + stats.endpoint_misses == 26
+        assert not t.is_alive()
+    churned.knn(points[25], 2)
+    assert churned.stats().knn_queries == 26
 
 
 @pytest.mark.slow

@@ -138,6 +138,11 @@ class TestMetric:
         other_room_door = fig1_space.partitions[fig1_space.fixture_rooms[1][0]].door_ids[0]
         with pytest.raises(QueryError):
             fig1_space.point_to_door_distance(IndoorPoint(room, 0, 0), other_room_door)
+        # -1 would index the last door, which is a door of `owner`
+        owner = fig1_space.partitions_of_door(fig1_space.num_doors - 1)[0]
+        for bad_id in (fig1_space.num_doors, -1):
+            with pytest.raises(QueryError):
+                fig1_space.point_to_door_distance(IndoorPoint(owner, 0, 0), bad_id)
 
     def test_direct_point_distance_same_partition(self, fig1_space):
         room = fig1_space.fixture_rooms[0][0]

@@ -18,12 +18,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import IPTree, ObjectIndex, UpdateOp, VIPTree
-from repro.core.context import endpoint_key
 from repro.core.query_knn import knn
 from repro.core.query_range import range_query
 from repro.core.results import QueryStats
 from repro.datasets import random_objects, random_point
 from repro.engine import QueryEngine, TaggedLRUCache
+from repro.engine.engine import endpoint_key
 from repro.exceptions import QueryError
 from repro.kernels import NumpyKernels
 from repro.testing import sample_points
