@@ -1,6 +1,6 @@
-"""Async front door: batched vs unbatched tail latency + admission isolation.
+"""Front door: batched vs unbatched tail latency + admission isolation.
 
-The front door rewrite makes two claims this benchmark measures and
+The front door makes two claims this benchmark measures and
 CI-asserts (hardware permitting):
 
 * **Batching pays** — at ``N_CLIENTS`` (16) concurrent TCP clients,
@@ -56,8 +56,8 @@ from repro.datasets import load_venue, multi_venue_streams, random_objects, rand
 from repro.exceptions import OverloadedError
 from repro.serving import (
     AdmissionController,
-    AsyncFrontDoor,
     ClusterFrontend,
+    FrontDoor,
     FrontDoorClient,
     Request,
     VenueRouter,
@@ -147,7 +147,7 @@ def check_frontdoor_equivalence(
     with ClusterFrontend(Path(root) / "door", shards=2) as cluster:
         for space, objects in make_venues():
             cluster.add_venue(space, objects=objects)
-        with AsyncFrontDoor(cluster) as door, \
+        with FrontDoor(cluster) as door, \
                 FrontDoorClient(door.address) as client:
             for vid in ids:
                 requests = [Request.from_event(vid, e) for e in keyed[vid]]
@@ -200,7 +200,7 @@ def measure_frontdoor(
             cluster.submit(Request(venue=vid, kind="knn",
                                    source=random_point(space, rng),
                                    k=3)).result(timeout=60.0)
-        with AsyncFrontDoor(cluster) as door:
+        with FrontDoor(cluster) as door:
             for mode in ("unbatched", "batched"):
                 latencies: list[float] = []
                 failures: list = []
@@ -308,7 +308,7 @@ def measure_pathological(
             cluster.submit(Request(venue=vid, kind="knn",
                                    source=random_point(space, rng),
                                    k=3)).result(timeout=60.0)
-        with AsyncFrontDoor(cluster) as door:
+        with FrontDoor(cluster) as door:
 
             def victim_pass(space, vid) -> list[float]:
                 wrng = random.Random(seed + 1)
@@ -498,7 +498,7 @@ def main(argv=None) -> int:
         print(table.render())
         if cpus < MIN_CPUS:
             print(f"note: only {cpus} CPU(s) available — clients and the "
-                  "event loop share cores, so the comparison above "
+                  "door threads share cores, so the comparison above "
                   f"understates batching (the >= {MIN_BATCH_SPEEDUP}x claim "
                   f"needs >= {MIN_CPUS} CPUs)")
         print()

@@ -17,7 +17,7 @@ Public API highlights:
 * :mod:`repro.serving` — concurrent multi-venue serving: thread-safe
   engines behind a ``VenueRouter`` engine pool with a durable per-venue
   op log, sharded across processes by ``ClusterFrontend`` and served
-  over TCP by ``AsyncFrontDoor``.
+  over TCP by ``FrontDoor``.
 * :mod:`repro.datasets` — synthetic venue generators (MC/Men/CL families)
   and query workloads.
 

@@ -3,9 +3,11 @@
 :func:`conservation_violations` checks them on a cluster's merged
 snapshot (``ClusterFrontend.metrics()``) at quiescence, for the traffic
 the stack's own front doors send: query kinds through
-``ClusterFrontend.submit``, each one answered. Metric names are plain
-strings here, so this module imports nothing from the rest of
-:mod:`repro`.
+``ClusterFrontend.submit``, each one answered. Behind a TCP front door,
+every request it routed is observed once in
+``frontdoor_request_seconds`` when its future settles, so those counts
+sum to ``cluster_submitted_total``. Metric names are plain strings
+here, so this module imports nothing from the rest of :mod:`repro`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ _READ_KINDS = ("distance", "path", "knn", "range")
 def conservation_violations(snapshot: dict) -> list[str]:
     """One line per conservation law ``snapshot`` breaks (empty when
     all hold). Takes a plain or summarized snapshot; a missing series
-    counts as zero; admission laws apply only when admission series
-    are present."""
+    counts as zero; the front-door and admission laws apply only when
+    their series are present."""
 
     def total(name: str, **labels) -> int:
         """A counter's value or a histogram's count, summed over the
@@ -44,6 +46,10 @@ def conservation_violations(snapshot: dict) -> list[str]:
         if len({value for _, value in terms}) > 1:
             violations.append(" = ".join(f"{label} [{value}]"
                                          for label, value in terms))
+
+    if any(entry["name"] == "frontdoor_request_seconds"
+           for entry in snapshot.get("histograms", {}).values()):
+        law(term("frontdoor_request_seconds"), term("cluster_submitted_total"))
 
     shard_reads = ("read-kind shard_request_seconds",
                    sum(total("shard_request_seconds", kind=kind)

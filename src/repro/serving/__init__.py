@@ -24,8 +24,8 @@ engine, each layer usable alone:
   optional per-venue admission control
   (:class:`AdmissionController`; shed requests raise a typed
   :class:`~repro.exceptions.OverloadedError` with a retry-after hint).
-* **Front door** (:class:`AsyncFrontDoor`) — one asyncio loop serving
-  every TCP client, single and batch frames alike;
+* **Front door** (:class:`FrontDoor`) — the TCP intake: a reader and
+  a writer thread per client connection, single and batch frames alike;
   :class:`FrontDoorClient` is the matching client and
   ``python -m repro.serving`` serves a catalog this way.
 
@@ -57,9 +57,9 @@ Quickstart (sharded cluster — same requests, N processes)::
 """
 
 from .admission import AdmissionController, AdmissionStats, TokenBucket
-from .async_frontend import AsyncFrontDoor
 from .client import FrontDoorClient
 from .cluster import ClusterFrontend, ClusterStats
+from .frontdoor import FrontDoor
 from .protocol import (
     CONTROL_KINDS,
     BatchRequest,
@@ -89,7 +89,6 @@ from .shard import ShardProcess, ShardStats, ShardWorker
 __all__ = [
     "AdmissionController",
     "AdmissionStats",
-    "AsyncFrontDoor",
     "BatchRequest",
     "BatchResponse",
     "CONTROL_KINDS",
@@ -98,6 +97,7 @@ __all__ = [
     "DEFAULT_VNODES",
     "ErrorResponse",
     "FAULT_KINDS",
+    "FrontDoor",
     "FrontDoorClient",
     "HashRing",
     "MAX_BATCH_REQUESTS",

@@ -2,13 +2,12 @@
 over TCP.
 
 Spins up a :class:`~repro.serving.cluster.ClusterFrontend` (one
-process per shard, warm-started from a snapshot catalog) behind an
-:class:`~repro.serving.async_frontend.AsyncFrontDoor`: a single
-asyncio event loop multiplexing every client connection, speaking the
-length-prefixed wire protocol of :mod:`repro.serving.protocol` —
-single-request frames exactly as before, plus multi-request **batch
-frames** (one frame in, one frame of ordered replies out, errors
-isolated per element).
+process per shard, warm-started from a snapshot catalog) behind a
+:class:`~repro.serving.frontdoor.FrontDoor`: a reader and a writer
+thread per client connection, speaking the length-prefixed wire
+protocol of :mod:`repro.serving.protocol` — single-request frames,
+plus multi-request **batch frames** (one frame in, one frame of
+ordered replies out, errors isolated per element).
 
 Examples:
     # serve two venues on an ephemeral port, 4 shard processes
@@ -32,12 +31,11 @@ Examples:
 
 ``--venue`` accepts a generator name (MC, MC-2, Men, Men-2, CL, CL-2)
 or a path to a venue JSON file written by ``repro.model.save_space``;
-repeat the flag to serve several venues. Connections are no longer
-capped (the event loop multiplexes them); ``--workers`` now sizes the
-front door's submission executor — the number of clients that can be
-stalled on shard backpressure before further submissions queue.
-Request order within a connection is preserved end-to-end, so
-per-venue update/query ordering holds for any single client.
+repeat the flag to serve several venues. Up to
+:data:`~repro.serving.frontdoor.MAX_CONNECTIONS` client connections
+are served at once. Request order within a connection is preserved
+end-to-end, so per-venue update/query ordering holds for any single
+client; shard backpressure stalls only the connection that hit it.
 Venue-less control requests (``ping``/``stats``/``flush``/``venues``/
 ``metrics``) are answered by the front door itself; everything else is
 routed to the owning shard.
@@ -70,9 +68,9 @@ from ..datasets.workloads import random_objects
 from ..model.io_json import load_space
 from ..obs import conservation_violations, render_prometheus
 from .admission import AdmissionController
-from .async_frontend import AsyncFrontDoor
 from .client import FrontDoorClient
 from .cluster import ClusterFrontend
+from .frontdoor import MAX_CONNECTIONS, FrontDoor
 from .protocol import Request, Response
 
 
@@ -234,10 +232,7 @@ def _cmd_serve(args) -> int:
                   f"{placement[0]}, replicas {placement[1:] or '[]'} "
                   f"({vid[:12]})")
 
-        with AsyncFrontDoor(
-            cluster, port=args.port, names=names,
-            submit_workers=args.workers,
-        ) as door:
+        with FrontDoor(cluster, port=args.port, names=names) as door:
             host, port = door.address
             admission = cluster.admission
             policy = (
@@ -248,7 +243,6 @@ def _cmd_serve(args) -> int:
             )
             print(f"serving {len(venues)} venue(s) on {host}:{port} "
                   f"({args.shards} shard(s), replication={args.replication}, "
-                  f"async front door, {args.workers} submit worker(s), "
                   f"{policy})")
 
             metrics_server = None
@@ -299,12 +293,10 @@ def main(argv=None) -> int:
     serve.add_argument("--replication", type=int, default=1,
                        help="copies of each venue: 1 primary plus N-1 "
                             "log-tailing read replicas (default 1)")
-    serve.add_argument("--workers", type=int, default=8,
-                       help="submission executor threads in the async front "
-                            "door (clients that can be stalled on shard "
-                            "backpressure before submissions queue)")
     serve.add_argument("--port", type=int, default=0,
-                       help="TCP port (0: ephemeral, printed on startup)")
+                       help="TCP port of the front door, which serves up to "
+                            f"{MAX_CONNECTIONS} client connections at once "
+                            "(0: ephemeral, printed on startup)")
     serve.add_argument("--admission-rate", type=float, default=0.0,
                        metavar="N",
                        help="per-venue token-bucket rate limit in "

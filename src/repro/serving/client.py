@@ -4,9 +4,8 @@ A thin, dependency-free wrapper over the framed wire protocol that
 handles the bookkeeping every ad-hoc client was re-implementing:
 request-id assignment, frame encode/decode, batch envelope pairing and
 typed error materialization. One instance owns one socket; it is **not
-thread-safe** — use one client per thread (the async front door
-multiplexes any number of connections on one loop, so clients are
-cheap).
+thread-safe** — use one client per thread (the front door serves up to
+:data:`~repro.serving.frontdoor.MAX_CONNECTIONS` connections at once).
 
 Quickstart::
 

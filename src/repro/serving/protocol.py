@@ -4,7 +4,7 @@ Every serving layer — a :class:`~repro.serving.router.VenueRouter`
 executing in-process, a :class:`~repro.serving.shard.ShardWorker`
 process behind a socket, the multi-process
 :class:`~repro.serving.cluster.ClusterFrontend` and the TCP
-:class:`~repro.serving.async_frontend.AsyncFrontDoor` — speaks the
+:class:`~repro.serving.frontdoor.FrontDoor` — speaks the
 same protocol defined here:
 
 * :class:`Request` — one venue-tagged query/update/control operation

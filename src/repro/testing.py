@@ -123,10 +123,10 @@ def deadline_guard(seconds: float = 120.0):
     """Fail fast — with a full all-thread stack dump — if the guarded
     block runs past ``seconds``.
 
-    Network-touching tests (cluster, replication, async front door)
-    hang, when they hang, inside an uninterruptible wait: a
+    Network-touching tests (cluster, replication, front door) hang,
+    when they hang, inside an uninterruptible wait: a
     ``future.result()`` whose completing thread died, a socket read
-    against a wedged event loop. Pytest's own timeout then comes from
+    against a wedged server thread. Pytest's own timeout then comes from
     the CI harness killing the whole process, which reports *nothing*
     about which wait wedged. This guard arms a real ``SIGALRM`` — it
     interrupts the main thread mid-wait, so the raised ``TimeoutError``
@@ -144,7 +144,7 @@ def deadline_guard(seconds: float = 120.0):
     def on_alarm(signum, frame):
         raise TimeoutError(
             f"deadline_guard: test still running after {seconds:.0f}s — "
-            f"wedged event loop or socket wait?\n{all_thread_stacks()}"
+            f"wedged server thread or socket wait?\n{all_thread_stacks()}"
         )
 
     previous_handler = signal.signal(signal.SIGALRM, on_alarm)

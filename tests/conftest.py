@@ -26,7 +26,7 @@ from repro.testing import (  # noqa: F401 — re-exported for fixtures below
 # ----------------------------------------------------------------------
 # Wedge detection: every test marked ``net_guard`` (the network-touching
 # suites set it module-wide) runs under a SIGALRM deadline — a wedged
-# event loop or socket wait fails fast with an all-thread stack dump
+# server thread or socket wait fails fast with an all-thread stack dump
 # instead of hanging until the CI harness kills the run reportlessly.
 @pytest.fixture(autouse=True)
 def _net_guard(request):

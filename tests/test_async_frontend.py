@@ -1,9 +1,9 @@
-"""The asyncio front door: wire-exact answers, batch semantics,
-admission control over TCP, and adversarial client behavior.
+"""The front door: wire-exact answers, batch semantics, admission
+control over TCP, adversarial client behavior, and its threads.
 
-One event loop multiplexes every connection, so the properties under
-test are exactly the ones a thread-per-connection server got for free
-plus the ones it couldn't give:
+Each connection gets a reader thread (frames submitted in arrival
+order) and a writer thread (replies sent in completion order); the
+properties under test:
 
 * answers over the wire are element-wise identical to direct cluster
   submission (and batch answers to sequential single frames),
@@ -11,16 +11,21 @@ plus the ones it couldn't give:
   isolation — including per-venue update→query ordering within a
   batch,
 * a malformed or hostile client gets a typed error or a closed
-  connection and **cannot wedge the loop**: the server must keep
-  serving fresh connections after every abuse (hypothesis-fuzzed),
+  connection and **cannot wedge the server**: it must keep serving
+  fresh connections after every abuse (hypothesis-fuzzed),
+* a client that stops reading stalls only itself,
 * admission-shed requests surface as typed ``OverloadedError`` replies
-  with their retry-after hint, batchmates unaffected.
+  with their retry-after hint, batchmates unaffected,
+* live connections are capped, and every door thread is reaped when
+  its connection ends and joined by ``stop()``.
 """
 
 from __future__ import annotations
 
 import socket
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,15 +36,19 @@ from repro.exceptions import OverloadedError, ProtocolError
 from repro.model.objects import UpdateOp
 from repro.serving import (
     AdmissionController,
-    AsyncFrontDoor,
     ClusterFrontend,
+    FrontDoor,
     FrontDoorClient,
     Request,
 )
+from repro.serving import frontdoor
 from repro.serving.protocol import (
+    BatchRequest,
     ErrorResponse,
+    batch_request_to_doc,
     encode_frame,
     recv_doc,
+    reply_from_doc,
     request_to_doc,
     result_to_doc,
     send_doc,
@@ -47,7 +56,7 @@ from repro.serving.protocol import (
 
 import random
 
-# Real sockets + an event-loop thread: wedges fail fast with a dump.
+# Real sockets + door threads: wedges fail fast with a dump.
 pytestmark = pytest.mark.net_guard
 
 
@@ -61,7 +70,7 @@ def served(tmp_path_factory):
     catalog = tmp_path_factory.mktemp("door-catalog")
     with ClusterFrontend(catalog, shards=2) as cluster:
         vid = cluster.add_venue(space, objects=objects)
-        with AsyncFrontDoor(cluster, names={vid: space.name}) as door:
+        with FrontDoor(cluster, names={vid: space.name}) as door:
             yield cluster, door, space, vid
 
 
@@ -84,6 +93,29 @@ def _server_still_serves(door, vid) -> bool:
     gets a real answer."""
     with FrontDoorClient(door.address, timeout=30.0) as client:
         return client.call(Request(venue="", kind="ping")) == {"ok": True}
+
+
+def _serves(door) -> bool:
+    """Whether a fresh connection is served (not refused)."""
+    try:
+        with FrontDoorClient(door.address, timeout=30.0) as client:
+            return bool(client.call(Request(venue="", kind="venues")))
+    except (ProtocolError, OSError):
+        return False
+
+
+def _door_threads(exclude=()) -> list[threading.Thread]:
+    return [t for t in threading.enumerate()
+            if t.name.startswith("frontdoor-") and t not in exclude]
+
+
+def _eventually(predicate, seconds: float = 30.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +213,80 @@ def test_concurrent_clients_all_get_their_own_answers(served):
         t.start()
     for t in threads:
         t.join(timeout=60.0)
+    assert not failures
+
+
+def test_pipelined_clients_get_every_owed_reply_before_the_close(served):
+    """8 clients each pipeline single frames and batches (a local kind
+    beside routed kNNs, so batch slots fill from the reader and the
+    shard threads at once), half-close, and read to the end: every
+    reply arrives exactly once, right, before the door closes. A lost
+    update to a batch's or a connection's count of owed replies would
+    drop a reply, close early or never close. Thread switches every
+    microsecond widen the races."""
+    cluster, door, space, vid = served
+    requests = _queries(space, vid, 6, seed=37)
+    expected = [result_to_doc(cluster.submit(r).result(timeout=30.0))
+                for r in requests]
+    listing = Request(venue="", kind="venues")
+    failures: list = []
+
+    def client(seed: int) -> None:
+        rng = random.Random(seed)
+        frames, singles, batches = [], {}, []
+        next_id = 0
+        for _ in range(20):
+            if rng.random() < 0.25:
+                picks = [rng.randrange(len(requests)) for _ in range(3)]
+                ids = list(range(next_id, next_id + 4))
+                batch = [requests[i] for i in picks] + [listing]
+                frames.append(encode_frame(batch_request_to_doc(
+                    BatchRequest(tuple(batch)), ids)))
+                batches.append((ids, picks))
+                next_id += 4
+            else:
+                pick = rng.randrange(len(requests))
+                frames.append(encode_frame(
+                    request_to_doc(requests[pick], next_id)))
+                singles[next_id] = pick
+                next_id += 1
+        sock = _raw_connection(door)
+        try:
+            sock.sendall(b"".join(frames))
+            sock.shutdown(socket.SHUT_WR)
+            got_singles, got_batches = {}, []
+            while (doc := recv_doc(sock)) is not None:
+                if "batch" in doc:
+                    got_batches.append(doc["batch"])
+                else:
+                    got_singles[doc["id"]] = doc["result"]
+        except Exception as exc:  # noqa: BLE001 - collected for the assert
+            failures.append(exc)
+            return
+        finally:
+            sock.close()
+        if got_singles != {i: expected[pick] for i, pick in singles.items()}:
+            failures.append(("singles", seed))
+        want = [[{"id": i, "result": expected[p]} for i, p in zip(ids, picks)]
+                for ids, picks in batches]
+        if [[{"id": r["id"], "result": r["result"]} for r in b[:3]]
+                for b in got_batches] != want:
+            failures.append(("batches", seed))
+        if [b[3]["id"] for b in got_batches] != [ids[3] for ids, _ in batches]:
+            failures.append(("local slots", seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(seed,))
+                   for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
     assert not failures
 
 
@@ -287,6 +393,49 @@ def test_mid_frame_disconnect_after_valid_traffic(served):
     assert _server_still_serves(door, vid)
 
 
+def test_a_client_that_stops_reading_cannot_stall_another(tmp_path):
+    """Connection A pipelines kNN frames whose replies (~8.6 KB each,
+    ~7 MB in all) overflow its socket buffers, and reads nothing. Its
+    writer blocks; the shard's reader thread, which settles every
+    future, must not, so connection B is still answered. Then A reads
+    everything."""
+    space = build_mall("tiny", name="stall-mall")
+    objects = random_objects(space, 400, seed=5)
+    with ClusterFrontend(tmp_path / "cat", shards=1) as cluster:
+        vid = cluster.add_venue(space, objects=objects)
+        rng = random.Random(17)
+        heavy = [Request(venue=vid, kind="knn",
+                         source=random_point(space, rng), k=400)
+                 for _ in range(8)]
+        light = _queries(space, vid, 5, seed=19)
+        expected_heavy = [result_to_doc(cluster.submit(r).result(timeout=30.0))
+                          for r in heavy]
+        expected_light = [result_to_doc(cluster.submit(r).result(timeout=30.0))
+                          for r in light]
+        count = 800
+        frames = b"".join(encode_frame(request_to_doc(heavy[i % 8], i))
+                          for i in range(count))
+        submitted = cluster.registry.counter("cluster_submitted_total")
+        with FrontDoor(cluster) as door:
+            a = socket.socket()
+            a.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            a.settimeout(30.0)
+            a.connect(door.address)
+            try:
+                target = submitted.value + count
+                a.sendall(frames)
+                assert _eventually(lambda: submitted.value >= target)
+                with FrontDoorClient(door.address, timeout=10.0) as b:
+                    assert [result_to_doc(b.call(r)) for r in light] \
+                        == expected_light
+                replies = [reply_from_doc(recv_doc(a)) for _ in range(count)]
+            finally:
+                a.close()
+        by_id = {reply.request_id: result_to_doc(reply.value())
+                 for reply in replies}
+        assert by_id == {i: expected_heavy[i % 8] for i in range(count)}
+
+
 # ----------------------------------------------------------------------
 # Admission control over the wire
 # ----------------------------------------------------------------------
@@ -297,7 +446,7 @@ def test_shed_requests_get_typed_overload_with_retry_hint(tmp_path):
     with ClusterFrontend(tmp_path / "cat", shards=1,
                          admission=admission) as cluster:
         vid = cluster.add_venue(space, objects=objects)
-        with AsyncFrontDoor(cluster) as door:
+        with FrontDoor(cluster) as door:
             requests = _queries(space, vid, 4, seed=7)
             with FrontDoorClient(door.address) as client:
                 # burst of 2: two answered, then typed sheds
@@ -332,7 +481,7 @@ def test_front_door_lifecycle(tmp_path):
     space = build_mall("tiny", name="life-mall")
     with ClusterFrontend(tmp_path / "cat", shards=1) as cluster:
         cluster.add_venue(space)
-        door = AsyncFrontDoor(cluster)
+        door = FrontDoor(cluster)
         door.start()
         with pytest.raises(Exception, match="already started"):
             door.start()
@@ -347,15 +496,69 @@ def test_bind_failure_surfaces_at_start(tmp_path):
     space = build_mall("tiny", name="bind-mall")
     with ClusterFrontend(tmp_path / "cat", shards=1) as cluster:
         cluster.add_venue(space)
-        with AsyncFrontDoor(cluster) as door:
-            clash = AsyncFrontDoor(cluster, port=door.address[1])
+        with FrontDoor(cluster) as door:
+            clash = FrontDoor(cluster, port=door.address[1])
             with pytest.raises(OSError):
                 clash.start()
 
 
-def test_submit_workers_must_be_positive(tmp_path):
-    space = build_mall("tiny", name="w-mall")
-    with ClusterFrontend(tmp_path / "cat", shards=1) as cluster:
-        cluster.add_venue(space)
-        with pytest.raises(Exception, match="submit_workers"):
-            AsyncFrontDoor(cluster, submit_workers=0)
+def test_connections_past_the_cap_are_refused(served, monkeypatch):
+    cluster, _, _, _ = served
+    monkeypatch.setattr(frontdoor, "MAX_CONNECTIONS", 2)
+    refused = cluster.registry.counter("frontdoor_refused_connections_total")
+    listing = Request(venue="", kind="venues")
+    with FrontDoor(cluster) as door:
+        before = refused.value
+        with FrontDoorClient(door.address) as a, \
+                FrontDoorClient(door.address) as b:
+            assert a.call(listing) == b.call(listing)
+            extra = _raw_connection(door)
+            try:
+                assert extra.recv(1) == b""  # accepted, closed at once
+            finally:
+                extra.close()
+            assert refused.value == before + 1
+            assert a.call(listing) == b.call(listing)  # the two still serve
+        # once a and b are reaped, a new connection is served again
+        assert _eventually(lambda: _serves(door))
+
+
+def test_connection_threads_are_reaped(served):
+    """50 connect/disconnect cycles, a third of them vanishing
+    mid-frame: every connection's reader and writer thread ends."""
+    _, door, _, _ = served
+    baseline = len(_door_threads())
+    frame = encode_frame(request_to_doc(Request(venue="", kind="venues"), 1))
+    for i in range(50):
+        sock = _raw_connection(door)
+        try:
+            if i % 3 == 1:
+                sock.sendall(frame)
+                assert recv_doc(sock)["id"] == 1
+            elif i % 3 == 2:
+                sock.sendall(frame[:-3])
+        finally:
+            sock.close()
+    assert _eventually(lambda: len(_door_threads()) <= baseline)
+    assert _serves(door)
+
+
+def test_stop_joins_every_door_thread(served):
+    """``stop()`` with an idle, a mid-frame and a served connection
+    still open leaves no door thread behind."""
+    cluster, _, _, _ = served
+    before = set(threading.enumerate())
+    door = FrontDoor(cluster).start()
+    idle = _raw_connection(door)
+    partial = _raw_connection(door)
+    try:
+        partial.sendall(b"\x00\x00\x10\x00partial")  # promises 4096 bytes
+        with FrontDoorClient(door.address) as client:
+            assert client.call(Request(venue="", kind="venues"))
+            assert len(_door_threads(exclude=before)) == 7
+            door.stop(timeout=10.0)
+        assert _door_threads(exclude=before) == []
+        assert idle.recv(1) == b""  # the door closed it
+    finally:
+        idle.close()
+        partial.close()

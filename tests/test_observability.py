@@ -42,8 +42,8 @@ from repro.obs import (
 )
 from repro.serving import (
     AdmissionController,
-    AsyncFrontDoor,
     ClusterFrontend,
+    FrontDoor,
     Request,
     Response,
     stats_from_doc,
@@ -672,7 +672,7 @@ class TestStatsDocSchema:
         space = build_mall("tiny", name="obs-door-keys")
         with ClusterFrontend(tmp_path, shards=1, flush_interval=0) as cluster:
             cluster.add_venue(space)
-            with AsyncFrontDoor(cluster) as door, \
+            with FrontDoor(cluster) as door, \
                     FrontDoorClient(door.address) as client:
                 doc = client.call(Request(venue="", kind="stats"))
         assert set(doc) == {"shards", "alive", "venues", "submitted",
@@ -736,13 +736,55 @@ def test_cluster_counters_obey_conservation_laws(tmp_path, capacity):
     assert conservation_violations(snap) == []
 
 
+def test_front_door_requests_equal_cluster_submissions(tmp_path):
+    """Through a real door: two single frames and a batch (four
+    answered slots plus an unknown venue) spend a burst of 6, so the
+    next request is shed. The door observes each routed request once,
+    when its future settles; the shed and the unknown-venue requests
+    are neither submitted nor observed."""
+    space = build_mall("tiny", name="obs-door-law")
+    admission = AdmissionController(rate=0.001, burst=6.0)
+    with ClusterFrontend(tmp_path, shards=1, flush_interval=0,
+                         admission=admission) as cluster:
+        vid = cluster.add_venue(space, objects=random_objects(space, 6, seed=2))
+        rng = random.Random(8)
+        requests = [Request(venue=vid, kind="knn",
+                            source=random_point(space, rng), k=2)
+                    for _ in range(7)]
+        with FrontDoor(cluster) as door, \
+                FrontDoorClient(door.address) as client:
+            for request in requests[:2]:
+                client.call(request)
+            values = client.call_batch(
+                requests[2:6] + [Request(venue="f" * 64, kind="distance")])
+            assert not any(isinstance(v, Exception) for v in values[:4])
+            assert isinstance(values[4], Exception)
+            with pytest.raises(OverloadedError):
+                client.call(requests[6])
+            snap = client.call(Request(venue="", kind="metrics"))
+
+    def total(section, name, field):
+        return sum(e[field] for e in snap[section].values()
+                   if e["name"] == name)
+
+    assert total("histograms", "frontdoor_request_seconds", "count") == 6
+    assert total("counters", "cluster_submitted_total", "value") == 6
+    assert conservation_violations(snap) == []
+    # the law has teeth: one observation too many breaks it
+    entry = next(e for e in snap["histograms"].values()
+                 if e["name"] == "frontdoor_request_seconds")
+    entry["count"] += 1
+    assert [v for v in conservation_violations(snap)
+            if "frontdoor_request_seconds" in v]
+
+
 # ----------------------------------------------------------------------
 # CLI and HTTP exposition (the scrape surfaces operators actually hit)
 # ----------------------------------------------------------------------
 class TestMetricsExposition:
     @pytest.fixture()
     def served_cluster(self, tmp_path):
-        from repro.serving import AsyncFrontDoor
+        from repro.serving import FrontDoor
 
         space = build_mall("tiny", name="obs-cli")
         with ClusterFrontend(tmp_path, shards=1, flush_interval=0) as cluster:
@@ -753,7 +795,7 @@ class TestMetricsExposition:
                 cluster.request(vid, "knn", source=random_point(space, rng),
                                 k=2).result(timeout=60.0)
             cluster.drain()
-            with AsyncFrontDoor(cluster) as door:
+            with FrontDoor(cluster) as door:
                 yield cluster, door
 
     def test_obs_dump_prints_summarized_json(self, served_cluster, capsys):
