@@ -1,10 +1,10 @@
-"""Engine throughput: cached batch engine vs uncached single queries.
+"""Engine throughput: cached engine vs uncached engine.
 
 Replays a 70/20/10 kNN/distance/range mixed workload (drawn from a
 bounded pool of hot locations, as deployed services see) against a
-VIP-Tree twice: once through an uncached engine issuing one query at a
-time, once through a cache-enabled engine using the batch endpoints.
-Reports queries/sec and the speedup per venue. The cached side's
+VIP-Tree twice, one query at a time: once through an uncached engine,
+once through a cache-enabled one. Reports queries/sec and the speedup
+per venue. The cached side's
 speedup comes from the result caches alone: a repeat read at one of
 the pool's locations is a cache hit, while a miss runs the query from
 scratch, exactly as the uncached side does. Each side's throughput is
@@ -16,8 +16,8 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --profile tiny
 
-or through pytest (asserts the cached batch engine is at least 2x the
-uncached single-query throughput on the mall "tiny" venue)::
+or through pytest (asserts the cached engine is at least 2x the
+uncached engine's throughput on the mall "tiny" venue)::
 
     python -m pytest benchmarks/bench_engine_throughput.py
 """
@@ -58,10 +58,8 @@ def run_venue(
 
     uncached_reports, cached_reports = [], []
     for _ in range(ROUNDS):
-        res_u, rep_u = replay(QueryEngine(tree, objects, cache=False),
-                              queries, batched=False)
-        res_c, rep_c = replay(QueryEngine(tree, objects, cache=True),
-                              queries, batched=True)
+        res_u, rep_u = replay(QueryEngine(tree, objects, cache=False), queries)
+        res_c, rep_c = replay(QueryEngine(tree, objects, cache=True), queries)
         # throughput must never come at the cost of correctness
         for a, b in zip(res_u, res_c):
             if isinstance(a, float):
@@ -79,11 +77,11 @@ def run_venue(
     return median(uncached_reports), median(cached_reports)
 
 
-def test_cached_batch_engine_at_least_2x_uncached():
+def test_cached_engine_at_least_2x_uncached():
     """Acceptance: >= 2x on the mall "tiny" venue for the 70/20/10 mix."""
     rep_u, rep_c = run_venue("MC", "tiny")
     assert rep_c.qps >= 2 * rep_u.qps, (
-        f"cached batch {rep_c.qps:,.0f} q/s < 2x uncached {rep_u.qps:,.0f} q/s"
+        f"cached {rep_c.qps:,.0f} q/s < 2x uncached {rep_u.qps:,.0f} q/s"
     )
 
 
@@ -100,9 +98,9 @@ def main(argv=None) -> int:
     table = Table(
         title=f"Engine throughput — {args.count} queries, 70/20/10 kNN/distance/range, "
         f"pool={args.pool}, profile={args.profile}",
-        headers=["venue", "uncached q/s", "cached batch q/s", "speedup", "hit rate"],
-        notes="cached batch vs uncached single-query replay of the same "
-        f"stream; each side the median of {ROUNDS} fresh-engine replays",
+        headers=["venue", "uncached q/s", "cached q/s", "speedup", "hit rate"],
+        notes="cached vs uncached replay of the same stream; each side "
+        f"the median of {ROUNDS} fresh-engine replays",
     )
     for venue in args.venues:
         rep_u, rep_c = run_venue(
@@ -118,7 +116,7 @@ def main(argv=None) -> int:
             rep_u.qps,
             rep_c.qps,
             f"{rep_c.qps / rep_u.qps:.2f}x",
-            f"{rep_c.stats.hit_rate:.0%}" if rep_c.stats else "-",
+            f"{rep_c.stats.hit_rate:.0%}",
         )
     print(table.render())
     return 0

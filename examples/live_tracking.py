@@ -36,12 +36,13 @@ def main():
     print(f"  {report.eps:,.0f} events/s total; {report.updates} live object updates")
 
     s = engine.stats()
-    print(f"  updates={s.updates} invalidations={s.invalidations} "
-          f"(batched update runs flush the kNN/range caches once)")
+    print(f"  updates={s.updates}: {s.scoped_invalidations} scoped + "
+          f"{s.full_invalidations} full invalidations dropped "
+          f"{s.invalidation_entries_dropped} kNN/range entries")
+    print("  (a scoped one drops only the entries tagged with a touched leaf)")
     print(f"  distance cache: {s.distance_hits} hits / {s.distance_misses} misses "
           f"(survives every update)")
-    print(f"  knn cache:      {s.knn_hits} hits / {s.knn_misses} misses "
-          f"(flushed on each invalidation)")
+    print(f"  knn cache:      {s.knn_hits} hits / {s.knn_misses} misses")
 
     # spot-check the final state against ground truth
     oracle = DijkstraOracle(space, tree.d2d)

@@ -11,7 +11,7 @@ Public API highlights:
 * :class:`ObjectIndex` — embed points of interest for kNN/range queries.
 * :mod:`repro.baselines` — DistMx, DistAw/DistAw++, G-tree and ROAD
   comparison indexes.
-* :mod:`repro.storage` — snapshot store: persist built indexes to
+* :mod:`repro.storage` — snapshot store: persist built VIP-Trees to
   versioned, integrity-checked files and warm-start engines without
   rebuild (``QueryEngine.from_snapshot``, ``SnapshotCatalog``).
 * :mod:`repro.serving` — concurrent multi-venue serving: thread-safe

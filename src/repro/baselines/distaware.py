@@ -166,18 +166,6 @@ class DistAware:
             total += self._augmented.memory_bytes() - self.d2d.memory_bytes()
         return total
 
-    # ------------------------------------------------------------------
-    # Serialized state (snapshots, :mod:`repro.storage`)
-    # ------------------------------------------------------------------
-    def to_state(self) -> dict:
-        """DistAw precomputes nothing beyond the D2D graph; the
-        object-augmented graph is rebuilt by :meth:`attach_objects`."""
-        return {"d2d": self.d2d.to_state()}
-
-    @classmethod
-    def from_state(cls, space: IndoorSpace, state: dict) -> "DistAware":
-        return cls(space, Graph.from_state(state["d2d"]))
-
 
 class DistAwPlusPlus(DistAware):
     """DistAw with a distance matrix for object queries (paper's DistAw++)."""
@@ -199,10 +187,6 @@ class DistAwPlusPlus(DistAware):
         """Construction cost — carried by the nested distance matrix."""
         return self.matrix.build_seconds
 
-    @build_seconds.setter
-    def build_seconds(self, value: float) -> None:
-        self.matrix.build_seconds = value
-
     def attach_objects(self, objects: ObjectSet) -> None:
         super().attach_objects(objects)
         self._mx_objects = DistMxObjects(self.matrix, objects)
@@ -219,30 +203,3 @@ class DistAwPlusPlus(DistAware):
 
     def memory_bytes(self) -> int:
         return super().memory_bytes() + self.matrix.memory_bytes()
-
-    # ------------------------------------------------------------------
-    def to_state(self) -> dict:
-        matrix_state = self.matrix.to_state()
-        # The live object shares one D2D graph with its matrix — drop
-        # the nested copy and restore the shared instance on load.
-        matrix_state.pop("d2d", None)
-        state = {"d2d": self.d2d.to_state(), "matrix": matrix_state}
-        # The nested matrix's wall-clock build time is run metadata:
-        # hoist it to the top level (where the snapshot layer moves it
-        # into the unhashed header) so the hashed payload stays
-        # byte-reproducible across runs.
-        build_seconds = matrix_state.pop("build_seconds", None)
-        if build_seconds is not None:
-            state["build_seconds"] = build_seconds
-        return state
-
-    @classmethod
-    def from_state(cls, space: IndoorSpace, state: dict) -> "DistAwPlusPlus":
-        d2d = Graph.from_state(state["d2d"])
-        index = cls(
-            space,
-            d2d,
-            matrix=DistanceMatrix.from_state(space, state["matrix"], d2d=d2d),
-        )
-        index.matrix.build_seconds = state.get("build_seconds", 0.0)
-        return index

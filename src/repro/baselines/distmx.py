@@ -128,60 +128,6 @@ class DistanceMatrix:
     def memory_bytes(self) -> int:
         return int(self.dist.nbytes + self.first_hop.nbytes)
 
-    # ------------------------------------------------------------------
-    # Serialized state (snapshots, :mod:`repro.storage`)
-    # ------------------------------------------------------------------
-    def to_state(self) -> dict:
-        """JSON-safe serialized state: both matrices plus the D2D graph.
-
-        This is the index whose construction the paper could not finish
-        beyond Men-2 (one Dijkstra per door, 14 hours) — persisting it
-        is the whole point of the snapshot subsystem. The O(D²) arrays
-        are base64-packed little-endian (row-major), bit-exact and
-        byte-deterministic.
-        """
-        from ..model.packing import pack_raw
-
-        return {
-            "build_seconds": self.build_seconds,
-            "n": self.space.num_doors,
-            "dist": pack_raw(np.ascontiguousarray(self.dist, dtype="<f8").tobytes()),
-            "first_hop": pack_raw(
-                np.ascontiguousarray(self.first_hop, dtype="<i4").tobytes()
-            ),
-            "d2d": self.d2d.to_state(),
-        }
-
-    @classmethod
-    def from_state(
-        cls, space: IndoorSpace, state: dict, d2d: Graph | None = None
-    ) -> "DistanceMatrix":
-        """Restore without running a single Dijkstra.
-
-        ``d2d`` lets a wrapping index (DistAw++) share its
-        already-restored graph instead of decoding a second copy.
-        """
-        from ..model.packing import unpack_raw
-
-        n = state["n"]
-        mx = object.__new__(cls)
-        mx.space = space
-        mx.d2d = d2d if d2d is not None else Graph.from_state(state["d2d"])
-        # asarray: no copy when the packed little-endian layout already
-        # is the native one — which keeps mmap-loaded matrices zero-copy
-        # views of the snapshot's binary section (read-only is fine,
-        # queries never write into them)
-        mx.dist = np.asarray(
-            np.frombuffer(unpack_raw(state["dist"]), dtype="<f8").reshape(n, n),
-            dtype=np.float64,
-        )
-        mx.first_hop = np.asarray(
-            np.frombuffer(unpack_raw(state["first_hop"]), dtype="<i4").reshape(n, n),
-            dtype=np.int32,
-        )
-        mx.build_seconds = state.get("build_seconds", 0.0)
-        return mx
-
 
 class DistMxObjects:
     """Object querying on top of DistMx (used by DistAw++, §4).

@@ -461,68 +461,6 @@ class GTree:
                     best_obj[oid] = total
 
     # ------------------------------------------------------------------
-    # Serialized state (snapshots, :mod:`repro.storage`)
-    # ------------------------------------------------------------------
-    def to_state(self) -> dict:
-        """JSON-safe serialized state: hierarchy, border tables, vertex
-        maps and the D2D graph. Attached objects are not serialized —
-        the snapshot layer stores the :class:`ObjectSet` separately and
-        re-attaches it on load (:meth:`attach_objects` is cheap next to
-        the border-matrix Dijkstras captured here)."""
-        return {
-            "fanout": self.fanout,
-            "max_leaf_size": self.max_leaf_size,
-            "build_seconds": self.build_seconds,
-            "root": self.root_id,
-            "leaf_of_vertex": list(self.leaf_of_vertex),
-            "nodes": [
-                {
-                    "parent": n.parent,
-                    "children": list(n.children),
-                    "vertices": list(n.vertices),
-                    "borders": list(n.borders),
-                    "depth": n.depth,
-                    "table": n.table.to_state() if n.table is not None else None,
-                }
-                for n in self.nodes
-            ],
-            "d2d": self.graph.to_state(),
-        }
-
-    @classmethod
-    def from_state(cls, space: IndoorSpace, state: dict) -> "GTree":
-        tree = object.__new__(cls)
-        tree.space = space
-        tree.graph = Graph.from_state(state["d2d"])
-        tree.fanout = state["fanout"]
-        tree.max_leaf_size = state["max_leaf_size"]
-        tree.build_seconds = state.get("build_seconds", 0.0)
-        tree.root_id = state["root"]
-        tree.leaf_of_vertex = list(state["leaf_of_vertex"])
-        tree.nodes = [
-            GTreeNode(
-                nid=i,
-                parent=ns["parent"],
-                children=list(ns["children"]),
-                vertices=list(ns["vertices"]),
-                borders=list(ns["borders"]),
-                depth=ns["depth"],
-                table=(
-                    DistanceTable.from_state(ns["table"])
-                    if ns["table"] is not None
-                    else None
-                ),
-            )
-            for i, ns in enumerate(state["nodes"])
-        ]
-        tree._chains = tree._build_chains()
-        tree._objects = None
-        tree._leaf_objects = {}
-        tree._access_lists = {}
-        tree._node_counts = {}
-        return tree
-
-    # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
         total = 0
         for node in self.nodes:

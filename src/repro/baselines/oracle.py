@@ -94,13 +94,3 @@ class DijkstraOracle:
 
     def memory_bytes(self) -> int:
         return self.d2d.memory_bytes()
-
-    # ------------------------------------------------------------------
-    # Serialized state (snapshots, :mod:`repro.storage`)
-    # ------------------------------------------------------------------
-    def to_state(self) -> dict:
-        return {"d2d": self.d2d.to_state()}
-
-    @classmethod
-    def from_state(cls, space: IndoorSpace, state: dict) -> "DijkstraOracle":
-        return cls(space, Graph.from_state(state["d2d"]))

@@ -293,63 +293,6 @@ class Road:
         return self._object_expand(query, stop_k=None, cutoff=radius)
 
     # ------------------------------------------------------------------
-    # Serialized state (snapshots, :mod:`repro.storage`)
-    # ------------------------------------------------------------------
-    def to_state(self) -> dict:
-        """JSON-safe serialized state: the Rnet hierarchy with its
-        shortcut lists, the vertex chains and the D2D graph. The
-        association directory (attached objects) is rebuilt by the
-        snapshot layer via :meth:`attach_objects`."""
-        return {
-            "levels": self.levels,
-            "build_seconds": self.build_seconds,
-            "rnets": [
-                {
-                    "level": r.level,
-                    "parent": r.parent,
-                    "children": list(r.children),
-                    "vertices": sorted(r.vertices),
-                    "borders": list(r.borders),
-                    "shortcuts": [
-                        [b, [[v, d] for v, d in edges]]
-                        for b, edges in sorted(r.shortcuts.items())
-                    ],
-                }
-                for r in self.rnets
-            ],
-            "chain_of_vertex": [list(c) for c in self.chain_of_vertex],
-            "d2d": self.graph.to_state(),
-        }
-
-    @classmethod
-    def from_state(cls, space: IndoorSpace, state: dict) -> "Road":
-        road = object.__new__(cls)
-        road.space = space
-        road.graph = Graph.from_state(state["d2d"])
-        road.levels = state["levels"]
-        road.build_seconds = state.get("build_seconds", 0.0)
-        road.rnets = [
-            Rnet(
-                rid=i,
-                level=rs["level"],
-                parent=rs["parent"],
-                children=list(rs["children"]),
-                vertices=set(rs["vertices"]),
-                borders=list(rs["borders"]),
-                shortcuts={
-                    b: [(v, d) for v, d in edges] for b, edges in rs["shortcuts"]
-                },
-            )
-            for i, rs in enumerate(state["rnets"])
-        ]
-        road.chain_of_vertex = [list(c) for c in state["chain_of_vertex"]]
-        road._objects = None
-        road._object_vertex = {}
-        road._augmented = None
-        road._rnet_object_counts = {}
-        return road
-
-    # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
         total = 0
         for rnet in self.rnets:

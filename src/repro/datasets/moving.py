@@ -12,8 +12,8 @@ generates such a workload — a single interleaved event stream of
   weighted kNN/distance/range mixes :func:`mixed_queries` produces,
 
 at a configurable update:query ratio. Replay the stream with
-:func:`repro.engine.replay`, which applies updates through the engine's
-``update``/``batch_update`` endpoints in stream order.
+:func:`repro.engine.replay`, which applies each update through the
+engine's ``update`` endpoint in stream order.
 
 The generator never mutates the object set it is given — it simulates
 the walk locally so the produced stream, applied in order to that same

@@ -1,9 +1,9 @@
-"""Batch query engine: uniform index front end with caching + workloads.
+"""Query engine: the VIP-Tree's front end with caching + workloads.
 
-* :class:`QueryEngine` — wraps any built index (IP-Tree, VIP-Tree or a
-  baseline) behind one distance/path/kNN/range API with batch
-  endpoints, LRU result caches, and dynamic object updates
-  (``update``/``batch_update``) with targeted kNN/range cache
+* :class:`QueryEngine` — wraps one built tree (the VIP-Tree; the
+  IP-Tree answers through the same API) and its objects behind one
+  distance/path/kNN/range API with LRU result caches, and dynamic
+  object updates (``update``) with targeted kNN/range cache
   invalidation,
 * :class:`LRUCache` — the bounded cache primitive,
 * :class:`TaggedLRUCache` — the leaf-tagged variant behind the

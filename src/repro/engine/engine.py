@@ -1,22 +1,20 @@
-"""QueryEngine: a uniform, cache-accelerated front end for any index.
+"""QueryEngine: a cache-accelerated front end for one IP-/VIP-Tree.
 
-The engine wraps one built index — :class:`~repro.core.tree.IPTree`,
-:class:`~repro.core.viptree.VIPTree`, or any baseline from
-:mod:`repro.baselines` — behind one API:
+The engine wraps one built tree — in production a
+:class:`~repro.core.viptree.VIPTree`; the plain
+:class:`~repro.core.tree.IPTree` answers through the same API — plus
+its objects, behind one API:
 
 * ``distance`` / ``path`` / ``knn`` / ``range_query`` — single queries,
-* ``batch_distance`` / ``batch_path`` / ``batch_knn`` / ``batch_range``
-  — request lists, answered element by element,
-* ``update`` / ``batch_update`` (plus ``insert_object`` /
-  ``delete_object`` / ``move_object``) — dynamic object updates that
-  maintain the object index incrementally and invalidate **only** the
-  object-dependent result caches (kNN/range); the distance/path caches
-  survive, because they never depend on objects. For tree indexes the
-  kNN/range invalidation is further **leaf-scoped**: each cached entry
-  is tagged with the conservative set of leaves that could contribute
-  to its answer (the bound-ball closure), and an update drops only the
-  entries tagged with the leaf(s) it touched — see
-  :mod:`repro.engine.invalidation`,
+* ``update`` (plus ``insert_object`` / ``delete_object`` /
+  ``move_object``) — dynamic object updates that maintain the object
+  index incrementally and invalidate **only** the object-dependent
+  result caches (kNN/range); the distance/path caches survive, because
+  they never depend on objects. The kNN/range invalidation is further
+  **leaf-scoped**: each cached entry is tagged with the conservative
+  set of leaves that could contribute to its answer (the bound-ball
+  closure), and an update drops only the entries tagged with the
+  leaf(s) it touched — see :mod:`repro.engine.invalidation`,
 * ``stats()`` — a monotone snapshot of query counts, update counts and
   cache hit/miss counters.
 
@@ -27,9 +25,9 @@ kNN, range and path result caches, keyed by :func:`endpoint_key`. A
 miss runs the query from scratch: each query resolves its endpoints and
 climbs the tree itself.
 
-Caching never changes answers — batch results are element-wise identical
-to the single-query APIs, which in turn match the index called directly.
-Cached result objects are shared; treat them as immutable.
+Caching never changes answers — a cached engine answers exactly as an
+uncached one, which in turn matches the tree called directly. Cached
+result objects are shared; treat them as immutable.
 
 Thread safety
 -------------
@@ -38,10 +36,10 @@ Constructed with ``thread_safe=True`` it becomes safe for concurrent
 readers with exclusive writers — the contract :mod:`repro.serving`
 builds on:
 
-* ``distance``/``path``/``knn``/``range_query`` (and the batch
-  variants) may be called from any number of threads concurrently,
-* ``update``/``batch_update`` (and the insert/delete/move
-  conveniences) take the **write side** of an internal
+* ``distance``/``path``/``knn``/``range_query`` may be called from any
+  number of threads concurrently,
+* ``update`` (and the insert/delete/move conveniences) take the
+  **write side** of an internal
   :class:`~repro.engine.locking.RWLock`, excluding every in-flight
   kNN/range query while the leaf-attached object index mutates
   (distance/path queries never read object state and are not blocked),
@@ -63,8 +61,6 @@ import threading
 from dataclasses import dataclass, fields
 from time import perf_counter
 
-from ..baselines.distmx import DistanceMatrix, DistMxObjects
-from ..baselines.oracle import DijkstraOracle
 from ..core.objects_index import ObjectIndex
 from ..core.results import Neighbor, PathResult, QueryStats
 from ..core.tree import IPTree
@@ -107,7 +103,7 @@ class EngineStats:
     reset — not by :meth:`QueryEngine.clear_caches` and not by update
     invalidation, both of which drop cached *entries* but preserve the
     counters. Snapshot copies are therefore safe to keep around and
-    subtract across batches.
+    subtract from one another.
 
     Field-by-field:
 
@@ -115,17 +111,16 @@ class EngineStats:
       ``range_queries`` — queries served per kind, counted whether they
       hit or miss a cache (and also when caching is disabled).
     * ``updates`` — object-update operations applied through
-      ``update``/``batch_update``/``insert_object``/``delete_object``/
-      ``move_object``. Zero for engines that never mutate objects.
+      ``update``/``insert_object``/``delete_object``/``move_object``.
+      Zero for engines that never mutate objects.
     * ``scoped_invalidations`` / ``full_invalidations`` — object-cache
       invalidation *events*, split by scope. A **scoped** event drops
       only the kNN/range entries tagged with the leaf(s) the update
-      touched (tree engines with ``invalidation="scoped"``, the
-      default); a **full** event flushes both caches entirely (baseline
-      engines, ``invalidation="full"``, and every out-of-band
-      stale-version detection). One event per single ``update``, one
-      per ``batch_update`` call (that is the batch amortization), one
-      per stale-version detection. Both stay zero when ``cache=False``
+      touched (``invalidation="scoped"``, the default); a **full**
+      event flushes both caches entirely (``invalidation="full"``, and
+      every out-of-band stale-version detection). One event per
+      ``update`` and one per stale-version detection. Both stay zero
+      when ``cache=False``
       (there is nothing to flush). The legacy ``invalidations``
       property — and the ``engine_invalidations_total`` series — is
       their sum.
@@ -222,21 +217,20 @@ def _collect_engine_stats(engine: "QueryEngine"):
 
 
 class QueryEngine:
-    """Serve streams of spatial queries against one built index.
+    """Serve streams of spatial queries against one built tree.
 
     The engine also serves **dynamic object updates**: see
-    :meth:`update` / :meth:`batch_update` and the ``insert_object`` /
-    ``delete_object`` / ``move_object`` conveniences. Updates mutate the
-    wrapped object store (incrementally for tree indexes) and invalidate
-    the kNN/range result caches only.
+    :meth:`update` and the ``insert_object`` / ``delete_object`` /
+    ``move_object`` conveniences. Updates mutate the tree's
+    :class:`ObjectIndex` incrementally and invalidate the kNN/range
+    result caches only.
 
     Args:
-        index: a built :class:`IPTree`/:class:`VIPTree` or any baseline
-            exposing ``shortest_distance`` (and optionally
-            ``shortest_path``/``knn``/``range_query``).
+        index: a built :class:`VIPTree` (or :class:`IPTree`); anything
+            else is refused with :class:`~repro.exceptions.QueryError`.
         objects: the points of interest for kNN/range queries — an
-            :class:`ObjectSet`, or a prebuilt :class:`ObjectIndex` for a
-            tree index. Omit for distance/path-only engines.
+            :class:`ObjectSet`, or a prebuilt :class:`ObjectIndex` over
+            ``index``. Omit for distance/path-only engines.
         cache: master switch. ``False`` disables every result cache
             (each call recomputes from scratch, like calling the index
             directly).
@@ -253,21 +247,18 @@ class QueryEngine:
             strategy. ``"scoped"`` (default) tags every cached entry
             with its conservative bound-ball leaf closure and drops
             only the entries tagged with the leaf(s) an update touches
-            (tree indexes; cross-leaf moves touch two, out-of-band
-            version jumps still fall back to a full flush).
-            ``"full"`` restores the old behaviour — every update
-            flushes both caches — and is the baseline
-            ``benchmarks/bench_invalidation.py`` measures against.
-            Non-tree indexes always behave as ``"full"`` (their cached
-            answers carry no leaf structure). Answers are identical
-            either way; only cache retention changes.
-        kernels: kNN/range implementation for tree indexes —
-            ``"numpy"`` (default: the eager
-            :class:`~repro.kernels.NumpyKernels` path) or ``"python"``
-            (the tree's own Algorithm 5 best-first reference). Answers
-            are bit-identical; only speed changes. Distance and path
-            queries run the python code either way, and non-tree
-            indexes ignore the choice.
+            (cross-leaf moves touch two, out-of-band version jumps
+            still fall back to a full flush). ``"full"`` restores the
+            old behaviour — every update flushes both caches — and is
+            the baseline ``benchmarks/bench_invalidation.py`` measures
+            against. Answers are identical either way; only cache
+            retention changes.
+        kernels: kNN/range implementation — ``"numpy"`` (default: the
+            eager :class:`~repro.kernels.NumpyKernels` path) or
+            ``"python"`` (the tree's own Algorithm 5 best-first
+            reference). Answers are bit-identical; only speed changes.
+            Distance and path queries run the python code either
+            way.
         registry: optional
             :class:`~repro.obs.registry.MetricsRegistry`. When set, the
             engine records per-kind query and update latency histograms
@@ -295,8 +286,11 @@ class QueryEngine:
         kernels: str = "numpy",
         registry=None,
     ) -> None:
+        if not isinstance(index, IPTree):
+            raise QueryError(
+                f"QueryEngine serves a VIPTree or IPTree, got {type(index).__name__}"
+            )
         self.index = index
-        self._is_tree = isinstance(index, IPTree)
         if invalidation not in ("scoped", "full"):
             raise QueryError(
                 f"invalidation must be 'scoped' or 'full', got {invalidation!r}"
@@ -306,13 +300,10 @@ class QueryEngine:
             raise QueryError(
                 f"kernels must be 'numpy' or 'python', got {kernels!r}"
             )
-        #: what tree kNN/range queries call — the eager numpy path or the
+        #: what kNN/range queries call — the eager numpy path or the
         #: tree's own Algorithm 5; both take the :class:`IPTree`
         #: ``knn``/``range_query`` signatures
-        self._searcher = (
-            (NumpyKernels() if kernels == "numpy" else index)
-            if self._is_tree else None
-        )
+        self._searcher = NumpyKernels() if kernels == "numpy" else index
         self.registry = registry
         if registry is not None:
             self._query_timers = {
@@ -322,8 +313,7 @@ class QueryEngine:
             self._update_timer = registry.histogram("engine_update_seconds")
             self._inval_timer = registry.histogram("engine_invalidation_seconds")
             self._kernel_counter = registry.counter(
-                "engine_kernel_queries_total",
-                backend=kernels if self._is_tree else "none")
+                "engine_kernel_queries_total", backend=kernels)
             registry.register_collector(self, _collect_engine_stats)
         else:
             self._query_timers = None
@@ -340,11 +330,7 @@ class QueryEngine:
         else:
             self._lock = NULL_RWLOCK
             self._mutex = NULL_LOCK
-        #: leaf-scoped invalidation needs leaf tags, which only tree
-        #: answers carry; baselines always flush fully
-        self._scoped_enabled = (
-            self.cache_enabled and self._is_tree and invalidation == "scoped"
-        )
+        self._scoped_enabled = self.cache_enabled and invalidation == "scoped"
         if self.cache_enabled:
             self._dist_cache = LRUCache(distance_cache_size)
             self._path_cache = LRUCache(result_cache_size)
@@ -361,25 +347,16 @@ class QueryEngine:
         self._full_invalidations = 0
         self._inval_dropped = 0
 
-        # Wire the object set into whatever the index understands.
         self.object_index: ObjectIndex | None = None
         self.objects = None
-        self._mx_objects: DistMxObjects | None = None
-        if objects is not None:
-            if isinstance(objects, ObjectIndex):
-                if self._is_tree and objects.tree is not index:
-                    raise QueryError("object index was built for a different tree")
-                self.objects = objects.objects
-                if self._is_tree:
-                    self.object_index = objects
-            else:
-                self.objects = objects
-            if self._is_tree and self.object_index is None:
-                self.object_index = ObjectIndex(index, self.objects)
-            elif isinstance(index, DistanceMatrix):
-                self._mx_objects = DistMxObjects(index, self.objects)
-            elif hasattr(index, "attach_objects"):
-                index.attach_objects(self.objects)
+        if isinstance(objects, ObjectIndex):
+            if objects.tree is not index:
+                raise QueryError("object index was built for a different tree")
+            self.object_index = objects
+        elif objects is not None:
+            self.object_index = ObjectIndex(index, objects)
+        if self.object_index is not None:
+            self.objects = self.object_index.objects
         #: object-set version the kNN/range caches were last valid for
         self._objects_version = self.objects.version if self.objects is not None else 0
 
@@ -399,12 +376,12 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Snapshots (persistence, :mod:`repro.storage`)
     # ------------------------------------------------------------------
-    @classmethod
-    def from_snapshot(cls, path, *, space=None, mmap: bool = False, **engine_kwargs) -> "QueryEngine":
+    @staticmethod
+    def from_snapshot(path, *, space=None, mmap: bool = False, **engine_kwargs) -> "QueryEngine":
         """Warm-start an engine from a snapshot file — zero rebuild.
 
-        The snapshot's index, object set and (for trees) the restored
-        :class:`ObjectIndex` are wired straight into a new engine.
+        The snapshot's tree and restored :class:`ObjectIndex` are wired
+        straight into a new engine.
         ``space``, when given, fingerprint-checks the snapshot against
         the venue the caller intends to serve; ``mmap=True`` maps the
         snapshot's binary section zero-copy into numpy views instead of
@@ -418,17 +395,17 @@ class QueryEngine:
         """
         from ..storage.snapshot import load_snapshot  # lazy: storage sits above core
 
-        return load_snapshot(path, space=space, mmap=mmap).engine(engine_cls=cls, **engine_kwargs)
+        return load_snapshot(path, space=space, mmap=mmap).engine(**engine_kwargs)
 
     def save_snapshot(self, path):
-        """Persist this engine's built index + objects to ``path``.
+        """Persist this engine's built tree + objects to ``path``.
 
-        Serializes the wrapped index and, when present, the live
-        :class:`ObjectIndex` (tree engines) or :class:`ObjectSet`
-        (baseline engines) — including its ``version`` counter,
-        capacity and tombstoned ids. Caches and counters are runtime
-        state and are not persisted; a reloaded engine starts cold on
-        caches but warm on everything expensive. Returns the written
+        Serializes the wrapped tree and, when present, the live
+        :class:`ObjectIndex` with its :class:`ObjectSet` — including
+        the set's ``version`` counter, capacity and tombstoned ids.
+        Caches and counters are runtime state and are not persisted; a
+        reloaded engine starts cold on caches but warm on everything
+        expensive. Returns the written
         header (:class:`~repro.storage.snapshot.SnapshotInfo`).
 
         Thread safety: serialization runs under the engine's read
@@ -438,8 +415,7 @@ class QueryEngine:
         from ..storage.snapshot import save_snapshot
 
         with self._lock.read():
-            objects = self.object_index if self.object_index is not None else self.objects
-            return save_snapshot(path, self.index, objects)
+            return save_snapshot(path, self.index, self.object_index)
 
     # ------------------------------------------------------------------
     # Single-query API
@@ -465,8 +441,7 @@ class QueryEngine:
             timers["distance"].observe(perf_counter() - start)
 
     def path(self, source, target, *, stats=None) -> PathResult:
-        """Shortest path; baselines' ``(distance, doors)`` tuples are
-        normalized into :class:`PathResult`. ``stats`` as in
+        """Shortest path as a :class:`PathResult`. ``stats`` as in
         :meth:`distance`.
 
         Thread safety: as :meth:`distance` — concurrent-safe, never
@@ -513,39 +488,6 @@ class QueryEngine:
             timers["range"].observe(perf_counter() - start)
 
     # ------------------------------------------------------------------
-    # Batch API — answers each element as the single-query API does.
-    # Thread safety: each item acquires the locks independently, so a
-    # concurrent update may land between two items of a batch — exactly
-    # the semantics of the same requests arriving back-to-back on one
-    # connection.
-    # ------------------------------------------------------------------
-    def batch_distance(self, pairs) -> list[float]:
-        """Distances for a list of ``(source, target)`` pairs.
-
-        Thread safety: concurrent-safe; never blocked by updates."""
-        return [self._distance(s, t) for s, t in pairs]
-
-    def batch_path(self, pairs) -> list[PathResult]:
-        """Paths for a list of ``(source, target)`` pairs.
-
-        Thread safety: concurrent-safe; never blocked by updates."""
-        return [self._path(s, t) for s, t in pairs]
-
-    def batch_knn(self, queries, k: int) -> list[list[Neighbor]]:
-        """kNN for each query point.
-
-        Thread safety: concurrent-safe; each item takes the read lock
-        independently, so updates may land between items (never within
-        one)."""
-        return [self._knn(q, k) for q in queries]
-
-    def batch_range(self, queries, radius: float) -> list[list[Neighbor]]:
-        """Range results for each query point.
-
-        Thread safety: as :meth:`batch_knn`."""
-        return [self._range(q, radius) for q in queries]
-
-    # ------------------------------------------------------------------
     # Dynamic object updates — maintain the object store incrementally
     # and invalidate only the object-dependent caches (kNN/range). The
     # distance/path caches never depend on the object set and survive
@@ -568,13 +510,12 @@ class QueryEngine:
     def update(self, op: UpdateOp):
         """Apply one :class:`~repro.model.objects.UpdateOp`.
 
-        Tree engines update their :class:`ObjectIndex` in place (leaf
-        lists, sorted access lists and subtree counts, paper §3.4);
-        baseline engines mutate the object set and re-attach it. Either
-        way the kNN/range result caches see exactly one invalidation
-        event — leaf-scoped for tree engines (only the entries tagged
-        with the touched leaf(s) drop; a cross-leaf move touches two),
-        a full flush otherwise.
+        The :class:`ObjectIndex` updates in place (leaf lists, sorted
+        access lists and subtree counts, paper §3.4), and the kNN/range
+        result caches see exactly one invalidation event — leaf-scoped
+        by default (only the entries tagged with the touched leaf(s)
+        drop; a cross-leaf move touches two), a full flush with
+        ``invalidation="full"``.
 
         Thread safety: takes the engine's write lock — no kNN/range
         query observes a half-applied update, and no update runs while
@@ -597,53 +538,10 @@ class QueryEngine:
             timer.observe(perf_counter() - start)
         return result
 
-    def batch_update(self, ops) -> list:
-        """Apply a list of update ops with a single invalidation event.
-
-        Results are element-wise identical to calling :meth:`update` per
-        op; batching only amortizes the cache flush and (for baselines)
-        the re-attachment of the object set.
-
-        Thread safety: the whole batch runs under the write lock —
-        concurrent queries see the object population either before the
-        batch or after it, never in between.
-        """
-        timer = self._update_timer
-        start = perf_counter() if timer is not None else 0.0
-        idur = 0.0
-        with self._lock.write():
-            if self._scoped_enabled:
-                # one scoped event over the union of touched leaves;
-                # any op without a leaf attribution poisons to a full
-                # flush (None), matching QueryStats.merge semantics
-                results = []
-                leaves: frozenset | None = frozenset()
-                for op in ops:
-                    result, op_leaves = self._apply_update_scoped(op)
-                    results.append(result)
-                    if leaves is not None:
-                        leaves = None if op_leaves is None else leaves | op_leaves
-            else:
-                results = [self._apply_update(op) for op in ops]
-                leaves = None
-            with self._mutex:
-                self._updates += len(results)
-                if results:
-                    istart = perf_counter()
-                    self._invalidate_object_caches_locked(leaves)
-                    idur = perf_counter() - istart
-        if results:
-            self._observe_invalidation(idur)
-        if timer is not None:
-            timer.observe(perf_counter() - start)
-        return results
-
     def _apply_update(self, op: UpdateOp):
-        if self.objects is None:
+        if self.object_index is None:
             raise QueryError("engine has no object set; pass objects= to QueryEngine")
-        if self.object_index is not None:
-            return self.object_index.apply(op)
-        return self.objects.apply(op)
+        return self.object_index.apply(op)
 
     def _apply_update_scoped(self, op: UpdateOp):
         """Apply ``op`` and attribute it to the leaf(s) whose object
@@ -679,15 +577,13 @@ class QueryEngine:
         return result, frozenset(leaves)
 
     def _invalidate_object_caches_locked(self, leaves: frozenset | None = None) -> None:
-        """Invalidate the kNN/range caches for one update event and
-        re-wire baseline object structures.
+        """Invalidate the kNN/range caches for one update event.
 
         ``leaves`` carries the update's leaf attribution: a frozenset
         drops only the entries tagged with (at least) one of those
         leaves — plus ALL-tagged entries, whose dependency set is
-        unbounded — while ``None`` flushes both caches entirely (the
-        baseline path, ``invalidation="full"``, and out-of-band version
-        jumps).
+        unbounded — while ``None`` flushes both caches entirely
+        (``invalidation="full"`` and out-of-band version jumps).
 
         Caller holds the mutex (trivially true single-threaded).
         Hit/miss/eviction counters are untouched — they are lifetime
@@ -695,10 +591,6 @@ class QueryEngine:
         the engine's notion of the current object version change.
         """
         self._objects_version = self.objects.version if self.objects is not None else 0
-        if self._mx_objects is not None:
-            self._mx_objects = DistMxObjects(self.index, self.objects)
-        elif not self._is_tree and hasattr(self.index, "attach_objects"):
-            self.index.attach_objects(self.objects)
         if self._knn_cache is not None:
             if leaves is not None and self._scoped_enabled:
                 dropped = self._knn_cache.invalidate_leaves(leaves)
@@ -762,13 +654,11 @@ class QueryEngine:
         return d
 
     def _raw_distance(self, source, target, stats=None) -> float:
-        if self._is_tree:
-            if stats is None:
-                return self.index.shortest_distance(source, target)
-            result = self.index.distance_query(source, target)
-            stats.merge(result.stats)
-            return result.distance
-        return self.index.shortest_distance(source, target)
+        if stats is None:
+            return self.index.shortest_distance(source, target)
+        result = self.index.distance_query(source, target)
+        stats.merge(result.stats)
+        return result.distance
 
     def _path(self, source, target, stats=None) -> PathResult:
         # Like _distance: object-independent, no RWLock needed.
@@ -776,7 +666,7 @@ class QueryEngine:
         if cache is None:
             with self._mutex:
                 self._counts["path"] += 1
-            res = self._raw_path(source, target)
+            res = self.index.shortest_path(source, target)
             if stats is not None:
                 stats.merge(res.stats)
             return res
@@ -788,24 +678,12 @@ class QueryEngine:
             if stats is not None:
                 stats.cache_hit = True
             return hit
-        res = self._raw_path(source, target)
+        res = self.index.shortest_path(source, target)
         if stats is not None:
             stats.merge(res.stats)
         with self._mutex:
             cache[key] = res
         return res
-
-    def _raw_path(self, source, target) -> PathResult:
-        index = self.index
-        if self._is_tree:
-            return index.shortest_path(source, target)
-        if isinstance(index, DijkstraOracle):
-            dist, doors = index.shortest_path_doors(source, target)
-        elif hasattr(index, "shortest_path"):
-            dist, doors = index.shortest_path(source, target)
-        else:
-            raise QueryError(f"{type(index).__name__} does not support path queries")
-        return PathResult(dist, list(doors))
 
     def _knn(self, query, k: int, stats=None) -> list[Neighbor]:
         # Object-dependent: the whole query (version check, cache
@@ -844,23 +722,10 @@ class QueryEngine:
 
     def _raw_knn(self, query, k: int, stats=None,
                  collect_leaves: bool = False) -> list[Neighbor]:
-        index = self.index
-        if self._is_tree:
-            if self.object_index is None:
-                raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            return self._searcher.knn(self.object_index, query, k,
-                                      stats=stats, collect_leaves=collect_leaves)
-        if isinstance(index, DijkstraOracle):
-            if self.objects is None:
-                raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            ranked = index.knn(query, self.objects, k)
-        elif self._mx_objects is not None:
-            ranked = self._mx_objects.knn(query, k)
-        elif hasattr(index, "knn"):
-            ranked = index.knn(query, k)
-        else:
-            raise QueryError(f"{type(index).__name__} does not support kNN queries")
-        return [Neighbor(object_id=oid, distance=d) for d, oid in ranked]
+        if self.object_index is None:
+            raise QueryError("engine has no object set; pass objects= to QueryEngine")
+        return self._searcher.knn(self.object_index, query, k,
+                                  stats=stats, collect_leaves=collect_leaves)
 
     def _range(self, query, radius: float, stats=None) -> list[Neighbor]:
         # Object-dependent: runs under the read lock, like _knn.
@@ -896,23 +761,10 @@ class QueryEngine:
 
     def _raw_range(self, query, radius: float, stats=None,
                    collect_leaves: bool = False) -> list[Neighbor]:
-        index = self.index
-        if self._is_tree:
-            if self.object_index is None:
-                raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            return self._searcher.range_query(self.object_index, query, radius,
-                                              stats=stats, collect_leaves=collect_leaves)
-        if isinstance(index, DijkstraOracle):
-            if self.objects is None:
-                raise QueryError("engine has no object set; pass objects= to QueryEngine")
-            ranked = index.range_query(query, self.objects, radius)
-        elif self._mx_objects is not None:
-            ranked = self._mx_objects.range_query(query, radius)
-        elif hasattr(index, "range_query"):
-            ranked = index.range_query(query, radius)
-        else:
-            raise QueryError(f"{type(index).__name__} does not support range queries")
-        return [Neighbor(object_id=oid, distance=d) for d, oid in ranked]
+        if self.object_index is None:
+            raise QueryError("engine has no object set; pass objects= to QueryEngine")
+        return self._searcher.range_query(self.object_index, query, radius,
+                                          stats=stats, collect_leaves=collect_leaves)
 
     # ------------------------------------------------------------------
     def stats(self) -> EngineStats:
@@ -963,5 +815,4 @@ class QueryEngine:
                     cache.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = getattr(self.index, "index_name", type(self.index).__name__)
-        return f"QueryEngine({name}, cache={'on' if self.cache_enabled else 'off'})"
+        return f"QueryEngine({self.index.index_name}, cache={'on' if self.cache_enabled else 'off'})"

@@ -6,16 +6,10 @@ weighted mixes real deployments issue (e.g. 70% kNN / 20% distance /
 10% range) — and reports wall-clock throughput plus the engine's cache
 counters. Streams may also interleave
 :class:`~repro.model.objects.UpdateOp` events (moving-object workloads,
-see :func:`repro.datasets.moving.moving_objects`); updates are applied
-through the engine's update endpoints **in stream order**, so queries
-always see exactly the object population a sequential execution would.
-
-Batched replay groups the stream by query kind (and k/radius) and uses
-the engine's batch endpoints; updates act as barriers — only queries
-between two updates are batched together (and consecutive updates
-become one ``batch_update``). Results are scattered back into stream
-order, so batched and sequential replay return element-wise identical
-results even for dynamic streams.
+see :func:`repro.datasets.moving.moving_objects`); every event goes
+through the engine's single-query and ``update`` endpoints **in stream
+order**, so queries always see exactly the object population the
+stream has built up to that point.
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..datasets.workloads import MixedQuery
 from ..model.objects import UpdateOp
 from .engine import EngineStats, QueryEngine
 
@@ -35,11 +28,9 @@ class WorkloadReport:
     queries: int
     seconds: float
     by_kind: dict[str, int] = field(default_factory=dict)
-    batched: bool = True
     #: update events applied during the replay (0 for static workloads)
     updates: int = 0
-    #: engine counter snapshot taken right after the replay (None when
-    #: the engine exposes no stats)
+    #: engine counter snapshot taken right after the replay
     stats: EngineStats | None = None
 
     @property
@@ -73,8 +64,7 @@ class WorkloadReport:
             head += f" + {self.updates} updates"
         return (
             f"{head} in {self.seconds:.3f}s "
-            f"({self.qps:,.0f} q/s; {kinds}; "
-            f"{'batched' if self.batched else 'sequential'})"
+            f"({self.qps:,.0f} q/s; {kinds})"
         )
 
 
@@ -92,49 +82,7 @@ def _run_one(engine: QueryEngine, q):
     raise ValueError(f"unknown query kind {q.kind!r}")
 
 
-def _replay_query_block(engine: QueryEngine, queries, block, results) -> None:
-    """Batch one contiguous update-free block of the stream.
-
-    Groups the block's positions by (kind, parameter) so each group maps
-    onto one batch call; positions scatter the batch output back to
-    stream order.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i in block:
-        q = queries[i]
-        if q.kind == "knn":
-            gkey = ("knn", q.k)
-        elif q.kind == "range":
-            gkey = ("range", q.radius)
-        elif q.kind in ("distance", "path"):
-            gkey = (q.kind,)
-        else:
-            raise ValueError(f"unknown query kind {q.kind!r}")
-        groups.setdefault(gkey, []).append(i)
-    for gkey, positions in groups.items():
-        kind = gkey[0]
-        if kind == "distance":
-            out = engine.batch_distance(
-                [(queries[i].source, queries[i].target) for i in positions]
-            )
-        elif kind == "path":
-            out = engine.batch_path(
-                [(queries[i].source, queries[i].target) for i in positions]
-            )
-        elif kind == "knn":
-            out = engine.batch_knn([queries[i].source for i in positions], gkey[1])
-        else:
-            out = engine.batch_range([queries[i].source for i in positions], gkey[1])
-        for i, res in zip(positions, out):
-            results[i] = res
-
-
-def replay(
-    engine: QueryEngine,
-    queries: list,
-    *,
-    batched: bool = True,
-) -> tuple[list, WorkloadReport]:
+def replay(engine: QueryEngine, queries: list) -> tuple[list, WorkloadReport]:
     """Run a (possibly dynamic) workload and time it.
 
     Returns ``(results, report)`` with ``results`` in stream order —
@@ -142,7 +90,6 @@ def replay(
     ``list[Neighbor]`` for kNN/range queries, and the engine's update
     return value (e.g. the new id for inserts) for update events.
     """
-    results: list = [None] * len(queries)
     by_kind: dict[str, int] = {}
     n_updates = 0
     for q in queries:
@@ -154,45 +101,14 @@ def replay(
             raise ValueError(f"unknown query kind {kind!r}")
 
     start = time.perf_counter()
-    if not batched:
-        for i, q in enumerate(queries):
-            results[i] = _run_one(engine, q)
-    else:
-        # Updates are barriers: batch each update-free block, apply each
-        # run of consecutive updates as one batch_update.
-        block: list[int] = []
-        update_run: list[int] = []
-
-        def flush_queries():
-            if block:
-                _replay_query_block(engine, queries, block, results)
-                block.clear()
-
-        def flush_updates():
-            if update_run:
-                out = engine.batch_update([queries[i] for i in update_run])
-                for i, res in zip(update_run, out):
-                    results[i] = res
-                update_run.clear()
-
-        for i, q in enumerate(queries):
-            if isinstance(q, UpdateOp):
-                flush_queries()
-                update_run.append(i)
-            else:
-                flush_updates()
-                block.append(i)
-        flush_queries()
-        flush_updates()
+    results = [_run_one(engine, q) for q in queries]
     seconds = time.perf_counter() - start
 
-    stats = engine.stats() if hasattr(engine, "stats") else None
     report = WorkloadReport(
         queries=len(queries) - n_updates,
         seconds=seconds,
         by_kind=by_kind,
-        batched=batched,
         updates=n_updates,
-        stats=stats,
+        stats=engine.stats(),
     )
     return results, report

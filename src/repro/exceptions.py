@@ -80,8 +80,9 @@ class ProtocolError(ServingError):
 class SnapshotError(ReproError):
     """An index snapshot cannot be written, read or trusted.
 
-    Raised by :mod:`repro.storage` on unknown index kinds, corrupted or
-    truncated snapshot files, format-version mismatches, and
+    Raised by :mod:`repro.storage` on any index but a VIP-Tree (at save,
+    or as the header's kind at load), corrupted or truncated snapshot
+    files, format-version mismatches, and
     venue-fingerprint mismatches (loading a snapshot against a different
     venue than the one it was built for).
     """

@@ -8,10 +8,7 @@ sequences as **little-endian** binary:
 
 * ``pack_f64`` / ``unpack_f64`` — IEEE-754 doubles; every float (and
   ``inf``/``nan``) round-trips bit-exactly,
-* ``pack_i64`` / ``unpack_i64`` — signed 64-bit integers,
-* ``pack_raw`` / ``unpack_raw`` — raw bytes the caller already laid out
-  deterministically (e.g. a numpy array exported with an explicit
-  ``'<f8'`` dtype).
+* ``pack_i64`` / ``unpack_i64`` — signed 64-bit integers.
 
 By default the binary is base64-encoded inline into an ordinary JSON
 string. Inside an active :func:`binary_sink` context the bytes are
@@ -135,10 +132,6 @@ class BinaryReader:
             a.byteswap()
         return a.tolist()
 
-    def raw(self, offset: int, count: int):
-        chunk = self._slice(offset, count)
-        return chunk if self.arrays else bytes(chunk)
-
 
 @contextmanager
 def binary_sink(sink: BinarySink):
@@ -221,22 +214,3 @@ def unpack_i64(data: str):
         reader, offset, count = _resolve_ref(data, "q")
         return reader.numeric("q", offset, count)
     return _unpack("q", data)
-
-
-def pack_raw(data: bytes) -> str:
-    """Raw bytes the caller already laid out deterministically
-    (e.g. a numpy array exported with an explicit ``'<f8'`` dtype):
-    base64 inline, or a section reference inside :func:`binary_sink`."""
-    sink = getattr(_ACTIVE, "sink", None)
-    if sink is None:
-        return base64.b64encode(data).decode("ascii")
-    return sink.append("raw", bytes(data), len(data))
-
-
-def unpack_raw(data: str):
-    """Inverse of :func:`pack_raw` — bytes, or a zero-copy memoryview
-    for a section reference under ``binary_reader(..., arrays=True)``."""
-    if data.startswith(_BIN_PREFIX):
-        reader, offset, count = _resolve_ref(data, "raw")
-        return reader.raw(offset, count)
-    return base64.b64decode(data)

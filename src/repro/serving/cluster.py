@@ -132,7 +132,6 @@ class ClusterFrontend:
         replication: copies of each venue (1 = no replicas). Capped by
             the live shard count; replicas serve reads and take over as
             primary when theirs dies.
-        kind: default index kind for :meth:`add_venue`.
         capacity: per-shard engine-pool bound.
         flush_interval: per-shard snapshot-and-compaction period in
             seconds; it bounds log *length*, not durability. ``0``
@@ -177,7 +176,6 @@ class ClusterFrontend:
         *,
         shards: int = 4,
         replication: int = 1,
-        kind: str = "VIP-Tree",
         capacity: int = 8,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
@@ -195,7 +193,6 @@ class ClusterFrontend:
             raise ServingError(f"replication must be >= 1, got {replication}")
         self.catalog_root = str(catalog_root)
         self.replication = int(replication)
-        self.default_kind = kind
         self.capacity = int(capacity)
         self.flush_interval = float(flush_interval)
         self.max_inflight = int(max_inflight)
@@ -302,8 +299,7 @@ class ClusterFrontend:
                 return list(reg.nodes)
             return self.ring.nodes_for(venue_id, self.replication)
 
-    def add_venue(self, space: IndoorSpace, *, kind: str | None = None,
-                  objects=None) -> str:
+    def add_venue(self, space: IndoorSpace, *, objects=None) -> str:
         """Register a venue on its primary + replicas; returns the
         venue fingerprint.
 
@@ -317,7 +313,6 @@ class ClusterFrontend:
         payload = {
             "space": space_to_dict(space),
             "objects": objects_to_dict(objects) if objects is not None else None,
-            "kind": kind or self.default_kind,
         }
         with self._mutex:
             if not self._accepting:
@@ -393,7 +388,6 @@ class ClusterFrontend:
             fresh = ShardProcess(
                 self.catalog_root,
                 shard_id=idx,
-                kind=self.default_kind,
                 capacity=self.capacity,
                 flush_interval=self.flush_interval,
                 max_inflight=self.max_inflight,

@@ -100,7 +100,6 @@ class _VenueSlot:
     which replaces the slot)."""
 
     space: IndoorSpace
-    kind: str
     objects: object = None
     builder: object = None
     role: str = "primary"
@@ -145,7 +144,6 @@ class VenueRouter:
         capacity: maximum engines kept in the pool. ``0`` means
             unbounded. Busy engines (requests in flight) are never
             evicted, so the bound is soft under extreme concurrency.
-        kind: default index kind for :meth:`add_venue`.
         mmap: memory-map snapshot binary sections on warm start instead
             of copying them into each engine — the shard worker turns
             this on so sibling engines of one venue share page cache.
@@ -160,7 +158,8 @@ class VenueRouter:
         slow_query_threshold: seconds; when set, every request is
             timed and those at or above the threshold emit one
             structured :class:`~repro.obs.slowlog.SlowQueryLog` record
-            (carrying the venue id, kind, trace and per-query stats).
+            (carrying the venue id, request kind, trace and per-query
+            stats).
             ``None`` (default) disables slow-query timing entirely.
         slowlog_path: optional JSONL file the slow-query records are
             appended to (requires ``slow_query_threshold``).
@@ -177,7 +176,6 @@ class VenueRouter:
         catalog: SnapshotCatalog,
         *,
         capacity: int = 8,
-        kind: str = "VIP-Tree",
         mmap: bool = False,
         registry=None,
         slow_query_threshold: float | None = None,
@@ -186,7 +184,6 @@ class VenueRouter:
     ) -> None:
         self.catalog = catalog
         self.capacity = int(capacity)
-        self.default_kind = kind
         self.mmap = bool(mmap)
         engine_kwargs["thread_safe"] = True
         engine_kwargs.setdefault("registry", registry)
@@ -232,8 +229,8 @@ class VenueRouter:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def add_venue(self, space: IndoorSpace, *, kind: str | None = None,
-                  objects=None, builder=None, role: str = "primary") -> str:
+    def add_venue(self, space: IndoorSpace, *, objects=None, builder=None,
+                  role: str = "primary") -> str:
         """Register a venue and return its id (the venue fingerprint).
 
         ``objects``/``builder`` are used only if this venue's engine is
@@ -254,8 +251,8 @@ class VenueRouter:
                 f"unknown venue role {role!r}; expected one of {VENUE_ROLES}"
             )
         venue_id = venue_fingerprint(space)
-        slot = _VenueSlot(space=space, kind=kind or self.default_kind,
-                          objects=objects, builder=builder, role=role)
+        slot = _VenueSlot(space=space, objects=objects, builder=builder,
+                          role=role)
         with self._mutex:
             self._venues[venue_id] = slot
             self._venues_gauge.set(len(self._venues))
@@ -288,14 +285,6 @@ class VenueRouter:
         """Registered venue ids, in registration order."""
         with self._mutex:
             return list(self._venues)
-
-    def describe(self, venue_id: str) -> tuple[str, str]:
-        """``(venue name, index kind)`` for a registered venue id."""
-        with self._mutex:
-            slot = self._venues.get(venue_id)
-        if slot is None:
-            raise ServingError(f"unknown venue id {venue_id[:12]!r}")
-        return slot.space.name, slot.kind
 
     # ------------------------------------------------------------------
     # Engine pool
@@ -364,8 +353,8 @@ class VenueRouter:
         against the fresh files."""
         for attempt in (0, 1):
             engine = self.catalog.engine_for(
-                slot.space, slot.kind, objects=slot.objects,
-                builder=slot.builder, mmap=self.mmap, **self._engine_kwargs,
+                slot.space, objects=slot.objects, builder=slot.builder,
+                mmap=self.mmap, **self._engine_kwargs,
             )
             if engine.objects is None:
                 return engine
@@ -441,10 +430,7 @@ class VenueRouter:
                 updates = engine.stats().updates
                 if updates <= self._saved_updates.get(venue_id, 0):
                     return False
-                self.catalog.save(
-                    engine.index,
-                    engine.object_index if engine.object_index is not None else engine.objects,
-                )
+                self.catalog.save(engine.index, engine.object_index)
                 saved_version = engine.objects.version
             state.log.compact(saved_version)
         self._saved_updates[venue_id] = updates
@@ -459,7 +445,7 @@ class VenueRouter:
         with self._log_guard:
             state = self._logs.get(venue_id)
             if state is None:
-                path = oplog_path(self.catalog.path_for(slot.space, slot.kind))
+                path = oplog_path(self.catalog.path_for(slot.space))
                 state = _VenueLog(OpLog(path, observe=self._oplog_timer.observe))
                 self._logs[venue_id] = state
             return state

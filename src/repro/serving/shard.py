@@ -122,7 +122,6 @@ class ShardWorker:
             its venues from (and flushes updated object state back to);
             the per-venue operation logs live next to the snapshots.
         shard_id: this shard's index (diagnostics only).
-        kind: default index kind for venues registered without one.
         capacity: engine-pool bound of the underlying router.
         flush_interval: background snapshot-and-compaction period in
             seconds; ``0`` disables the periodic flusher (a graceful
@@ -155,7 +154,6 @@ class ShardWorker:
         catalog_root,
         *,
         shard_id: int = 0,
-        kind: str = "VIP-Tree",
         capacity: int = 8,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         mmap: bool = True,
@@ -168,7 +166,7 @@ class ShardWorker:
             if slow_query_threshold is not None else None
         )
         self.router = VenueRouter(SnapshotCatalog(catalog_root), capacity=capacity,
-                                  kind=kind, mmap=mmap,
+                                  mmap=mmap,
                                   registry=self.registry,
                                   slow_query_threshold=slow_query_threshold,
                                   slowlog_path=slowlog_path)
@@ -201,8 +199,7 @@ class ShardWorker:
             space = space_from_dict(payload["space"])
             objects_doc = payload.get("objects")
             objects = objects_from_dict(objects_doc) if objects_doc else None
-            return self.router.add_venue(space, kind=payload.get("kind"),
-                                         objects=objects,
+            return self.router.add_venue(space, objects=objects,
                                          role=payload.get("role", "primary"))
         if kind == "remove_venue":
             return self.router.remove_venue(request.venue)
@@ -334,8 +331,8 @@ def _no_delay(sock: socket.socket) -> None:
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
-def _shard_entry(port: int, catalog_root: str, shard_id: int, kind: str,
-                 capacity: int, flush_interval: float, mmap: bool = True,
+def _shard_entry(port: int, catalog_root: str, shard_id: int, capacity: int,
+                 flush_interval: float, mmap: bool = True,
                  slow_query_threshold: float | None = None) -> None:
     """Child-process entry point: connect back to the parent and serve."""
     sock = socket.create_connection(("127.0.0.1", port), timeout=_CONNECT_TIMEOUT)
@@ -343,7 +340,7 @@ def _shard_entry(port: int, catalog_root: str, shard_id: int, kind: str,
     _no_delay(sock)
     try:
         worker = ShardWorker(
-            catalog_root, shard_id=shard_id, kind=kind, capacity=capacity,
+            catalog_root, shard_id=shard_id, capacity=capacity,
             flush_interval=flush_interval, mmap=mmap,
             slow_query_threshold=slow_query_threshold,
         )
@@ -378,7 +375,6 @@ class ShardProcess:
         catalog_root,
         *,
         shard_id: int = 0,
-        kind: str = "VIP-Tree",
         capacity: int = 8,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
@@ -390,7 +386,6 @@ class ShardProcess:
             raise ServingError(f"max_inflight must be >= 1, got {max_inflight}")
         self.catalog_root = str(catalog_root)
         self.shard_id = int(shard_id)
-        self.kind = kind
         self.capacity = int(capacity)
         self.flush_interval = float(flush_interval)
         self.mmap = bool(mmap)
@@ -429,9 +424,8 @@ class ShardProcess:
             port = listener.getsockname()[1]
             self.process = ctx.Process(
                 target=_shard_entry,
-                args=(port, self.catalog_root, self.shard_id, self.kind,
-                      self.capacity, self.flush_interval, self.mmap,
-                      self.slow_query_threshold),
+                args=(port, self.catalog_root, self.shard_id, self.capacity,
+                      self.flush_interval, self.mmap, self.slow_query_threshold),
                 name=f"repro-shard-{self.shard_id}",
                 daemon=True,
             )

@@ -1,4 +1,4 @@
-"""Index snapshot store: persist built indexes, warm-start engines.
+"""VIP-Tree snapshot store: persist built trees, warm-start engines.
 
 Index construction is the expensive side of the paper's trade-off
 (partitioning, distance matrices, group tables, the VIP-Tree's per-door
@@ -6,7 +6,7 @@ materialization); queries are cheap. This subsystem amortizes the build
 across process lifetimes:
 
 * :func:`save_snapshot` / :func:`load_snapshot` — serialize a fully
-  built index (tree structure, leaf partitions, distance matrices,
+  built VIP-Tree (tree structure, leaf partitions, distance matrices,
   group tables, access lists, plus the object set/index with its
   version counter) into a versioned, integrity-checked file and restore
   it **ready to query, with zero rebuild**,
@@ -14,7 +14,7 @@ across process lifetimes:
   header inspection (``deep=True`` cross-checks restored answers
   against the Dijkstra oracle),
 * :class:`SnapshotCatalog` — a directory of snapshots keyed by venue
-  fingerprint and index kind (multi-venue serving), with
+  fingerprint, one per venue (multi-venue serving), with
   :meth:`~SnapshotCatalog.engine_for` as the load-or-build warm-start
   entry point,
 * :class:`OpLog` (:mod:`repro.storage.oplog`) — a durable, checksummed
@@ -31,7 +31,6 @@ the single-venue case. Every failure mode raises
 """
 
 from .catalog import SnapshotCatalog
-from .codec import build_index, decode_index, encode_index, known_kinds, resolve_kind
 from .oplog import (
     LogRecord,
     OPLOG_SUFFIX,
@@ -60,15 +59,10 @@ __all__ = [
     "Snapshot",
     "SnapshotCatalog",
     "SnapshotInfo",
-    "build_index",
     "oplog_path",
     "scan_oplog",
-    "decode_index",
-    "encode_index",
-    "known_kinds",
     "load_snapshot",
     "read_snapshot_info",
-    "resolve_kind",
     "save_snapshot",
     "venue_fingerprint",
     "verify_snapshot",

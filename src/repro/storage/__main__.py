@@ -3,7 +3,7 @@
 Examples:
     python -m repro.storage build --venue MC --profile tiny --out mc.snap
     python -m repro.storage build --venue Men-2 --profile small \\
-        --index viptree --objects 40 --catalog .snapshots
+        --objects 40 --catalog .snapshots
     python -m repro.storage load mc.snap
     python -m repro.storage verify mc.snap --deep
     python -m repro.storage verify --catalog .snapshots
@@ -22,14 +22,13 @@ from pathlib import Path
 
 from ..bench.reporting import Table
 from ..core.objects_index import ObjectIndex
-from ..core.tree import IPTree
+from ..core.viptree import VIPTree
 from ..datasets.profiles import PROFILES
 from ..datasets.venues import VENUE_NAMES, load_venue
 from ..datasets.workloads import random_objects
 from ..exceptions import SnapshotError
 from ..model.io_json import load_space
 from .catalog import SnapshotCatalog
-from .codec import build_index, known_kinds, resolve_kind
 from .snapshot import load_snapshot, save_snapshot, verify_snapshot
 
 
@@ -41,29 +40,26 @@ def _resolve_venue(name: str, profile: str, seed: int | None):
 
 def _cmd_build(args) -> int:
     space = _resolve_venue(args.venue, args.profile, args.seed)
-    kind = resolve_kind(args.index)
     if args.skip_existing:
         existing = None
         if args.catalog:
             catalog = SnapshotCatalog(args.catalog)
-            if catalog.has(space, kind):
-                existing = catalog.path_for(space, kind)
+            if catalog.has(space):
+                existing = catalog.path_for(space)
         elif Path(args.out).is_file():
             existing = Path(args.out)
         if existing is not None:
-            print(f"kept existing {kind} snapshot for {space.name!r}: {existing}")
+            print(f"kept existing snapshot for {space.name!r}: {existing}")
             return 0
     start = time.perf_counter()
-    index = build_index(kind, space)
+    index = VIPTree.build(space)
     build_s = time.perf_counter() - start
     objects = None
     if args.objects > 0:
         object_set = random_objects(
             space, args.objects, seed=17 if args.seed is None else args.seed
         )
-        objects = (
-            ObjectIndex(index, object_set) if isinstance(index, IPTree) else object_set
-        )
+        objects = ObjectIndex(index, object_set)
     start = time.perf_counter()
     if args.out:
         path = Path(args.out)
@@ -95,7 +91,7 @@ def _cmd_load(args) -> int:
     info = snap.info
     print(
         f"loaded {info.kind} for {info.venue!r} in {load_s:.3f}s — ready to query "
-        f"(zero rebuild; cold build took {getattr(snap.index, 'build_seconds', 0.0):.3f}s)"
+        f"(zero rebuild; cold build took {snap.index.build_seconds:.3f}s)"
     )
     print(
         f"  venue: {info.num_doors} doors, {info.num_partitions} partitions, "
@@ -172,12 +168,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="cold-build an index and snapshot it")
+    p_build = sub.add_parser("build", help="cold-build a VIP-Tree and snapshot it")
     p_build.add_argument("--venue", required=True,
                          help=f"venue name ({', '.join(VENUE_NAMES)}) or venue .json path")
     p_build.add_argument("--profile", default="tiny", choices=PROFILES)
-    p_build.add_argument("--index", default="viptree",
-                         help=f"index kind (default viptree; known: {', '.join(known_kinds())})")
     p_build.add_argument("--objects", type=int, default=0,
                          help="also embed N random objects (0 = none)")
     p_build.add_argument("--seed", type=int, default=None)

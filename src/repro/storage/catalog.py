@@ -2,20 +2,20 @@
 
 The seed of multi-venue serving: one catalog directory holds one
 subdirectory per *venue fingerprint* (so two venues sharing a name — or
-one venue across edits — never collide), each containing one snapshot
-per index kind::
+one venue across edits — never collide), each containing the venue's
+VIP-Tree snapshot (and, once it serves updates, its operation log)::
 
     <root>/
       mc-2f9a81c04d3b/
         vip-tree.snap
-        distmx.snap
       men-2-77e03a129bf0/
         vip-tree.snap
+        vip-tree.oplog
 
-Keys are ``(venue, kind)``; the venue side is always the fingerprint,
-never just the name. :meth:`SnapshotCatalog.engine_for` is the
-warm-start entry point a serving process calls per venue: load the
-snapshot when one exists, otherwise cold-build, save, and serve.
+The key is the venue fingerprint, never just the name.
+:meth:`SnapshotCatalog.engine_for` is the warm-start entry point a
+serving process calls per venue: load the snapshot when one exists,
+otherwise cold-build, save, and serve.
 
 Thread safety
 -------------
@@ -23,7 +23,7 @@ A catalog may be shared by many serving threads (that is exactly what
 :class:`repro.serving.VenueRouter` does):
 
 * :meth:`load_or_build` / :meth:`engine_for` serialize per catalog
-  **slot** (venue fingerprint + kind): when several threads warm-start
+  **slot** (venue fingerprint): when several threads warm-start
   the same venue concurrently, exactly one pays the cold build and
   saves the snapshot — the rest load the file it wrote. Different
   slots proceed fully in parallel.
@@ -42,10 +42,9 @@ import threading
 from pathlib import Path
 
 from ..core.objects_index import ObjectIndex
-from ..core.tree import IPTree
+from ..core.viptree import VIPTree
 from ..exceptions import SnapshotError
 from ..model.indoor_space import IndoorSpace
-from .codec import build_index, resolve_kind
 from .snapshot import (
     SNAPSHOT_SUFFIX,
     Snapshot,
@@ -66,9 +65,8 @@ def _slug(name: str) -> str:
     return s or "venue"
 
 
-def _kind_slug(kind: str) -> str:
-    # "+" would be stripped by _slug, colliding DistAw++ with DistAw
-    return _slug(kind.replace("+", "p"))
+#: the one snapshot file each venue directory holds
+_SLOT_NAME = f"{_slug(VIPTree.index_name)}{SNAPSHOT_SUFFIX}"
 
 
 class SnapshotCatalog:
@@ -78,7 +76,7 @@ class SnapshotCatalog:
         self.root = Path(root)
         # Per-slot build locks (see "Thread safety" above). The guard
         # protects the dict itself; each slot lock serializes
-        # load_or_build for one (venue fingerprint, kind) pair.
+        # load_or_build for one venue fingerprint.
         self._locks_guard = threading.Lock()
         self._slot_locks: dict[str, threading.Lock] = {}
 
@@ -93,49 +91,45 @@ class SnapshotCatalog:
         """The venue's directory: ``<slug(name)>-<fingerprint[:12]>``."""
         return self.root / f"{_slug(space.name)}-{venue_fingerprint(space)[:_FP_PREFIX]}"
 
-    def path_for(self, space: IndoorSpace, kind: str) -> Path:
-        """Where ``(space, kind)``'s snapshot lives (existing or not)."""
-        return self.venue_dir(space) / f"{_kind_slug(resolve_kind(kind))}{SNAPSHOT_SUFFIX}"
+    def path_for(self, space: IndoorSpace) -> Path:
+        """Where the venue's snapshot lives (existing or not)."""
+        return self.venue_dir(space) / _SLOT_NAME
 
-    def has(self, space: IndoorSpace, kind: str) -> bool:
-        return self.path_for(space, kind).is_file()
+    def has(self, space: IndoorSpace) -> bool:
+        return self.path_for(space).is_file()
 
     # ------------------------------------------------------------------
     # Save / load
     # ------------------------------------------------------------------
-    def save(self, index, objects=None) -> SnapshotInfo:
-        """Snapshot a built index into its catalog slot.
+    def save(self, index: VIPTree, objects=None) -> SnapshotInfo:
+        """Snapshot a built VIP-Tree into its venue's slot.
 
         Returns the written header (its ``path`` field is the slot)."""
-        from .codec import kind_of
+        return save_snapshot(self.path_for(index.space), index, objects)
 
-        path = self.path_for(index.space, kind_of(index))
-        return save_snapshot(path, index, objects)
+    def load(self, space: IndoorSpace, kind: str = VIPTree.index_name, *,
+             mmap: bool = False) -> Snapshot:
+        """Load the venue's snapshot, fingerprint-checked against ``space``.
 
-    def load(self, space: IndoorSpace, kind: str, *, mmap: bool = False) -> Snapshot:
-        """Load ``(space, kind)``, fingerprint-checked against ``space``.
-
+        ``kind`` must be ``"VIP-Tree"``, the only kind a catalog holds.
         ``mmap=True`` maps the snapshot's binary section instead of
         copying it (see :func:`~repro.storage.snapshot.load_snapshot`).
 
         Raises:
-            SnapshotError: no snapshot for this venue + kind (or a
-                corrupted/mismatched one).
+            SnapshotError: another ``kind``, or no snapshot for this
+                venue (or a corrupted/mismatched one).
         """
-        wanted = resolve_kind(kind)
-        path = self.path_for(space, kind)
+        if kind != VIPTree.index_name:
+            raise SnapshotError(
+                f"a catalog holds only {VIPTree.index_name!r} snapshots, "
+                f"not {kind!r}"
+            )
+        path = self.path_for(space)
         if not path.is_file():
             raise SnapshotError(
-                f"no {wanted} snapshot for venue {space.name!r} "
-                f"in catalog {self.root}"
+                f"no snapshot for venue {space.name!r} in catalog {self.root}"
             )
-        snapshot = load_snapshot(path, space=space, mmap=mmap)
-        if snapshot.info.kind != wanted:
-            raise SnapshotError(
-                f"{path}: catalog slot for {wanted} holds a "
-                f"{snapshot.info.kind} snapshot"
-            )
-        return snapshot
+        return load_snapshot(path, space=space, mmap=mmap)
 
     def entries(self) -> list[SnapshotInfo]:
         """Headers of every readable snapshot under the root, sorted by
@@ -157,7 +151,6 @@ class SnapshotCatalog:
     def load_or_build(
         self,
         space: IndoorSpace,
-        kind: str = "VIP-Tree",
         objects=None,
         builder=None,
         *,
@@ -168,31 +161,28 @@ class SnapshotCatalog:
         ``mmap=True`` memory-maps the snapshot's bulk payload on the
         load path (a cold build still serves its live in-memory state).
         Loads the catalog's snapshot when present (``loaded=True``);
-        otherwise cold-builds the index (``builder(space)`` when given,
-        else the kind's default builder), saves it together with
+        otherwise cold-builds the tree (``builder(space)`` when given,
+        else :meth:`VIPTree.build`), saves it together with
         ``objects``, and serves the just-built live state directly
         (``loaded=False``) — no redundant re-parse of the file it just
         wrote. Either way the result is ready to query.
 
-        Thread safety: concurrent calls for the same ``(space, kind)``
-        slot are serialized — one caller builds and saves, the rest
+        Thread safety: concurrent calls for the same venue slot are
+        serialized — one caller builds and saves, the rest
         load the freshly written snapshot (each gets an independent
         in-memory copy). Distinct slots never contend.
         """
-        with self._slot_lock(self.path_for(space, kind)):
-            if self.has(space, kind):
-                return self.load(space, kind, mmap=mmap), True
-            index = builder(space) if builder is not None else build_index(kind, space)
+        with self._slot_lock(self.path_for(space)):
+            if self.has(space):
+                return self.load(space, mmap=mmap), True
+            index = builder(space) if builder is not None else VIPTree.build(space)
             # An ObjectIndex argument wraps some *previous* tree —
-            # re-embed its object set into the freshly built index
-            # (when that index is a tree; baselines take the bare set).
+            # re-embed its object set into the freshly built one.
             object_set = objects.objects if isinstance(objects, ObjectIndex) else objects
             object_index = (
-                ObjectIndex(index, object_set)
-                if object_set is not None and isinstance(index, IPTree)
-                else None
+                ObjectIndex(index, object_set) if object_set is not None else None
             )
-            info = self.save(index, object_index if object_index is not None else object_set)
+            info = self.save(index, object_index)
             snapshot = Snapshot(
                 info=info,
                 space=space,
@@ -205,7 +195,6 @@ class SnapshotCatalog:
     def engine_for(
         self,
         space: IndoorSpace,
-        kind: str = "VIP-Tree",
         objects=None,
         builder=None,
         *,
@@ -230,6 +219,6 @@ class SnapshotCatalog:
         the serving router does).
         """
         snap, _ = self.load_or_build(
-            space, kind, objects=objects, builder=builder, mmap=mmap
+            space, objects=objects, builder=builder, mmap=mmap
         )
         return snap.engine(**engine_kwargs)

@@ -1,9 +1,10 @@
-"""Versioned, integrity-checked snapshot files for built indexes.
+"""Versioned, integrity-checked snapshot files for built VIP-Trees.
 
-A snapshot file persists one fully built index — IP-Tree, VIP-Tree or
-any baseline — together with the venue it was built for and (optionally)
-its object set and leaf-attached :class:`~repro.core.objects_index.ObjectIndex`,
-so a later process loads a **ready-to-query** index with zero rebuild.
+A snapshot file persists one fully built
+:class:`~repro.core.viptree.VIPTree` together with the venue it was
+built for and (optionally) its object set and leaf-attached
+:class:`~repro.core.objects_index.ObjectIndex`, so a later process
+loads a **ready-to-query** tree with zero rebuild.
 
 File layout (all deterministic — saving the same build twice yields
 byte-identical files, so snapshot hashes are reproducible)::
@@ -23,7 +24,8 @@ and hands the index zero-copy numpy views instead of deserializing
 without the zero-copy path).
 
 The single-line header carries the magic string, the snapshot format
-version, the index kind, the **venue fingerprint** (SHA-256 of the
+version, the index kind (always ``"VIP-Tree"``; any other kind is
+refused), the **venue fingerprint** (SHA-256 of the
 venue's canonical JSON document) and each section's SHA-256 + byte
 length. :func:`load_snapshot` refuses files whose magic/format do not
 match, whose sections fail the hash check (truncation, corruption), or
@@ -34,9 +36,9 @@ different venue must never serve answers). A snapshot loaded with
 :meth:`Snapshot.reverify` re-hashes both sections through the live
 mapping to detect on-disk modification after mapping.
 
-The body document holds ``space`` (venue), ``index`` (the class's
-``to_state()`` output, dispatched through :mod:`repro.storage.codec`),
-and optional ``objects`` / ``object_index`` sections. Object sets
+The body document holds ``space`` (venue), ``index``
+(:meth:`VIPTree.to_state` output) and optional ``objects`` /
+``object_index`` sections. Object sets
 round-trip with their ``capacity``, tombstoned ids and ``version``
 counter intact.
 """
@@ -51,7 +53,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..core.objects_index import ObjectIndex
-from ..core.tree import IPTree
+from ..core.viptree import VIPTree
 from ..exceptions import SnapshotError
 from ..model.io_json import (
     canonical_dumps,
@@ -63,7 +65,6 @@ from ..model.io_json import (
 from ..model.indoor_space import IndoorSpace
 from ..model.objects import ObjectSet
 from ..model.packing import BinaryReader, BinarySink, binary_reader, binary_sink
-from .codec import decode_index, encode_index
 
 MAGIC = "repro-index-snapshot"
 FORMAT_VERSION = 2
@@ -181,11 +182,11 @@ class _SnapshotMapping:
 
 @dataclass(slots=True)
 class Snapshot:
-    """A loaded snapshot: venue + ready-to-query index (+ objects)."""
+    """A loaded snapshot: venue + ready-to-query tree (+ objects)."""
 
     info: SnapshotInfo
     space: IndoorSpace
-    index: object
+    index: VIPTree
     objects: ObjectSet | None = None
     object_index: ObjectIndex | None = None
     #: set only for ``mmap=True`` loads: the live mapping the index's
@@ -206,20 +207,17 @@ class Snapshot:
         else:
             verify_snapshot(self.info.path)
 
-    def engine(self, engine_cls=None, **engine_kwargs):
+    def engine(self, **engine_kwargs):
         """Warm-start a :class:`~repro.engine.engine.QueryEngine`.
 
         The restored :class:`ObjectIndex` (when present) is handed to
         the engine directly, so not even the object embedding is
-        rebuilt. ``engine_cls`` lets engine subclasses warm-start as
-        themselves (``MyEngine.from_snapshot`` passes it through).
+        rebuilt.
         """
-        if engine_cls is None:
-            from ..engine.engine import QueryEngine  # lazy: engine is a higher layer
+        from ..engine.engine import QueryEngine  # lazy: engine is a higher layer
 
-            engine_cls = QueryEngine
         objects = self.object_index if self.object_index is not None else self.objects
-        return engine_cls(self.index, objects, **engine_kwargs)
+        return QueryEngine(self.index, objects, **engine_kwargs)
 
 
 def _library_version() -> str:
@@ -228,13 +226,15 @@ def _library_version() -> str:
     return __version__
 
 
-def save_snapshot(path: str | Path, index, objects=None) -> SnapshotInfo:
-    """Serialize a built index (and optionally its objects) to ``path``.
+def save_snapshot(path: str | Path, index: VIPTree, objects=None) -> SnapshotInfo:
+    """Serialize a built VIP-Tree (and optionally its objects) to ``path``.
 
     Args:
         path: destination file (parent directories are created).
-        index: any registered index instance (trees or baselines).
-        objects: optional :class:`ObjectSet`, or a tree's
+        index: a built :class:`VIPTree` — exactly that class; an
+            :class:`~repro.core.tree.IPTree`, a baseline or any
+            subclass is refused.
+        objects: optional :class:`ObjectSet`, or the tree's
             :class:`ObjectIndex` — the latter persists the full
             embedding (leaf lists, sorted access lists, subtree counts)
             so the loaded engine skips even the object registration.
@@ -243,15 +243,20 @@ def save_snapshot(path: str | Path, index, objects=None) -> SnapshotInfo:
         The written header as :class:`SnapshotInfo`.
 
     Raises:
-        SnapshotError: unregistered index class, or an ``ObjectIndex``
-            that was built for a different tree than ``index``.
+        SnapshotError: ``index`` is not a :class:`VIPTree`, or an
+            ``ObjectIndex`` that was built for a different tree than
+            ``index``.
     """
+    if type(index) is not VIPTree:
+        raise SnapshotError(
+            f"snapshots hold only a VIPTree, got {type(index).__name__}"
+        )
     # Divert packed arrays (distance matrices, VIP stores, edge
     # weights) into the out-of-band binary section while the body
     # document is built; the JSON keeps only @bin: references.
     sink = BinarySink()
     with binary_sink(sink):
-        kind, state = encode_index(index)
+        state = index.to_state()
         # Wall-clock build time is run metadata, not index state: hoist it
         # into the header so the hashed payload is reproducible across runs.
         build_seconds = state.pop("build_seconds", None)
@@ -286,7 +291,7 @@ def save_snapshot(path: str | Path, index, objects=None) -> SnapshotInfo:
     header = {
         "magic": MAGIC,
         "format": FORMAT_VERSION,
-        "kind": kind,
+        "kind": VIPTree.index_name,
         "venue": space.name,
         "fingerprint": venue_fingerprint(space),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
@@ -370,6 +375,11 @@ def _parse_header(path: Path, raw: bytes) -> dict:
         raise SnapshotError(
             f"{path}: snapshot header is missing fields {missing} — "
             "corrupted or hand-edited header"
+        )
+    if header["kind"] != VIPTree.index_name:
+        raise SnapshotError(
+            f"{path}: snapshot holds a {header['kind']!r} index; only "
+            f"{VIPTree.index_name!r} snapshots are supported"
         )
     return header
 
@@ -460,7 +470,8 @@ def load_snapshot(
 
     Raises:
         SnapshotError: bad magic, unsupported format version, integrity
-            failure, unknown index kind, or venue-fingerprint mismatch.
+            failure, an index kind other than ``"VIP-Tree"``, or
+            venue-fingerprint mismatch.
     """
     p = Path(path)
     mm = None
@@ -492,21 +503,14 @@ def load_snapshot(
         space = space_from_dict(body["space"])
     reader = BinaryReader(binary, arrays=mm is not None) if binary is not None else None
     with binary_reader(reader):
-        index = decode_index(header["kind"], space, body["index"])
+        index = VIPTree.from_state(space, body["index"])
         if header.get("build_seconds") is not None:
-            # classes route this where it belongs (e.g. DistAw++ proxies it
-            # to its nested matrix via a property)
             index.build_seconds = header["build_seconds"]
         objects = (
             objects_from_dict(body["objects"]) if body.get("objects") is not None else None
         )
         object_index = None
         if body.get("object_index") is not None:
-            if not isinstance(index, IPTree):
-                raise SnapshotError(
-                    f"{p}: snapshot has an object_index section but {header['kind']} "
-                    "is not a tree index"
-                )
             if objects is None:
                 raise SnapshotError(
                     f"{p}: snapshot has an object_index section but no objects "
@@ -549,9 +553,9 @@ def verify_snapshot(
       ``ObjectIndex``, when present, re-counts to the object set),
     * a handful of seeded door-to-door distances match a fresh
       :class:`~repro.baselines.oracle.DijkstraOracle` — a corrupted
-      matrix cannot hide behind a correct hash of corrupted bytes. For
-      a tree, one of them joins two doors of one leaf, so the check
-      also reads a leaf door matrix derived on the loaded tree,
+      matrix cannot hide behind a correct hash of corrupted bytes. One
+      of them joins two doors of one leaf, so the check also reads a
+      leaf door matrix derived on the loaded tree,
     * with a restored ``ObjectIndex`` that holds objects, one seeded
       kNN from a point in the leaf holding the most objects matches the
       oracle, so the check also reads the door legs the index derived
@@ -581,16 +585,14 @@ def verify_snapshot(
 
     from ..baselines.oracle import DijkstraOracle
 
-    d2d = getattr(snap.index, "d2d", None) or getattr(snap.index, "graph", None)
-    oracle = DijkstraOracle(snap.space, d2d)
+    oracle = DijkstraOracle(snap.space, snap.index.d2d)
     rng = random.Random(0)
     doors = range(snap.space.num_doors)
     checks = [("doors", rng.choice(doors), rng.choice(doors)) for _ in range(4)]
-    if isinstance(snap.index, IPTree):
-        leaves = [n for n in snap.index.nodes if n.is_leaf and n.table.num_rows > 1]
-        if leaves:
-            a, b = rng.sample(rng.choice(leaves).table.row_doors, 2)
-            checks.insert(0, ("same-leaf doors", a, b))
+    leaves = [n for n in snap.index.nodes if n.is_leaf and n.table.num_rows > 1]
+    if leaves:
+        a, b = rng.sample(rng.choice(leaves).table.row_doors, 2)
+        checks.insert(0, ("same-leaf doors", a, b))
     for what, a, b in checks:
         got = snap.index.shortest_distance(a, b)
         want = oracle.shortest_distance(a, b)

@@ -300,13 +300,12 @@ class ClusterFaultHarness:
 # ----------------------------------------------------------------------
 # Operation-log tampering (crash/corruption simulation)
 # ----------------------------------------------------------------------
-def venue_oplog_path(catalog_root, space: IndoorSpace,
-                     kind: str = "VIP-Tree") -> Path:
+def venue_oplog_path(catalog_root, space: IndoorSpace) -> Path:
     """Where the venue's operation log lives under ``catalog_root``."""
     from .storage.catalog import SnapshotCatalog
     from .storage.oplog import oplog_path
 
-    return oplog_path(SnapshotCatalog(catalog_root).path_for(space, kind))
+    return oplog_path(SnapshotCatalog(catalog_root).path_for(space))
 
 
 def tear_oplog_tail(path: str | Path) -> None:

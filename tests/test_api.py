@@ -1,4 +1,10 @@
-"""Public API surface: imports resolve, exceptions nest, version set."""
+"""Public API surface: imports resolve, exceptions nest, version set,
+and the serving layers stay clear of the baselines."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +61,21 @@ def test_quickstart_docstring_example():
     tree = VIPTree.build(space)
     dist = tree.shortest_distance(IndoorPoint(office, 6.0, 1.0), d0)
     assert dist == pytest.approx(1.0 + 5.0 + 1.0, abs=1.0)
+
+
+def test_serving_layers_load_no_baseline():
+    """The engine, the snapshot store and the serving stack know only
+    the VIP-Tree: importing all three loads no module of
+    ``repro.baselines`` (deep snapshot verification imports the oracle
+    lazily, when it runs)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys\n"
+        "import repro.engine, repro.storage, repro.serving\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.baselines')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -200,11 +200,10 @@ def shard_venue():
     return space, random_objects(space, 12, seed=9)
 
 
-def venue_payload(space, objects=None, kind="VIP-Tree"):
+def venue_payload(space, objects=None):
     return {
         "space": space_to_dict(space),
         "objects": objects_to_dict(objects) if objects is not None else None,
-        "kind": kind,
     }
 
 

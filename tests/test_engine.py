@@ -1,9 +1,18 @@
-"""QueryEngine: batch/single identity, cache correctness, stats, LRU."""
+"""QueryEngine: cached/uncached identity, cache correctness, stats, LRU,
+and each baseline's own answers against the engine over the VIP-Tree."""
 
 import pytest
 
 from repro import IPTree, QueryError, VIPTree
-from repro.baselines import DijkstraOracle, DistanceMatrix, Road
+from repro.baselines import (
+    DijkstraOracle,
+    DistanceMatrix,
+    DistAware,
+    DistAwPlusPlus,
+    DistMxObjects,
+    GTree,
+    Road,
+)
 from repro.core import ObjectIndex
 from repro.engine import LRUCache, QueryEngine
 from repro.testing import sample_points
@@ -32,7 +41,8 @@ def _pairs(space, n, seed=13):
 
 # ----------------------------------------------------------------------
 class TestBatchMatchesSingle:
-    """Batch endpoints must be element-wise identical to single calls."""
+    """A batch of requests answered one by one through a cached engine
+    must be element-wise identical to an uncached engine's answers."""
 
     def test_batch_distance(self, setting):
         space, vip, _, objects = setting
@@ -40,7 +50,7 @@ class TestBatchMatchesSingle:
         single = QueryEngine(vip, objects, cache=False)
         batch = QueryEngine(vip, objects, cache=True)
         expected = [single.distance(s, t) for s, t in pairs]
-        got = batch.batch_distance(pairs)
+        got = [batch.distance(s, t) for s, t in pairs]
         assert got == expected  # exact: same code path, same floats
 
     def test_batch_path(self, setting):
@@ -49,7 +59,7 @@ class TestBatchMatchesSingle:
         single = QueryEngine(vip, objects, cache=False)
         batch = QueryEngine(vip, objects, cache=True)
         expected = [single.path(s, t) for s, t in pairs]
-        got = batch.batch_path(pairs)
+        got = [batch.path(s, t) for s, t in pairs]
         for e, g in zip(expected, got):
             assert g.distance == e.distance
             assert g.doors == e.doors
@@ -60,7 +70,7 @@ class TestBatchMatchesSingle:
         single = QueryEngine(vip, objects, cache=False)
         batch = QueryEngine(vip, objects, cache=True)
         expected = [single.knn(q, 3) for q in queries]
-        got = batch.batch_knn(queries, 3)
+        got = [batch.knn(q, 3) for q in queries]
         assert got == expected
 
     def test_batch_range(self, setting):
@@ -69,7 +79,7 @@ class TestBatchMatchesSingle:
         single = QueryEngine(vip, objects, cache=False)
         batch = QueryEngine(vip, objects, cache=True)
         expected = [single.range_query(q, 30.0) for q in queries]
-        got = batch.batch_range(queries, 30.0)
+        got = [batch.range_query(q, 30.0) for q in queries]
         assert got == expected
 
     def test_repeated_batches_stay_identical(self, setting):
@@ -77,8 +87,8 @@ class TestBatchMatchesSingle:
         space, vip, _, objects = setting
         queries = sample_points(space, 8, seed=23)
         engine = QueryEngine(vip, objects, cache=True)
-        first = engine.batch_knn(queries, 4)
-        second = engine.batch_knn(queries, 4)
+        first = [engine.knn(q, 4) for q in queries]
+        second = [engine.knn(q, 4) for q in queries]
         assert first == second
 
 
@@ -147,7 +157,8 @@ class TestStats:
         queries = sample_points(space, 10, seed=41)
         snapshots = [engine.stats()]
         for _ in range(3):
-            engine.batch_knn(queries, 3)
+            for q in queries:
+                engine.knn(q, 3)
             snapshots.append(engine.stats())
         for prev, cur in zip(snapshots, snapshots[1:]):
             for name, value in cur.as_dict().items():
@@ -160,11 +171,11 @@ class TestStats:
     def test_query_counts(self, setting):
         space, vip, _, objects = setting
         engine = QueryEngine(vip, objects, cache=True)
-        pairs = _pairs(space, 3, seed=42)
-        engine.batch_distance(pairs)
-        engine.batch_path(pairs)
-        engine.batch_knn([s for s, _ in pairs], 2)
-        engine.batch_range([s for s, _ in pairs], 10.0)
+        for s, t in _pairs(space, 3, seed=42):
+            engine.distance(s, t)
+            engine.path(s, t)
+            engine.knn(s, 2)
+            engine.range_query(s, 10.0)
         s = engine.stats()
         assert s.distance_queries == 3
         assert s.path_queries == 3
@@ -195,59 +206,69 @@ class TestStats:
         space, vip, _, objects = setting
         engine = QueryEngine(vip, objects, cache=True)
         queries = sample_points(space, 4, seed=45)
-        engine.batch_knn(queries, 2)
-        engine.batch_knn(queries, 2)
+        first = [engine.knn(q, 2) for q in queries]
+        assert [engine.knn(q, 2) for q in queries] == first
         before = engine.stats()
         assert before.knn_hits > 0
         engine.clear_caches()
         after = engine.stats()
         assert after.knn_hits == before.knn_hits
-        # next batch recomputes (misses grow, answers unchanged)
-        again = engine.batch_knn(queries, 2)
+        # the next pass recomputes (misses grow, answers unchanged)
+        assert [engine.knn(q, 2) for q in queries] == first
         assert engine.stats().knn_misses > before.knn_misses
-        assert again == engine.batch_knn(queries, 2)
 
 
 # ----------------------------------------------------------------------
 class TestBaselineEngines:
+    """The engine serves only trees. Each baseline answers through its
+    own API (after ``attach_objects`` where it needs it), and those
+    answers must equal the engine over the VIP-Tree."""
+
     def test_oracle_engine_uniform_api(self, setting):
         space, vip, oracle, objects = setting
-        eng_o = QueryEngine(oracle, objects.objects)
         eng_v = QueryEngine(vip, objects)
-        for s, t in _pairs(space, 5, seed=51):
-            assert eng_o.distance(s, t) == pytest.approx(eng_v.distance(s, t), abs=1e-9)
-            po, pv = eng_o.path(s, t), eng_v.path(s, t)
-            assert po.distance == pytest.approx(pv.distance, abs=1e-9)
-        q = sample_points(space, 1, seed=52)[0]
-        ko = eng_o.knn(q, 3)
-        kv = eng_v.knn(q, 3)
-        assert [n.distance for n in ko] == pytest.approx(
-            [n.distance for n in kv], abs=1e-9
+        _assert_matches_engine(
+            eng_v, space,
+            distance=oracle.shortest_distance,
+            path=oracle.shortest_path_doors,
+            knn=lambda q, k: oracle.knn(q, objects.objects, k),
+            range_query=lambda q, r: oracle.range_query(q, objects.objects, r),
         )
 
     def test_distmx_and_road_engines(self, setting):
+        """DistMx answers objects through ``DistMxObjects``; ROAD, G-tree,
+        DistAw and DistAw++ through their own attached object sets."""
         space, vip, _, objects = setting
-        mx = DistanceMatrix(space, vip.d2d)
-        road = Road(space, vip.d2d)
-        eng_mx = QueryEngine(mx, objects.objects)
-        eng_road = QueryEngine(road, objects.objects)
         eng_v = QueryEngine(vip, objects)
-        for s, t in _pairs(space, 4, seed=53):
-            ref = eng_v.distance(s, t)
-            assert eng_mx.distance(s, t) == pytest.approx(ref, abs=1e-6)
-            assert eng_road.distance(s, t) == pytest.approx(ref, abs=1e-6)
-        q = sample_points(space, 1, seed=54)[0]
-        assert [n.distance for n in eng_mx.knn(q, 3)] == pytest.approx(
-            [n.distance for n in eng_v.knn(q, 3)], abs=1e-6
-        )
+        mx = DistanceMatrix(space, vip.d2d)
+        mx_objects = DistMxObjects(mx, objects.objects)
+        answering = [(mx, mx_objects)]
+        for cls in (Road, GTree, DistAware, DistAwPlusPlus):
+            index = cls(space, vip.d2d)
+            index.attach_objects(objects.objects)
+            answering.append((index, index))
+        for index, by_objects in answering:
+            _assert_matches_engine(
+                eng_v, space,
+                distance=index.shortest_distance,
+                path=index.shortest_path,
+                knn=by_objects.knn,
+                range_query=by_objects.range_query,
+            )
+
+    def test_engine_refuses_baselines(self, setting):
+        space, vip, oracle, objects = setting
+        for index in (oracle, DistanceMatrix(space, vip.d2d)):
+            with pytest.raises(QueryError, match=type(index).__name__):
+                QueryEngine(index, objects.objects)
 
     def test_knn_without_objects_raises(self, setting):
-        space, vip, oracle, _ = setting
+        space, vip, _, _ = setting
         q = sample_points(space, 1, seed=55)[0]
         with pytest.raises(QueryError):
             QueryEngine(vip).knn(q, 2)
         with pytest.raises(QueryError):
-            QueryEngine(oracle).knn(q, 2)
+            QueryEngine(vip).range_query(q, 10.0)
 
     def test_bad_endpoint_type_raises_query_error(self, setting):
         """Cache keying must not precede endpoint validation."""
@@ -263,6 +284,30 @@ class TestBaselineEngines:
         other = VIPTree.build(space)
         with pytest.raises(QueryError):
             QueryEngine(other, objects)
+
+
+def _assert_matches_engine(engine, space, *, distance=None, path=None,
+                           knn=None, range_query=None):
+    """Compare a baseline's own answers — ``(distance, doors)`` paths and
+    ``(distance, id)`` rankings — with ``engine`` on seeded endpoints.
+    Distances agree to 1e-9. kNN compares the ranked distances (a tie
+    may order ids differently); range compares ``(distance, id)`` sets."""
+    for s, t in _pairs(space, 5, seed=57):
+        want = engine.distance(s, t)
+        if distance is not None:
+            assert distance(s, t) == pytest.approx(want, abs=1e-9)
+        if path is not None:
+            assert path(s, t)[0] == pytest.approx(engine.path(s, t).distance, abs=1e-9)
+    for q in sample_points(space, 4, seed=58):
+        if knn is not None:
+            got, want = knn(q, 3), engine.knn(q, 3)
+            assert [d for d, _ in got] == pytest.approx(
+                [n.distance for n in want], abs=1e-9)
+        if range_query is not None:
+            got = {(round(d, 8), oid) for d, oid in range_query(q, 30.0)}
+            want = {(round(n.distance, 8), n.object_id)
+                    for n in engine.range_query(q, 30.0)}
+            assert got == want
 
 
 # ----------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_fresh_endpoint_reads_do_not_grow_state():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        replay(engine, queries, batched=False)
+        replay(engine, queries)
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:

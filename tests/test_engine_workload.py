@@ -64,24 +64,23 @@ class TestMixedQueries:
 
 
 class TestReplay:
-    def test_batched_equals_sequential(self, engine_setting):
+    def test_cached_replay_equals_uncached(self, engine_setting):
         space, vip, objects, queries = engine_setting
-        seq_results, seq_report = replay(
-            QueryEngine(vip, objects, cache=False), queries, batched=False
+        plain_results, plain_report = replay(
+            QueryEngine(vip, objects, cache=False), queries
         )
-        bat_results, bat_report = replay(
-            QueryEngine(vip, objects, cache=True), queries, batched=True
+        cached_results, cached_report = replay(
+            QueryEngine(vip, objects, cache=True), queries
         )
-        assert len(seq_results) == len(bat_results) == len(queries)
-        for a, b in zip(seq_results, bat_results):
+        assert len(plain_results) == len(cached_results) == len(queries)
+        for a, b in zip(plain_results, cached_results):
             if isinstance(a, float):
                 assert a == b
             elif hasattr(a, "doors"):
                 assert a.distance == b.distance and a.doors == b.doors
             else:
                 assert a == b
-        assert seq_report.by_kind == bat_report.by_kind
-        assert not seq_report.batched and bat_report.batched
+        assert plain_report.by_kind == cached_report.by_kind
 
     def test_report_fields(self, engine_setting):
         space, vip, objects, queries = engine_setting
@@ -104,13 +103,12 @@ class TestReplay:
         assert second.stats.misses == first.stats.misses  # all repeats hit
 
     def test_unknown_kind_rejected_in_both_modes(self, engine_setting):
+        """Cached and uncached engines alike refuse the stream."""
         space, vip, objects, _ = engine_setting
         bogus = [MixedQuery("teleport", sample_points(space, 1, seed=64)[0])]
-        engine = QueryEngine(vip, objects)
-        with pytest.raises(ValueError):
-            replay(engine, bogus, batched=True)
-        with pytest.raises(ValueError):
-            replay(engine, bogus, batched=False)
+        for cache in (True, False):
+            with pytest.raises(ValueError):
+                replay(QueryEngine(vip, objects, cache=cache), bogus)
 
     def test_mixed_path_queries_replay(self, engine_setting):
         space, vip, objects, _ = engine_setting

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import IPTree, ObjectIndex, UpdateOp, VIPTree
+from repro import IPTree, ObjectIndex, VIPTree
 from repro.core.query_knn import knn
 from repro.core.query_range import range_query
 from repro.core.results import QueryStats
@@ -194,42 +194,6 @@ def test_scoped_equals_full_on_interleaved_streams(built, seed):
     assert s0.scoped_invalidations == s0.updates
     assert s1.scoped_invalidations == 0
     assert s1.invalidations == s0.invalidations  # back-compat sum agrees
-
-
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_scoped_equals_full_under_batch_update(built, seed):
-    """batch_update folds the batch's leaves into one scoped event; the
-    answers must still match a full-flush engine exactly."""
-    rng = random.Random(seed)
-    venue = rng.choice(VENUES)
-    space, tree = built[venue, "vip"]
-    kern = rng.choice(KERNELS)
-    engines = [
-        QueryEngine(tree, random_objects(space, 12, seed=seed % 997),
-                    kernels=kern, invalidation=mode)
-        for mode in ("scoped", "full")
-    ]
-    pool = sample_points(space, 4, seed=(seed % 71) + 1)
-    for q in pool:
-        assert engines[0].knn(q, 4) == engines[1].knn(q, 4)
-    live = [o.object_id for o in engines[0].objects]
-    ops = [
-        UpdateOp("move", object_id=rng.choice(live),
-                 location=random_point(space, rng))
-        for _ in range(rng.randint(1, 5))
-    ]
-    for e in engines:
-        e.batch_update(ops)
-    for q in pool:
-        assert engines[0].knn(q, 4) == engines[1].knn(q, 4)
-        assert engines[0].range_query(q, 20.0) == engines[1].range_query(q, 20.0)
-    s = engines[0].stats()
-    assert s.scoped_invalidations == 1 and s.full_invalidations == 0
 
 
 # ----------------------------------------------------------------------

@@ -412,7 +412,7 @@ def test_men2_small_numpy_equals_python_under_updates(men2_small):
     for kernels in ("numpy", "python"):
         engine = QueryEngine(tree, random_objects(space, 200, seed=5),
                              kernels=kernels)
-        answers.append(replay(engine, stream, batched=False)[0])
+        answers.append(replay(engine, stream)[0])
     assert answers[0] == answers[1]
 
 

@@ -143,17 +143,6 @@ class TestEngineInvalidation:
         assert s2.distance_hits == s1.distance_hits + 1
         assert s2.distance_misses == s1.distance_misses
 
-    def test_batch_update_single_invalidation(self, fig1_space):
-        tree = VIPTree.build(fig1_space)
-        engine = QueryEngine(tree, random_objects(fig1_space, 8, seed=11))
-        rng = random.Random(12)
-        ops = [UpdateOp("move", object_id=i, location=random_point(fig1_space, rng)) for i in range(4)]
-        s0 = engine.stats()
-        engine.batch_update(ops)
-        s1 = engine.stats()
-        assert s1.updates == s0.updates + 4
-        assert s1.invalidations == s0.invalidations + 1
-
     def test_direct_mutation_detected_lazily(self, fig1_space):
         """Mutating the ObjectIndex behind the engine's back must not
         leave stale cached answers (version check on next kNN/range)."""
@@ -183,17 +172,33 @@ class TestEngineInvalidation:
         assert s.updates == 1
         assert s.invalidations == 0  # nothing to flush
 
-    def test_baseline_engine_reattaches_objects(self, fig1_space):
+    def test_baseline_engine_reattaches_objects(self, fig1_space, tower_space):
+        """The engine serves only trees: updates go through an engine
+        over the VIP-Tree, DistAw re-attaches the same object set after
+        each one, and both must keep answering alike."""
         from repro.baselines import DistAware
 
-        baseline = DistAware(fig1_space)
-        engine = QueryEngine(baseline, random_objects(fig1_space, 6, seed=18))
-        rng = random.Random(19)
-        q = random_point(fig1_space, rng)
-        new_id = engine.insert_object(q)
-        assert engine.knn(q, 1)[0].object_id == new_id
-        engine.delete_object(new_id)
-        assert all(n.object_id != new_id for n in engine.knn(q, 3))
+        def same_answers(engine, distaw, q):
+            assert [d for d, _ in distaw.knn(q, 3)] == pytest.approx(
+                [n.distance for n in engine.knn(q, 3)], abs=1e-9)
+            got = {(round(d, 8), oid) for d, oid in distaw.range_query(q, 30.0)}
+            assert got == {(round(n.distance, 8), n.object_id)
+                           for n in engine.range_query(q, 30.0)}
+
+        for space in (fig1_space, tower_space):
+            tree = VIPTree.build(space)
+            engine = QueryEngine(tree, random_objects(space, 6, seed=18))
+            distaw = DistAware(space, tree.d2d)
+            rng = random.Random(19)
+            q = random_point(space, rng)
+            new_id = engine.insert_object(q)
+            distaw.attach_objects(engine.objects)
+            assert distaw.knn(q, 1)[0][1] == new_id == engine.knn(q, 1)[0].object_id
+            same_answers(engine, distaw, q)
+            engine.delete_object(new_id)
+            distaw.attach_objects(engine.objects)
+            assert all(oid != new_id for _, oid in distaw.knn(q, 3))
+            same_answers(engine, distaw, q)
 
 
 def test_moving_stream_is_deterministic_and_applicable(mall_space):

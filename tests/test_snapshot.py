@@ -6,16 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import IndoorPoint, ObjectIndex, UpdateOp, VIPTree, make_object_set
-from repro.baselines import DijkstraOracle
+from repro import IndoorPoint, IPTree, ObjectIndex, UpdateOp, VIPTree, make_object_set
+from repro.baselines import DijkstraOracle, DistanceMatrix
 from repro.datasets import build_mall, load_venue, random_objects
 from repro.engine import QueryEngine
 from repro.exceptions import SnapshotError
 from repro.model.io_json import canonical_dumps, objects_from_dict, objects_to_dict
 from repro.storage import (
     SnapshotCatalog,
-    build_index,
-    known_kinds,
     load_snapshot,
     read_snapshot_info,
     save_snapshot,
@@ -51,14 +49,17 @@ class TestRoundTrip:
             (n.distance, n.object_id) for n in want
         ]
 
-    @pytest.mark.parametrize("kind", known_kinds())
-    def test_every_kind_round_trips(self, mall_space, tmp_path, kind):
-        index = build_index(kind, mall_space)
+    def test_object_set_snapshot_round_trips(self, mall_space, tmp_path):
+        """A bare ObjectSet (no ObjectIndex) persists too; the loaded
+        snapshot carries the set, and its tree answers like the oracle."""
+        index = VIPTree.build(mall_space)
         objects = random_objects(mall_space, 8, seed=3)
         path = tmp_path / "idx.snap"
         info = save_snapshot(path, index, objects)
-        assert info.kind == kind and info.num_objects == 8
+        assert info.kind == "VIP-Tree" and info.num_objects == 8
+        assert not info.has_object_index
         snap = load_snapshot(path, space=mall_space)
+        assert snap.objects.live_ids() == objects.live_ids()
         oracle = DijkstraOracle(mall_space)
         pts = sample_points(mall_space, 6, seed=9)
         for a, b in zip(pts[:3], pts[3:]):
@@ -126,17 +127,6 @@ class TestRoundTrip:
         assert a.payload_sha256 == b.payload_sha256
         assert a.payload_bytes == b.payload_bytes
 
-    @pytest.mark.parametrize("kind", ["distmx", "distaw++", "gtree", "road"])
-    def test_baseline_hashes_deterministic_across_builds(self, mall_space,
-                                                         tmp_path, kind):
-        """Every registered codec keeps wall-clock build time out of the
-        hashed payload (DistAw++ nests a matrix — regression)."""
-        hashes = []
-        for i in range(2):
-            p = tmp_path / f"{i}.snap"
-            hashes.append(save_snapshot(p, build_index(kind, mall_space)).payload_sha256)
-        assert hashes[0] == hashes[1]
-
     def test_repeated_save_of_same_index_byte_identical(self, mall_space, tmp_path):
         tree = VIPTree.build(mall_space)
         p1, p2 = tmp_path / "a.snap", tmp_path / "b.snap"
@@ -149,8 +139,15 @@ class TestRoundTrip:
             index_name = "VIP-Tree"  # even a spoofed name must not pass
             space = mall_space
 
-        with pytest.raises(SnapshotError, match="no snapshot codec"):
+        with pytest.raises(SnapshotError, match="only a VIPTree, got NotAnIndex"):
             save_snapshot(tmp_path / "x.snap", NotAnIndex())
+
+    @pytest.mark.parametrize("cls", [DistanceMatrix, IPTree])
+    def test_rejects_every_index_but_the_viptree(self, mall_space, tmp_path, cls):
+        index = cls.build(mall_space) if cls is IPTree else cls(mall_space)
+        with pytest.raises(SnapshotError, match=cls.__name__):
+            save_snapshot(tmp_path / "x.snap", index)
+        assert not (tmp_path / "x.snap").exists()
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +208,24 @@ class TestRefusals:
         saved_snapshot.write_bytes(bytes(raw))
         with pytest.raises(SnapshotError, match="hash mismatch"):
             verify_snapshot(saved_snapshot)
+
+    def test_refuses_other_header_kind(self, saved_snapshot, mall_space):
+        """The header is not hashed: a kind edited to a baseline's must
+        still be refused, by name, wherever the header is read."""
+        raw = saved_snapshot.read_bytes()
+        head, _, rest = raw.partition(b"\n")
+        header = json.loads(head)
+        header["kind"] = "DistMx"
+        saved_snapshot.write_bytes(canonical_dumps(header).encode() + b"\n" + rest)
+        for read in (load_snapshot, read_snapshot_info, verify_snapshot):
+            with pytest.raises(SnapshotError, match="'DistMx'"):
+                read(saved_snapshot)
+        catalog = SnapshotCatalog(saved_snapshot.parent / "cat")
+        catalog.path_for(mall_space).parent.mkdir(parents=True)
+        saved_snapshot.replace(catalog.path_for(mall_space))
+        with pytest.raises(SnapshotError, match="'DistMx'"):
+            catalog.load(mall_space)
+        assert catalog.entries() == []
 
     def test_refuses_wrong_venue(self, saved_snapshot, campus_space):
         with pytest.raises(SnapshotError, match="fingerprint mismatch"):
@@ -310,37 +325,25 @@ class TestCatalog:
         assert p1 != p2 and p1.is_file() and p2.is_file()
         # atomic publish leaves no temp files behind
         assert not list((tmp_path / "cat").rglob("*.tmp"))
-        assert catalog.has(mall_space, "viptree")
-        assert not catalog.has(mall_space, "distmx")
+        assert catalog.has(mall_space)
+        assert catalog.path_for(mall_space).name == "vip-tree.snap"
         snap = catalog.load(mall_space, "VIP-Tree")
         assert snap.info.venue == mall_space.name
-        with pytest.raises(SnapshotError, match="no DistMx snapshot"):
-            catalog.load(mall_space, "distmx")
+        assert catalog.load(mall_space).info == snap.info
+        with pytest.raises(SnapshotError, match="not 'DistMx'"):
+            catalog.load(mall_space, "DistMx")
+        with pytest.raises(SnapshotError, match="no snapshot for venue"):
+            catalog.load(build_mall("tiny", seed=9, name="MC"))
 
     def test_same_name_different_geometry_no_collision(self, tmp_path):
         a = build_mall("tiny", seed=1, name="MC")
         b = build_mall("tiny", seed=2, name="MC")
         catalog = SnapshotCatalog(tmp_path / "cat")
         catalog.save(VIPTree.build(a))
-        assert not catalog.has(b, "viptree")  # keyed by fingerprint, not name
+        assert not catalog.has(b)  # keyed by fingerprint, not name
         catalog.save(VIPTree.build(b))
-        assert catalog.has(a, "viptree") and catalog.has(b, "viptree")
+        assert catalog.has(a) and catalog.has(b)
         assert len(catalog.entries()) == 2
-
-    def test_distaw_variants_get_distinct_slots(self, mall_space, tmp_path):
-        """DistAw and DistAw++ must not collide on one file, and a slot
-        must only ever serve the kind it was saved as."""
-        from repro.baselines import DistAware, DistAwPlusPlus
-
-        catalog = SnapshotCatalog(tmp_path / "cat")
-        assert catalog.path_for(mall_space, "distaw") != catalog.path_for(
-            mall_space, "distaw++"
-        )
-        catalog.save(DistAwPlusPlus(mall_space))
-        assert not catalog.has(mall_space, "distaw")
-        catalog.save(DistAware(mall_space))
-        assert catalog.load(mall_space, "distaw").info.kind == "DistAw"
-        assert catalog.load(mall_space, "distaw++").info.kind == "DistAw++"
 
     def test_entries_skips_foreign_files(self, mall_space, tmp_path):
         catalog = SnapshotCatalog(tmp_path / "cat")
@@ -363,14 +366,14 @@ class TestCatalog:
         got = [(round(n.distance, 8), n.object_id) for n in engine.knn(q, 3)]
         assert got == [(round(d, 8), o) for d, o in oracle.knn(q, objects, 3)]
         # the snapshot it saved carries the full embedding
-        assert catalog.load(mall_space, "viptree").object_index is not None
+        assert catalog.load(mall_space).object_index is not None
 
     def test_load_or_build_then_engine_for(self, mall_space, tmp_path):
         catalog = SnapshotCatalog(tmp_path / "cat")
         objects = random_objects(mall_space, 5, seed=4)
-        snap, loaded = catalog.load_or_build(mall_space, "viptree", objects=objects)
+        snap, loaded = catalog.load_or_build(mall_space, objects=objects)
         assert not loaded  # cold build + save
-        snap2, loaded2 = catalog.load_or_build(mall_space, "viptree")
+        snap2, loaded2 = catalog.load_or_build(mall_space)
         assert loaded2  # warm start
         engine = catalog.engine_for(mall_space)
         pts = sample_points(mall_space, 2, seed=11)
@@ -404,7 +407,7 @@ class TestCLI:
     def test_build_to_file_and_verify_failure(self, tmp_path, capsys):
         out_file = tmp_path / "mc.snap"
         assert storage_cli(["build", "--venue", "MC", "--profile", "tiny",
-                            "--index", "iptree", "--out", str(out_file)]) == 0
+                            "--out", str(out_file)]) == 0
         assert storage_cli(["verify", str(out_file)]) == 0
         raw = bytearray(out_file.read_bytes())
         raw[-5] ^= 0xFF
@@ -464,7 +467,7 @@ class TestEngineWarmStart:
             UpdateOp("move", object_id=3, location=pts[1]),
             UpdateOp("delete", object_id=1),
         ]
-        assert fresh.batch_update(ops) == loaded.batch_update(ops)
+        assert [fresh.update(op) for op in ops] == [loaded.update(op) for op in ops]
         for q in pts:
             assert [(n.distance, n.object_id) for n in fresh.knn(q, 5)] == [
                 (n.distance, n.object_id) for n in loaded.knn(q, 5)
@@ -476,21 +479,20 @@ class TestEngineWarmStart:
         assert got == want
 
     def test_baseline_engine_snapshot(self, mall_space, tmp_path):
-        from repro.baselines import DistanceMatrix
+        """A baseline gets neither an engine nor a snapshot: both
+        refuse it by class name, and no file is written."""
+        from repro.exceptions import QueryError
 
         mx = DistanceMatrix(mall_space)
         objects = random_objects(mall_space, 6, seed=10)
-        engine = QueryEngine(mx, objects)
+        with pytest.raises(QueryError, match="DistanceMatrix"):
+            QueryEngine(mx, objects)
         path = tmp_path / "mx.snap"
-        info = engine.save_snapshot(path)
-        assert info.kind == "DistMx" and not info.has_object_index
-        loaded = QueryEngine.from_snapshot(path, space=mall_space)
-        pts = sample_points(mall_space, 4, seed=12)
-        for a, b in zip(pts[:2], pts[2:]):
-            assert engine.distance(a, b) == loaded.distance(a, b)
-        assert [(n.distance, n.object_id) for n in engine.knn(pts[0], 3)] == [
-            (n.distance, n.object_id) for n in loaded.knn(pts[0], 3)
-        ]
+        with pytest.raises(SnapshotError, match="DistanceMatrix"):
+            save_snapshot(path, mx, objects)
+        with pytest.raises(SnapshotError, match="DistanceMatrix"):
+            SnapshotCatalog(tmp_path / "cat").save(mx, objects)
+        assert not path.exists() and not (tmp_path / "cat").exists()
 
 
 class TestConcurrentSaves:
