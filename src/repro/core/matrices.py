@@ -1,7 +1,8 @@
 """Distance-matrix construction for IP-Tree nodes (paper §2.1.2, steps 3-4).
 
-Leaf matrices are computed with Dijkstra expansions on the full D2D graph
-(one per access door, stopped as soon as all leaf doors are settled).
+Leaf matrices are computed with Dijkstra expansions on the full D2D graph:
+one per distinct leaf access door, shared by the (at most two) leaves
+that door joins, and stopped as soon as all their doors are settled.
 Non-leaf matrices at level *l* are computed on the **level-l graph** G_l,
 whose vertices are the access doors of the level-(l-1) nodes and whose
 edges connect access doors of the same node, weighted by the already
@@ -75,25 +76,54 @@ def compute_leaf_tables(
 ) -> tuple[list[DistanceTable], list[list[int]]]:
     """Build all leaf distance matrices and the per-partition superior doors.
 
+    The paper fills each leaf matrix with "Dijkstra-like expansion until
+    all doors in the node are reached" from each of its access doors
+    (§2.1.2). An interior access door joins two leaves, so this runs
+    **one** expansion per distinct leaf access door, stopped once the
+    doors of every leaf that has it are settled, and uses it at once:
+    it fills that door's column (distance and next hop) in each of
+    those leaf tables, marks the superior doors it proves, and is then
+    dropped, so at most one expansion is held at a time.
+
+    Sharing is exact bit for bit. Dijkstra settles vertices in the same
+    order whatever its stop rule, so every door a single leaf's
+    expansion would settle gets the same distance and parent from the
+    shared one, and the next hops (each computed with its own leaf's
+    doors) and Definition 2 walks read the same tree paths.
+
     Returns:
         ``(tables, superior)`` where ``tables[i]`` is the matrix of leaf i
         and ``superior[pid]`` lists the superior doors of partition pid
         (sorted).
     """
-    tables: list[DistanceTable] = []
-    superior: list[list[int]] = [[] for _ in range(space.num_partitions)]
-
-    for leaf_idx, leaf in enumerate(leaves):
-        rows = leaf_doors[leaf_idx]
-        cols = leaf_access[leaf_idx]
-        table = DistanceTable(rows, cols)
-        row_set = set(rows)
-        parent_maps: dict[int, dict[int, int]] = {}
-
+    tables = [DistanceTable(rows, cols) for rows, cols in zip(leaf_doors, leaf_access)]
+    row_sets = [set(rows) for rows in leaf_doors]
+    joined: dict[int, list[int]] = {}  # access door -> leaves it joins
+    for leaf_idx, cols in enumerate(leaf_access):
         for a in cols:
-            dist, parent = dijkstra(d2d, a, targets=set(rows))
-            parent_maps[a] = parent
-            for di in rows:
+            joined.setdefault(a, []).append(leaf_idx)
+
+    # Superior doors (Definition 2): a door is superior iff it is a local
+    # access door, or the shortest-path tree path from it to some global
+    # access door of its leaf contains no other door of its partition.
+    part_doors = [set(p.door_ids) for p in space.partitions]
+    superior: list[set[int]] = [set() for _ in part_doors]
+    for leaf_idx, leaf in enumerate(leaves):
+        cols = tables[leaf_idx].col_index
+        for pid in leaf:
+            doors = part_doors[pid]
+            # A single-leaf venue with no exterior doors never routes
+            # through the tree: keep all doors for safety.
+            superior[pid] = {d for d in doors if d in cols} if cols else set(doors)
+
+    for a, leaf_ids in joined.items():
+        dist, parent = dijkstra(
+            d2d, a, targets=set().union(*(row_sets[i] for i in leaf_ids))
+        )
+        for leaf_idx in leaf_ids:
+            table = tables[leaf_idx]
+            row_set = row_sets[leaf_idx]
+            for di in table.row_doors:
                 if di == a:
                     table.set_entry(di, a, 0.0, NO_DOOR)
                     continue
@@ -101,34 +131,22 @@ def compute_leaf_tables(
                 table.set_entry(
                     di, a, dist[di], _leaf_next_hop(seq, a, row_set, is_access)
                 )
-        tables.append(table)
-
-        # Superior doors (Definition 2), from the canonical shortest-path
-        # trees: a door is superior iff it is a local access door, or the
-        # tree path from it to some global access door contains no other
-        # door of its partition.
-        for pid in leaf:
-            part_doors = space.partitions[pid].door_ids
-            part_door_set = set(part_doors)
-            local_access = [d for d in part_doors if d in table.col_index]
-            global_access = [g for g in cols if g not in part_door_set]
-            sup = set(local_access)
-            if not cols:
-                # Single-leaf venue with no exterior doors: no tree routing
-                # ever happens, keep all doors for safety.
-                sup = part_door_set
-            else:
-                for du in part_doors:
+            for pid in leaves[leaf_idx]:
+                doors = part_doors[pid]
+                if a in doors:
+                    continue  # a is a local access door of pid
+                sup = superior[pid]
+                for du in doors:
                     if du in sup:
                         continue
-                    for g in global_access:
-                        seq = _walk_to_source(parent_maps[g], du, g)
-                        if not any(v in part_door_set for v in seq[:-1]):
-                            sup.add(du)
-                            break
-            superior[pid] = sorted(sup)
+                    v = parent[du]
+                    while v != a and v not in doors:
+                        v = parent[v]
+                    if v == a:
+                        sup.add(du)
+        del dist, parent  # hold one expansion at a time
 
-    return tables, superior
+    return tables, [sorted(s) for s in superior]
 
 
 def build_level_graph(

@@ -10,8 +10,8 @@ and first-hop tracking (for the DistMx path matrix).
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 
 from .adjacency import Graph
 
@@ -43,19 +43,23 @@ def dijkstra(
 
     dist: dict[int, float] = {}
     parent: dict[int, int] = {}
-    best: dict[int, float] = dict()
+    # best[v]: smallest tentative distance pushed for v. A settled v
+    # needs no test of its own: every later u has d >= dist[v] ==
+    # best[v], and weights are non-negative, so d + w < best[v] fails.
+    best = [INF] * graph.num_vertices
+    neighbors = graph.neighbors
     pq: list[tuple[float, int, int]] = []
     for s, off in sources.items():
         if off < 0:
             raise ValueError("negative source offset")
-        if off < best.get(s, INF):
+        if off < best[s]:
             best[s] = off
-            heapq.heappush(pq, (off, s, s))
+            heappush(pq, (off, s, s))
 
     remaining = set(targets) if targets is not None else None
 
     while pq:
-        d, u, via = heapq.heappop(pq)
+        d, u, via = heappop(pq)
         if u in dist:
             continue
         dist[u] = d
@@ -64,13 +68,11 @@ def dijkstra(
             remaining.discard(u)
             if not remaining:
                 break
-        for v, w in graph.neighbors(u):
-            if v in dist:
-                continue
+        for v, w in neighbors(u):
             nd = d + w
-            if nd < best.get(v, INF):
+            if nd < best[v]:
                 best[v] = nd
-                heapq.heappush(pq, (nd, v, u))
+                heappush(pq, (nd, v, u))
     return dist, parent
 
 

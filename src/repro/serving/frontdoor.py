@@ -26,7 +26,14 @@ reading never blocks a shard's reader thread.
 
 Live connections are capped at :data:`MAX_CONNECTIONS`; the
 connection past the cap is accepted, closed at once and counted in
-``frontdoor_refused_connections_total``.
+``frontdoor_refused_connections_total``. So that idle clients cannot
+hold those slots, a connection that owes no reply and has been quiet
+for :data:`IDLE_SECONDS` (no reply queued since, hence no complete
+frame received since) is shut down and counted in
+``frontdoor_idle_closed_total``. The accept thread sweeps for such
+connections on a short accept timeout; the per-request read path has
+no timeout, so a client stalled mid-frame is closed the same way and a
+connection awaiting a slow reply is not closed at all.
 
 Admission control is the cluster's
 (:class:`~repro.serving.admission.AdmissionController`, wired into
@@ -70,7 +77,7 @@ from .protocol import (
 )
 from .shard import _no_delay
 
-__all__ = ["FrontDoor", "LOCAL_KINDS", "MAX_CONNECTIONS"]
+__all__ = ["FrontDoor", "IDLE_SECONDS", "LOCAL_KINDS", "MAX_CONNECTIONS"]
 
 #: request kinds the front door answers itself (venue must be ``""``)
 #: instead of routing to a shard
@@ -80,10 +87,15 @@ LOCAL_KINDS = ("venues", "ping", "stats", "flush", "metrics")
 #: thread
 MAX_CONNECTIONS = 256
 
+#: seconds a connection that owes no reply may stay quiet before the
+#: door shuts it down, freeing its slot and its two threads
+IDLE_SECONDS = 60.0
+
 
 class _Connection:
     """One client socket, the reply documents queued for its writer,
-    and the count of frames read whose reply is not queued yet."""
+    the count of frames read whose reply is not queued yet, and when
+    that count last fell to zero."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -92,7 +104,9 @@ class _Connection:
         self.writer: threading.Thread | None = None
         self._lock = threading.Lock()
         self._owed = 0
+        self._quiet_since = monotonic()
         self._closing = False
+        self.idle_closed = False
 
     def owe(self) -> None:
         with self._lock:
@@ -104,8 +118,25 @@ class _Connection:
         with self._lock:
             self.outbox.put(doc)
             self._owed -= 1
-            if self._closing and self._owed == 0:
-                self.outbox.put(None)
+            if self._owed == 0:
+                self._quiet_since = monotonic()
+                if self._closing:
+                    self.outbox.put(None)
+
+    def close_if_idle(self, now: float, limit: float) -> bool:
+        """Shut the socket down if the connection owes no reply and has
+        been quiet for ``limit`` seconds; the reader then sees EOF and
+        ends the connection as usual. Returns whether it did."""
+        with self._lock:
+            if (self._owed or self._closing or self.idle_closed
+                    or now - self._quiet_since < limit):
+                return False
+            self.idle_closed = True
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        return True
 
     def finish(self) -> None:
         """The reader is done: the writer stops once every owed reply
@@ -211,6 +242,8 @@ class FrontDoor:
             "frontdoor_connections_total")
         self._refused = self.registry.counter(
             "frontdoor_refused_connections_total")
+        self._idle_closed = self.registry.counter(
+            "frontdoor_idle_closed_total")
         self._protocol_errors = self.registry.counter(
             "frontdoor_protocol_errors_total")
 
@@ -270,13 +303,24 @@ class FrontDoor:
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
         listener = self._listener
+        limit = IDLE_SECONDS
+        period = limit / 8
+        listener.settimeout(period)  # wake up to sweep idle connections
+        next_sweep = monotonic() + period
         while True:
             try:
                 sock, _ = listener.accept()
+            except TimeoutError:
+                sock = None
             except OSError:
                 if self._stopping:
                     return  # listener shut down by stop()
                 continue  # e.g. a peer that reset before accept
+            if monotonic() >= next_sweep:
+                self._close_idle(limit)
+                next_sweep = monotonic() + period
+            if sock is None:
+                continue
             with self._lock:
                 refused = self._stopping or len(self._live) >= MAX_CONNECTIONS
                 if not refused:
@@ -299,13 +343,22 @@ class FrontDoor:
             conn.writer.start()
             conn.reader.start()
 
+    def _close_idle(self, limit: float) -> None:
+        now = monotonic()
+        with self._lock:
+            live = list(self._live)
+        for conn in live:
+            if conn.close_if_idle(now, limit):
+                self._idle_closed.inc()
+
     def _read_loop(self, conn: _Connection) -> None:
         try:
             while True:
                 try:
                     doc = recv_doc(conn.sock, max_bytes=self.max_frame_bytes)
                 except (ProtocolError, OSError):
-                    self._protocol_errors.inc()
+                    if not conn.idle_closed:
+                        self._protocol_errors.inc()
                     break
                 if doc is None:
                     break  # clean EOF between frames

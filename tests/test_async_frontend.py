@@ -16,8 +16,10 @@ properties under test:
 * a client that stops reading stalls only itself,
 * admission-shed requests surface as typed ``OverloadedError`` replies
   with their retry-after hint, batchmates unaffected,
-* live connections are capped, and every door thread is reaped when
-  its connection ends and joined by ``stop()``.
+* live connections are capped, a connection that owes no reply is
+  closed once quiet past the idle limit (idle or stalled mid-frame;
+  one awaiting a slow reply is not), and every door thread is reaped
+  when its connection ends and joined by ``stop()``.
 """
 
 from __future__ import annotations
@@ -521,6 +523,61 @@ def test_connections_past_the_cap_are_refused(served, monkeypatch):
             assert a.call(listing) == b.call(listing)  # the two still serve
         # once a and b are reaped, a new connection is served again
         assert _eventually(lambda: _serves(door))
+
+
+@pytest.mark.parametrize("sent", [b"", b"\x00\x00\x10\x00partial"],
+                         ids=["idle", "stalled-mid-frame"])
+def test_quiet_connections_are_closed_after_the_idle_limit(
+        served, monkeypatch, sent):
+    """Two quiet clients hold the (patched) cap of 2: a third is refused
+    until the idle limit passes, then served."""
+    cluster, _, _, _ = served
+    monkeypatch.setattr(frontdoor, "MAX_CONNECTIONS", 2)
+    monkeypatch.setattr(frontdoor, "IDLE_SECONDS", 1.0)
+    idle_closed = cluster.registry.counter("frontdoor_idle_closed_total")
+    errors = cluster.registry.counter("frontdoor_protocol_errors_total")
+    with FrontDoor(cluster) as door:
+        before, errors_before = idle_closed.value, errors.value
+        quiet = [_raw_connection(door), _raw_connection(door)]
+        try:
+            for sock in quiet:
+                sock.sendall(sent)  # nothing, or a header promising 4096 bytes
+            assert not _serves(door)  # refused while both hold the cap
+            for sock in quiet:
+                assert sock.recv(1) == b""  # the door closed it
+            assert _eventually(lambda: _serves(door))
+        finally:
+            for sock in quiet:
+                sock.close()
+        assert idle_closed.value == before + 2
+        assert errors.value == errors_before
+
+
+def test_a_connection_awaiting_a_slow_reply_is_not_closed(
+        served, monkeypatch):
+    cluster, _, space, vid = served
+    monkeypatch.setattr(frontdoor, "IDLE_SECONDS", 0.4)
+    idle_closed = cluster.registry.counter("frontdoor_idle_closed_total")
+    query = _queries(space, vid, 1, seed=11)[0]
+    expected = result_to_doc(cluster.submit(query).result(timeout=30.0))
+    slow = Request(venue=vid, kind="inject_latency",
+                   payload={"seconds": 1.5, "count": 1})
+    with FrontDoor(cluster) as door:
+        before = idle_closed.value
+        sock = _raw_connection(door)
+        try:
+            send_doc(sock, request_to_doc(slow, 1))
+            assert reply_from_doc(recv_doc(sock)).result == result_to_doc(1)
+            started = time.monotonic()
+            send_doc(sock, request_to_doc(query, 2))
+            assert reply_from_doc(recv_doc(sock)).result == expected
+            assert time.monotonic() - started >= 1.5
+            assert idle_closed.value == before
+            # quiet once the reply is queued: then the limit applies
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+    assert idle_closed.value == before + 1  # stop() joined the sweeper
 
 
 def test_connection_threads_are_reaped(served):

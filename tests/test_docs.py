@@ -78,3 +78,14 @@ def test_documents_named_in_code_must_exist(tmp_path):
     assert check_code_references(tmp_path) == [
         "src/pkg/mod.py:3: names missing document DESIGN.md"
     ]
+
+
+def test_excluded_documents_named_in_code_may_be_absent(tmp_path):
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    (tools / "skips.py").write_text("".join(
+        f"# Discovery skips {name}.\n" for name in sorted(EXCLUDED_NAMES)))
+    (tools / "names.py").write_text('"""The reason lives in FOO.md."""\n')
+    assert check_code_references(tmp_path) == [
+        "tools/names.py:1: names missing document FOO.md"
+    ]

@@ -30,7 +30,7 @@ Rules:
   file. A document name is an upper-case top-level name
   (``README.md``) or a path with a directory (``docs/serving.md``);
   other ``*.md`` names, such as an output file in a usage example, are
-  not references.
+  not references, and neither are the files in :data:`EXCLUDED_NAMES`.
 * Discovery skips hidden directories (``.git`` and friends) and the
   files in :data:`EXCLUDED_NAMES` (``ISSUE.md`` is per-PR scratch
   state, not documentation). Explicitly named files are always
@@ -141,12 +141,15 @@ def check_dotted_names(path: Path, text: str) -> list[str]:
 
 def check_code_references(root: Path = REPO_ROOT) -> list[str]:
     """Every markdown document named in a ``.py`` file under
-    :data:`CODE_DIRS` must exist at ``root`` or next to the file."""
+    :data:`CODE_DIRS` must exist at ``root`` or next to the file;
+    :data:`EXCLUDED_NAMES` may be absent."""
     errors = []
     for code_dir in CODE_DIRS:
         for py in sorted((root / code_dir).rglob("*.py")):
             for lineno, line in enumerate(py.read_text().splitlines(), 1):
                 for name in DOC_NAME_RE.findall(line):
+                    if Path(name).name in EXCLUDED_NAMES:
+                        continue
                     if not ((root / name).exists() or (py.parent / name).exists()):
                         errors.append(
                             f"{py.relative_to(root)}:{lineno}: names missing "
