@@ -27,8 +27,9 @@ the numpy rows answer the same queries eagerly (every node's distances
 level by level), so the speedup *grows* with venue size — the
 best-first reference expands more of the tree. The reference's cost
 also grows with k, as it expands more nodes. Both paths read the
-objects of the query's own leaf from that leaf's door matrix, with no
-Dijkstra, by the same method.
+objects of the query's own leaf from that leaf's door matrix and the
+stored door legs, with no Dijkstra: the reference object by object,
+the numpy path as one segmented min over per-leaf arrays.
 
 Results are also written as a machine-readable ``BENCH_kernels.json``
 artifact (one row per venue/kernel/mix: q/s and speedup vs python) so

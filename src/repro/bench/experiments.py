@@ -9,7 +9,10 @@ paper's figures.
 
 Absolute latencies are pure-Python and therefore ~2 orders of magnitude
 above the paper's C++ numbers; the comparisons (who wins, by what
-factor, where trends bend) are the reproduction target.
+factor, where trends bend) are the reproduction target. The "VIP-Tree"
+columns time the python Algorithm 5 reference; Fig 11 also times the
+production path, ``VIP-Tree (numpy)`` (:class:`~repro.kernels.NumpyKernels`
+over the same object index, answers checked ``==`` the reference's).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import time
 
 from ..core import IPTree, ObjectIndex, VIPTree
 from ..datasets import VENUE_NAMES, distance_bucketed_pairs, table2
+from ..kernels import NumpyKernels
 from .harness import VenueContext, time_queries
 from .reporting import Table
 
@@ -237,6 +241,16 @@ def exp_fig10(profile: str = "small", venues=VENUE_NAMES, bucket_venue: str = "M
 # ----------------------------------------------------------------------
 # Fig 11 — kNN and range queries
 # ----------------------------------------------------------------------
+def _numpy_us(reference, kernel, queries) -> float:
+    """Mean time of the production numpy path (``kernel(q)``) over
+    ``queries``, timed after one untimed warm pass that checks every
+    answer ``==`` the Algorithm 5 reference's (``reference(q)``)."""
+    for q in queries:
+        if kernel(q) != reference(q):
+            raise AssertionError(f"numpy kernels disagree with the reference at {q}")
+    return time_queries(kernel, [(q,) for q in queries]).mean_us
+
+
 def _knn_row(ctx: VenueContext, queries, k: int, n_objects: int) -> list:
     """One (venue, k, #objects) configuration across all algorithms."""
     objects = ctx.objects(n_objects)
@@ -250,6 +264,9 @@ def _knn_row(ctx: VenueContext, queries, k: int, n_objects: int) -> list:
     row.append(time_queries(lambda q: ctx.road.knn(q, k), [(q,) for q in queries]).mean_us)
     row.append(time_queries(lambda q: ctx.iptree.knn(oi_ip, q, k), [(q,) for q in queries]).mean_us)
     row.append(time_queries(lambda q: ctx.viptree.knn(oi_vip, q, k), [(q,) for q in queries]).mean_us)
+    kern = NumpyKernels()
+    row.append(_numpy_us(lambda q: ctx.viptree.knn(oi_vip, q, k),
+                         lambda q: kern.knn(oi_vip, q, k), queries))
     row.append(time_queries(lambda q: ctx.distaw.knn(q, k), [(q,) for q in queries]).mean_us)
     pp = ctx.distawpp
     if pp is not None:
@@ -260,7 +277,8 @@ def _knn_row(ctx: VenueContext, queries, k: int, n_objects: int) -> list:
     return row
 
 
-ALGO_HEADERS = ["G-Tree", "ROAD", "IP-Tree", "VIP-Tree", "DistAw", "DistAw++"]
+ALGO_HEADERS = ["G-Tree", "ROAD", "IP-Tree", "VIP-Tree", "VIP-Tree (numpy)",
+                "DistAw", "DistAw++"]
 
 
 def exp_fig11_knn(profile: str = "small", venues=VENUE_NAMES, knn_venue: str = "Men-2") -> list[Table]:
@@ -319,6 +337,9 @@ def exp_fig11_range(
         row.append(time_queries(lambda q: ctx.road.range_query(q, radius), [(q,) for q in queries]).mean_us)
         row.append(time_queries(lambda q: ctx.iptree.range_query(oi_ip, q, radius), [(q,) for q in queries]).mean_us)
         row.append(time_queries(lambda q: ctx.viptree.range_query(oi_vip, q, radius), [(q,) for q in queries]).mean_us)
+        kern = NumpyKernels()
+        row.append(_numpy_us(lambda q: ctx.viptree.range_query(oi_vip, q, radius),
+                             lambda q: kern.range_query(oi_vip, q, radius), queries))
         row.append(time_queries(lambda q: ctx.distaw.range_query(q, radius), [(q,) for q in queries]).mean_us)
         pp = ctx.distawpp
         if pp is not None:

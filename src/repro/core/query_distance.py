@@ -160,9 +160,9 @@ def get_distances(
     return known, pred, chain_map
 
 
-def leaf_door_distances(
+def leaf_door_distance_array(
     tree: "IPTree", leaf_id: int, offsets: dict[int, float]
-) -> list[float]:
+) -> np.ndarray:
     """Distances from a virtual source (``offsets``: door -> initial
     distance, every door in the leaf) to every door of the leaf, indexed
     like its table's rows: ``min over u of offsets[u] + M[u, v]`` over
@@ -170,7 +170,14 @@ def leaf_door_distances(
     pos = tree.nodes[leaf_id].table.row_index
     rows = tree.leaf_door_matrix(leaf_id)[[pos[u] for u in offsets]]
     offs = np.fromiter(offsets.values(), np.float64, len(offsets))
-    return np.min(rows + offs[:, None], axis=0).tolist()
+    return np.min(rows + offs[:, None], axis=0)
+
+
+def leaf_door_distances(
+    tree: "IPTree", leaf_id: int, offsets: dict[int, float]
+) -> list[float]:
+    """:func:`leaf_door_distance_array` as a list of floats."""
+    return leaf_door_distance_array(tree, leaf_id, offsets).tolist()
 
 
 def same_leaf_matrix_distance(

@@ -24,7 +24,7 @@ orders.
 
 This module is the reference: :class:`repro.kernels.NumpyKernels`
 answers the same queries eagerly with numpy, reusing :class:`_Search`
-for the endpoint setup and the query leaf, and is asserted
+for the endpoint setup and the tree climb, and is asserted
 bit-identical against it.
 """
 
@@ -120,9 +120,12 @@ class _Search:
         object's door leg, which the index stored when it embedded the
         object (:attr:`ObjectIndex.door_legs`). Only the direct segment
         to an object in q's own room depends on q and is computed here.
-        The matrix reads are not counted into :class:`QueryStats`. The
-        numpy kernels call this same method, so both paths get these
-        distances bit for bit.
+        The matrix reads are not counted into :class:`QueryStats`.
+        This loop is the reference for the numpy kernels, which compute
+        the same ``qd[row] + leg`` adds and mins over arrays they derive
+        per leaf from the same door legs
+        (:meth:`repro.kernels.NumpyKernels.knn`), so both paths get
+        these distances bit for bit.
         """
         tree = self.tree
         index = self.index

@@ -12,16 +12,21 @@ the signatures of :meth:`IPTree.knn <repro.core.tree.IPTree.knn>` /
 :meth:`IPTree.range_query <repro.core.tree.IPTree.range_query>`): the
 Lemma 8/9 recursion for *every* tree node replayed as a handful of
 level-batched gather/add/segmented-min ops over a flat slot vector, one
-global access-list scan, and a vectorized ``(distance, object_id)``
-selection. That part costs a few dozen numpy calls regardless of how
-many nodes the best-first reference would expand — this is where the
-single-thread speedup comes from, since fixture trees have ρ ≈ 5 and
-per-node calls cannot amortize numpy dispatch overhead.
+global access-list scan, one segmented min for the query leaf, and a
+vectorized ``(distance, object_id)`` selection. That part costs a few
+dozen numpy calls regardless of how many nodes the best-first
+reference would expand — this is where the single-thread speedup comes
+from, since fixture trees have ρ ≈ 5 and per-node calls cannot
+amortize numpy dispatch overhead.
 
 The objects in the query's own leaf are read from that leaf's door
-matrix and the door legs the object index stored, by the very method
-the python reference calls (``_Search.query_leaf_distances``), so
-neither path runs a Dijkstra.
+matrix and the door legs the object index stored, so neither path runs
+a Dijkstra. The reference loops over them per object and per door
+(``_Search.query_leaf_distances``); the kernels keep each leaf's legs
+as flat arrays, derived on the leaf's first read after an update, and
+take one gather + add + segmented min per query. kNN then keeps the k
+smallest pairs by partition selection and sorts only the candidates at
+or below the k-th distance.
 
 Answers are **bit-identical** to the python reference (asserted by
 ``tests/test_kernels.py``): the vectorized expressions perform the same

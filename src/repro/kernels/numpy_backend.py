@@ -10,28 +10,36 @@ a tolerance. The rules that make it hold:
   operand order, exactly the reference's ``dd + table.distance(d, a)``;
 * all access lists are then scanned in one gather + add + per-object
   min, again one ``base + list distance`` add per entry;
+* the query leaf's objects are one segmented min over the door legs the
+  object index stored at insertion: each candidate is one ``qd[row] +
+  leg`` add of q's door-matrix distance and a leg, exactly the
+  reference's
+  :meth:`~repro.core.query_knn._Search.query_leaf_distances`, and the
+  direct segment to an object in q's own partition is the reference's
+  own call; these distances overwrite whatever the access-list scan
+  combined for those objects;
 * ``min`` over a fixed candidate set is evaluation-order independent,
   so the distances — and therefore the ``(distance,
   object_id)``-lexicographic result sets — are bit-identical to the
   best-first reference even though the traversal order differs;
-* the query leaf's objects come from the reference's own
-  :meth:`~repro.core.query_knn._Search.query_leaf_distances`, which
-  reads the leaf's door matrix and the door legs the object index
-  stored at insertion; they overwrite whatever the access-list scan
-  combined for them.
+* kNN selects by partition: every distance ``<=`` the k-th smallest is
+  a candidate (every tie kept), and a lexsort of only those candidates
+  keeps the k smallest ``(distance, object_id)`` pairs.
 
 Instances cache derived array forms (the per-tree slot table, per-leaf
-eager propagation programs, and the global access-list entry arrays per
-object-index version) keyed by identity + version, so they are safe to
-share across queries of one engine; updates bump
-``ObjectIndex.version`` under the engine's write lock, and readers
-re-derive on the next query.
+eager propagation programs, the global access-list entry arrays per
+object-index version, and per-leaf object-leg arrays) keyed by
+identity + version, so they are safe to share across queries of one
+engine; updates bump ``ObjectIndex.version`` under the engine's write
+lock, and readers re-derive on the next query, so an update itself pays
+nothing here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.query_distance import leaf_door_distance_array
 from ..core.query_knn import _Search
 from ..core.results import Neighbor
 from ..exceptions import QueryError
@@ -57,6 +65,9 @@ class NumpyKernels:
         self._eg_ent_index = None
         self._eg_ent_version = -1
         self._eg_ent = None
+        # query-leaf object arrays: leaf id -> (object index, version,
+        # arrays), at most one entry per leaf
+        self._eg_leaf_obj: dict = {}
         # leaf segments over the slot vector: (leaf_ids_i64,
         # flat_slot_idx, reduceat_starts) — the vectorized bound-ball
         # closure (leaf mindist mask) reads these
@@ -107,6 +118,7 @@ class NumpyKernels:
         self._eg_prog = {}
         self._eg_ent_index = None
         self._eg_ent = None
+        self._eg_leaf_obj = {}
         self._eg_tree = tree
 
     def _eager_program(self, tree, leaf_q: int):
@@ -216,16 +228,65 @@ class NumpyKernels:
             self._eg_ent_version = index.version
         return self._eg_ent
 
+    def _leaf_objects(self, index, leaf_id: int, oid_pos: dict):
+        """One leaf's objects as flat arrays — derived on the leaf's first
+        read per object-index version, so updates pay nothing here.
+
+        Returns ``None`` for an empty leaf, else ``(rows, legs, starts,
+        pos, missing, by_part)``: every object's door legs
+        (:attr:`~repro.core.objects_index.ObjectIndex.door_legs`) laid
+        end to end with each leg's row in the leaf door matrix, the
+        offset of each object's first leg, its position in the
+        access-list arrays, the ids of the objects that have no position
+        there (``None`` when all have one), and per partition the
+        objects in it (their indices here and their ids)."""
+        hit = self._eg_leaf_obj.get(leaf_id)
+        if hit is not None and hit[0] is index and hit[1] == index.version:
+            return hit[2]
+        oid_list = index.objects_in_leaf(leaf_id)
+        arrays = None
+        if oid_list:
+            row_index = self._eg_tree.nodes[leaf_id].table.row_index
+            partitions = self._eg_tree.space.partitions
+            objects = index.objects
+            door_legs = index.door_legs
+            rows: list[int] = []
+            legs: list[float] = []
+            starts: list[int] = []
+            by_part: dict[int, tuple[list[int], list[int]]] = {}
+            for i, oid in enumerate(oid_list):
+                pid = objects[oid].location.partition_id
+                starts.append(len(rows))
+                rows.extend(map(row_index.__getitem__, partitions[pid].door_ids))
+                legs.extend(door_legs[oid])
+                ix, ids = by_part.setdefault(pid, ([], []))
+                ix.append(i)
+                ids.append(oid)
+            pos = np.asarray([oid_pos.get(oid, -1) for oid in oid_list], dtype=_INTP)
+            missing = np.flatnonzero(pos < 0)
+            arrays = (
+                np.asarray(rows, dtype=_INTP),
+                np.asarray(legs, dtype=np.float64),
+                np.asarray(starts, dtype=_INTP),
+                pos,
+                np.asarray(oid_list, dtype=np.int64)[missing] if missing.size else None,
+                {pid: (np.asarray(ix, dtype=_INTP), ids)
+                 for pid, (ix, ids) in by_part.items()},
+            )
+        self._eg_leaf_obj[leaf_id] = (index, index.version, arrays)
+        return arrays
+
     def _eager_distances(self, search):
         """Exact distances to every object as ``(distances, object_ids,
         slot_vals)`` arrays.
 
         Objects outside the query leaf go through the propagation
         program and the access-list scan; the query leaf's objects then
-        take the reference's door-matrix distances plus stored door legs
-        (:meth:`~repro.core.query_knn._Search.query_leaf_distances`).
-        ``slot_vals`` is the propagated per-(node, door) distance vector
-        — the leaf-ball closure reads it."""
+        take q's door-matrix distances plus their stored door legs, one
+        segmented min per query (the reference's
+        :meth:`~repro.core.query_knn._Search.query_leaf_distances`, on
+        arrays). ``slot_vals`` is the propagated per-(node, door)
+        distance vector — the leaf-ball closure reads it."""
         tree = search.tree
         index = search.index
         self._eager_tree_state(tree)
@@ -250,21 +311,29 @@ class NumpyKernels:
         else:
             dists = np.empty(0, dtype=np.float64)
 
-        extra_d: list[float] = []
-        extra_o: list[int] = []
-        for dd, oid in search.query_leaf_distances():
-            pos = oid_pos.get(oid)
-            if pos is None:  # no access-list entry: a leaf without access doors
-                extra_d.append(dd)
-                extra_o.append(oid)
-            else:
-                dists[pos] = dd
-        if extra_d:
-            dists = np.concatenate([dists, np.asarray(extra_d, dtype=np.float64)])
-            oids = np.concatenate([uniq, np.asarray(extra_o, dtype=np.int64)])
-        else:
-            oids = uniq
-        return dists, oids, vals
+        leaf = self._leaf_objects(index, search.leaf_q, oid_pos)
+        if leaf is None:
+            return dists, uniq, vals
+        rows, legs, lstarts, pos, missing, by_part = leaf
+        endpoint = search.endpoint
+        qd = leaf_door_distance_array(tree, search.leaf_q, endpoint.offsets)
+        best = np.minimum.reduceat(qd[rows] + legs, lstarts)
+        same = None if endpoint.is_door else by_part.get(endpoint.partition)
+        if same is not None:
+            ix, ids = same
+            direct = tree.space.direct_point_distance
+            objects = index.objects
+            best[ix] = np.minimum(best[ix], [
+                direct(endpoint.point, objects[oid].location) for oid in ids
+            ])
+        if missing is None:
+            dists[pos] = best
+            return dists, uniq, vals
+        # objects without access-list entries: a leaf without access doors
+        known = pos >= 0
+        dists[pos[known]] = best[known]
+        return (np.concatenate([dists, best[~known]]),
+                np.concatenate([uniq, missing]), vals)
 
     def _eager_leaf_ball(self, search, vals, bound: float) -> frozenset:
         """Vectorized bound-ball leaf closure: leaves whose minimum
@@ -299,7 +368,13 @@ class NumpyKernels:
             raise QueryError(f"k must be positive, got {k}")
         search = _Search(object_index.tree, object_index, query, stats)
         dists, oids, vals = self._eager_distances(search)
-        order = np.lexsort((oids, dists))[:k] if dists.size else np.empty(0, _INTP)
+        if dists.size > k:
+            # every distance <= the k-th smallest, ties included
+            kth = np.partition(dists, k - 1)[k - 1]
+            cand = np.flatnonzero(dists <= kth)
+            order = cand[np.lexsort((oids[cand], dists[cand]))][:k]
+        else:
+            order = np.lexsort((oids, dists))
         if collect_leaves:
             # Fewer than k results: the effective kth-distance bound is
             # infinite, so the answer depends on every leaf (None tag).
@@ -308,10 +383,7 @@ class NumpyKernels:
                 if order.size >= k
                 else None
             )
-        return [
-            Neighbor(object_id=int(oids[i]), distance=float(dists[i]))
-            for i in order.tolist()
-        ]
+        return list(map(Neighbor, oids[order].tolist(), dists[order].tolist()))
 
     def range_query(self, object_index, query, radius: float,
                     stats=None, collect_leaves: bool = False) -> list[Neighbor]:
@@ -328,15 +400,6 @@ class NumpyKernels:
             search.stats.result_leaves = self._eager_leaf_ball(
                 search, vals, radius
             )
-        if not dists.size:
-            return []
         sel = np.flatnonzero(dists <= radius)
-        if not sel.size:
-            return []
-        sub_d = dists[sel]
-        sub_o = oids[sel]
-        order = np.lexsort((sub_o, sub_d))
-        return [
-            Neighbor(object_id=int(sub_o[i]), distance=float(sub_d[i]))
-            for i in order.tolist()
-        ]
+        order = sel[np.lexsort((oids[sel], dists[sel]))]
+        return list(map(Neighbor, oids[order].tolist(), dists[order].tolist()))

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro import (
     IndoorPoint,
     IndoorSpace,
+    IndoorSpaceBuilder,
     IPTree,
     ObjectIndex,
     UpdateOp,
@@ -33,7 +34,13 @@ from repro.baselines import DijkstraOracle
 from repro.core.query_knn import INF, _Search, knn
 from repro.core.query_range import range_query
 from repro.core.query_distance import shortest_distance
-from repro.datasets import load_venue, moving_objects, random_objects, random_point
+from repro.datasets import (
+    load_venue,
+    mixed_queries,
+    moving_objects,
+    random_objects,
+    random_point,
+)
 from repro.engine import QueryEngine, replay
 from repro.exceptions import QueryError, SnapshotError
 from repro.graph.dijkstra import dijkstra
@@ -114,6 +121,28 @@ class TestBitIdentity:
             for radius in (5.0, 30.0, 1e9):
                 py = range_query(tree, index, q, radius)
                 assert py == kern.range_query(index, q, radius)
+
+
+@pytest.mark.parametrize("cls", list(TREE_KINDS.values()))
+def test_single_leaf_venue_without_access_doors(cls):
+    """A closed venue small enough to be one leaf has no access doors,
+    so its objects have no access-list entries: the query leaf alone
+    must supply every distance."""
+    b = IndoorSpaceBuilder("closed")
+    hall, room, other = b.add_hallway(floor=0), b.add_room(floor=0), b.add_room(floor=0)
+    b.add_door(hall, room, x=1.0, y=1.0, floor=0)
+    b.add_door(hall, other, x=3.0, y=1.0, floor=0)
+    b.add_door(room, other, x=2.0, y=2.0, floor=0)
+    space = b.build()
+    tree = cls.build(space)
+    assert tree.nodes[tree.root_id].is_leaf
+    assert not tree.nodes[tree.root_id].access_doors
+    index = ObjectIndex(tree, random_objects(space, 6, seed=1))
+    kern = NumpyKernels()
+    for q in sample_points(space, 4, seed=3):
+        for k in (1, 4, 10):
+            assert kern.knn(index, q, k) == knn(tree, index, q, k)
+        assert kern.range_query(index, q, 1e9) == range_query(tree, index, q, 1e9)
 
 
 # One randomized equivalence property: apply a random UpdateOp stream,
@@ -414,6 +443,83 @@ def test_men2_small_numpy_equals_python_under_updates(men2_small):
                              kernels=kernels)
         answers.append(replay(engine, stream)[0])
     assert answers[0] == answers[1]
+
+
+def test_query_leaf_arrays_follow_every_update(men2_small):
+    """One kernel instance answers the same query leaf before and after
+    each kind of update to that leaf's objects (a move inside the leaf,
+    an insert, a delete, moves out of and into the leaf): the arrays it
+    keeps per leaf must be derived again, never served stale."""
+    space, tree = men2_small
+    rng = random.Random(8)
+    q = sample_points(space, 1, seed=4)[0]
+    leaf = tree.leaf_of_point_partition(q.partition_id)
+    rooms = [p.partition_id for p in space.partitions
+             if p.floor is not None and p.fixed_traversal is None]
+    inside = [pid for pid in rooms if tree.leaf_of_point_partition(pid) == leaf]
+    outside = [pid for pid in rooms if tree.leaf_of_point_partition(pid) != leaf]
+    assert len(inside) > 1
+    index = ObjectIndex(tree, make_object_set(space, (
+        [random_point(space, rng, [q.partition_id]) for _ in range(2)]
+        + [random_point(space, rng, inside) for _ in range(3)]
+        + [random_point(space, rng, outside) for _ in range(5)]
+    )))
+    kern = NumpyKernels()
+
+    def leaf_objects():
+        return index.objects_in_leaf(leaf)
+
+    def agree():
+        for k in (len(leaf_objects()), len(index)):
+            want = knn(tree, index, q, k)
+            assert kern.knn(index, q, k) == want
+        radius = max(n.distance for n in want if n.object_id in leaf_objects())
+        want = range_query(tree, index, q, radius)
+        assert {n.object_id for n in want} >= set(leaf_objects())
+        assert kern.range_query(index, q, radius) == want
+
+    agree()  # the leaf's arrays are now derived
+    index.move(leaf_objects()[0], random_point(space, rng, inside))
+    agree()
+    index.insert(random_point(space, rng, [q.partition_id]))
+    agree()
+    index.delete(leaf_objects()[1])
+    agree()
+    index.move(leaf_objects()[0], random_point(space, rng, outside))
+    agree()
+    outsider = next(o.object_id for o in index.objects
+                    if o.object_id not in leaf_objects())
+    index.move(outsider, random_point(space, rng, inside))
+    assert outsider in leaf_objects()
+    agree()
+
+
+@pytest.mark.slow
+def test_men2_paper_numpy_equals_python_under_drift():
+    """Kernel identity at the served benchmark's scale: Men-2 ``paper``
+    with its 1,000 objects, 16 rounds of 200 door-crossing walks (which
+    drift query leaves to hundreds of door legs), each round followed by
+    fresh-endpoint kNN (k=10) and range reads from both paths, all
+    through one kernel instance and compared with ``==``."""
+    space = load_venue("Men-2", "paper")
+    tree = VIPTree.build(space)
+    objects = random_objects(space, 1000, seed=17)
+    walks = moving_objects(space, random_objects(space, 1000, seed=17),
+                           16 * 200, update_ratio=float("inf"), seed=23,
+                           radius=0.0)
+    reads = mixed_queries(space, 16 * 50, {"knn": 0.7, "range": 0.3},
+                          seed=31, pool=None, k=10, d2d=tree.d2d)
+    index = ObjectIndex(tree, objects)
+    kern = NumpyKernels()
+    for r in range(16):
+        for op in walks[200 * r:200 * (r + 1)]:
+            index.apply(op)
+        for e in reads[50 * r:50 * (r + 1)]:
+            if e.kind == "knn":
+                assert kern.knn(index, e.source, e.k) == knn(tree, index, e.source, e.k)
+            else:
+                assert kern.range_query(index, e.source, e.radius) == range_query(
+                    tree, index, e.source, e.radius)
 
 
 # ----------------------------------------------------------------------

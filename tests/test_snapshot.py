@@ -1,7 +1,10 @@
 """Snapshot store: round-trips, integrity refusals, catalog, CLI, engine
 warm start, and the ObjectSet capacity/tombstone/version regression."""
 
+import gc
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from repro.storage import (
     venue_fingerprint,
     verify_snapshot,
 )
+from repro.storage import snapshot as snapshot_module
 from repro.storage.__main__ import main as storage_cli
 from repro.testing import sample_points
 
@@ -160,6 +164,81 @@ def saved_snapshot(mall_space, tmp_path):
     path = tmp_path / "mall.snap"
     save_snapshot(path, tree, index)
     return path
+
+
+class TestCollectorPause:
+    """A load builds only long-lived state, so it runs with the cyclic
+    collector paused, and leaves the collector as it found it however
+    the load ends."""
+
+    @pytest.fixture(autouse=True)
+    def _keep_collector_state(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.fixture()
+    def corrupted(self, saved_snapshot):
+        raw = bytearray(saved_snapshot.read_bytes())
+        raw[-10] ^= 0xFF
+        saved_snapshot.write_bytes(bytes(raw))
+        return saved_snapshot
+
+    def test_paused_during_a_load_and_restored_after(self, saved_snapshot,
+                                                     monkeypatch):
+        seen = []
+        real = snapshot_module.objects_from_dict
+
+        def probe(doc):
+            seen.append(gc.isenabled())
+            return real(doc)
+
+        monkeypatch.setattr(snapshot_module, "objects_from_dict", probe)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            load_snapshot(saved_snapshot, mmap=not enabled)
+            assert gc.isenabled() is enabled
+        assert seen == [False, False]
+
+    def test_refused_load_restores_the_collector(self, corrupted):
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(SnapshotError, match="hash mismatch"):
+                load_snapshot(corrupted)
+            assert gc.isenabled() is enabled
+
+    def test_nested_and_concurrent_loads_share_one_pause(self, saved_snapshot):
+        gc.enable()
+        with snapshot_module._collector_paused():
+            load_snapshot(saved_snapshot)
+            assert not gc.isenabled()  # the outer pause still holds
+        assert gc.isenabled()
+
+        start = threading.Barrier(4)
+        errors = []
+
+        def loads():
+            try:
+                start.wait()
+                for _ in range(3):
+                    load_snapshot(saved_snapshot)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=loads) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert gc.isenabled()
+        assert snapshot_module._gc_pauses == 0
 
 
 class TestRefusals:
