@@ -96,35 +96,41 @@ def measure_workload(space, tree, mix, k, *, count=N_QUERIES,
                      n_objects=N_OBJECTS, seed=47, repeats=REPEATS):
     """One workload on both engines: ``(rows, python_answers_equal)``.
 
-    Each engine gets its own (identically seeded) object set, a full
+    Each engine gets its own (identically seeded) object set and a full
     untimed warmup pass (kernel caches — per-leaf programs, packed
-    access lists — are steady-state serving behavior, not throughput),
-    then ``repeats`` timed passes; the best pass counts. Answers from
-    the warmup passes are compared element-wise.
+    access lists — are steady-state serving behavior, not throughput).
+    Then the two engines' ``repeats`` timed passes alternate, and each
+    side's best pass counts, so a slow spell on the host slows both
+    sides' passes instead of one side's. Answers from the warmup passes
+    are compared element-wise.
     """
     queries = mixed_queries(space, count, mix, seed=seed, pool=None, k=k)
-    rows, answers = [], {}
-    for kernel in ("python", "numpy"):
-        engine = QueryEngine(
+    kernels = ("python", "numpy")
+    engines = {
+        kernel: QueryEngine(
             tree, objects=random_objects(space, n_objects, seed=seed),
             kernels=kernel, cache=False,
         )
-        answers[kernel] = _replay(engine, queries)  # warmup + identity data
-        best = float("inf")
-        for _ in range(repeats):
+        for kernel in kernels
+    }
+    # warmup + identity data
+    answers = {kernel: _replay(engines[kernel], queries) for kernel in kernels}
+    best = dict.fromkeys(kernels, float("inf"))
+    for _ in range(repeats):
+        for kernel in kernels:
             t0 = perf_counter()
-            _replay(engine, queries)
-            best = min(best, perf_counter() - t0)
-        rows.append({
-            "timed": bool(repeats),
-            "venue": space.name,
-            "kernel": kernel,
-            "mix": mix,
-            "k": k,
-            "queries": count,
-            "seconds": best,
-            "qps": count / best,
-        })
+            _replay(engines[kernel], queries)
+            best[kernel] = min(best[kernel], perf_counter() - t0)
+    rows = [{
+        "timed": bool(repeats),
+        "venue": space.name,
+        "kernel": kernel,
+        "mix": mix,
+        "k": k,
+        "queries": count,
+        "seconds": best[kernel],
+        "qps": count / best[kernel],
+    } for kernel in kernels]
     if repeats:
         rows[1]["speedup"] = rows[1]["qps"] / rows[0]["qps"]
     identical = answers["python"] == answers["numpy"]

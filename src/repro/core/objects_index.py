@@ -27,6 +27,7 @@ suite).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from math import sqrt
 from typing import TYPE_CHECKING
 
 from ..exceptions import QueryError
@@ -82,12 +83,23 @@ class ObjectIndex:
     # ------------------------------------------------------------------
     def _door_legs(self, location: IndoorPoint) -> tuple[float, ...]:
         """The point's direct distance to each door of its partition, in
-        ``door_ids`` order."""
+        ``door_ids`` order: :meth:`~repro.model.indoor_space.IndoorSpace.
+        point_to_door_distance` with :meth:`~repro.model.geometry.Point.
+        distance`'s operations in its order, so each leg is ``==`` to it
+        (numpy squares by multiplication, which differs from ``** 2``)."""
         space = self.tree.space
-        return tuple(
-            space.point_to_door_distance(location, dv)
-            for dv in space.partitions[location.partition_id].door_ids
-        )
+        part = space.partitions[location.partition_id]
+        if part.fixed_traversal is not None:
+            return (part.fixed_traversal / 2.0,) * len(part.door_ids)
+        x, y = location.x, location.y
+        floor = part.floor if part.floor is not None else 0.0
+        height = space.floor_height
+        positions = [space.doors[dv].position for dv in part.door_ids]
+        return tuple([
+            sqrt((x - p.x) ** 2 + (y - p.y) ** 2
+                 + (dz := (floor - p.floor) * height) * dz)
+            for p in positions
+        ])
 
     def _door_distances(self, obj, leaf_id: int, legs) -> dict[int, float]:
         """Exact dist(a, o) for every access door ``a`` of the leaf: leave
@@ -97,14 +109,12 @@ class ObjectIndex:
         node = tree.nodes[leaf_id]
         table = node.table
         part_doors = tree.space.partitions[obj.location.partition_id].door_ids
+        exits = [(table.row(dv), leg) for dv, leg in zip(part_doors, legs)]
+        columns = table.col_index
         out: dict[int, float] = {}
         for a in node.access_doors:
-            best = INF
-            for dv, leg in zip(part_doors, legs):
-                d = table.distance(dv, a) + leg
-                if d < best:
-                    best = d
-            out[a] = best
+            j = columns[a]
+            out[a] = min((row[j] + leg for row, leg in exits), default=INF)
         return out
 
     def _register(self, obj, *, bubble_counts: bool = True) -> None:

@@ -57,6 +57,11 @@ class DistanceTable:
     def covers(self, row_door: int, col_door: int) -> bool:
         return row_door in self.row_index and col_door in self.col_index
 
+    def row(self, row_door: int):
+        """One row door's distances in ``col_doors`` order: a list, or a
+        read-only numpy view when restored from an mmap'd snapshot."""
+        return self._dist[self.row_index[row_door]]
+
     def row_distances(self, row_door: int) -> dict[int, float]:
         """All column distances for one row door."""
         i = self.row_index[row_door]

@@ -25,7 +25,9 @@ engine, each layer usable alone:
   (:class:`AdmissionController`; shed requests raise a typed
   :class:`~repro.exceptions.OverloadedError` with a retry-after hint).
 * **Front door** (:class:`FrontDoor`) — the TCP intake: a reader and
-  a writer thread per client connection, single and batch frames alike;
+  a writer thread per client connection, single and batch frames alike,
+  with client request bytes forwarded to shards and untraced success
+  replies forwarded back unparsed;
   :class:`FrontDoorClient` is the matching client and
   ``python -m repro.serving`` serves a catalog this way.
 

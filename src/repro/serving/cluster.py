@@ -12,7 +12,11 @@ venue-tagged :class:`~repro.serving.protocol.Request` objects (the
 same protocol a :class:`~repro.serving.router.VenueRouter` executes
 in-process), answered through per-request futures; because shards are
 processes, the CPU-bound index math of different venues runs on
-different cores.
+different cores. The TCP front door submits with ``raw_reply`` set to
+the client's request bytes: the cluster routes and admits on the
+parsed :class:`~repro.serving.protocol.Request`, the shard receives
+the bytes unchanged, and the future resolves to the shard's reply
+bytes, so neither direction is re-encoded here.
 
 Replication and durability (``replication``):
 
@@ -535,7 +539,7 @@ class ClusterFrontend:
     # Intake
     # ------------------------------------------------------------------
     def submit(self, request: Request, *, timeout: float | None = None,
-               raw_reply: bool = False) -> Future:
+               raw_reply: bool | bytes = False) -> Future:
         """Route one request; returns its future.
 
         Reads (:data:`~repro.serving.protocol.READ_KINDS`) rotate
@@ -543,11 +547,14 @@ class ClusterFrontend:
         primary — promoting a live replica first if the primary is
         dead. Blocks while the target shard's in-flight window is full
         (backpressure); ``timeout`` turns saturation into a
-        :class:`ServingError`. ``raw_reply`` resolves the future to the
-        shard's :class:`~repro.serving.protocol.Response` envelope
-        (with any ``stats``/``trace`` riders) instead of the decoded
-        value — see :meth:`ShardProcess.submit
-        <repro.serving.shard.ShardProcess.submit>`.
+        :class:`ServingError`. ``raw_reply`` resolves a success to the
+        shard's reply payload bytes (the canonical JSON of its
+        :class:`~repro.serving.protocol.Response` envelope, with any
+        ``stats``/``trace`` riders) instead of the decoded value; given
+        the request's own wire payload, the shard receives those bytes
+        unchanged — see :meth:`ShardProcess.submit
+        <repro.serving.shard.ShardProcess.submit>`. Routing and
+        admission read only ``request``.
 
         Raises:
             OverloadedError: the venue was shed by admission control
@@ -589,7 +596,8 @@ class ClusterFrontend:
             handle = (self._read_handle(reg) if is_read
                       else self._primary_handle(request.venue, reg))
             # Keep the plain call signature-stable (tests wrap submit).
-            future = (handle.submit(request, timeout=timeout, raw_reply=True)
+            future = (handle.submit(request, timeout=timeout,
+                                    raw_reply=raw_reply)
                       if raw_reply else handle.submit(request, timeout=timeout))
         except BaseException:
             if admitted:

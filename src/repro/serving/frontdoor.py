@@ -10,19 +10,39 @@ preserved, errors isolated per element.
 
 Threads: one accepts connections; each connection then gets two.
 
-* Its **reader** decodes frames with
-  :func:`~repro.serving.protocol.recv_doc` and submits their requests
-  to the cluster in arrival order, so per-venue update/query ordering
-  holds for any single client. ``cluster.submit`` may block on a
-  shard's in-flight window, a shard respawn or a venue move; that
-  stalls only this connection.
-* Its **writer** sends reply frames in completion order (a batch's
-  reply once all its elements settled, in request order).
+* Its **reader** reads frames with
+  :func:`~repro.serving.protocol.recv_payload`, parses each once — to
+  route, admit and validate its requests — and submits them to the
+  cluster in arrival order, so per-venue update/query ordering holds
+  for any single client. A routed request travels to its shard as the
+  bytes the client sent (a batch element as its own bytes,
+  :func:`~repro.serving.protocol.batch_element_payloads`), never
+  re-encoded. ``cluster.submit`` may block on a shard's in-flight
+  window, a shard respawn or a venue move; that stalls only this
+  connection.
+* Its **writer** sends the reply frames that the threads settling
+  them could not send at once, in order.
 
-A routed request's reply is built in its shard future's done-callback,
-which runs on the shard handle's reader thread, and is only queued
-there: the writer does the socket write, so a client that stops
-reading never blocks a shard's reader thread.
+A routed request's reply is settled in its shard future's
+done-callback, on the shard handle's reader thread; a local kind's
+reply, and a refusal, on the connection's reader. The settling thread
+sends the frame itself, with one non-blocking ``send``, when the
+writer holds no frame of this connection; whatever the socket does not
+take, and every frame settled while the writer still holds one, goes
+to the writer. So replies leave in the order they settled (a batch's
+reply once all its elements settled, in request order), and a client
+that stops reading blocks only its own writer, never a shard's reader
+thread.
+
+An untraced success reply is forwarded as the shard's payload bytes,
+unparsed: the shard echoes the client's ``id``, so those bytes are the
+reply the client is owed. Error replies, and traced ones (which gain
+the ``frontend.total`` span), are decoded and re-encoded; a batch reply
+is joined from its elements' payloads
+(:func:`~repro.serving.protocol.batch_reply_payload`). Since the
+client's bytes go on unchanged, a request whose ``payload`` or
+``trace`` canonical JSON cannot carry (a non-finite number) is refused
+here with a typed ``ProtocolError`` reply, before admission.
 
 Live connections are capped at :data:`MAX_CONNECTIONS`; the
 connection past the cap is accepted, closed at once and counted in
@@ -56,24 +76,29 @@ import queue
 import socket
 import threading
 from dataclasses import asdict
+from functools import partial
 from time import monotonic, perf_counter
 
 from ..exceptions import ProtocolError, ServingError
 from .protocol import (
     MAX_FRAME_BYTES,
-    BatchResponse,
     ErrorResponse,
     Request,
     Response,
-    batch_reply_to_doc,
+    batch_element_payloads,
+    batch_reply_payload,
     batch_request_from_doc,
-    encode_frame,
+    decode_frame,
+    encode_payload,
     error_reply,
+    frame_payload,
     is_batch_doc,
-    recv_doc,
+    recv_payload,
+    reply_from_doc,
     reply_to_doc,
     request_from_doc,
     result_to_doc,
+    salvage_id,
 )
 from .shard import _no_delay
 
@@ -91,11 +116,17 @@ MAX_CONNECTIONS = 256
 #: door shuts it down, freeing its slot and its two threads
 IDLE_SECONDS = 60.0
 
+#: ``send`` flag of a settling thread's one non-blocking attempt
+#: (``None`` where the platform lacks it: every reply then goes
+#: through the writer)
+_DONTWAIT = getattr(socket, "MSG_DONTWAIT", None)
+
 
 class _Connection:
-    """One client socket, the reply documents queued for its writer,
-    the count of frames read whose reply is not queued yet, and when
-    that count last fell to zero."""
+    """One client socket and its reply path: the frames queued for its
+    writer, how many of them the writer still holds, the count of frames
+    read whose reply is not settled yet, and when that count last fell
+    to zero."""
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -104,6 +135,7 @@ class _Connection:
         self.writer: threading.Thread | None = None
         self._lock = threading.Lock()
         self._owed = 0
+        self._held = 0
         self._quiet_since = monotonic()
         self._closing = False
         self.idle_closed = False
@@ -112,16 +144,33 @@ class _Connection:
         with self._lock:
             self._owed += 1
 
-    def reply(self, doc: dict) -> None:
-        """Queue one frame's reply; after the last one owed to a
-        connection whose reader has finished, tell the writer to stop."""
+    def reply(self, frame: bytes | None) -> None:
+        """Send one frame's reply (``None``: there is none to send): at
+        once when the writer holds nothing, and through the writer
+        whatever the socket does not take. After the last reply owed to
+        a connection whose reader has finished, tell the writer to
+        stop."""
         with self._lock:
-            self.outbox.put(doc)
+            if frame and not self._held and _DONTWAIT is not None:
+                try:
+                    frame = frame[self.sock.send(frame, _DONTWAIT):]
+                except BlockingIOError:
+                    pass
+                except OSError:
+                    frame = None  # client went away, or the door closed it
+            if frame:
+                self._held += 1
+                self.outbox.put(frame)
             self._owed -= 1
             if self._owed == 0:
                 self._quiet_since = monotonic()
                 if self._closing:
                     self.outbox.put(None)
+
+    def sent(self) -> None:
+        """The writer is done with one frame it held."""
+        with self._lock:
+            self._held -= 1
 
     def close_if_idle(self, now: float, limit: float) -> bool:
         """Shut the socket down if the connection owes no reply and has
@@ -140,31 +189,46 @@ class _Connection:
 
     def finish(self) -> None:
         """The reader is done: the writer stops once every owed reply
-        is queued."""
+        is settled."""
         with self._lock:
             self._closing = True
             if self._owed == 0:
                 self.outbox.put(None)
 
+    def close(self) -> None:
+        """Close the socket, under the lock a settling thread sends
+        under, so a reply settled later finds it closed."""
+        with self._lock:
+            _discard_input(self.sock)
+            self.sock.close()
+
 
 class _Batch:
-    """A batch frame's replies, filled in any order and sent in
-    request order once the last one arrives."""
+    """A batch frame's reply payloads, filled in any order and
+    delivered as one batch reply, in request order, once the last one
+    arrives."""
 
-    def __init__(self, size: int, conn: _Connection) -> None:
-        self.replies: list = [None] * size
+    def __init__(self, size: int, deliver) -> None:
+        self.parts: list = [None] * size
         self.remaining = size
-        self.conn = conn
+        self.deliver = deliver
         self._lock = threading.Lock()
 
-    def fill(self, index: int, reply) -> None:
+    def fill(self, index: int, body: bytes) -> None:
         with self._lock:
-            self.replies[index] = reply
+            self.parts[index] = body
             self.remaining -= 1
             done = self.remaining == 0
         if done:
-            self.conn.reply(batch_reply_to_doc(
-                BatchResponse(tuple(self.replies))))
+            self.deliver(batch_reply_payload(self.parts))
+
+
+def _refuse_unencodable(request: Request) -> None:
+    """Raise :class:`ProtocolError` for a request whose free-form
+    ``payload`` or ``trace`` canonical JSON cannot carry: the door
+    forwards the client's bytes, so no later encoding would catch it."""
+    if request.payload is not None or request.trace is not None:
+        encode_payload([request.payload, request.trace])
 
 
 def _discard_input(sock: socket.socket) -> None:
@@ -355,44 +419,45 @@ class FrontDoor:
         try:
             while True:
                 try:
-                    doc = recv_doc(conn.sock, max_bytes=self.max_frame_bytes)
+                    payload = recv_payload(conn.sock,
+                                           max_bytes=self.max_frame_bytes)
                 except (ProtocolError, OSError):
                     if not conn.idle_closed:
                         self._protocol_errors.inc()
                     break
-                if doc is None:
+                if payload is None:
                     break  # clean EOF between frames
-                if not self._dispatch(doc, conn):
+                if not self._dispatch(payload, conn):
                     self._protocol_errors.inc()
                     break  # fatal frame damage: close the connection
         finally:
             conn.finish()
             conn.writer.join()
-            _discard_input(conn.sock)
-            conn.sock.close()
+            conn.close()
             with self._lock:
                 self._live.discard(conn)
 
     def _write_loop(self, conn: _Connection) -> None:
-        while (doc := conn.outbox.get()) is not None:
-            try:
-                frame = encode_frame(doc, max_bytes=self.max_frame_bytes)
-            except ProtocolError:  # pragma: no cover - result not encodable
-                self._protocol_errors.inc()
-                continue
+        while (frame := conn.outbox.get()) is not None:
             try:
                 conn.sock.sendall(frame)
             except OSError:
                 pass  # client went away; its shard work still completes
+            conn.sent()
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, doc: dict, conn: _Connection) -> bool:
-        """Submit one frame's requests in order; each reply is queued
-        to ``conn`` once known. ``False`` means the frame was damaged
+    def _dispatch(self, payload: bytes, conn: _Connection) -> bool:
+        """Submit one frame's requests in order; each reply goes to
+        ``conn`` once settled. ``False`` means the frame was damaged
         beyond replying and the connection must close."""
         start = perf_counter()
+        try:
+            doc = decode_frame(payload)
+        except ProtocolError:
+            return False
+        deliver = partial(self._deliver, conn)
         if is_batch_doc(doc):
             try:
                 slots = batch_request_from_doc(doc)
@@ -401,66 +466,90 @@ class FrontDoor:
             self._frames["batch"].inc()
             self._batched_requests.inc(len(slots))
             conn.owe()
-            batch = _Batch(len(slots), conn)
-            for index, slot in enumerate(slots):
+            batch = _Batch(len(slots), deliver)
+            elements = batch_element_payloads(payload)
+            for index, (slot, element) in enumerate(zip(slots, elements)):
+                fill = partial(batch.fill, index)
                 if isinstance(slot, ErrorResponse):
-                    batch.fill(index, slot)
+                    fill(self._encode(slot))
                 else:
                     request, request_id = slot
-                    self._submit(request, request_id, start,
-                                 lambda reply, i=index: batch.fill(i, reply))
+                    self._submit(request, request_id, element, start, fill)
             return True
         try:
             request, request_id = request_from_doc(doc)
         except ProtocolError as exc:
             # Salvage the id for a typed error reply; a document too
             # broken to even carry one closes the connection.
-            try:
-                request_id = int(doc.get("id"))
-            except (TypeError, ValueError):
+            request_id = salvage_id(doc)
+            if request_id is None:
                 return False
             conn.owe()
-            conn.reply(reply_to_doc(error_reply(request_id, exc)))
+            deliver(self._encode(error_reply(request_id, exc)))
             return True
         self._frames["single"].inc()
         conn.owe()
-        self._submit(request, request_id, start,
-                     lambda reply: conn.reply(reply_to_doc(reply)))
+        self._submit(request, request_id, payload, start, deliver)
         return True
 
-    def _submit(self, request: Request, request_id: int, start: float,
-                deliver) -> None:
-        """Answer one request through ``deliver(reply envelope)``: at
-        once for local kinds, rejections and submission failures, from
-        the shard future's done-callback otherwise."""
+    def _submit(self, request: Request, request_id: int, payload: bytes,
+                start: float, deliver) -> None:
+        """Answer one request through ``deliver(reply payload bytes)``:
+        at once for local kinds, refusals and submission failures, from
+        the shard future's done-callback otherwise. ``payload`` is the
+        request as the client sent it; its shard receives those bytes."""
         if request.venue == "" and request.kind in LOCAL_KINDS:
             try:
                 reply = Response(request_id,
                                  result_to_doc(self._handle_local(request)))
             except Exception as exc:  # noqa: BLE001 - travels as a reply
                 reply = error_reply(request_id, exc)
-            deliver(reply)
+            deliver(self._encode(reply))
             return
         try:
+            _refuse_unencodable(request)
             future = self.cluster.submit(
-                request, timeout=self.submit_timeout, raw_reply=True)
+                request, timeout=self.submit_timeout, raw_reply=payload)
         except Exception as exc:  # noqa: BLE001 - travels as a reply
-            deliver(error_reply(request_id, exc))
+            deliver(self._encode(error_reply(request_id, exc)))
             return
         venue = request.venue
+        traced = bool(request.trace)  # the shard traces on the same test
 
         def settle(done) -> None:
             error = done.exception()
             if error is not None:
-                reply = error_reply(request_id, error)
+                body = self._encode(error_reply(request_id, error))
+            elif traced:
+                got = reply_from_doc(decode_frame(done.result()))
+                body = self._encode(Response(
+                    request_id, got.result, stats=got.stats,
+                    trace=self._extend_trace(got.trace, start)))
             else:
-                got = done.result()
-                reply = Response(request_id, got.result, stats=got.stats,
-                                 trace=self._extend_trace(got.trace, start))
+                body = done.result()  # the shard's reply, as it sent it
             self._observe_latency(venue, perf_counter() - start)
-            deliver(reply)
+            deliver(body)
 
         future.add_done_callback(settle)
+
+    def _encode(self, reply) -> bytes:
+        """A reply envelope's payload bytes; a result canonical JSON
+        cannot carry becomes the ``ProtocolError`` that says so."""
+        try:
+            return encode_payload(reply_to_doc(reply))
+        except ProtocolError as exc:  # pragma: no cover - unencodable result
+            self._protocol_errors.inc()
+            return encode_payload(reply_to_doc(
+                error_reply(reply.request_id, exc)))
+
+    def _deliver(self, conn: _Connection, body: bytes) -> None:
+        """Frame one reply payload and send it to ``conn``."""
+        try:
+            frame = frame_payload(body, max_bytes=self.max_frame_bytes)
+        except ProtocolError:  # pragma: no cover - reply above the limit
+            self._protocol_errors.inc()
+            frame = None
+        conn.reply(frame)
 
     def _handle_local(self, request: Request):
         if request.kind == "venues":

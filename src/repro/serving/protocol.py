@@ -25,7 +25,18 @@ same protocol defined here:
   (kNN/range neighbor lists, path door sequences, distances) are packed
   through :mod:`repro.model.packing` — the same base64 little-endian
   encoding snapshots use — which keeps them bit-exact *and* cheap to
-  parse.
+  parse,
+* the **link frame** between the front door and a shard —
+  ``length | 8-byte link id | ok flag | JSON payload``
+  (:func:`encode_link` / :func:`recv_link`). The link id pairs a reply
+  with its request, so the payload can be a client's request document
+  as the client sent it, and the reply's payload (which echoes the
+  client's ``id``) is exactly what the door sends back. The ok flag
+  marks a success reply, so the door can forward one without parsing
+  it. :func:`recv_payload` reads a client frame's payload bytes for the
+  same purpose, :func:`batch_element_payloads` splits a batch frame
+  into its elements' bytes, and :func:`batch_reply_payload` joins reply
+  payloads into a batch reply.
 
 Because requests and responses round-trip losslessly, a query answered
 over a socket is **element-wise identical** to the same query answered
@@ -39,14 +50,19 @@ Framing errors raise :class:`~repro.exceptions.ProtocolError`:
 oversized frames (declared length beyond the reader's limit) and
 truncated frames (peer closed mid-frame) are fatal for the connection.
 A clean EOF *between* frames is not an error — :func:`recv_doc`
-returns ``None``.
+returns ``None``. A well-framed document with a field of the wrong type
+or a non-finite number (:func:`request_from_doc`) is answered with a
+typed ``ProtocolError`` reply instead.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import struct
 from dataclasses import dataclass
+from json.decoder import scanstring
+from math import isfinite
 
 from ..core.results import Neighbor, PathResult, QueryStats
 from ..exceptions import (
@@ -94,6 +110,8 @@ REQUEST_KINDS = QUERY_KINDS + CONTROL_KINDS
 #: frames and stay far below this)
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 _HEADER = struct.Struct("!I")
+#: link frame header: payload length, link id, ok flag
+_LINK_HEADER = struct.Struct("!IQ?")
 
 
 @dataclass(slots=True, frozen=True)
@@ -224,17 +242,46 @@ def _point_to_doc(point: IndoorPoint | None):
     return [point.partition_id, point.x, point.y]
 
 
+def _finite(value) -> float:
+    """``float(value)``, refusing NaN and ±infinity: JSON has no token
+    for them, and no coordinate or radius is one."""
+    number = float(value)
+    if not isfinite(number):
+        raise ValueError(f"non-finite number {number!r}")
+    return number
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
 def _point_from_doc(doc) -> IndoorPoint | None:
     if doc is None:
         return None
-    return IndoorPoint(int(doc[0]), float(doc[1]), float(doc[2]))
+    return IndoorPoint(int(doc[0]), _finite(doc[1]), _finite(doc[2]))
 
 
 # Op documents are the shared :mod:`repro.model.io_json` normal form —
 # the per-venue operation log persists the identical shape, so a logged
 # op and a framed op are byte-for-byte the same canonical JSON.
 _op_to_doc = op_to_dict
-_op_from_doc = op_from_dict
+
+
+def _op_from_doc(doc) -> UpdateOp | None:
+    """A framed op, held to the types the op log can write back."""
+    op = op_from_dict(doc)
+    if op is None:
+        return None
+    for text in (op.kind, op.label, op.category):
+        _str(text)
+    if op.object_id is not None and not isinstance(op.object_id, int):
+        raise TypeError(f"object_id {op.object_id!r} is not an integer")
+    if op.location is not None:
+        _finite(op.location.x)
+        _finite(op.location.y)
+    return op
 
 
 def request_to_doc(request: Request, request_id: int) -> dict:
@@ -255,22 +302,39 @@ def request_to_doc(request: Request, request_id: int) -> dict:
 
 
 def request_from_doc(doc: dict) -> tuple[Request, int]:
-    """``(request, request_id)`` decoded from a wire document."""
+    """``(request, request_id)`` decoded from a wire document.
+
+    Raises:
+        ProtocolError: a field is missing or of the wrong type, or a
+            coordinate, radius or op location is not a finite number
+            (``json`` parses ``NaN``/``Infinity`` tokens, and ``1e999``
+            as infinity; canonical JSON could not carry them on).
+    """
     try:
         return Request(
-            venue=doc["venue"],
-            kind=doc["kind"],
+            venue=_str(doc["venue"]),
+            kind=_str(doc["kind"]),
             source=_point_from_doc(doc.get("source")),
             target=_point_from_doc(doc.get("target")),
             k=int(doc.get("k", 0)),
-            radius=float(doc.get("radius", 0.0)),
+            radius=_finite(doc.get("radius", 0.0)),
             op=_op_from_doc(doc.get("op")),
             payload=doc.get("payload"),
             trace=doc.get("trace"),
             include_stats=bool(doc.get("include_stats", False)),
         ), int(doc["id"])
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError,
+            OverflowError) as exc:
         raise ProtocolError(f"malformed request document: {exc!r}") from None
+
+
+def salvage_id(doc: dict) -> int | None:
+    """The ``id`` of a request document that failed to decode, when it
+    still carries a usable one (a reply can then be addressed)."""
+    try:
+        return int(doc.get("id"))
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def result_to_doc(value) -> dict:
@@ -537,17 +601,70 @@ def batch_request_from_doc(doc: dict) -> list:
         try:
             slots.append(request_from_doc(element))
         except ProtocolError as exc:
-            try:
-                rid = int(element.get("id"))
-            except (TypeError, ValueError):
-                rid = -1
-            slots.append(error_reply(rid, exc))
+            rid = salvage_id(element)
+            slots.append(error_reply(-1 if rid is None else rid, exc))
     return slots
+
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_scan_value = json.JSONDecoder().scan_once
+
+
+def _skip(text: str, at: int) -> int:
+    return _WHITESPACE.match(text, at).end()
+
+
+def _list_items(text: str, at: int) -> tuple[list[bytes], int]:
+    """The encoded items of the JSON list whose ``[`` ends before
+    ``at``, and the index past its ``]``."""
+    items = []
+    while True:
+        at = _skip(text, at)
+        if text[at] == "]":
+            return items, at + 1
+        _, end = _scan_value(text, at)
+        items.append(text[at:end].encode("utf-8"))
+        at = _skip(text, end)
+        if text[at] == ",":
+            at += 1
+
+
+def batch_element_payloads(payload: bytes) -> list[bytes]:
+    """Each element of a batch frame's ``batch`` list, as the bytes the
+    client sent, in order — what the front door forwards to shards.
+
+    ``payload`` must already have decoded (:func:`decode_frame`) to a
+    document whose ``batch`` is a list; like ``json``, the last
+    ``batch`` key wins.
+    """
+    text = payload.decode("utf-8")
+    elements: list[bytes] = []
+    at = _skip(text, 0) + 1  # past the envelope's "{"
+    while True:
+        at = _skip(text, at)
+        if text[at] == "}":
+            return elements
+        key, at = scanstring(text, at + 1)
+        at = _skip(text, _skip(text, at) + 1)  # past the ":"
+        if key == "batch" and text[at] == "[":
+            elements, at = _list_items(text, at + 1)
+        else:
+            _, at = _scan_value(text, at)
+        at = _skip(text, at)
+        if text[at] == ",":
+            at += 1
 
 
 def batch_reply_to_doc(batch: BatchResponse) -> dict:
     """The batch reply's wire document (replies in request order)."""
     return {"batch": [reply_to_doc(reply) for reply in batch.replies]}
+
+
+def batch_reply_payload(parts) -> bytes:
+    """A batch reply's payload joined from its replies' payloads, in
+    request order: byte-identical to encoding
+    :func:`batch_reply_to_doc` of the same replies."""
+    return b'{"batch":[' + b",".join(parts) + b"]}"
 
 
 def batch_reply_from_doc(doc: dict) -> BatchResponse:
@@ -563,27 +680,61 @@ def batch_reply_from_doc(doc: dict) -> BatchResponse:
 # ----------------------------------------------------------------------
 # Wire framing
 # ----------------------------------------------------------------------
-def encode_frame(doc: dict, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """``length-prefix + canonical JSON`` bytes for one document.
+def encode_payload(doc) -> bytes:
+    """A document's canonical-JSON bytes: one frame's payload.
 
     Raises:
-        ProtocolError: the encoded payload exceeds ``max_bytes`` (the
-            peer would refuse it — fail on the sending side instead),
-            or the document is not canonical-JSON encodable (a raw
-            non-finite float outside a packed field).
+        ProtocolError: the document is not canonical-JSON encodable (a
+            raw non-finite float outside a packed field).
     """
     try:
-        payload = canonical_dumps(doc).encode("utf-8")
+        return canonical_dumps(doc).encode("utf-8")
     except ValueError as exc:
         raise ProtocolError(
             f"frame document is not canonical-JSON encodable: {exc}"
         ) from None
+
+
+def _check_size(payload: bytes, max_bytes: int) -> None:
     if len(payload) > max_bytes:
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{max_bytes}-byte frame limit"
         )
+
+
+def frame_payload(payload: bytes, *,
+                  max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """``length-prefix + payload``: one frame of already-encoded bytes.
+
+    Raises:
+        ProtocolError: the payload exceeds ``max_bytes`` (the peer
+            would refuse it — fail on the sending side instead).
+    """
+    _check_size(payload, max_bytes)
     return _HEADER.pack(len(payload)) + payload
+
+
+def encode_frame(doc: dict, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """``length-prefix + canonical JSON`` bytes for one document.
+
+    Raises:
+        ProtocolError: the encoded payload exceeds ``max_bytes``, or the
+            document is not canonical-JSON encodable
+            (:func:`encode_payload`).
+    """
+    return frame_payload(encode_payload(doc), max_bytes=max_bytes)
+
+
+def encode_link(link_id: int, payload: bytes, *, ok: bool = False) -> bytes:
+    """One link frame: ``length | link id | ok flag | payload``. A shard
+    sets ``ok`` on a success reply; requests leave it unset.
+
+    Raises:
+        ProtocolError: the payload exceeds :data:`MAX_FRAME_BYTES`.
+    """
+    _check_size(payload, MAX_FRAME_BYTES)
+    return _LINK_HEADER.pack(len(payload), link_id, ok) + payload
 
 
 def decode_frame(payload: bytes) -> dict:
@@ -619,22 +770,19 @@ def _recv_exact(sock, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_doc(sock, *, max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
-    """Read one framed document; ``None`` on clean EOF between frames.
-
-    Raises:
-        ProtocolError: truncated frame (EOF inside the header or the
-            payload) or a declared length above ``max_bytes``.
-    """
-    header = _recv_exact(sock, _HEADER.size)
-    if not header:
+def _recv_frame(sock, header: struct.Struct, max_bytes: int):
+    """``(header fields, payload)`` of the next frame whose first header
+    field is its payload length; ``None`` on clean EOF between frames."""
+    data = _recv_exact(sock, header.size)
+    if not data:
         return None
-    if len(header) < _HEADER.size:
+    if len(data) < header.size:
         raise ProtocolError(
-            f"truncated frame: connection closed after {len(header)} of "
-            f"{_HEADER.size} header bytes"
+            f"truncated frame: connection closed after {len(data)} of "
+            f"{header.size} header bytes"
         )
-    (length,) = _HEADER.unpack(header)
+    fields = header.unpack(data)
+    length = fields[0]
     if length > max_bytes:
         raise ProtocolError(
             f"oversized frame: declared payload of {length} bytes exceeds "
@@ -646,4 +794,41 @@ def recv_doc(sock, *, max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
             f"truncated frame: connection closed after {len(payload)} of "
             f"{length} payload bytes"
         )
-    return decode_frame(payload)
+    return fields, payload
+
+
+def recv_payload(sock, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes | None:
+    """Read one frame's payload bytes, undecoded; ``None`` on clean EOF
+    between frames.
+
+    Raises:
+        ProtocolError: truncated frame (EOF inside the header or the
+            payload) or a declared length above ``max_bytes``.
+    """
+    frame = _recv_frame(sock, _HEADER, max_bytes)
+    return None if frame is None else frame[1]
+
+
+def recv_doc(sock, *, max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
+    """Read one framed document; ``None`` on clean EOF between frames.
+
+    Raises:
+        ProtocolError: as :func:`recv_payload`, or an undecodable
+            payload (:func:`decode_frame`).
+    """
+    payload = recv_payload(sock, max_bytes=max_bytes)
+    return None if payload is None else decode_frame(payload)
+
+
+def recv_link(sock) -> tuple[int, bool, bytes] | None:
+    """Read one link frame: ``(link id, ok flag, payload)``; ``None`` on
+    clean EOF between frames.
+
+    Raises:
+        ProtocolError: as :func:`recv_payload`.
+    """
+    frame = _recv_frame(sock, _LINK_HEADER, MAX_FRAME_BYTES)
+    if frame is None:
+        return None
+    (_, link_id, ok), payload = frame
+    return link_id, ok, payload

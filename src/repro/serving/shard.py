@@ -11,11 +11,18 @@ the GIL denies to threads.
 
 :class:`ShardProcess` is the **parent-side handle**: it spawns the
 child, connects the socket, and multiplexes concurrent requests over
-it — each request gets a wire id and a
+it — each request gets a link id and a
 :class:`~concurrent.futures.Future`; a reader thread matches replies
-(the worker answers strictly in order, ids make the pairing robust)
-and a bounded in-flight window (``max_inflight``) provides
+by link id (the worker answers strictly in order, ids make the pairing
+robust) and a bounded in-flight window (``max_inflight``) provides
 backpressure.
+
+The socket carries link frames (:func:`~repro.serving.protocol.
+encode_link`): the link id rides in the frame header, so a request's
+JSON payload can be the very bytes a client sent the front door, and
+the worker's reply payload — which echoes the payload's own ``id`` —
+is the very bytes the door sends back. A success reply sets the
+header's ok flag, so the handle can pass one on unparsed.
 
 Lifecycle and durability:
 
@@ -59,17 +66,20 @@ from ..storage.catalog import SnapshotCatalog
 from .protocol import (
     CONTROL_KINDS,
     FAULT_KINDS,
+    ErrorResponse,
     Request,
     Response,
-    encode_frame,
+    decode_frame,
+    encode_link,
+    encode_payload,
     error_reply,
-    recv_doc,
+    recv_link,
     reply_from_doc,
     reply_to_doc,
     request_from_doc,
     request_to_doc,
     result_to_doc,
-    send_doc,
+    salvage_id,
     stats_to_doc,
 )
 from .router import RouterStats, VenueRouter
@@ -245,20 +255,32 @@ class ShardWorker:
         raise ServingError(f"control kind {kind!r} not servable by a shard")
 
     def serve(self, sock) -> None:
-        """Serve framed requests on ``sock`` until EOF or ``shutdown``.
+        """Serve link-framed requests on ``sock`` until EOF or
+        ``shutdown``.
 
-        Every decodable request gets exactly one reply (success or
-        error); framing errors are fatal for the connection — the
-        parent treats them like a crash. On exit the worker stops its
-        flusher and flushes dirty engines one final time, so a graceful
-        drain loses nothing.
+        Every request gets exactly one reply (success or error) under
+        its link id: a payload that is no request document is answered
+        with a typed ``ProtocolError`` carrying the id it salvaged
+        (``-1`` if none), and the worker keeps serving. Framing errors
+        are fatal for the connection — the parent treats them like a
+        crash. On exit the worker stops its flusher and flushes dirty
+        engines one final time, so a graceful drain loses nothing.
         """
         try:
             while True:
-                doc = recv_doc(sock)
-                if doc is None:
+                frame = recv_link(sock)
+                if frame is None:
                     break
-                request, request_id = request_from_doc(doc)
+                link_id, _, payload = frame
+                doc = None
+                try:
+                    doc = decode_frame(payload)
+                    request, request_id = request_from_doc(doc)
+                except ProtocolError as exc:
+                    request_id = salvage_id(doc) if doc is not None else None
+                    _send_reply(sock, link_id, error_reply(
+                        -1 if request_id is None else request_id, exc))
+                    continue
                 if request.kind == "crash":
                     # Fault injection: die *without* flushing, exactly
                     # like a SIGKILL — recovery replays the op log.
@@ -311,7 +333,7 @@ class ShardWorker:
                     reply = error_reply(request_id, exc)
                 finally:
                     timer.observe(perf_counter() - start)
-                send_doc(sock, reply_to_doc(reply))
+                _send_reply(sock, link_id, reply)
                 if request.kind == "shutdown":
                     break
         finally:
@@ -322,6 +344,19 @@ class ShardWorker:
         op-log handles (idempotent)."""
         self.router.flush()
         self.router.close()
+
+
+def _send_reply(sock, link_id: int, reply: Response | ErrorResponse) -> None:
+    """Send one reply under its request's link id; a reply that cannot
+    be framed (a non-finite float in a result document, or too large)
+    goes out as the ``ProtocolError`` that says so."""
+    try:
+        frame = encode_link(link_id, encode_payload(reply_to_doc(reply)),
+                            ok=isinstance(reply, Response))
+    except ProtocolError as exc:
+        frame = encode_link(link_id, encode_payload(
+            reply_to_doc(error_reply(reply.request_id, exc))))
+    sock.sendall(frame)
 
 
 def _no_delay(sock: socket.socket) -> None:
@@ -400,7 +435,7 @@ class ShardProcess:
         self._reader: threading.Thread | None = None
         self._send_lock = threading.Lock()
         self._state = threading.Lock()
-        #: request id -> (future, wants the raw Response envelope)
+        #: link id -> (future, wants the reply's payload bytes)
         self._pending: dict[int, tuple[Future, bool]] = {}
         self._next_id = 0
         self._sem = threading.Semaphore(self.max_inflight)
@@ -485,18 +520,23 @@ class ShardProcess:
     # Requests
     # ------------------------------------------------------------------
     def submit(self, request: Request, *, timeout: float | None = None,
-               raw_reply: bool = False) -> Future:
+               raw_reply: bool | bytes = False) -> Future:
         """Send one request; returns the future its reply will resolve.
 
         Blocks while the in-flight window is full (backpressure); with
         a ``timeout``, raises :class:`ServingError` instead of blocking
         past it. Raises immediately if the shard is dead.
 
-        With ``raw_reply=True`` the future resolves to the
-        :class:`~repro.serving.protocol.Response` envelope itself
-        (result document plus the optional ``stats``/``trace`` riders)
-        instead of the decoded result value — how the TCP front door
-        forwards trace spans and per-query stats without re-encoding.
+        With ``raw_reply`` set, a success reply resolves the future to
+        the reply's payload bytes — the canonical JSON of its
+        :class:`~repro.serving.protocol.Response` envelope, ``stats``
+        and ``trace`` riders included — instead of the decoded value;
+        an error reply still fails it with the carried exception. When
+        ``raw_reply`` is the request's own wire payload (the JSON
+        document bytes a client sent the front door), those bytes go to
+        the worker unchanged instead of an encoding of ``request``, and
+        the reply echoes their ``id``: how the front door forwards a
+        request and its reply without re-encoding either.
         """
         if not self.alive:
             raise ServingError(
@@ -510,17 +550,19 @@ class ShardProcess:
             )
         future: Future = Future()
         with self._state:
-            request_id = self._next_id
+            link_id = self._next_id
             self._next_id += 1
-            self._pending[request_id] = (future, bool(raw_reply))
+            self._pending[link_id] = (future, bool(raw_reply))
         try:
             # Encode before touching the wire: an unencodable request
             # (oversized venue doc, non-JSON payload) fails only its
             # own future — the connection carried no partial frame and
             # stays healthy.
-            frame = encode_frame(request_to_doc(request, request_id))
+            payload = (raw_reply if isinstance(raw_reply, bytes)
+                       else encode_payload(request_to_doc(request, link_id)))
+            frame = encode_link(link_id, payload)
         except Exception as exc:  # noqa: BLE001 - travels via the future
-            self._settle(request_id, error=ServingError(
+            self._settle(link_id, error=ServingError(
                 f"shard {self.shard_id} request not encodable: {exc}"))
             return future
         try:
@@ -532,7 +574,7 @@ class ShardProcess:
         except OSError as exc:
             # A failed sendall may have written part of the frame —
             # the stream is unrecoverable, so the handle dies.
-            self._settle(request_id, error=ServingError(
+            self._settle(link_id, error=ServingError(
                 f"shard {self.shard_id} send failed: {exc}"))
             self._mark_dead(f"send failed: {exc}")
         return future
@@ -542,11 +584,11 @@ class ShardProcess:
         return self.submit(request, timeout=timeout).result(timeout)
 
     # ------------------------------------------------------------------
-    def _settle(self, request_id: int, *, value=None,
+    def _settle(self, link_id: int, *, value=None,
                 error: BaseException | None = None) -> bool:
         """Resolve one pending future and release its window slot."""
         with self._state:
-            entry = self._pending.pop(request_id, None)
+            entry = self._pending.pop(link_id, None)
         if entry is None:
             return False
         future = entry[0]
@@ -557,9 +599,9 @@ class ShardProcess:
         self._sem.release()
         return True
 
-    def _wants_raw(self, request_id: int) -> bool:
+    def _wants_raw(self, link_id: int) -> bool:
         with self._state:
-            entry = self._pending.get(request_id)
+            entry = self._pending.get(link_id)
         return entry is not None and entry[1]
 
     def _mark_dead(self, reason: str) -> None:
@@ -570,8 +612,8 @@ class ShardProcess:
                 self._alive = False
                 self._death_reason = reason
                 pending = dict(self._pending)
-        for request_id in pending:
-            self._settle(request_id, error=ServingError(
+        for link_id in pending:
+            self._settle(link_id, error=ServingError(
                 f"shard {self.shard_id} connection lost ({reason}); "
                 "the request may or may not have been applied"
             ))
@@ -588,28 +630,32 @@ class ShardProcess:
         try:
             while True:
                 try:
-                    doc = recv_doc(sock)
+                    frame = recv_link(sock)
                 except (ProtocolError, OSError) as exc:
                     reason = str(exc)
-                    doc = None
-                if doc is None:
+                    frame = None
+                if frame is None:
                     break
+                link_id, ok, payload = frame
+                raw = self._wants_raw(link_id)
+                if ok and raw:
+                    self._settle(link_id, value=payload)
+                    continue
                 try:
-                    reply = reply_from_doc(doc)
+                    reply = reply_from_doc(decode_frame(payload))
                 except ProtocolError as exc:
                     reason = str(exc)
                     break
                 if isinstance(reply, Response):
                     try:
-                        value = (reply if self._wants_raw(reply.request_id)
-                                 else reply.value())
-                        self._settle(reply.request_id, value=value)
+                        self._settle(link_id,
+                                     value=payload if raw else reply.value())
                     except Exception as exc:  # noqa: BLE001 - corrupt result
                         # e.g. ProtocolError, or ValueError from packed
                         # numerics — fail this request, keep reading
-                        self._settle(reply.request_id, error=exc)
+                        self._settle(link_id, error=exc)
                 else:
-                    self._settle(reply.request_id, error=reply.exception())
+                    self._settle(link_id, error=reply.exception())
         finally:
             # Whatever ends this thread — clean EOF, framing error, or
             # an unexpected exception — the handle must die loudly so

@@ -11,6 +11,8 @@ flusher.
 from __future__ import annotations
 
 import gc
+import socket
+import threading
 import time
 import warnings
 import weakref
@@ -32,10 +34,19 @@ from repro.serving import (
     PeriodicFlusher,
     Request,
     ShardProcess,
+    ShardWorker,
     VenueRouter,
     sequential_replay,
 )
-from repro.serving.protocol import result_to_doc
+from repro.serving.protocol import (
+    decode_frame,
+    encode_link,
+    encode_payload,
+    recv_link,
+    reply_from_doc,
+    request_to_doc,
+    result_to_doc,
+)
 from repro.serving.__main__ import main as serving_cli
 from repro.storage import SnapshotCatalog, scan_oplog
 from repro.testing import venue_oplog_path
@@ -321,6 +332,54 @@ class TestShardProcess:
             assert shard.call(Request(venue="", kind="ping"))["venues"] == 0
         finally:
             shard.shutdown()
+
+    @pytest.mark.parametrize("payload", [
+        b'{"id": 5, "venue": "", "kind": "ping", "k": "ten"}',
+        b'{"id": 5, "venue": "", "kind": "range", "radius": NaN}',
+        b'{"id": 5, "kind": "ping"}',
+        b'{"id": 5, "venue": "", "kind": "ping"',  # not JSON at all
+    ])
+    def test_a_malformed_document_is_answered_and_the_shard_serves_on(
+            self, shard, payload):
+        """Link frames carry client bytes, so a well-framed document with
+        a bad field reaches the worker: it answers with a typed error
+        under the request's link id instead of dying."""
+        bad = shard.submit(Request(venue="", kind="ping"), raw_reply=payload)
+        with pytest.raises(ProtocolError):
+            bad.result(timeout=30)
+        assert shard.alive
+        assert shard.call(Request(venue="", kind="ping"))["venues"] == 0
+
+    def test_worker_replies_under_the_link_id_with_the_salvaged_id(
+            self, tmp_path):
+        ours, theirs = socket.socketpair()
+        worker = ShardWorker(tmp_path / "cat", flush_interval=0)
+        serving = threading.Thread(target=worker.serve, args=(theirs,))
+        serving.start()
+        try:
+            ping = encode_payload(request_to_doc(Request(venue="", kind="ping"),
+                                                 77))
+            ours.sendall(
+                encode_link(3, b'{"id": 41, "venue": "", "kind": "ping", '
+                               b'"k": "ten"}')
+                + encode_link(4, b"[1, 2]")
+                + encode_link(9, ping))
+            replies = []
+            for _ in range(3):
+                link_id, ok, payload = recv_link(ours)
+                replies.append((link_id, ok,
+                                reply_from_doc(decode_frame(payload))))
+            (l1, ok1, r1), (l2, ok2, r2), (l3, ok3, r3) = replies
+            assert (l1, ok1, r1.request_id, r1.error) \
+                == (3, False, 41, "ProtocolError")
+            assert (l2, ok2, r2.request_id, r2.error) \
+                == (4, False, -1, "ProtocolError")
+            assert (l3, ok3, r3.request_id) == (9, True, 77)
+        finally:
+            ours.close()  # EOF ends the serve loop
+            serving.join(30)
+            theirs.close()
+        assert not serving.is_alive()
 
     def test_crash_fails_inflight_and_marks_the_handle_dead(self, shard):
         future = shard.submit(Request(venue="", kind="crash"))

@@ -51,6 +51,7 @@ from repro.serving import (
 )
 from repro.serving.client import FrontDoorClient
 from repro.serving.protocol import (
+    decode_frame,
     reply_from_doc,
     reply_to_doc,
     request_from_doc,
@@ -612,11 +613,11 @@ class TestClusterObservability:
                                     objects=random_objects(space, 6, seed=1))
             rng = random.Random(2)
             q = random_point(space, rng)
-            reply = cluster.submit(
+            reply = reply_from_doc(decode_frame(cluster.submit(
                 Request(venue=vid, kind="knn", source=q, k=3,
                         trace="0123456789abcdef", include_stats=True),
                 raw_reply=True,
-            ).result(timeout=60.0)
+            ).result(timeout=60.0)))
             assert isinstance(reply, Response)
             assert reply.trace["id"] == "0123456789abcdef"
             names = [s["name"] for s in reply.trace["spans"]]
@@ -642,12 +643,12 @@ class TestClusterObservability:
             cluster.request(vid, "knn", source=random_point(space, rng),
                             k=2).result(timeout=60.0)
             assert harness.slow_requests(primary, 0.08, count=1) == 1
-            reply = cluster.submit(
+            reply = reply_from_doc(decode_frame(cluster.submit(
                 Request(venue=vid, kind="knn",
                         source=random_point(space, rng), k=2,
                         trace="deadbeefdeadbeef", include_stats=True),
                 raw_reply=True,
-            ).result(timeout=60.0)
+            ).result(timeout=60.0)))
             cluster.drain()
             records = read_slowlog(
                 tmp_path / "obs" / f"slowlog-shard{primary}.jsonl")

@@ -13,6 +13,7 @@ reader always answers ``ProtocolError``/EOF — it never hangs.
 
 from __future__ import annotations
 
+import json
 import math
 import socket
 import threading
@@ -38,19 +39,27 @@ from repro.serving.protocol import (
     Response,
     batch_reply_from_doc,
     batch_reply_to_doc,
+    batch_element_payloads,
+    batch_reply_payload,
     batch_request_from_doc,
     batch_request_to_doc,
     decode_frame,
     encode_frame,
+    encode_link,
+    encode_payload,
     error_reply,
+    frame_payload,
     is_batch_doc,
     recv_doc,
+    recv_link,
+    recv_payload,
     reply_from_doc,
     reply_to_doc,
     request_from_doc,
     request_to_doc,
     result_from_doc,
     result_to_doc,
+    salvage_id,
     send_doc,
 )
 
@@ -108,6 +117,61 @@ def test_malformed_request_document_raises():
     with pytest.raises(ProtocolError):
         request_from_doc({"id": 1, "venue": "v", "kind": "knn",
                           "source": [1]})  # truncated point triple
+
+
+#: what ``json`` parses into a non-finite float: its three tokens, and
+#: a literal past the double range
+NON_FINITE_TOKENS = ("NaN", "Infinity", "-Infinity", "1e999")
+#: every request field that carries a float, as a JSON fragment
+#: template ``{}`` marking where the number goes
+FLOAT_FIELDS = {
+    "radius": '"radius": {}',
+    "source x": '"source": [0, {}, 1.0]',
+    "source y": '"source": [0, 1.0, {}]',
+    "target x": '"target": [0, {}, 1.0]',
+    "target y": '"target": [0, 1.0, {}]',
+    "op x": '"op": {{"kind": "move", "object_id": 1, '
+            '"location": [0, {}, 1.0]}}',
+    "op y": '"op": {{"kind": "insert", "object_id": null, '
+            '"location": [0, 1.0, {}]}}',
+}
+
+
+@pytest.mark.parametrize("token", NON_FINITE_TOKENS)
+@pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
+def test_non_finite_numbers_are_malformed(field, token):
+    """A shard gets the client's bytes, so decoding is the last place a
+    non-finite coordinate, radius or op location can be refused."""
+    text = ('{"id": 7, "venue": "v", "kind": "range", '
+            + FLOAT_FIELDS[field].format(token) + "}")
+    doc = decode_frame(text.encode())
+    with pytest.raises(ProtocolError, match="non-finite"):
+        request_from_doc(doc)
+    assert salvage_id(doc) == 7
+
+
+@pytest.mark.parametrize("doc", [
+    {"id": 1, "venue": 5, "kind": "knn"},
+    {"id": 1, "venue": "v", "kind": ["knn"]},
+    {"id": 1, "venue": "v", "kind": "knn", "k": "ten"},
+    {"id": 1, "venue": "v", "kind": "knn", "k": float("inf")},
+    {"id": 1, "venue": "v", "kind": "update",
+     "op": {"kind": "insert", "object_id": None, "label": 1.5,
+            "location": [0, 1.0, 1.0]}},
+    {"id": 1, "venue": "v", "kind": "update",
+     "op": {"kind": "delete", "object_id": "3", "location": None}},
+])
+def test_fields_of_the_wrong_type_are_malformed(doc):
+    with pytest.raises(ProtocolError, match="malformed request"):
+        request_from_doc(doc)
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ({"id": 4}, 4), ({"id": "12"}, 12), ({"id": float("inf")}, None),
+    ({"id": float("nan")}, None), ({"id": [1]}, None), ({}, None),
+])
+def test_salvage_id(doc, expected):
+    assert salvage_id(doc) == expected
 
 
 # ----------------------------------------------------------------------
@@ -290,6 +354,45 @@ def test_oversized_declared_length_raises_before_reading_payload():
         b.close()
 
 
+def test_payload_bytes_cross_unparsed():
+    a, b = _pipe()
+    payload = b'{ "kind" : "knn",  "id": 3 }'  # not canonical: kept as is
+    a.sendall(frame_payload(payload) + encode_frame({"id": 4}))
+    a.close()
+    try:
+        assert recv_payload(b) == payload
+        assert recv_payload(b) == encode_payload({"id": 4})
+        assert recv_payload(b) is None
+    finally:
+        b.close()
+
+
+def test_link_frames_carry_id_flag_and_payload():
+    a, b = _pipe()
+    big = 2**64 - 1
+    a.sendall(encode_link(5, b'{"id":1}') + encode_link(big, b"", ok=True))
+    a.close()
+    try:
+        assert recv_link(b) == (5, False, b'{"id":1}')
+        assert recv_link(b) == (big, True, b"")
+        assert recv_link(b) is None
+    finally:
+        b.close()
+
+
+def test_link_frame_damage_raises():
+    a, b = _pipe()
+    a.sendall(encode_link(1, b"{}")[:-1])
+    a.close()
+    try:
+        with pytest.raises(ProtocolError, match="truncated frame.*payload"):
+            recv_link(b)
+    finally:
+        b.close()
+    with pytest.raises(ProtocolError, match="exceeds"):
+        encode_link(1, b"x" * (MAX_FRAME_BYTES + 1))
+
+
 def test_reader_side_frame_limit_wins_over_the_default():
     a, b = _pipe()
     a.sendall(encode_frame({"blob": "x" * 64}))  # fine for the default limit
@@ -385,6 +488,52 @@ def test_batch_reply_round_trips_with_isolated_errors():
     assert values[0] == [Neighbor(1, 2.5)]
     assert isinstance(values[1], QueryError)  # instance, not raised
     assert values[2] is None
+
+
+def test_batch_reply_payload_is_the_encoded_batch_reply():
+    replies = (
+        Response(0, result_to_doc([Neighbor(1, 2.5)]), stats={"heap_pops": 2}),
+        error_reply(1, OverloadedError("shed", retry_after=0.25)),
+        Response(2, result_to_doc("é")),
+    )
+    parts = [encode_payload(reply_to_doc(reply)) for reply in replies]
+    assert batch_reply_payload(parts) \
+        == encode_payload(batch_reply_to_doc(BatchResponse(replies)))
+
+
+@pytest.mark.parametrize("text", [
+    '{"batch":[{"id":1},{"id":2,"venue":"a\\"]}"}]}',
+    ' {\n "x": {"batch": [9]}, "batch" : 3 ,"batch":\t[ {"id": 1} ,'
+    ' {"id":"\\u00e9"} ] , "z": [] } ',
+    '{"batch": [{"id": 1, "venue": "café"}], "after": {"batch": []}}',
+])
+def test_batch_element_payloads_are_the_client_bytes(text):
+    payload = text.encode()
+    parts = batch_element_payloads(payload)
+    assert [decode_frame(part) for part in parts] \
+        == decode_frame(payload)["batch"]
+    assert all(part in payload for part in parts)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements=st.lists(st.dictionaries(st.text(max_size=5), _json_values,
+                                         max_size=4), min_size=1, max_size=4),
+       other=_json_values, indent=st.sampled_from([None, 0, 3]),
+       sort_keys=st.booleans(), ascii=st.booleans())
+def test_fuzz_batch_element_payloads(elements, other, indent, sort_keys, ascii):
+    text = json.dumps({"a": other, "batch": elements, "z": other},
+                      indent=indent, sort_keys=sort_keys, ensure_ascii=ascii)
+    parts = batch_element_payloads(text.encode())
+    assert [json.loads(part) for part in parts] == elements
 
 
 def test_damaged_batch_reply_envelope_raises():
