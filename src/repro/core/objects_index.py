@@ -21,7 +21,7 @@ O(ρ · |leaf objects| + height) per update instead of an O(|O|) rebuild.
 All three mutate the underlying :class:`ObjectSet` too, so index and set
 never diverge; after any update sequence the index is structurally
 identical to one freshly built from the same set (asserted by the test
-suite).
+suite), so the set alone determines the index.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ class ObjectIndex:
         objects.validate(tree.space)
         self.tree = tree
         self.objects = objects
-        #: leaf node id -> object ids located in that leaf
+        #: leaf node id -> ids of the objects located in that leaf,
+        #: ascending, so the lists depend only on the object set
         self.leaf_objects: dict[int, list[int]] = {}
         #: leaf node id -> {access door -> [(distance, object id)] sorted}
         self.access_lists: dict[int, dict[int, list[tuple[float, int]]]] = {}
@@ -66,10 +67,8 @@ class ObjectIndex:
         #: object id -> door legs: its direct distance to each door of
         #: its partition, in the partition's ``door_ids`` order. Written
         #: only on insertion/deletion (under the engine's write lock),
-        #: so reads need no lock; never snapshotted
+        #: so reads need no lock
         self.door_legs: dict[int, tuple[float, ...]] = {}
-        #: update operations applied since construction (monotone)
-        self.updates = 0
         for obj in objects:
             self._register(obj)
 
@@ -122,7 +121,7 @@ class ObjectIndex:
         leaf_id = tree.leaf_node_of_partition[obj.location.partition_id]
         legs = self._door_legs(obj.location)
         dists = self._door_distances(obj, leaf_id, legs)
-        self.leaf_objects.setdefault(leaf_id, []).append(obj.object_id)
+        insort(self.leaf_objects.setdefault(leaf_id, []), obj.object_id)
         per_door = self.access_lists.get(leaf_id)
         if per_door is None:
             per_door = {a: [] for a in tree.nodes[leaf_id].access_doors}
@@ -162,7 +161,6 @@ class ObjectIndex:
         self.tree.space.validate_point(location)
         oid = self.objects.insert(location, label, category)
         self._register(self.objects[oid])
-        self.updates += 1
         return oid
 
     def delete(self, object_id: int) -> None:
@@ -171,7 +169,6 @@ class ObjectIndex:
             raise QueryError(f"object {object_id} is not in the index")
         self._unregister(object_id)
         self.objects.delete(object_id)
-        self.updates += 1
 
     def move(self, object_id: int, location: IndoorPoint) -> None:
         """Relocate an object, re-embedding it in its (possibly new) leaf.
@@ -187,74 +184,10 @@ class ObjectIndex:
         self._unregister(object_id, bubble_counts=not same_leaf)
         self.objects.move(object_id, location)
         self._register(self.objects[object_id], bubble_counts=not same_leaf)
-        self.updates += 1
 
     def apply(self, op: UpdateOp):
         """Apply one :class:`UpdateOp` (see :func:`apply_update`)."""
         return apply_update(self, op)
-
-    # ------------------------------------------------------------------
-    # Serialized state (snapshots, :mod:`repro.storage`)
-    # ------------------------------------------------------------------
-    def to_state(self) -> dict:
-        """JSON-safe serialized state of the embedding.
-
-        Covers the leaf object lists, the per-door sorted access lists,
-        the subtree counts, the per-object entry map and the ``updates``
-        counter — everything needed to restore the index without
-        re-embedding a single object. Int-keyed maps are emitted as
-        sorted pair lists (JSON objects would stringify the keys). The
-        door legs are left out: :meth:`from_state` derives them.
-        """
-        return {
-            "updates": self.updates,
-            "leaf_objects": [
-                [leaf, list(oids)] for leaf, oids in sorted(self.leaf_objects.items())
-            ],
-            "access_lists": [
-                [
-                    leaf,
-                    [
-                        [door, [[d, oid] for d, oid in lst]]
-                        for door, lst in sorted(per_door.items())
-                    ],
-                ]
-                for leaf, per_door in sorted(self.access_lists.items())
-            ],
-            "node_counts": [list(kv) for kv in sorted(self.node_counts.items())],
-            "entries": [
-                [oid, leaf, [[door, d] for door, d in sorted(dists.items())]]
-                for oid, (leaf, dists) in sorted(self._entries.items())
-            ],
-        }
-
-    @classmethod
-    def from_state(
-        cls, tree: "IPTree", objects: ObjectSet, state: dict
-    ) -> "ObjectIndex":
-        """Restore an index from :meth:`to_state` output with zero
-        re-embedding; only the door legs are recomputed. ``tree`` and
-        ``objects`` must be the instances the state was serialized
-        against (the snapshot layer restores all three together)."""
-        objects.validate(tree.space)
-        index = object.__new__(cls)
-        index.tree = tree
-        index.objects = objects
-        index.updates = state["updates"]
-        index.leaf_objects = {leaf: list(oids) for leaf, oids in state["leaf_objects"]}
-        index.access_lists = {
-            leaf: {door: [(d, oid) for d, oid in lst] for door, lst in per_door}
-            for leaf, per_door in state["access_lists"]
-        }
-        index.node_counts = {nid: count for nid, count in state["node_counts"]}
-        index._entries = {
-            oid: (leaf, {door: d for door, d in dists})
-            for oid, leaf, dists in state["entries"]
-        }
-        index.door_legs = {
-            oid: index._door_legs(objects[oid].location) for oid in index._entries
-        }
-        return index
 
     # ------------------------------------------------------------------
     def count(self, node_id: int) -> int:

@@ -365,8 +365,8 @@ class QueryEngine:
         """The engine's RWLock (a no-op stand-in when not thread-safe).
 
         Embedders serializing external work against updates — e.g. the
-        serving router's write-back, which snapshots the live object
-        index — hold ``engine.lock.read()`` around it: updates are
+        serving router's write-back, which saves the live object set —
+        hold ``engine.lock.read()`` around it: updates are
         excluded, queries are not. Never acquire it around calls back
         into this engine's update methods (the write side is not
         reentrant).
@@ -378,14 +378,14 @@ class QueryEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def from_snapshot(path, *, space=None, mmap: bool = False, **engine_kwargs) -> "QueryEngine":
-        """Warm-start an engine from a snapshot file — zero rebuild.
+        """Warm-start an engine from a snapshot — zero rebuild of the tree.
 
-        The snapshot's tree and restored :class:`ObjectIndex` are wired
-        straight into a new engine.
+        The snapshot's tree is wired straight into a new engine, which
+        embeds the snapshot's object set into it.
         ``space``, when given, fingerprint-checks the snapshot against
         the venue the caller intends to serve; ``mmap=True`` maps the
-        snapshot's binary section zero-copy into numpy views instead of
-        deserializing it (see :func:`repro.storage.load_snapshot`);
+        index file's binary section zero-copy into numpy views instead
+        of deserializing it (see :func:`repro.storage.load_snapshot`);
         remaining keyword arguments are the usual engine knobs
         (``cache=``, ``distance_cache_size=``, ...).
 
@@ -400,12 +400,12 @@ class QueryEngine:
     def save_snapshot(self, path):
         """Persist this engine's built tree + objects to ``path``.
 
-        Serializes the wrapped tree and, when present, the live
-        :class:`ObjectIndex` with its :class:`ObjectSet` — including
-        the set's ``version`` counter, capacity and tombstoned ids.
-        Caches and counters are runtime state and are not persisted; a
-        reloaded engine starts cold on caches but warm on everything
-        expensive. Returns the written
+        Writes the wrapped tree's index file and, when the engine has
+        objects, the :class:`ObjectSet`'s objects file — including the
+        set's ``version`` counter, capacity and tombstoned ids.
+        Caches, counters and the object embedding are runtime state
+        and are not persisted; a reloaded engine starts cold on caches
+        but warm on everything expensive. Returns the index file's
         header (:class:`~repro.storage.snapshot.SnapshotInfo`).
 
         Thread safety: serialization runs under the engine's read
@@ -415,7 +415,7 @@ class QueryEngine:
         from ..storage.snapshot import save_snapshot
 
         with self._lock.read():
-            return save_snapshot(path, self.index, self.object_index)
+            return save_snapshot(path, self.index, self.objects)
 
     # ------------------------------------------------------------------
     # Single-query API

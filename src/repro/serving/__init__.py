@@ -16,8 +16,8 @@ engine, each layer usable alone:
   :class:`~repro.storage.oplog.OpLog` before it is acknowledged.
 * **Shards** (:class:`ShardWorker` / :class:`ShardProcess`) — one
   process per shard: a router behind a socket, with a
-  :class:`PeriodicFlusher` that snapshots dirty engines and compacts
-  their logs.
+  :class:`PeriodicFlusher` that writes dirty engines' object sets
+  back and compacts their logs.
 * **Cluster** (:class:`ClusterFrontend`) — consistent-hash placement
   over N shard processes: multi-core scaling, log-tailing replicas,
   failover and restart with zero acknowledged updates lost, and

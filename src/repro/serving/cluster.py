@@ -117,12 +117,14 @@ class _Registration:
     in ring order — promotion and relocation rewrite this list under
     the cluster mutex. ``rr`` is the venue's read round-robin cursor;
     ``moving`` gates updates while the venue is being re-placed (set
-    means released)."""
+    means released); ``routing`` counts requests that may have read
+    ``nodes`` and are not yet sent."""
 
     nodes: list[int]
     payload: dict
     rr: int = 0
     moving: threading.Event | None = None
+    routing: int = 0
 
 
 class ClusterFrontend:
@@ -142,8 +144,6 @@ class ClusterFrontend:
             disables periodic flushing.
         max_inflight: per-shard bound on concurrently in-flight
             requests (the backpressure knob).
-        mmap: shard workers memory-map snapshot binary sections on warm
-            start (default ``True``).
         restart: respawn crashed shards on the next request for one of
             their venues (on by default; ``False`` turns a crash into a
             permanent ``ServingError`` for that shard's venues once no
@@ -184,7 +184,6 @@ class ClusterFrontend:
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         restart: bool = True,
-        mmap: bool = True,
         vnodes: int = DEFAULT_VNODES,
         registry: MetricsRegistry | None = None,
         admission: AdmissionController | None = None,
@@ -200,7 +199,6 @@ class ClusterFrontend:
         self.capacity = int(capacity)
         self.flush_interval = float(flush_interval)
         self.max_inflight = int(max_inflight)
-        self.mmap = bool(mmap)
         self.restart = bool(restart)
         self.slow_query_threshold = (
             float(slow_query_threshold)
@@ -230,6 +228,8 @@ class ClusterFrontend:
         self._next_shard_id = int(shards)
         self.ring = HashRing(range(int(shards)), vnodes=vnodes)
         self._mutex = threading.Lock()
+        #: notified whenever a registration's ``routing`` count falls
+        self._routed = threading.Condition(self._mutex)
         self._registrations: dict[str, _Registration] = {}
         self._reg_order: list[str] = []
         self._accepting = True
@@ -395,7 +395,6 @@ class ClusterFrontend:
                 capacity=self.capacity,
                 flush_interval=self.flush_interval,
                 max_inflight=self.max_inflight,
-                mmap=self.mmap,
                 slow_query_threshold=self.slow_query_threshold,
                 mp_context=self._mp_context,
             ).start()
@@ -505,11 +504,13 @@ class ClusterFrontend:
                 except ServingError:
                     pass  # dead node: it re-registers on respawn
             # Swap the registration before retiring anything: from here
-            # reads route to the new placement, so dropping the venue
-            # from the old nodes can never strand a concurrent read on
-            # a node that just forgot it. Updates are still gated.
-            with self._mutex:
+            # reads route to the new placement. Wait until every request
+            # that read the old one is sent, so dropping the venue from
+            # the old nodes can never strand it on a node that just
+            # forgot it. Updates are still gated.
+            with self._routed:
                 reg.nodes = list(new_nodes)
+                self._routed.wait_for(lambda: reg.routing == 0)
             self._moves.inc()
             # Retire the old primary if it lost the role: demote first
             # (a replica never compacts — compacting a log another
@@ -592,6 +593,8 @@ class ClusterFrontend:
             except OverloadedError:
                 self._rejected.inc()
                 raise
+        with self._mutex:
+            reg.routing += 1
         try:
             handle = (self._read_handle(reg) if is_read
                       else self._primary_handle(request.venue, reg))
@@ -603,6 +606,10 @@ class ClusterFrontend:
             if admitted:
                 admission.release(request.venue)
             raise
+        finally:
+            with self._routed:
+                reg.routing -= 1
+                self._routed.notify_all()
         if admitted:
             future.add_done_callback(
                 lambda _f, venue=request.venue: admission.release(venue))
@@ -710,7 +717,7 @@ class ClusterFrontend:
 
     def flush(self) -> int:
         """Flush dirty primary engines on every live shard; returns
-        snapshots written. This also compacts the flushed venues' logs
+        objects files written. This also compacts the flushed venues' logs
         (durability does not depend on it — acked updates are already
         logged)."""
         written = 0

@@ -8,12 +8,14 @@ request tagged with a venue id always reaches the index built for
 exactly that venue revision.
 
 Engines are created lazily on first request via
-``catalog.engine_for(space, ...)`` (load the snapshot when one exists,
-else cold-build and save) with ``thread_safe=True``, and live in a
-bounded LRU pool: when more venues are registered than the pool admits,
-the least-recently-used **idle** engine is evicted. An evicted engine
-that served updates is first snapshotted back into its catalog slot
-(*write-back*), so its object state survives eviction and the next
+``catalog.engine_for(space, ..., mmap=True)`` (map the snapshot's index
+file and read its objects file when they exist, else cold-build and
+save) with ``thread_safe=True``, and live in a bounded LRU pool: when
+more venues are registered than the pool admits, the
+least-recently-used **idle** engine is evicted. An evicted engine that
+served updates first has its object set written back into its catalog
+slot (*write-back*: only the objects file is replaced; the index file
+is never rewritten), so its object state survives eviction and the next
 request for that venue warm-starts from where it left off.
 
 Operation log and replication roles
@@ -24,10 +26,10 @@ registered in one of two roles:
 
 * a **primary** applies updates and appends each one to the log
   *before acknowledging it* — so an acked update survives any crash —
-  and compacts the log whenever a write-back snapshots the state it
-  covers,
+  and compacts the log whenever a write-back has durably saved the
+  state it covers,
 * a **replica** refuses updates and *tails* the log instead. Replicas
-  never write snapshots back (a lagging replica must not clobber newer
+  never write back (a lagging replica must not clobber newer
   primary state) and never compact (only the single writer may rewrite
   the file another process is appending to).
 
@@ -139,14 +141,13 @@ class VenueRouter:
     """Dispatch venue-tagged requests to a bounded pool of engines.
 
     Args:
-        catalog: the snapshot catalog engines warm-start from (and are
-            written back into on eviction).
+        catalog: the snapshot catalog engines warm-start from (and
+            whose objects files they are written back into). Index
+            files are memory-mapped, so sibling engines of one venue,
+            in this process or others, share their pages.
         capacity: maximum engines kept in the pool. ``0`` means
             unbounded. Busy engines (requests in flight) are never
             evicted, so the bound is soft under extreme concurrency.
-        mmap: memory-map snapshot binary sections on warm start instead
-            of copying them into each engine — the shard worker turns
-            this on so sibling engines of one venue share page cache.
         registry: the :class:`~repro.obs.registry.MetricsRegistry`
             the router counts into (the ``router_*_total`` series that
             :meth:`stats` reads back) and times warm starts /
@@ -176,7 +177,6 @@ class VenueRouter:
         catalog: SnapshotCatalog,
         *,
         capacity: int = 8,
-        mmap: bool = False,
         registry=None,
         slow_query_threshold: float | None = None,
         slowlog_path=None,
@@ -184,7 +184,6 @@ class VenueRouter:
     ) -> None:
         self.catalog = catalog
         self.capacity = int(capacity)
-        self.mmap = bool(mmap)
         engine_kwargs["thread_safe"] = True
         engine_kwargs.setdefault("registry", registry)
         self.registry = registry = (registry if registry is not None
@@ -242,7 +241,7 @@ class VenueRouter:
         catches up from the log, it does not re-warm-start).
 
         A ``"replica"`` refuses updates and tails the venue's log
-        instead of writing snapshots back.
+        instead of writing its objects back.
 
         Thread safety: safe from any thread.
         """
@@ -354,7 +353,7 @@ class VenueRouter:
         for attempt in (0, 1):
             engine = self.catalog.engine_for(
                 slot.space, objects=slot.objects, builder=slot.builder,
-                mmap=self.mmap, **self._engine_kwargs,
+                mmap=True, **self._engine_kwargs,
             )
             if engine.objects is None:
                 return engine
@@ -379,9 +378,9 @@ class VenueRouter:
     def _evict_idle_locked(self) -> None:
         """Evict least-recently-used idle engines down to capacity.
 
-        Caller holds the mutex. Engines that served updates are
-        snapshotted back into their catalog slot first (write-back), so
-        no object state is lost; the save happens synchronously — the
+        Caller holds the mutex. Engines that served updates have their
+        object set written back into their catalog slot first, so no
+        object state is lost; the save happens synchronously — the
         caller that triggered the eviction pays it, keeping the pool
         bound honest.
         """
@@ -409,17 +408,17 @@ class VenueRouter:
 
     def _write_back(self, venue_id: str, engine: QueryEngine,
                     slot: _VenueSlot | None) -> bool:
-        """Persist ``engine`` to its catalog slot if it is a dirty
-        *primary* — i.e. has served updates since its last write-back.
-        Runs under the engine's read lock, so the saved state is
-        point-in-time consistent: concurrent updates wait, concurrent
-        queries do not. The save also compacts the venue's log (the
-        snapshot now covers those records), holding the log lock across
-        both so no append lands between them.
-        Replicas never write back: a lagging replica snapshotting over
-        the primary's newer state would un-apply acknowledged updates.
+        """Save ``engine``'s object set to its catalog slot's objects file
+        if it is a dirty *primary* — i.e. has served updates since its
+        last write-back. The set is saved under the engine's read lock,
+        so it is point-in-time consistent: concurrent updates wait,
+        concurrent queries do not. Then the venue's log is compacted
+        (the durable objects file now covers those records), holding the
+        log lock across both so no append lands between them.
+        Replicas never write back: a lagging replica saving over the
+        primary's newer state would un-apply acknowledged updates.
         Engines without an object set never have updates to save.
-        Returns whether a snapshot was written.
+        Returns whether the objects file was written.
         """
         if slot is None or slot.role != "primary" or engine.objects is None:
             return False
@@ -430,7 +429,7 @@ class VenueRouter:
                 updates = engine.stats().updates
                 if updates <= self._saved_updates.get(venue_id, 0):
                     return False
-                self.catalog.save(engine.index, engine.object_index)
+                self.catalog.save_objects(slot.space, engine.objects)
                 saved_version = engine.objects.version
             state.log.compact(saved_version)
         self._saved_updates[venue_id] = updates
@@ -657,15 +656,16 @@ class VenueRouter:
         Dirty means updated since its last write-back — repeat flushes
         of an unchanged engine are no-ops. Each written venue's log is
         compacted, so flushing bounds log length (durability does not
-        depend on it). Returns the number of snapshots written; engines
-        stay pooled.
+        depend on it). Returns the number of objects files written;
+        engines stay pooled.
 
-        Thread safety: safe concurrently with requests. Each engine is
-        serialized under its read lock, so every written snapshot is
+        Thread safety: safe concurrently with requests. Each object set
+        is saved under its engine's read lock, so every written file is
         point-in-time consistent (concurrent updates briefly wait;
         queries do not). Like eviction write-back, the save runs under
-        the router mutex — other venues' dispatch stalls for the
-        duration of each dirty engine's save.
+        the router mutex — other venues' dispatch stalls while each
+        dirty engine's objects file is written and fsynced and its log
+        compacted (milliseconds: the index file is never rewritten).
         """
         start = perf_counter()
         with self._mutex:
@@ -793,7 +793,7 @@ class PeriodicFlusher:
         self._thread: threading.Thread | None = None
         #: completed flush cycles (including no-op ones)
         self.cycles = 0
-        #: snapshots written across all cycles
+        #: objects files written across all cycles
         self.written = 0
         #: flush cycles that raised
         self.errors = 0

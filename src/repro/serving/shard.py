@@ -33,8 +33,8 @@ Lifecycle and durability:
   recovers every acknowledged update,
 * the worker runs a background :class:`~repro.serving.router.
   PeriodicFlusher` by default, and flushes once more on graceful
-  drain/shutdown. Each flush snapshots dirty engines and compacts
-  their logs, which bounds how much log a restart replays,
+  drain/shutdown. Each flush writes dirty engines' object sets back
+  and compacts their logs, which bounds how much log a restart replays,
 * the fault-injection kinds (:data:`~repro.serving.protocol.
   FAULT_KINDS`) make the worker die *without* flushing: ``crash``
   immediately, ``crash_after_n_ops`` mid-update-stream after letting
@@ -136,10 +136,6 @@ class ShardWorker:
         flush_interval: background snapshot-and-compaction period in
             seconds; ``0`` disables the periodic flusher (a graceful
             shutdown still flushes).
-        mmap: memory-map snapshot binary sections on warm start
-            (default ``True``): shard processes of one host serving the
-            same catalog then share the bulk index pages through the OS
-            page cache instead of each holding a private copy.
         slow_query_threshold: seconds; requests slower than this are
             recorded in the shard's structured slow-query log (a JSONL
             file under ``<catalog_root>/obs/``). ``None`` disables the
@@ -166,7 +162,6 @@ class ShardWorker:
         shard_id: int = 0,
         capacity: int = 8,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
-        mmap: bool = True,
         slow_query_threshold: float | None = None,
     ) -> None:
         self.shard_id = int(shard_id)
@@ -176,7 +171,6 @@ class ShardWorker:
             if slow_query_threshold is not None else None
         )
         self.router = VenueRouter(SnapshotCatalog(catalog_root), capacity=capacity,
-                                  mmap=mmap,
                                   registry=self.registry,
                                   slow_query_threshold=slow_query_threshold,
                                   slowlog_path=slowlog_path)
@@ -367,7 +361,7 @@ def _no_delay(sock: socket.socket) -> None:
 
 
 def _shard_entry(port: int, catalog_root: str, shard_id: int, capacity: int,
-                 flush_interval: float, mmap: bool = True,
+                 flush_interval: float,
                  slow_query_threshold: float | None = None) -> None:
     """Child-process entry point: connect back to the parent and serve."""
     sock = socket.create_connection(("127.0.0.1", port), timeout=_CONNECT_TIMEOUT)
@@ -376,7 +370,7 @@ def _shard_entry(port: int, catalog_root: str, shard_id: int, capacity: int,
     try:
         worker = ShardWorker(
             catalog_root, shard_id=shard_id, capacity=capacity,
-            flush_interval=flush_interval, mmap=mmap,
+            flush_interval=flush_interval,
             slow_query_threshold=slow_query_threshold,
         )
         worker.serve(sock)
@@ -413,7 +407,6 @@ class ShardProcess:
         capacity: int = 8,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        mmap: bool = True,
         slow_query_threshold: float | None = None,
         mp_context=None,
     ) -> None:
@@ -423,7 +416,6 @@ class ShardProcess:
         self.shard_id = int(shard_id)
         self.capacity = int(capacity)
         self.flush_interval = float(flush_interval)
-        self.mmap = bool(mmap)
         self.slow_query_threshold = (
             float(slow_query_threshold)
             if slow_query_threshold is not None else None
@@ -460,7 +452,7 @@ class ShardProcess:
             self.process = ctx.Process(
                 target=_shard_entry,
                 args=(port, self.catalog_root, self.shard_id, self.capacity,
-                      self.flush_interval, self.mmap, self.slow_query_threshold),
+                      self.flush_interval, self.slow_query_threshold),
                 name=f"repro-shard-{self.shard_id}",
                 daemon=True,
             )

@@ -7,12 +7,13 @@ across process lifetimes:
 
 * :func:`save_snapshot` / :func:`load_snapshot` — serialize a fully
   built VIP-Tree (tree structure, leaf partitions, distance matrices,
-  group tables, access lists, plus the object set/index with its
-  version counter) into a versioned, integrity-checked file and restore
-  it **ready to query, with zero rebuild**,
+  group tables, access lists) into a versioned, integrity-checked
+  index file and the object set into an objects file beside it, and
+  restore the tree **ready to query, with zero rebuild**,
+* :func:`save_objects` — a write-back: replace only the objects file,
 * :func:`verify_snapshot` / :func:`read_snapshot_info` — integrity and
-  header inspection (``deep=True`` cross-checks restored answers
-  against the Dijkstra oracle),
+  header inspection of both files (``deep=True`` cross-checks restored
+  answers against the Dijkstra oracle),
 * :class:`SnapshotCatalog` — a directory of snapshots keyed by venue
   fingerprint, one per venue (multi-venue serving), with
   :meth:`~SnapshotCatalog.engine_for` as the load-or-build warm-start
@@ -44,7 +45,9 @@ from .snapshot import (
     Snapshot,
     SnapshotInfo,
     load_snapshot,
+    objects_path,
     read_snapshot_info,
+    save_objects,
     save_snapshot,
     venue_fingerprint,
     verify_snapshot,
@@ -62,7 +65,9 @@ __all__ = [
     "oplog_path",
     "scan_oplog",
     "load_snapshot",
+    "objects_path",
     "read_snapshot_info",
+    "save_objects",
     "save_snapshot",
     "venue_fingerprint",
     "verify_snapshot",

@@ -1,5 +1,9 @@
 """Snapshot CLI: ``python -m repro.storage <build|load|verify|ls>``.
 
+A snapshot is an index file (``*.snap``) and, with objects, an objects
+file beside it; ``verify`` checks both. ``ls`` lists per venue: kind,
+doors, partitions, live objects, set version, bytes, index file path.
+
 Examples:
     python -m repro.storage build --venue MC --profile tiny --out mc.snap
     python -m repro.storage build --venue Men-2 --profile small \\
@@ -21,7 +25,6 @@ import time
 from pathlib import Path
 
 from ..bench.reporting import Table
-from ..core.objects_index import ObjectIndex
 from ..core.viptree import VIPTree
 from ..datasets.profiles import PROFILES
 from ..datasets.venues import VENUE_NAMES, load_venue
@@ -29,7 +32,13 @@ from ..datasets.workloads import random_objects
 from ..exceptions import SnapshotError
 from ..model.io_json import load_space
 from .catalog import SnapshotCatalog
-from .snapshot import load_snapshot, save_snapshot, verify_snapshot
+from .snapshot import (
+    _read_objects,
+    load_snapshot,
+    objects_path,
+    save_snapshot,
+    verify_snapshot,
+)
 
 
 def _resolve_venue(name: str, profile: str, seed: int | None):
@@ -56,10 +65,9 @@ def _cmd_build(args) -> int:
     build_s = time.perf_counter() - start
     objects = None
     if args.objects > 0:
-        object_set = random_objects(
+        objects = random_objects(
             space, args.objects, seed=17 if args.seed is None else args.seed
         )
-        objects = ObjectIndex(index, object_set)
     start = time.perf_counter()
     if args.out:
         path = Path(args.out)
@@ -71,7 +79,7 @@ def _cmd_build(args) -> int:
     print(
         f"built {info.kind} for {info.venue!r} in {build_s:.3f}s "
         f"({info.num_doors} doors, {info.num_partitions} partitions"
-        + (f", {info.num_objects} objects" if info.num_objects is not None else "")
+        + (f", {len(objects)} objects" if objects is not None else "")
         + ")"
     )
     print(
@@ -100,8 +108,7 @@ def _cmd_load(args) -> int:
     if snap.objects is not None:
         print(
             f"  objects: {len(snap.objects)} live / capacity {snap.objects.capacity}, "
-            f"version {snap.objects.version}, "
-            f"object index {'restored' if snap.object_index is not None else 'not stored'}"
+            f"version {snap.objects.version} (embedded on engine start)"
         )
     # Prove "ready to query": one distance through the loaded index.
     last = snap.space.num_doors - 1
@@ -132,7 +139,8 @@ def _cmd_verify(args) -> int:
             print(f"FAIL {exc}", file=sys.stderr)
         else:
             print(
-                f"ok   {path} — {info.kind} for {info.venue!r} "
+                f"ok   {path} — {info.kind} for {info.venue!r}"
+                f"{' + objects' if objects_path(path).is_file() else ''} "
                 f"({'deep' if args.deep else 'header+hash'})"
             )
     return 1 if failures else 0
@@ -145,18 +153,21 @@ def _cmd_ls(args) -> int:
         return 0
     table = Table(
         title=f"Snapshot catalog {args.catalog}",
-        headers=["venue", "kind", "doors", "partitions", "objects", "bytes", "path"],
+        headers=["venue", "kind", "doors", "partitions", "objects", "version",
+                 "bytes", "path"],
     )
     for e in entries:
-        table.add_row(
-            e.venue,
-            e.kind,
-            e.num_doors,
-            e.num_partitions,
-            e.num_objects if e.num_objects is not None else "-",
-            Path(e.path).stat().st_size,
-            str(Path(e.path).relative_to(args.catalog)),
-        )
+        path, extra = Path(e.path), objects_path(e.path)
+        try:
+            objects = _read_objects(extra, e.fingerprint)
+        except SnapshotError:
+            live = version = "damaged"
+        else:
+            live, version = ((len(objects), objects.version)
+                             if objects is not None else ("-", "-"))
+        size = path.stat().st_size + (extra.stat().st_size if extra.is_file() else 0)
+        table.add_row(e.venue, e.kind, e.num_doors, e.num_partitions, live,
+                      version, size, str(path.relative_to(args.catalog)))
     print(table.render())
     return 0
 
@@ -173,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
                          help=f"venue name ({', '.join(VENUE_NAMES)}) or venue .json path")
     p_build.add_argument("--profile", default="tiny", choices=PROFILES)
     p_build.add_argument("--objects", type=int, default=0,
-                         help="also embed N random objects (0 = none)")
+                         help="also save N random objects (0 = none)")
     p_build.add_argument("--seed", type=int, default=None)
     p_build.add_argument("--skip-existing", action="store_true",
                          help="keep an already-existing snapshot at the destination "
@@ -190,10 +201,11 @@ def main(argv: list[str] | None = None) -> int:
     p_load.add_argument("--seed", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="integrity-check snapshot files")
-    p_verify.add_argument("paths", nargs="*", help="snapshot files")
+    p_verify.add_argument("paths", nargs="*",
+                          help="index files (each one's objects file is checked too)")
     p_verify.add_argument("--catalog", help="also verify every snapshot in this catalog")
     p_verify.add_argument("--deep", action="store_true",
-                          help="restore all sections and cross-check vs the Dijkstra oracle")
+                          help="restore both files and cross-check vs the Dijkstra oracle")
 
     p_ls = sub.add_parser("ls", help="list a snapshot catalog")
     p_ls.add_argument("--catalog", required=True)

@@ -2,16 +2,20 @@
 
 The seed of multi-venue serving: one catalog directory holds one
 subdirectory per *venue fingerprint* (so two venues sharing a name — or
-one venue across edits — never collide), each containing the venue's
-VIP-Tree snapshot (and, once it serves updates, its operation log)::
+one venue across edits — never collide). Each holds the venue's
+snapshot as two files, the VIP-Tree's index file and its objects file,
+and, once the venue serves updates, its operation log::
 
     <root>/
       mc-2f9a81c04d3b/
         vip-tree.snap
       men-2-77e03a129bf0/
         vip-tree.snap
+        vip-tree.objects
         vip-tree.oplog
 
+The cold build writes the index file once; a write-back
+(:meth:`SnapshotCatalog.save_objects`) replaces only the objects file.
 The key is the venue fingerprint, never just the name.
 :meth:`SnapshotCatalog.engine_for` is the warm-start entry point a
 serving process calls per venue: load the snapshot when one exists,
@@ -25,14 +29,14 @@ A catalog may be shared by many serving threads (that is exactly what
 * :meth:`load_or_build` / :meth:`engine_for` serialize per catalog
   **slot** (venue fingerprint): when several threads warm-start
   the same venue concurrently, exactly one pays the cold build and
-  saves the snapshot — the rest load the file it wrote. Different
+  saves the snapshot — the rest load the files it wrote. Different
   slots proceed fully in parallel.
 * :meth:`load`, :meth:`has`, :meth:`entries`, :meth:`path_for` and
   :meth:`venue_dir` are read-only and safe from any thread.
-* :meth:`save` is atomic at the file level (the snapshot writer
-  replaces the file in one rename), but concurrent *external* writers
-  to the same slot are last-writer-wins — route concurrent warm starts
-  through :meth:`load_or_build` instead.
+* :meth:`save` and :meth:`save_objects` are atomic at the file level
+  (each file is replaced in one rename), but concurrent *external*
+  writers to the same slot are last-writer-wins — route concurrent warm
+  starts through :meth:`load_or_build` instead.
 """
 
 from __future__ import annotations
@@ -45,12 +49,14 @@ from ..core.objects_index import ObjectIndex
 from ..core.viptree import VIPTree
 from ..exceptions import SnapshotError
 from ..model.indoor_space import IndoorSpace
+from ..model.objects import ObjectSet
 from .snapshot import (
     SNAPSHOT_SUFFIX,
     Snapshot,
     SnapshotInfo,
     load_snapshot,
     read_snapshot_info,
+    save_objects,
     save_snapshot,
     venue_fingerprint,
 )
@@ -65,7 +71,8 @@ def _slug(name: str) -> str:
     return s or "venue"
 
 
-#: the one snapshot file each venue directory holds
+#: the index file each venue directory holds (its objects file and op
+#: log are named after it)
 _SLOT_NAME = f"{_slug(VIPTree.index_name)}{SNAPSHOT_SUFFIX}"
 
 
@@ -92,7 +99,7 @@ class SnapshotCatalog:
         return self.root / f"{_slug(space.name)}-{venue_fingerprint(space)[:_FP_PREFIX]}"
 
     def path_for(self, space: IndoorSpace) -> Path:
-        """Where the venue's snapshot lives (existing or not)."""
+        """Where the venue's index file lives (existing or not)."""
         return self.venue_dir(space) / _SLOT_NAME
 
     def has(self, space: IndoorSpace) -> bool:
@@ -102,17 +109,26 @@ class SnapshotCatalog:
     # Save / load
     # ------------------------------------------------------------------
     def save(self, index: VIPTree, objects=None) -> SnapshotInfo:
-        """Snapshot a built VIP-Tree into its venue's slot.
+        """Snapshot a built VIP-Tree into its venue's slot: the index file
+        and, with ``objects`` (an :class:`ObjectSet`, or an
+        :class:`ObjectIndex` whose set is stored), the objects file.
 
-        Returns the written header (its ``path`` field is the slot)."""
+        Returns the index file's header (its ``path`` field is the slot)."""
+        if isinstance(objects, ObjectIndex):
+            objects = objects.objects
         return save_snapshot(self.path_for(index.space), index, objects)
+
+    def save_objects(self, space: IndoorSpace, objects: ObjectSet) -> SnapshotInfo:
+        """Replace the venue's objects file (a write-back); the index file
+        is not rewritten. Returns the objects file's header."""
+        return save_objects(self.path_for(space), space, objects)
 
     def load(self, space: IndoorSpace, kind: str = VIPTree.index_name, *,
              mmap: bool = False) -> Snapshot:
         """Load the venue's snapshot, fingerprint-checked against ``space``.
 
         ``kind`` must be ``"VIP-Tree"``, the only kind a catalog holds.
-        ``mmap=True`` maps the snapshot's binary section instead of
+        ``mmap=True`` maps the index file's binary section instead of
         copying it (see :func:`~repro.storage.snapshot.load_snapshot`).
 
         Raises:
@@ -162,10 +178,11 @@ class SnapshotCatalog:
         load path (a cold build still serves its live in-memory state).
         Loads the catalog's snapshot when present (``loaded=True``);
         otherwise cold-builds the tree (``builder(space)`` when given,
-        else :meth:`VIPTree.build`), saves it together with
-        ``objects``, and serves the just-built live state directly
-        (``loaded=False``) — no redundant re-parse of the file it just
-        wrote. Either way the result is ready to query.
+        else :meth:`VIPTree.build`), saves it together with the
+        :class:`ObjectSet` ``objects``, and serves the just-built tree
+        and that set directly (``loaded=False``) — no redundant
+        re-parse of the files it just wrote. Either way the result is
+        ready to query.
 
         Thread safety: concurrent calls for the same venue slot are
         serialized — one caller builds and saves, the rest
@@ -176,21 +193,8 @@ class SnapshotCatalog:
             if self.has(space):
                 return self.load(space, mmap=mmap), True
             index = builder(space) if builder is not None else VIPTree.build(space)
-            # An ObjectIndex argument wraps some *previous* tree —
-            # re-embed its object set into the freshly built one.
-            object_set = objects.objects if isinstance(objects, ObjectIndex) else objects
-            object_index = (
-                ObjectIndex(index, object_set) if object_set is not None else None
-            )
-            info = self.save(index, object_index)
-            snapshot = Snapshot(
-                info=info,
-                space=space,
-                index=index,
-                objects=object_set,
-                object_index=object_index,
-            )
-            return snapshot, False
+            info = self.save(index, objects)
+            return Snapshot(info=info, space=space, index=index, objects=objects), False
 
     def engine_for(
         self,

@@ -1,8 +1,8 @@
 """Per-venue update-operation log: the snapshot's durable tail.
 
-Snapshots persist a venue's *full* object state as of their last
-flush; the operation log holds every acknowledged update since. The
-venue's **primary** appends each applied
+A snapshot's objects file holds a venue's object set as of its last
+write-back; the operation log holds every acknowledged update since.
+The venue's **primary** appends each applied
 :class:`~repro.model.objects.UpdateOp` to an append-only, checksummed
 file next to the snapshot *before acknowledging it*, so
 
@@ -11,7 +11,8 @@ file next to the snapshot *before acknowledging it*, so
 * a **replica** tails the same file and applies new records to its own
   engine, serving reads at the primary's heels,
 * a crash loses zero acknowledged updates: each one is fsynced before
-  its ack.
+  its ack, and so is the directory entry of a log file the append
+  created.
 
 File format — one record per op, strictly version-ordered::
 
@@ -36,8 +37,9 @@ the stream stays parseable forever.
 
 Single-writer by contract: one primary appends; any number of readers
 tail concurrently (reads never take the writer's handle). Compaction
-(:meth:`OpLog.compact`) is atomic — rewrite-then-rename, the same
-discipline snapshots use.
+(:meth:`OpLog.compact`) is atomic and durable — rewrite, fsync, rename,
+fsync the directory — the discipline snapshot files are published with
+(:func:`~repro.storage.snapshot.write_durably`).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from time import perf_counter
 from ..exceptions import SnapshotError
 from ..model.io_json import canonical_dumps, op_from_dict, op_to_dict
 from ..model.objects import UpdateOp
+from .snapshot import sync_directory, write_durably
 
 #: suffix of a venue's operation log, next to its snapshot:
 #: ``vip-tree.snap`` -> ``vip-tree.oplog``
@@ -243,11 +246,13 @@ class OpLog:
         """Drop records already captured by a snapshot at
         ``keep_after_version``; returns how many were dropped.
 
-        Atomic: survivors are rewritten to a temp file which replaces
-        the log in one rename — a reader sees either the old file or
-        the new one, never a partial rewrite. Call only *after* the
-        snapshot at ``keep_after_version`` is safely on disk, or the
-        dropped records' durability dies with them.
+        Atomic and durable: survivors are rewritten to a temp file which
+        is fsynced and replaces the log in one rename, and then the
+        directory is fsynced — a reader sees either the old file or the
+        new one, never a partial rewrite, and a crash after the return
+        keeps the new one. Call only *after* the snapshot at
+        ``keep_after_version`` is durable, or the dropped records'
+        durability dies with them.
         """
         with self._mutex:
             scan = scan_oplog(self.path)
@@ -255,20 +260,8 @@ class OpLog:
             if len(keep) == len(scan.records) and not scan.damaged:
                 return 0
             self._close_locked()
-            # unique temp name: a just-demoted primary's last compact
-            # must not collide with the promoted one's first
-            tmp = self.path.with_name(
-                f"{self.path.name}.tmp.{os.getpid()}")
-            try:
-                with open(tmp, "wb") as fh:
-                    for record in keep:
-                        fh.write(_encode_record(record.version, record.op))
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            write_durably(self.path, b"".join(
+                _encode_record(r.version, r.op) for r in keep))
             self._last_version = keep[-1].version if keep else 0
             return len(scan.records) - len(keep)
 
@@ -281,17 +274,20 @@ class OpLog:
     def _open_locked(self):
         if self._fh is None:
             scan = scan_oplog(self.path)
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             if scan.damaged:
                 # Repair before appending: bytes after the valid prefix
                 # were never acknowledged (we fsync before acking), so
                 # truncating them loses nothing — and appending after
                 # garbage would orphan every later record.
-                self.path.parent.mkdir(parents=True, exist_ok=True)
                 with open(self.path, "ab") as fh:
                     fh.truncate(scan.valid_bytes)
-            else:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
+            created = not self.path.exists()
             self._fh = open(self.path, "ab")
+            if created and self.sync:
+                # the new file's name must be as durable as the records
+                # fsynced into it
+                sync_directory(self.path.parent)
             self._last_version = (
                 scan.records[-1].version if scan.records else 0
             )

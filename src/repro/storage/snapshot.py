@@ -1,46 +1,45 @@
 """Versioned, integrity-checked snapshot files for built VIP-Trees.
 
-A snapshot file persists one fully built
-:class:`~repro.core.viptree.VIPTree` together with the venue it was
-built for and (optionally) its object set and leaf-attached
-:class:`~repro.core.objects_index.ObjectIndex`, so a later process
-loads a **ready-to-query** tree with zero rebuild.
+A snapshot is two files side by side. The **index file** (``*.snap``)
+holds one built :class:`~repro.core.viptree.VIPTree` and its venue; the
+cold build writes it once and nothing rewrites it, so a serving process
+may keep it mapped. The **objects file** (:func:`objects_path`) holds
+the venue's :class:`~repro.model.objects.ObjectSet` with its capacity,
+tombstoned ids and version counter; a write-back replaces only it
+(:func:`save_objects`). The object embedding
+(:class:`~repro.core.objects_index.ObjectIndex`) is not stored: the
+engine rebuilds it from the set, as the tree derives its leaf door
+matrices and the embedding its door legs.
 
-File layout (all deterministic — saving the same build twice yields
-byte-identical files, so snapshot hashes are reproducible)::
+Both files share one deterministic layout (the same state always yields
+byte-identical files, so hashes are reproducible)::
 
     <header JSON>\\n
-    <payload: canonical JSON of the body document>
-    <zero padding to an 8-byte file offset>
-    <binary section: packed numeric arrays, 8-byte aligned>
+    <payload: canonical JSON document>
+    <zero padding to an 8-byte file offset>                  (index only)
+    <binary section: packed numeric arrays, 8-byte aligned>  (index only)
 
-The binary section (format 2) holds the bulk numerics — distance
-matrices, next-hop tables, VIP stores, edge weights — written through
-:func:`repro.model.packing.binary_sink`; the JSON payload stores only
-compact ``@bin:`` references into it. Because every array sits at an
-8-byte-aligned file offset, ``load_snapshot(mmap=True)`` maps the file
-and hands the index zero-copy numpy views instead of deserializing
-(format-1 files, which inline the arrays as base64, still load — just
-without the zero-copy path).
+The index payload is ``{"space": <venue>, "index": <VIPTree.to_state()
+output>}``; its bulk numerics (distance matrices, next-hop tables, VIP
+stores, edge weights) go through :func:`repro.model.packing.binary_sink`
+into the binary section, and the JSON keeps only ``@bin:`` references.
+Every array sits at an 8-byte-aligned file offset, so
+``load_snapshot(mmap=True)`` hands the index zero-copy numpy views of
+the mapped file. The objects payload is
+:func:`~repro.model.io_json.objects_to_dict` output.
 
-The single-line header carries the magic string, the snapshot format
-version, the index kind (always ``"VIP-Tree"``; any other kind is
-refused), the **venue fingerprint** (SHA-256 of the
-venue's canonical JSON document) and each section's SHA-256 + byte
-length. :func:`load_snapshot` refuses files whose magic/format do not
-match, whose sections fail the hash check (truncation, corruption), or
-— when the caller supplies the venue they intend to query — whose
-fingerprint differs from that venue (a stale snapshot of an edited or
-different venue must never serve answers). A snapshot loaded with
-``mmap=True`` keeps reading the file after load returns, so
-:meth:`Snapshot.reverify` re-hashes both sections through the live
-mapping to detect on-disk modification after mapping.
-
-The body document holds ``space`` (venue), ``index``
-(:meth:`VIPTree.to_state` output) and optional ``objects`` /
-``object_index`` sections. Object sets
-round-trip with their ``capacity``, tombstoned ids and ``version``
-counter intact.
+The header line carries the magic string, the format version, the kind
+(``"VIP-Tree"`` or ``"objects"``), the **venue fingerprint** (SHA-256
+of the venue's canonical JSON document) and each section's SHA-256 and
+byte length. Loads refuse a wrong magic, format or kind (formats 1 and
+2 kept the objects and their embedding in the index file: rebuild
+them), a section that fails its hash (truncation, corruption), an
+objects file of another venue than its index file, and — when the
+caller names the venue to serve — a fingerprint that differs from it (a
+stale snapshot must never serve answers). :meth:`Snapshot.reverify`
+re-hashes an ``mmap=True`` load's sections through the live mapping,
+catching a file modified on disk after mapping. Every file is published
+with :func:`write_durably`.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from pathlib import Path
 
 from ..core.objects_index import ObjectIndex
 from ..core.viptree import VIPTree
-from ..exceptions import SnapshotError
+from ..exceptions import ReproError, SnapshotError
 from ..model.io_json import (
     canonical_dumps,
     objects_from_dict,
@@ -69,10 +68,11 @@ from ..model.objects import ObjectSet
 from ..model.packing import BinaryReader, BinarySink, binary_reader, binary_sink
 
 MAGIC = "repro-index-snapshot"
-FORMAT_VERSION = 2
-#: formats this library can read (format 1 inlined packed arrays as
-#: base64; format 2 moved them to the aligned binary section)
-SUPPORTED_FORMATS = (1, 2)
+#: the only format this library reads or writes (format 3 moved the
+#: object set into its own file and stopped storing its embedding)
+FORMAT_VERSION = 3
+#: the header kind of an objects file (an index file's is the index's)
+OBJECTS_KIND = "objects"
 
 #: every field the parsers read; their absence (despite valid magic and
 #: format) must surface as SnapshotError, never KeyError
@@ -84,12 +84,17 @@ _REQUIRED_HEADER_KEYS = (
     "payload_bytes",
     "num_doors",
     "num_partitions",
-    "num_objects",
-    "has_object_index",
 )
 
-#: conventional file suffix (the catalog and CLI use it; not enforced)
+#: conventional index file suffix (the catalog and CLI use it; not enforced)
 SNAPSHOT_SUFFIX = ".snap"
+#: suffix of a snapshot's objects file: ``vip-tree.snap`` -> ``vip-tree.objects``
+OBJECTS_SUFFIX = ".objects"
+
+
+def objects_path(snapshot_path: str | Path) -> Path:
+    """Where the objects file of the snapshot at ``snapshot_path`` lives."""
+    return Path(snapshot_path).with_suffix(OBJECTS_SUFFIX)
 
 
 def venue_fingerprint(space: IndoorSpace) -> str:
@@ -115,7 +120,7 @@ def venue_fingerprint(space: IndoorSpace) -> str:
 
 @dataclass(slots=True, frozen=True)
 class SnapshotInfo:
-    """The (verified) header of a snapshot file."""
+    """The (verified) header of a snapshot's index or objects file."""
 
     format: int
     kind: str
@@ -125,15 +130,13 @@ class SnapshotInfo:
     payload_bytes: int
     num_doors: int
     num_partitions: int
-    num_objects: int | None
-    has_object_index: bool
     #: wall-clock seconds the cold build took (metadata — excluded from
     #: the hashed payload so snapshot hashes stay reproducible)
     build_seconds: float | None
     library: str
     path: str = ""
-    #: byte length / SHA-256 of the out-of-band binary section
-    #: (format >= 2; zero/empty for format-1 files)
+    #: byte length / SHA-256 of the out-of-band binary section (an
+    #: index file's; zero/empty for an objects file)
     binary_bytes: int = 0
     binary_sha256: str = ""
 
@@ -184,13 +187,12 @@ class _SnapshotMapping:
 
 @dataclass(slots=True)
 class Snapshot:
-    """A loaded snapshot: venue + ready-to-query tree (+ objects)."""
+    """A loaded snapshot: venue + ready-to-query tree (+ object set)."""
 
     info: SnapshotInfo
     space: IndoorSpace
     index: VIPTree
     objects: ObjectSet | None = None
-    object_index: ObjectIndex | None = None
     #: set only for ``mmap=True`` loads: the live mapping the index's
     #: numpy views read from
     mapping: _SnapshotMapping | None = None
@@ -198,11 +200,11 @@ class Snapshot:
     def reverify(self) -> None:
         """Re-check the snapshot's section checksums.
 
-        For an mmap-loaded snapshot this re-hashes the **live mapping**
-        — detecting a file modified on disk after mapping, which would
-        otherwise silently change query answers. For a regular load it
-        re-reads and re-checks the file. Raises :class:`SnapshotError`
-        on any mismatch.
+        For an mmap-loaded snapshot this re-hashes the index file's
+        **live mapping** — detecting a file modified on disk after
+        mapping, which would otherwise silently change query answers.
+        For a regular load it re-reads and re-checks both files. Raises
+        :class:`SnapshotError` on any mismatch.
         """
         if self.mapping is not None:
             self.mapping.verify()
@@ -210,16 +212,12 @@ class Snapshot:
             verify_snapshot(self.info.path)
 
     def engine(self, **engine_kwargs):
-        """Warm-start a :class:`~repro.engine.engine.QueryEngine`.
-
-        The restored :class:`ObjectIndex` (when present) is handed to
-        the engine directly, so not even the object embedding is
-        rebuilt.
-        """
+        """Warm-start a :class:`~repro.engine.engine.QueryEngine`, which
+        embeds the object set into the loaded tree (the one part of the
+        warm state a snapshot does not store)."""
         from ..engine.engine import QueryEngine  # lazy: engine is a higher layer
 
-        objects = self.object_index if self.object_index is not None else self.objects
-        return QueryEngine(self.index, objects, **engine_kwargs)
+        return QueryEngine(self.index, self.objects, **engine_kwargs)
 
 
 def _library_version() -> str:
@@ -228,31 +226,125 @@ def _library_version() -> str:
     return __version__
 
 
-def save_snapshot(path: str | Path, index: VIPTree, objects=None) -> SnapshotInfo:
-    """Serialize a built VIP-Tree (and optionally its objects) to ``path``.
+def sync_directory(directory: str | Path) -> None:
+    """fsync a directory, so the names just created in it or renamed
+    into it survive a crash."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def write_durably(path: str | Path, data: bytes) -> None:
+    """Publish ``data`` at ``path`` atomically and durably.
+
+    The bytes go to a temp file unique to this writer (replicated shards
+    cold-build one venue from separate processes, and a shared temp name
+    lets one writer publish another's half-written file). The temp file
+    is fsynced, renamed over ``path``, and then the directory is
+    fsynced: a crash leaves either the old file or the complete new one
+    at ``path``, and once this returns the new one survives a crash.
+    Parent directories are created, and a new one's name is synced too.
+    """
+    out = Path(path)
+    new_dir = not out.parent.is_dir()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f"{out.name}.tmp.{os.getpid()}.{threading.get_ident()}")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    sync_directory(out.parent)
+    if new_dir:
+        sync_directory(out.parent.parent)
+
+
+def _write(path: Path, kind: str, space: IndoorSpace, payload: bytes,
+           binary: bytes = b"", **fields) -> SnapshotInfo:
+    """Frame ``payload`` (and an index file's ``binary`` section) under a
+    header of ``kind`` for ``space``, and publish it at ``path``."""
+    header = {
+        "magic": MAGIC,
+        "format": FORMAT_VERSION,
+        "kind": kind,
+        "venue": space.name,
+        "fingerprint": venue_fingerprint(space),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_bytes": len(payload),
+        "num_doors": space.num_doors,
+        "num_partitions": space.num_partitions,
+        "library": _library_version(),
+        **fields,
+    }
+    if binary:
+        header["binary_sha256"] = hashlib.sha256(binary).hexdigest()
+        header["binary_bytes"] = len(binary)
+    head = canonical_dumps(header).encode("utf-8")
+    if binary:
+        # Align the header line (newline included) to 8 bytes with JSON
+        # whitespace, so the zero padding below depends only on the
+        # payload — never on variable-width header fields like
+        # build_seconds. Everything after the first newline is then a
+        # pure function of the index content.
+        head += b" " * ((-(len(head) + 1)) % 8)
+    data = head + b"\n" + payload
+    if binary:
+        # pad so the binary section (whose arrays are internally
+        # 8-aligned) starts at an 8-aligned file offset — page-aligned
+        # mmap + aligned offset = aligned numpy views
+        data += b"\x00" * ((-len(data)) % 8) + binary
+    write_durably(path, data)
+    return _info_from_header(header, path)
+
+
+def save_objects(path: str | Path, space: IndoorSpace,
+                 objects: ObjectSet) -> SnapshotInfo:
+    """Replace the objects file of the snapshot at ``path`` with
+    ``objects`` (capacity, tombstoned ids and version counter included)
+    under ``space``'s fingerprint — a write-back; the index file is not
+    touched. Returns its header; raises :class:`SnapshotError` when
+    ``objects`` is not an :class:`ObjectSet`."""
+    if not isinstance(objects, ObjectSet):
+        raise SnapshotError(
+            f"objects must be an ObjectSet, got {type(objects).__name__}")
+    payload = canonical_dumps(objects_to_dict(objects)).encode("utf-8")
+    return _write(objects_path(path), OBJECTS_KIND, space, payload)
+
+
+def save_snapshot(path: str | Path, index: VIPTree,
+                  objects: ObjectSet | None = None) -> SnapshotInfo:
+    """Write a built VIP-Tree's index file to ``path``, and with
+    ``objects`` its objects file (:func:`objects_path`).
 
     Args:
-        path: destination file (parent directories are created).
+        path: the index file (parent directories are created).
         index: a built :class:`VIPTree` — exactly that class; an
             :class:`~repro.core.tree.IPTree`, a baseline or any
             subclass is refused.
-        objects: optional :class:`ObjectSet`, or the tree's
-            :class:`ObjectIndex` — the latter persists the full
-            embedding (leaf lists, sorted access lists, subtree counts)
-            so the loaded engine skips even the object registration.
+        objects: optional :class:`ObjectSet`. Without one, an objects
+            file left at ``objects_path(path)`` is removed.
 
-    Returns:
-        The written header as :class:`SnapshotInfo`.
-
-    Raises:
-        SnapshotError: ``index`` is not a :class:`VIPTree`, or an
-            ``ObjectIndex`` that was built for a different tree than
-            ``index``.
+    The objects file is written first: the index file's presence marks
+    a catalog slot as built, so a crash between the two leaves a slot
+    that the next warm start builds again. Returns the index file's
+    header; raises :class:`SnapshotError` for any other ``index`` or
+    ``objects`` type.
     """
     if type(index) is not VIPTree:
         raise SnapshotError(
             f"snapshots hold only a VIPTree, got {type(index).__name__}"
         )
+    space = index.space
+    if objects is None:
+        objects_path(path).unlink(missing_ok=True)
+    else:
+        save_objects(path, space, objects)
     # Divert packed arrays (distance matrices, VIP stores, edge
     # weights) into the out-of-band binary section while the body
     # document is built; the JSON keeps only @bin: references.
@@ -262,27 +354,7 @@ def save_snapshot(path: str | Path, index: VIPTree, objects=None) -> SnapshotInf
         # Wall-clock build time is run metadata, not index state: hoist it
         # into the header so the hashed payload is reproducible across runs.
         build_seconds = state.pop("build_seconds", None)
-        space = index.space
-        body: dict = {"space": space_to_dict(space), "index": state}
-        object_set: ObjectSet | None = None
-        if isinstance(objects, ObjectIndex):
-            if objects.tree is not index:
-                raise SnapshotError(
-                    "object index was built for a different tree than the "
-                    "index being snapshotted"
-                )
-            object_set = objects.objects
-            body["object_index"] = objects.to_state()
-        elif isinstance(objects, ObjectSet):
-            object_set = objects
-        elif objects is not None:
-            raise SnapshotError(
-                f"objects must be an ObjectSet or ObjectIndex, got {type(objects).__name__}"
-            )
-        if object_set is not None:
-            body["objects"] = objects_to_dict(object_set)
-    binary = sink.getvalue()
-
+        body = {"space": space_to_dict(space), "index": state}
     try:
         payload = canonical_dumps(body).encode("utf-8")
     except ValueError as exc:
@@ -290,54 +362,8 @@ def save_snapshot(path: str | Path, index: VIPTree, objects=None) -> SnapshotInf
             f"{path}: snapshot body contains non-finite JSON numbers — "
             f"pack them via repro.model.packing ({exc})"
         ) from None
-    header = {
-        "magic": MAGIC,
-        "format": FORMAT_VERSION,
-        "kind": VIPTree.index_name,
-        "venue": space.name,
-        "fingerprint": venue_fingerprint(space),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "payload_bytes": len(payload),
-        "binary_sha256": hashlib.sha256(binary).hexdigest() if binary else "",
-        "binary_bytes": len(binary),
-        "num_doors": space.num_doors,
-        "num_partitions": space.num_partitions,
-        "num_objects": len(object_set) if object_set is not None else None,
-        "has_object_index": "object_index" in body,
-        "build_seconds": build_seconds,
-        "library": _library_version(),
-    }
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    # Atomic publish: a crash mid-write must never leave a truncated
-    # file at the canonical path (the catalog treats existence as
-    # "snapshot available" and would keep failing to load it). The
-    # temp name is unique per writer — replicated shards cold-build
-    # the same venue from separate processes, and a shared temp name
-    # lets one writer publish another's half-written file.
-    tmp = out.with_name(
-        f"{out.name}.tmp.{os.getpid()}.{threading.get_ident()}")
-    head = canonical_dumps(header).encode("utf-8")
-    if binary:
-        # Align the header line (newline included) to 8 bytes with JSON
-        # whitespace, so the zero padding below depends only on the
-        # payload — never on variable-width header fields like
-        # build_seconds. Everything after the first newline is then a
-        # pure function of the index content, as format-1 files were.
-        head += b" " * ((-(len(head) + 1)) % 8)
-    prefix = head + b"\n" + payload
-    if binary:
-        # pad so the binary section (whose arrays are internally
-        # 8-aligned) starts at an 8-aligned file offset — page-aligned
-        # mmap + aligned offset = aligned numpy views
-        prefix += b"\x00" * ((-len(prefix)) % 8)
-    try:
-        tmp.write_bytes(prefix + binary)
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return _info_from_header(header, out)
+    return _write(Path(path), VIPTree.index_name, space, payload,
+                  sink.getvalue(), build_seconds=build_seconds)
 
 
 def _info_from_header(header: dict, path: Path) -> SnapshotInfo:
@@ -350,8 +376,6 @@ def _info_from_header(header: dict, path: Path) -> SnapshotInfo:
         payload_bytes=header["payload_bytes"],
         num_doors=header["num_doors"],
         num_partitions=header["num_partitions"],
-        num_objects=header["num_objects"],
-        has_object_index=header["has_object_index"],
         build_seconds=header.get("build_seconds"),
         library=header.get("library", ""),
         path=str(path),
@@ -360,17 +384,17 @@ def _info_from_header(header: dict, path: Path) -> SnapshotInfo:
     )
 
 
-def _parse_header(path: Path, raw: bytes) -> dict:
+def _parse_header(path: Path, raw: bytes, kind: str) -> dict:
     try:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{path}: not a snapshot file ({exc})") from None
     if not isinstance(header, dict) or header.get("magic") != MAGIC:
         raise SnapshotError(f"{path}: not a snapshot file (bad magic)")
-    if header.get("format") not in SUPPORTED_FORMATS:
+    if header.get("format") != FORMAT_VERSION:
         raise SnapshotError(
             f"{path}: unsupported snapshot format {header.get('format')!r} "
-            f"(this library reads formats {SUPPORTED_FORMATS}); rebuild the snapshot"
+            f"(this library reads format {FORMAT_VERSION} only); rebuild the snapshot"
         )
     missing = [k for k in _REQUIRED_HEADER_KEYS if k not in header]
     if missing:
@@ -378,27 +402,29 @@ def _parse_header(path: Path, raw: bytes) -> dict:
             f"{path}: snapshot header is missing fields {missing} — "
             "corrupted or hand-edited header"
         )
-    if header["kind"] != VIPTree.index_name:
+    if header["kind"] != kind:
         raise SnapshotError(
-            f"{path}: snapshot holds a {header['kind']!r} index; only "
-            f"{VIPTree.index_name!r} snapshots are supported"
+            f"{path}: snapshot file holds {header['kind']!r}, expected {kind!r}"
         )
     return header
 
 
 def read_snapshot_info(path: str | Path) -> SnapshotInfo:
-    """Parse and validate a snapshot's header without loading the payload."""
+    """Parse and validate an index file's header without loading the payload."""
     p = Path(path)
     try:
         with p.open("rb") as fh:
             first = fh.readline()
     except OSError as exc:
         raise SnapshotError(f"{p}: cannot read snapshot ({exc})") from None
-    return _info_from_header(_parse_header(p, first.rstrip(b"\n")), p)
+    return _info_from_header(
+        _parse_header(p, first.rstrip(b"\n"), VIPTree.index_name), p)
 
 
-def _check_sections(path: Path, buf) -> tuple[dict, bytes, memoryview | None, int, int]:
-    """Split + integrity-check a snapshot buffer (bytes or mmap).
+def _check_sections(path: Path, buf, kind: str
+                    ) -> tuple[dict, bytes, memoryview | None, int, int]:
+    """Split + integrity-check a snapshot file's buffer (bytes or mmap)
+    whose header must be of ``kind``.
 
     Returns ``(header, payload, binary, payload_offset, binary_offset)``
     — ``binary`` is a zero-copy view of the binary section (``None``
@@ -408,7 +434,7 @@ def _check_sections(path: Path, buf) -> tuple[dict, bytes, memoryview | None, in
     nl = buf.find(b"\n")
     if nl < 0:
         raise SnapshotError(f"{path}: not a snapshot file (missing header line)")
-    header = _parse_header(path, bytes(view[:nl]))
+    header = _parse_header(path, bytes(view[:nl]), kind)
     payload_offset = nl + 1
     expected = header["payload_bytes"]
     payload = bytes(view[payload_offset : payload_offset + expected])
@@ -478,31 +504,58 @@ def _collector_paused():
                 gc.enable()
 
 
+def _read_objects(path: Path, fingerprint: str) -> ObjectSet | None:
+    """The object set in the objects file at ``path`` (``None`` when
+    there is none), refused unless the venue ``fingerprint`` names wrote
+    it."""
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise SnapshotError(f"{path}: cannot read objects file ({exc})") from None
+    header, payload, _, _, _ = _check_sections(path, raw, OBJECTS_KIND)
+    if header["fingerprint"] != fingerprint:
+        raise SnapshotError(
+            f"{path}: objects file belongs to venue {header['venue']!r} "
+            f"({header['fingerprint'][:12]}…), not to its index file's "
+            f"({fingerprint[:12]}…)"
+        )
+    try:
+        return objects_from_dict(json.loads(payload.decode("utf-8")))
+    except (ValueError, KeyError, TypeError, ReproError) as exc:
+        raise SnapshotError(f"{path}: unreadable object set ({exc})") from None
+
+
 @_collector_paused()
 def load_snapshot(
     path: str | Path, space: IndoorSpace | None = None, *, mmap: bool = False
 ) -> Snapshot:
-    """Load a snapshot back into ready-to-query objects — zero rebuild.
+    """Load a snapshot's index file and objects file — zero rebuild of
+    the tree.
 
     Args:
-        path: snapshot file written by :func:`save_snapshot`.
+        path: index file written by :func:`save_snapshot`; its objects
+            file (:func:`objects_path`) is read when it exists.
         space: optional venue the caller intends to query. When given,
             its fingerprint must match the snapshot's (refusing stale or
             mismatched snapshots) and the returned :class:`Snapshot`
             references this exact instance; otherwise the venue embedded
-            in the snapshot is restored.
-        mmap: map the file read-only instead of reading it, and resolve
-            the binary section into **zero-copy numpy views** of the
-            mapping — bulk payloads (distance matrices, VIP stores) are
-            never deserialized or copied, so warm starts on large venues
-            are page-cache-speed. The returned :class:`Snapshot` keeps
-            the mapping alive and exposes :meth:`Snapshot.reverify` to
-            detect on-disk modification after mapping.
+            in the index file is restored.
+        mmap: map the index file read-only instead of reading it, and
+            resolve the binary section into **zero-copy numpy views** of
+            the mapping — bulk payloads (distance matrices, VIP stores)
+            are never deserialized or copied, so warm starts on large
+            venues are page-cache-speed. The returned :class:`Snapshot`
+            keeps the mapping alive and exposes
+            :meth:`Snapshot.reverify` to detect on-disk modification
+            after mapping.
 
     Raises:
         SnapshotError: bad magic, unsupported format version, integrity
-            failure, an index kind other than ``"VIP-Tree"``, or
-            venue-fingerprint mismatch.
+            failure of either file, an index kind other than
+            ``"VIP-Tree"``, venue-fingerprint mismatch, or objects the
+            venue does not have room for.
     """
     p = Path(path)
     mm = None
@@ -520,7 +573,8 @@ def load_snapshot(
             buf = p.read_bytes()
         except OSError as exc:
             raise SnapshotError(f"{p}: cannot read snapshot ({exc})") from None
-    header, payload, binary, payload_offset, binary_offset = _check_sections(p, buf)
+    header, payload, binary, payload_offset, binary_offset = _check_sections(
+        p, buf, VIPTree.index_name)
     if space is not None:
         fp = venue_fingerprint(space)
         if fp != header["fingerprint"]:
@@ -529,25 +583,20 @@ def load_snapshot(
                 f"{header['venue']!r} ({header['fingerprint'][:12]}…), caller "
                 f"supplied {space.name!r} ({fp[:12]}…); rebuild the snapshot"
             )
+    objects = _read_objects(objects_path(p), header["fingerprint"])
     body = json.loads(payload.decode("utf-8"))
     if space is None:
         space = space_from_dict(body["space"])
+    if objects is not None:
+        try:
+            objects.validate(space)
+        except ReproError as exc:
+            raise SnapshotError(f"{objects_path(p)}: {exc}") from None
     reader = BinaryReader(binary, arrays=mm is not None) if binary is not None else None
     with binary_reader(reader):
         index = VIPTree.from_state(space, body["index"])
         if header.get("build_seconds") is not None:
             index.build_seconds = header["build_seconds"]
-        objects = (
-            objects_from_dict(body["objects"]) if body.get("objects") is not None else None
-        )
-        object_index = None
-        if body.get("object_index") is not None:
-            if objects is None:
-                raise SnapshotError(
-                    f"{p}: snapshot has an object_index section but no objects "
-                    "section — corrupted or hand-edited payload"
-                )
-            object_index = ObjectIndex.from_state(index, objects, body["object_index"])
     mapping = None
     if mm is not None:
         mapping = _SnapshotMapping(
@@ -565,7 +614,6 @@ def load_snapshot(
         space=space,
         index=index,
         objects=objects,
-        object_index=object_index,
         mapping=mapping,
     )
 
@@ -573,24 +621,25 @@ def load_snapshot(
 def verify_snapshot(
     path: str | Path, space: IndoorSpace | None = None, deep: bool = False
 ) -> SnapshotInfo:
-    """Check a snapshot's integrity; raise :class:`SnapshotError` if bad.
+    """Check a snapshot's integrity — its index file and, when there is
+    one, its objects file; raise :class:`SnapshotError` if bad.
 
-    The shallow check validates magic, format version and each
-    section's length and hash. ``deep=True`` additionally restores every section
-    and cross-checks the loaded index:
+    The shallow check validates each file's magic, format version, kind
+    and section lengths and hashes, and that the objects file was
+    written for the index file's venue. ``deep=True`` additionally
+    restores both files and cross-checks the loaded index:
 
     * the embedded venue re-fingerprints to the header's fingerprint,
-    * restored objects validate against the venue (and the restored
-      ``ObjectIndex``, when present, re-counts to the object set),
+    * the restored objects validate against the venue,
     * a handful of seeded door-to-door distances match a fresh
       :class:`~repro.baselines.oracle.DijkstraOracle` — a corrupted
       matrix cannot hide behind a correct hash of corrupted bytes. One
       of them joins two doors of one leaf, so the check also reads a
       leaf door matrix derived on the loaded tree,
-    * with a restored ``ObjectIndex`` that holds objects, one seeded
-      kNN from a point in the leaf holding the most objects matches the
-      oracle, so the check also reads the door legs the index derived
-      on load.
+    * with objects, one seeded kNN from a point in the leaf holding the
+      most objects matches the oracle, so the check also reads the
+      embedding rebuilt from them and its door legs.
+
     """
     p = Path(path)
     if not deep:
@@ -598,20 +647,12 @@ def verify_snapshot(
             raw = p.read_bytes()
         except OSError as exc:
             raise SnapshotError(f"{p}: cannot read snapshot ({exc})") from None
-        header, _, _, _, _ = _check_sections(p, raw)
+        header, _, _, _, _ = _check_sections(p, raw, VIPTree.index_name)
+        _read_objects(objects_path(p), header["fingerprint"])
         return _info_from_header(header, p)
     snap = load_snapshot(p, space=space)
     if venue_fingerprint(snap.space) != snap.info.fingerprint:
         raise SnapshotError(f"{p}: embedded venue does not match its fingerprint")
-    if snap.objects is not None:
-        snap.objects.validate(snap.space)
-        if (
-            snap.object_index is not None
-            and snap.object_index.count(snap.index.root_id) != len(snap.objects)
-        ):
-            raise SnapshotError(
-                f"{p}: object index subtree counts disagree with the object set"
-            )
     import random
 
     from ..baselines.oracle import DijkstraOracle
@@ -632,10 +673,10 @@ def verify_snapshot(
                 f"{p}: loaded index answers diverge from the Dijkstra oracle "
                 f"({what} {a}->{b}: {got} != {want})"
             )
-    object_index = snap.object_index
-    if object_index is not None and object_index.leaf_objects:
+    if snap.objects is not None and len(snap.objects):
         from ..datasets import random_point
 
+        object_index = ObjectIndex(snap.index, snap.objects)
         # the leaf holding the most objects, queried from a room of it
         # that holds none: every object there is then reached through
         # its door legs, not a direct segment

@@ -529,9 +529,8 @@ class TestMmapSnapshots:
     @pytest.fixture()
     def snap_path(self, mall_space, tmp_path):
         tree = VIPTree.build(mall_space)
-        index = ObjectIndex(tree, random_objects(mall_space, 8, seed=3))
         path = tmp_path / "mall.snap"
-        save_snapshot(path, tree, index)
+        save_snapshot(path, tree, random_objects(mall_space, 8, seed=3))
         return path
 
     def test_mmap_and_regular_answers_identical(self, mall_space, snap_path):

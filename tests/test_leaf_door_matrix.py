@@ -183,7 +183,7 @@ def test_racing_first_reads_on_an_mmap_tree(tmp_path):
     objects = random_objects(space, 80, seed=7)
     built = VIPTree.build(space)
     path = tmp_path / "men2.snap"
-    save_snapshot(path, built, ObjectIndex(built, objects))
+    save_snapshot(path, built, objects)
     snap = load_snapshot(path, mmap=True)
     tree = snap.index
     # the derivation reads the tables' read-only views of the map
@@ -193,7 +193,7 @@ def test_racing_first_reads_on_an_mmap_tree(tmp_path):
     engine = snap.engine(thread_safe=True)
 
     threads = 4
-    leaves = [n for n in _leaves(tree) if snap.object_index.objects_in_leaf(n.nid)]
+    leaves = [n for n in _leaves(tree) if engine.object_index.objects_in_leaf(n.nid)]
     pids = set(_pids(space))
     rng = random.Random(3)
     # every thread reads each leaf in the same order, each from its own

@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro import VIPTree
 from repro.core.results import QueryStats
 from repro.datasets import build_mall, build_office, random_objects, random_point
 from repro.datasets.multi_venue import multi_venue_streams
@@ -632,6 +633,12 @@ class TestClusterObservability:
 
     def test_slow_query_log_records_exactly_one_traced_request(self, tmp_path):
         space = self._spaces()[0]
+        # Build the venue's slot first, so the fast query below is a warm
+        # start that writes nothing: a cold build inside it fsyncs the
+        # slot's files, and one fsync stalled behind the filesystem's
+        # journal can take longer than the threshold.
+        SnapshotCatalog(tmp_path).save(VIPTree.build(space),
+                                       random_objects(space, 6, seed=3))
         with ClusterFrontend(tmp_path, shards=2, flush_interval=0,
                              slow_query_threshold=0.02) as cluster:
             vid = cluster.add_venue(space,

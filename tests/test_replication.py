@@ -13,6 +13,7 @@ failed-append rollback.
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 
@@ -38,7 +39,15 @@ from repro.serving import (
     sequential_replay,
 )
 from repro.serving.protocol import result_to_doc
-from repro.storage import OpLog, SnapshotCatalog, scan_oplog
+from repro.storage import (
+    OpLog,
+    SnapshotCatalog,
+    load_snapshot,
+    objects_path,
+    oplog_path,
+    scan_oplog,
+    venue_fingerprint,
+)
 
 # Real child processes + sockets: wedges fail fast with a stack dump.
 pytestmark = pytest.mark.net_guard
@@ -312,6 +321,68 @@ class TestLogDamage:
 # ----------------------------------------------------------------------
 # One catch-up path: primaries and replicas share the signature gate
 # ----------------------------------------------------------------------
+class TestWriteBack:
+    """A write-back replaces only the venue's objects file, durably,
+    before the log it covers is compacted."""
+
+    def _primary(self, open_router, tmp_path, name):
+        space = build_mall("tiny", name=name)
+        catalog = SnapshotCatalog(tmp_path / "cat")
+        router = open_router(catalog)
+        vid = router.add_venue(space, objects=random_objects(space, 8, seed=3))
+        router.engine(vid)  # the cold build writes both files
+        return space, catalog.path_for(space), router, vid
+
+    def test_flush_rewrites_only_the_objects_file(self, tmp_path, open_router):
+        space, index_file, router, vid = self._primary(
+            open_router, tmp_path, "write-once-mall")
+        index_bytes, index_stat = index_file.read_bytes(), index_file.stat()
+        objects_before = objects_path(index_file).read_bytes()
+        rng = random.Random(41)
+        apply_all(router, vid, [insert_op(space, rng) for _ in range(3)])
+        assert router.flush() == 1
+        after = index_file.stat()
+        assert index_file.read_bytes() == index_bytes
+        assert ((after.st_ino, after.st_mtime_ns)
+                == (index_stat.st_ino, index_stat.st_mtime_ns))
+        assert objects_path(index_file).read_bytes() != objects_before
+        assert load_snapshot(index_file, space=space).objects.version == 3
+
+    def test_objects_file_is_durable_before_the_log_is_compacted(
+            self, tmp_path, open_router, monkeypatch):
+        space, index_file, router, vid = self._primary(
+            open_router, tmp_path, "durable-mall")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            # a temp file is named for the file it is published as
+            name = os.path.basename(os.readlink(f"/proc/self/fd/{fd}"))
+            events.append(("fsync", name.split(".tmp.")[0]))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(("replace", os.path.basename(dst)))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        venue_dir = index_file.parent.name
+        log_name = oplog_path(index_file).name
+        rng = random.Random(43)
+        apply_all(router, vid, [insert_op(space, rng)])
+        # the first append creates the log: its name is synced too
+        assert events == [("fsync", venue_dir), ("fsync", log_name)]
+        apply_all(router, vid, [insert_op(space, rng)])
+        del events[:]
+        assert router.flush() == 1
+        assert events == [
+            ("fsync", "vip-tree.objects"), ("replace", "vip-tree.objects"),
+            ("fsync", venue_dir),
+            ("fsync", log_name), ("replace", log_name), ("fsync", venue_dir),
+        ]
+
+
 class TestCatchUpGate:
     def test_in_sync_primary_reads_its_log_zero_times(self, tmp_path,
                                                       monkeypatch, open_router):
@@ -500,6 +571,54 @@ class TestElasticResize:
             for i, vid in enumerate(ids):
                 assert (answers(cluster_execute(cluster), vid, [probes[i]])
                         == local_answers[vid])
+
+
+    def test_a_read_routed_before_a_move_still_finds_the_venue(self, tmp_path):
+        """A read that chose an old node just before a move swapped the
+        venue's placement must reach that node before the move drops the
+        venue there: the read is held between routing and sending while
+        the shard joins, then must succeed."""
+        before_ring, after_ring = HashRing(range(3)), HashRing(range(3))
+        after_ring.add_node(3)
+        space, old, dropped = next(
+            (s, before, [n for n in before if n not in after])
+            for s in (build_mall("tiny", name=f"elastic-{i}") for i in range(4, 8))
+            for before, after in [(before_ring.nodes_for(venue_fingerprint(s), 2),
+                                   after_ring.nodes_for(venue_fingerprint(s), 2))]
+            if any(n not in after for n in before))
+        with ClusterFrontend(tmp_path / "cluster", shards=3, replication=2,
+                             flush_interval=0) as cluster:
+            vid = cluster.add_venue(space, objects=random_objects(space, 6, seed=1))
+            probe = random_point(space, random.Random(3))
+            for _ in old:  # warm every old node
+                cluster.request(vid, "knn", source=probe, k=2).result(timeout=60.0)
+            held = cluster._shard(dropped[0])
+            routed, release = threading.Event(), threading.Event()
+            send = held.submit
+
+            def held_submit(request, **kwargs):
+                if request.kind == "knn" and not routed.is_set():
+                    routed.set()
+                    release.wait(timeout=60.0)
+                return send(request, **kwargs)
+
+            held.submit = held_submit
+            reads = []
+            reader = threading.Thread(target=lambda: reads.extend(
+                cluster.request(vid, "knn", source=probe, k=2)
+                for _ in old))
+            reader.start()
+            assert routed.wait(timeout=60.0)
+            grow = threading.Thread(target=cluster.add_shard)
+            grow.start()
+            assert wait_until(lambda: cluster.placement(vid) != old, timeout=60.0)
+            grow.join(timeout=0.3)  # time enough to drop the venue, if allowed
+            release.set()
+            reader.join(timeout=60.0)
+            grow.join(timeout=60.0)
+            assert not reader.is_alive() and not grow.is_alive()
+            for read in reads:
+                assert read.result(timeout=60.0)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,12 @@
 at a random point in the log file → recover.
 
 For any generated venue, any random op stream appended to an
-:class:`OpLog` the way a primary does (apply, then log), and any crash
-point — the file cut at an *arbitrary byte offset*, optionally with
-trailing garbage, i.e. not necessarily a record boundary — recovery
-(initial snapshot + valid log prefix) must produce an engine whose
+:class:`OpLog` the way a primary does (apply, then log), optionally
+with a write-back part-way (save the objects file, then compact the
+log), and any crash point — the file cut at an *arbitrary byte
+offset*, optionally with trailing garbage, i.e. not necessarily a
+record boundary — recovery (snapshot + valid log prefix) must produce
+an engine whose
 :class:`ObjectIndex` is structurally identical to a from-scratch build
 over exactly the surviving prefix of operations, with bit-identical
 distance / kNN / range answers. This is the zero-acked-loss guarantee
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from repro import ObjectIndex, UpdateOp, VIPTree
 from repro.datasets import random_objects, random_point
 from repro.engine import QueryEngine
+from repro.storage import save_objects
 from repro.storage.oplog import OpLog, scan_oplog
 from strategies import venues
 
@@ -59,10 +62,11 @@ def _logged_random_ops(space, engine, log, rng, count):
     n_ops=st.integers(4, 16),
     cut_fraction=st.floats(0.0, 1.0),
     trailing_garbage=st.booleans(),
+    write_back_after=st.one_of(st.none(), st.integers(1, 8)),
 )
 @settings(**COMMON)
 def test_crash_at_any_log_offset_recovers_the_acked_prefix(
-        space, seed, n_ops, cut_fraction, trailing_garbage):
+        space, seed, n_ops, cut_fraction, trailing_garbage, write_back_after):
     rng = random.Random(seed)
     tree = VIPTree.build(space)
     primary = QueryEngine(tree, ObjectIndex(
@@ -74,7 +78,15 @@ def test_crash_at_any_log_offset_recovers_the_acked_prefix(
         primary.save_snapshot(snap_path)  # the pre-stream snapshot
 
         log = OpLog(Path(tmp) / "venue.oplog")
-        ops = _logged_random_ops(space, primary, log, rng, n_ops)
+        ops = _logged_random_ops(space, primary, log, rng,
+                                 write_back_after or 0)
+        if write_back_after is not None:
+            # a write-back, as the router's: the objects file is durable
+            # before the log drops the records it covers
+            save_objects(snap_path, space, primary.objects)
+            log.compact(primary.objects.version)
+            base_version = primary.objects.version
+        ops += _logged_random_ops(space, primary, log, rng, n_ops)
         log.close()
 
         # crash: the file survives only up to an arbitrary byte offset,
@@ -94,10 +106,11 @@ def test_crash_at_any_log_offset_recovers_the_acked_prefix(
                 after_version=recovered.objects.version):
             recovered.update(record.op)
 
-    # the reference applies exactly the surviving prefix, from scratch
+    # the reference applies exactly the acknowledged prefix that survived
+    # (the written-back ops and the log's valid records), from scratch
     reference = QueryEngine(tree, ObjectIndex(
         tree, random_objects(space, 5, seed=seed)))
-    for op in ops[:len(survived)]:
+    for op in ops[:(write_back_after or 0) + len(survived)]:
         reference.update(op)
 
     # object set: version counter, ids, payloads

@@ -2,7 +2,9 @@
 warm start, and the ObjectSet capacity/tombstone/version regression."""
 
 import gc
+import hashlib
 import json
+import random
 import sys
 import threading
 from pathlib import Path
@@ -11,13 +13,14 @@ import pytest
 
 from repro import IndoorPoint, IPTree, ObjectIndex, UpdateOp, VIPTree, make_object_set
 from repro.baselines import DijkstraOracle, DistanceMatrix
-from repro.datasets import build_mall, load_venue, random_objects
+from repro.datasets import build_mall, load_venue, random_objects, random_point
 from repro.engine import QueryEngine
 from repro.exceptions import SnapshotError
 from repro.model.io_json import canonical_dumps, objects_from_dict, objects_to_dict
 from repro.storage import (
     SnapshotCatalog,
     load_snapshot,
+    objects_path,
     read_snapshot_info,
     save_snapshot,
     venue_fingerprint,
@@ -26,6 +29,7 @@ from repro.storage import (
 from repro.storage import snapshot as snapshot_module
 from repro.storage.__main__ import main as storage_cli
 from repro.testing import sample_points
+from test_object_updates import assert_index_equivalent
 
 
 # ----------------------------------------------------------------------
@@ -36,7 +40,7 @@ class TestRoundTrip:
                                                   fig1_objects, tmp_path):
         index = ObjectIndex(fig1_viptree, fig1_objects)
         path = tmp_path / "fig1.snap"
-        save_snapshot(path, fig1_viptree, index)
+        save_snapshot(path, fig1_viptree, fig1_objects)
         snap = load_snapshot(path)  # standalone: venue restored from the file
         pts = sample_points(fig1_space, 8)
         restored_pts = [IndoorPoint(p.partition_id, p.x, p.y) for p in pts]
@@ -47,21 +51,21 @@ class TestRoundTrip:
             p1 = fig1_viptree.shortest_path(a, b)
             p2 = snap.index.shortest_path(ra, rb)
             assert (p1.distance, p1.doors) == (p2.distance, p2.doors)
-        got = snap.index.knn(snap.object_index, restored_pts[0], 4)
+        got = snap.index.knn(ObjectIndex(snap.index, snap.objects), restored_pts[0], 4)
         want = fig1_viptree.knn(index, pts[0], 4)
         assert [(n.distance, n.object_id) for n in got] == [
             (n.distance, n.object_id) for n in want
         ]
 
     def test_object_set_snapshot_round_trips(self, mall_space, tmp_path):
-        """A bare ObjectSet (no ObjectIndex) persists too; the loaded
-        snapshot carries the set, and its tree answers like the oracle."""
+        """The object set persists in an objects file beside the index
+        file; the loaded snapshot carries the set, and its tree answers
+        like the oracle."""
         index = VIPTree.build(mall_space)
         objects = random_objects(mall_space, 8, seed=3)
         path = tmp_path / "idx.snap"
         info = save_snapshot(path, index, objects)
-        assert info.kind == "VIP-Tree" and info.num_objects == 8
-        assert not info.has_object_index
+        assert info.kind == "VIP-Tree" and objects_path(path).is_file()
         snap = load_snapshot(path, space=mall_space)
         assert snap.objects.live_ids() == objects.live_ids()
         oracle = DijkstraOracle(mall_space)
@@ -96,22 +100,22 @@ class TestRoundTrip:
 
     def test_object_index_round_trip_structurally_identical(self, fig1_viptree,
                                                             fig1_space, tmp_path):
-        objects = random_objects(fig1_space, 12, seed=5)
-        index = ObjectIndex(fig1_viptree, objects)
+        """The embedding is not stored: a warm start rebuilds it from the
+        saved object set, equivalent to a fresh build over that set and
+        identical to the live index the set was saved from."""
+        engine = QueryEngine(fig1_viptree, random_objects(fig1_space, 12, seed=5))
+        rng = random.Random(5)
+        for oid in (0, 3, 7):
+            engine.move_object(oid, random_point(fig1_space, rng))
+        engine.delete_object(4)
+        engine.insert_object(random_point(fig1_space, rng))
         path = tmp_path / "oi.snap"
-        save_snapshot(path, fig1_viptree, index)
-        snap = load_snapshot(path, space=fig1_space)
-        restored = snap.object_index
-        assert restored.leaf_objects == index.leaf_objects
-        assert restored.access_lists == index.access_lists
-        assert restored.node_counts == index.node_counts
-        assert restored._entries == index._entries
-        assert restored.door_legs == index.door_legs
-        assert restored.updates == index.updates
-        # ... and identical to a from-scratch rebuild over the loaded set
-        rebuilt = ObjectIndex(snap.index, snap.objects)
-        assert restored.access_lists == rebuilt.access_lists
-        assert restored.node_counts == rebuilt.node_counts
+        engine.save_snapshot(path)
+        warm = load_snapshot(path, space=fig1_space).engine().object_index
+        assert_index_equivalent(warm, ObjectIndex(fig1_viptree, engine.objects))
+        live = engine.object_index
+        assert warm.leaf_objects == live.leaf_objects
+        assert warm._entries == live._entries
 
     def test_snapshot_hashes_deterministic_across_builds(self, tmp_path):
         """Two independent builds of the same venue must produce the
@@ -121,11 +125,13 @@ class TestRoundTrip:
         for i in range(2):
             space = build_mall("tiny", name="MC-tiny")
             tree = VIPTree.build(space)
-            index = ObjectIndex(tree, random_objects(space, 10, seed=7))
             p = tmp_path / f"b{i}.snap"
-            infos.append(save_snapshot(p, tree, index))
+            infos.append(save_snapshot(p, tree, random_objects(space, 10, seed=7)))
             payloads.append(p.read_bytes().partition(b"\n")[2])
         assert payloads[0] == payloads[1]
+        objects_files = [objects_path(tmp_path / f"b{i}.snap").read_bytes()
+                         for i in range(2)]
+        assert objects_files[0] == objects_files[1]
         a, b = infos
         assert a.fingerprint == b.fingerprint
         assert a.payload_sha256 == b.payload_sha256
@@ -160,9 +166,8 @@ class TestRoundTrip:
 @pytest.fixture()
 def saved_snapshot(mall_space, tmp_path):
     tree = VIPTree.build(mall_space)
-    index = ObjectIndex(tree, random_objects(mall_space, 6, seed=1))
     path = tmp_path / "mall.snap"
-    save_snapshot(path, tree, index)
+    save_snapshot(path, tree, random_objects(mall_space, 6, seed=1))
     return path
 
 
@@ -261,11 +266,43 @@ class TestRefusals:
         with pytest.raises(SnapshotError, match="unsupported snapshot format"):
             load_snapshot(saved_snapshot)
 
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_refuses_formats_that_stored_the_objects_inside(
+            self, saved_snapshot, old_format, capsys):
+        """Formats 1 and 2 kept the objects and their embedding in the
+        index file. They are refused by name, with a request to
+        rebuild, wherever a header is read."""
+        head, _, rest = saved_snapshot.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["format"] = old_format
+        saved_snapshot.write_bytes(canonical_dumps(header).encode() + b"\n" + rest)
+        for read in (load_snapshot, read_snapshot_info, verify_snapshot):
+            with pytest.raises(SnapshotError,
+                               match=rf"format {old_format} .*rebuild"):
+                read(saved_snapshot)
+        assert storage_cli(["verify", str(saved_snapshot)]) == 1
+        assert f"format {old_format}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
+    def test_refuses_a_damaged_objects_file(self, saved_snapshot, damage):
+        path = objects_path(saved_snapshot)
+        raw = bytearray(path.read_bytes())
+        if damage == "truncated":
+            del raw[-20:]
+        else:
+            raw[-20] ^= 0x04
+        path.write_bytes(bytes(raw))
+        for check in (load_snapshot, verify_snapshot,
+                      lambda p: verify_snapshot(p, deep=True)):
+            with pytest.raises(SnapshotError, match=r"mall\.objects: "):
+                check(saved_snapshot)
+
     def test_refuses_header_with_missing_fields(self, saved_snapshot):
         """Valid magic + format but absent fields must raise
         SnapshotError (never KeyError) through every entry point."""
         _, _, payload = saved_snapshot.read_bytes().partition(b"\n")
-        stub = {"magic": "repro-index-snapshot", "format": 1}
+        stub = {"magic": "repro-index-snapshot",
+                "format": snapshot_module.FORMAT_VERSION}
         saved_snapshot.write_bytes(canonical_dumps(stub).encode() + b"\n" + payload)
         with pytest.raises(SnapshotError, match="missing fields"):
             read_snapshot_info(saved_snapshot)
@@ -315,31 +352,24 @@ class TestRefusals:
         assert info.kind == "VIP-Tree"
         assert info.venue == mall_space.name
         assert info.fingerprint == venue_fingerprint(mall_space)
-        assert info.num_objects == 6 and info.has_object_index
+        assert len(load_snapshot(saved_snapshot).objects) == 6
         assert read_snapshot_info(saved_snapshot) == info
 
     def test_deep_verify_catches_consistent_corruption(self, saved_snapshot):
-        """A tampered payload with a *recomputed* hash passes the shallow
-        check; the deep oracle cross-check still refuses it."""
-        import hashlib
-
-        raw = saved_snapshot.read_bytes()
-        head, _, rest = raw.partition(b"\n")
+        """A tampered objects file with a *recomputed* hash passes the
+        shallow check; the deep check still refuses it."""
+        path = objects_path(saved_snapshot)
+        head, _, payload = path.read_bytes().partition(b"\n")
         header = json.loads(head)
-        body = json.loads(rest[: header["payload_bytes"]])
-        # last pair is the root (largest nid): silently wrong subtree count
-        body["object_index"]["node_counts"][-1][1] += 5
+        body = json.loads(payload)
+        # an object in a room the venue does not have
+        body["objects"][-1]["partition"] = 10**6
         new_payload = canonical_dumps(body).encode()
         header["payload_sha256"] = hashlib.sha256(new_payload).hexdigest()
         header["payload_bytes"] = len(new_payload)
-        prefix = canonical_dumps(header).encode() + b"\n" + new_payload
-        if header.get("binary_bytes"):
-            # keep the (untampered) binary section, re-padded to 8 bytes
-            prefix += b"\x00" * ((-len(prefix)) % 8)
-            prefix += raw[len(raw) - header["binary_bytes"] :]
-        saved_snapshot.write_bytes(prefix)
+        path.write_bytes(canonical_dumps(header).encode() + b"\n" + new_payload)
         verify_snapshot(saved_snapshot)  # shallow: hash is "right"
-        with pytest.raises(SnapshotError, match="subtree counts"):
+        with pytest.raises(SnapshotError, match="unknown partition"):
             verify_snapshot(saved_snapshot, deep=True)
 
     def test_deep_verify_reads_the_derived_door_legs(self, saved_snapshot,
@@ -431,21 +461,19 @@ class TestCatalog:
         entries = catalog.entries()
         assert [e.kind for e in entries] == ["VIP-Tree"]
 
-    def test_engine_for_accepts_object_index_on_cold_path(self, mall_space, tmp_path):
-        """An ObjectIndex built on some previous tree must be re-embedded
-        into the freshly built index, not crash the identity check."""
-        old_tree = VIPTree.build(mall_space)
+    def test_engine_for_saves_both_files_on_cold_path(self, mall_space, tmp_path):
+        """A cold build saves the index file and the objects file, and a
+        warm start serves the saved object set."""
         objects = random_objects(mall_space, 7, seed=15)
-        old_index = ObjectIndex(old_tree, objects)
         catalog = SnapshotCatalog(tmp_path / "cat")
-        engine = catalog.engine_for(mall_space, objects=old_index)
+        engine = catalog.engine_for(mall_space, objects=objects)
         assert len(engine.objects) == 7
         q = sample_points(mall_space, 1, seed=3)[0]
         oracle = DijkstraOracle(mall_space)
         got = [(round(n.distance, 8), n.object_id) for n in engine.knn(q, 3)]
         assert got == [(round(d, 8), o) for d, o in oracle.knn(q, objects, 3)]
-        # the snapshot it saved carries the full embedding
-        assert catalog.load(mall_space).object_index is not None
+        assert objects_path(catalog.path_for(mall_space)).is_file()
+        assert catalog.engine_for(mall_space, mmap=True).knn(q, 3) == engine.knn(q, 3)
 
     def test_load_or_build_then_engine_for(self, mall_space, tmp_path):
         catalog = SnapshotCatalog(tmp_path / "cat")
