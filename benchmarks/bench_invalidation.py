@@ -1,11 +1,15 @@
 """Leaf-scoped vs full-flush cache invalidation on a moving-object mix.
 
-The engine's result caches used to be flushed entirely on every object
-update, so any workload that interleaves updates with queries ran at a
+Flushing the engine's result caches entirely on every object update
+leaves any workload that interleaves updates with queries at a
 near-zero result-cache hit rate. Leaf-scoped invalidation
-(:mod:`repro.engine.invalidation`) tags each cached kNN/range entry
-with its conservative bound-ball leaf closure and drops only the
-entries tagged with the leaf(s) an update touches.
+(:mod:`repro.engine.invalidation`), which every engine runs, tags each
+cached kNN/range entry with its conservative bound-ball leaf closure
+and drops only the entries tagged with the leaf(s) an update touches.
+The full-flush baseline is the same engine with
+:meth:`~repro.engine.QueryEngine.clear_caches` called after every move:
+the stream reads only kNN/range, so that drops exactly the entries a
+flush of the kNN/range caches would.
 
 This benchmark replays the workload that distinction is for: a
 **leaf-local moving-object mix** at an update:query ratio of 1:8 —
@@ -17,7 +21,7 @@ cached answer is provably unaffected by the update.
 Two claims are asserted (CI runs the pytest entry points):
 
 * **Identity** — the scoped engine's answers are element-wise identical
-  (``==``) to the full-flush engine's on the same event stream.
+  (``==``) to the full-flush baseline's on the same event stream.
 * **Hit factor** — the scoped engine serves at least
   ``INVALIDATION_BENCH_MIN_FACTOR`` x (default 3.0) as many result-cache
   hits as the full-flush engine on the 1:8 mix (Laplace-smoothed
@@ -90,31 +94,43 @@ def build_events(space, objects_seed=47, seed=48):
     return events
 
 
-def replay(engine: QueryEngine, events, seed=49):
-    """Replay ``events`` on one engine; returns ``(answers, seconds)``.
+def replay(engine: QueryEngine, events, *, flush: bool = False, seed=49):
+    """Replay ``events`` on one engine; returns ``(answers, seconds,
+    flushed)``.
 
     Moves are resolved per engine (each owns its object set) but with a
     shared rng seed, so both engines apply byte-identical op streams.
+    With ``flush`` every move is followed by ``engine.clear_caches()``,
+    and ``flushed`` counts the entries those clears dropped: every
+    kNN/range miss since the previous clear left exactly one (the pool
+    is far below the cache's capacity, so nothing was evicted).
     """
     rng = random.Random(seed)
     movers = [o.object_id for o in engine.objects][: max(4, N_OBJECTS // 10)]
     space = engine.index.space
     answers = []
+    flushed = cleared_at = 0
     t0 = perf_counter()
     for kind, q in events:
         if kind == "move":
             oid = movers[rng.randrange(len(movers))]
             pid = engine.objects[oid].location.partition_id
             engine.move_object(oid, random_point(space, rng, partitions=[pid]))
+            if flush:
+                engine.clear_caches()
+                misses = engine.stats().misses
+                flushed += misses - cleared_at
+                cleared_at = misses
         elif kind == "knn":
             answers.append(engine.knn(q, K))
         else:
             answers.append(engine.range_query(q, RADIUS))
-    return answers, perf_counter() - t0
+    return answers, perf_counter() - t0, flushed
 
 
-def run_bench(profile: str, *, objects_seed=47, kernels="numpy"):
-    """Both invalidation modes on the 1:8 mix: list of result rows.
+def run_bench(profile: str, *, objects_seed=47):
+    """The full-flush baseline and scoped invalidation on the 1:8 mix:
+    list of result rows.
 
     Asserts element-wise answer identity between modes.
     """
@@ -124,10 +140,9 @@ def run_bench(profile: str, *, objects_seed=47, kernels="numpy"):
     rows, answers = [], {}
     for mode in ("full", "scoped"):
         engine = QueryEngine(
-            tree, objects=random_objects(space, N_OBJECTS, seed=objects_seed),
-            kernels=kernels, invalidation=mode,
-        )
-        answers[mode], seconds = replay(engine, events)
+            tree, objects=random_objects(space, N_OBJECTS, seed=objects_seed))
+        answers[mode], seconds, flushed = replay(engine, events,
+                                                 flush=mode == "full")
         s = engine.stats()
         queries = s.knn_queries + s.range_queries
         rows.append({
@@ -141,7 +156,8 @@ def run_bench(profile: str, *, objects_seed=47, kernels="numpy"):
             "hit_rate": s.hit_rate,
             "scoped_invalidations": s.scoped_invalidations,
             "full_invalidations": s.full_invalidations,
-            "entries_dropped": s.invalidation_entries_dropped,
+            "entries_dropped": (flushed if mode == "full"
+                                else s.invalidation_entries_dropped),
             "seconds": seconds,
             "events_per_s": len(events) / seconds,
         })
@@ -194,8 +210,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--profile", default=ASSERT_PROFILE,
                         choices=("tiny", "small", "paper"))
-    parser.add_argument("--kernels", default="numpy",
-                        choices=("numpy", "python"))
     parser.add_argument("--seed", type=int, default=47)
     parser.add_argument("--json", metavar="FILE",
                         default="BENCH_invalidation.json",
@@ -203,8 +217,7 @@ def main(argv=None) -> int:
                              "BENCH_invalidation.json; CI uploads it)")
     args = parser.parse_args(argv)
 
-    rows = run_bench(args.profile, objects_seed=args.seed,
-                     kernels=args.kernels)
+    rows = run_bench(args.profile, objects_seed=args.seed)
     full_row, scoped_row = rows
 
     table = Table(

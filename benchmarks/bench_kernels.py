@@ -11,19 +11,22 @@ workhorse venue Men-2.
 Two claims are asserted:
 
 * **Identity** — every workload's answers are element-wise identical
-  (`==` on exact floats, never a tolerance) between the python and
-  numpy engines. Cross-venue identity is tier-1
+  (`==` on exact floats, never a tolerance) between the python
+  reference and the numpy path. Cross-venue identity is tier-1
   (``tests/test_kernels.py``); this re-asserts it at benchmark scale on
   a venue larger than the test fixtures.
-* **Speedup** — on the cache-miss kNN workload (k=25) the numpy engine
+* **Speedup** — on the cache-miss kNN workload (k=25) the numpy path
   sustains at least ``KERNEL_BENCH_MIN_SPEEDUP`` x (default 3.0) the
-  python engine's throughput. Asserted at the ``small`` profile: the
+  python reference's throughput. Asserted at the ``small`` profile: the
   ``tiny`` smoke-fixture venue (~8 leaves) is too small for the eager
   array path to amortize — the report's profile column shows exactly
   that, which is itself the honest claim about when kernels pay off.
 
-The python rows are the reference the paper maps onto line by line;
-the numpy rows answer the same queries eagerly (every node's distances
+The python rows call the tree's own Algorithm 5 (``IPTree.knn`` /
+``IPTree.range_query`` over an :class:`~repro.core.ObjectIndex`), the
+reference the paper maps onto line by line; the numpy rows are what
+every engine serves, timed through an uncached :class:`QueryEngine`,
+and answer the same queries eagerly (every node's distances
 level by level), so the speedup *grows* with venue size — the
 best-first reference expands more of the tree. The reference's cost
 also grows with k, as it expands more nodes. Both paths read the
@@ -49,10 +52,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
-from repro import VIPTree
+from repro import ObjectIndex, VIPTree
 from repro.bench.reporting import Table
 from repro.datasets import load_venue, random_objects
 from repro.datasets.workloads import mixed_queries
@@ -80,46 +84,55 @@ WORKLOADS = (
 )
 
 
-def _replay(engine: QueryEngine, queries) -> list:
+def _sides(space, tree, n_objects, seed) -> dict:
+    """``kernel -> (knn, range_query, distance)`` callables: the tree's
+    own Algorithm 5 over an :class:`ObjectIndex`, and an uncached
+    engine, each over its own identically seeded object set."""
+    index = ObjectIndex(tree, random_objects(space, n_objects, seed=seed))
+    engine = QueryEngine(tree, random_objects(space, n_objects, seed=seed),
+                         cache=False)
+    return {
+        "python": (partial(tree.knn, index), partial(tree.range_query, index),
+                   tree.shortest_distance),
+        "numpy": (engine.knn, engine.range_query, engine.distance),
+    }
+
+
+def _replay(side, queries) -> list:
+    knn, range_query, distance = side
     out = []
     for q in queries:
         if q.kind == "knn":
-            out.append(engine.knn(q.source, q.k))
+            out.append(knn(q.source, q.k))
         elif q.kind == "distance":
-            out.append(engine.distance(q.source, q.target))
+            out.append(distance(q.source, q.target))
         else:
-            out.append(engine.range_query(q.source, q.radius))
+            out.append(range_query(q.source, q.radius))
     return out
 
 
 def measure_workload(space, tree, mix, k, *, count=N_QUERIES,
                      n_objects=N_OBJECTS, seed=47, repeats=REPEATS):
-    """One workload on both engines: ``(rows, python_answers_equal)``.
+    """One workload on both sides: ``(rows, python_answers_equal)``.
 
-    Each engine gets its own (identically seeded) object set and a full
+    Each side gets its own (identically seeded) object set and a full
     untimed warmup pass (kernel caches — per-leaf programs, packed
     access lists — are steady-state serving behavior, not throughput).
-    Then the two engines' ``repeats`` timed passes alternate, and each
+    Then the two sides' ``repeats`` timed passes alternate, and each
     side's best pass counts, so a slow spell on the host slows both
     sides' passes instead of one side's. Answers from the warmup passes
     are compared element-wise.
     """
     queries = mixed_queries(space, count, mix, seed=seed, pool=None, k=k)
-    kernels = ("python", "numpy")
-    engines = {
-        kernel: QueryEngine(
-            tree, objects=random_objects(space, n_objects, seed=seed),
-            kernels=kernel, cache=False,
-        )
-        for kernel in kernels
-    }
+    sides = _sides(space, tree, n_objects, seed)
+    kernels = tuple(sides)
     # warmup + identity data
-    answers = {kernel: _replay(engines[kernel], queries) for kernel in kernels}
+    answers = {kernel: _replay(sides[kernel], queries) for kernel in kernels}
     best = dict.fromkeys(kernels, float("inf"))
     for _ in range(repeats):
         for kernel in kernels:
             t0 = perf_counter()
-            _replay(engines[kernel], queries)
+            _replay(sides[kernel], queries)
             best[kernel] = min(best[kernel], perf_counter() - t0)
     rows = [{
         "timed": bool(repeats),
@@ -174,7 +187,7 @@ def test_numpy_answers_identical_to_python_at_bench_scale():
 
 def test_numpy_at_least_3x_python_on_cache_miss_knn():
     """Acceptance: cache-miss kNN (k=25, fresh endpoints) on Men-2
-    (small) — the numpy engine sustains >= MIN_SPEEDUP x the python
+    (small) — the numpy path sustains >= MIN_SPEEDUP x the python
     reference, answers identical."""
     space = load_venue(VENUE, ASSERT_PROFILE)
     tree = VIPTree.build(space)
@@ -198,7 +211,7 @@ def main(argv=None) -> int:
                              "small for array ops to amortize)")
     parser.add_argument("--objects", type=int, default=N_OBJECTS)
     parser.add_argument("--count", type=int, default=N_QUERIES,
-                        help="queries per workload and engine")
+                        help="queries per workload and side")
     parser.add_argument("--seed", type=int, default=47)
     parser.add_argument("--json", metavar="FILE", default="BENCH_kernels.json",
                         help="bench-history artifact path (default: "

@@ -29,6 +29,8 @@ from .reporting import Table
 #: scale with the pure-Python runtime)
 QUERY_COUNTS = {"tiny": 30, "small": 120, "paper": 400}
 OBJECT_COUNTS = {"tiny": 8, "small": 50, "paper": 50}
+#: venue of the superior-door ablation and the range radius sweep
+SWEEP_VENUE = "Men-2"
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +186,37 @@ def exp_fig9(profile: str = "small", venues=VENUE_NAMES) -> list[Table]:
         row.append(time_queries(ctx.gtree.shortest_distance, workload).mean_us)
         row.append(time_queries(ctx.road.shortest_distance, workload).mean_us)
         time_t.add_row(*row)
-    return [pairs_t, time_t]
+    return [pairs_t, time_t, _superior_door_ablation(profile, n)]
+
+
+def _superior_door_ablation(profile: str, n: int) -> Table:
+    """VIP-Tree distance queries with the superior-door optimization
+    (paper §3.1.1, Definition 2) and without it: the entry step then
+    enumerates every door of the query's partition. Answers are checked
+    ``==`` between the two trees before timing."""
+    t = Table(
+        f"Fig 9 ablation: VIP-Tree shortest distance with and without "
+        f"superior doors ({SWEEP_VENUE})",
+        ["entry doors", "avg per partition", "door pairs per query",
+         "shortest distance (us)"],
+        notes="Definition 2: fewer entry doors per partition, fewer door "
+        "pairs per query, identical answers",
+    )
+    ctx = VenueContext(SWEEP_VENUE, profile)
+    workload = ctx.pairs(n)
+    full = ctx.viptree
+    ablated = VIPTree.build(ctx.space, t=ctx.t, d2d=ctx.d2d,
+                            use_superior_doors=False)
+    for s, q in workload:
+        if ablated.shortest_distance(s, q) != full.shortest_distance(s, q):
+            raise AssertionError(f"superior-door ablation changed the answer at {s}, {q}")
+    for label, tree in (("superior", full), ("all", ablated)):
+        entry = [len(doors) for doors in tree.superior_doors]
+        pairs = sum(tree.distance_query(s, q).stats.superior_pairs
+                    for s, q in workload)
+        t.add_row(label, sum(entry) / len(entry), pairs / n,
+                  time_queries(tree.shortest_distance, workload).mean_us)
+    return t
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +380,26 @@ def exp_fig11_range(
         else:
             row.append("n/a")
         t.add_row(*row)
-    return [t]
+
+    by_radius = Table(
+        f"Fig 11(d) radius sweep: VIP-Tree range query time vs radius "
+        f"({SWEEP_VENUE}, {n_objects} objects, us)",
+        ["radius (m)", "VIP-Tree", "VIP-Tree (numpy)"],
+        notes="the paper varies the range from 50 to 1000 m (§4.1)",
+    )
+    ctx = VenueContext(SWEEP_VENUE, profile)
+    queries = ctx.queries(n)
+    oi_vip = ctx.object_index("vip", n_objects)
+    kern = NumpyKernels()
+    for r in (50.0, 100.0, 500.0):
+        by_radius.add_row(
+            r,
+            time_queries(lambda q: ctx.viptree.range_query(oi_vip, q, r),
+                         [(q,) for q in queries]).mean_us,
+            _numpy_us(lambda q: ctx.viptree.range_query(oi_vip, q, r),
+                      lambda q: kern.range_query(oi_vip, q, r), queries),
+        )
+    return [t, by_radius]
 
 
 EXPERIMENTS = {

@@ -135,9 +135,3 @@ class VenueContext:
     def queries(self, count: int, seed: int = 41):
         """Query points for kNN/range (sources of random pairs)."""
         return [s for s, _ in self.pairs(count, seed)]
-
-
-def build_contexts(
-    names: list[str], profile: str = "small"
-) -> dict[str, VenueContext]:
-    return {name: VenueContext(name, profile) for name in names}

@@ -3,8 +3,10 @@
 * :class:`QueryEngine` — wraps one built tree (the VIP-Tree; the
   IP-Tree answers through the same API) and its objects behind one
   distance/path/kNN/range API with LRU result caches, and dynamic
-  object updates (``update``) with targeted kNN/range cache
-  invalidation,
+  object updates (``update``). Every engine runs one configuration:
+  kNN/range through :class:`~repro.kernels.NumpyKernels` (bit-identical
+  to the tree's own Algorithm 5, ``IPTree.knn`` / ``range_query``),
+  with leaf-scoped kNN/range cache invalidation,
 * :class:`LRUCache` — the bounded cache primitive,
 * :class:`TaggedLRUCache` — the leaf-tagged variant behind the
   engine's scoped kNN/range invalidation (entries carry the set of

@@ -5,7 +5,10 @@ The engine wraps one built tree — in production a
 :class:`~repro.core.tree.IPTree` answers through the same API — plus
 its objects, behind one API:
 
-* ``distance`` / ``path`` / ``knn`` / ``range_query`` — single queries,
+* ``distance`` / ``path`` / ``knn`` / ``range_query`` — single queries;
+  kNN/range answer through :class:`~repro.kernels.NumpyKernels`, which
+  is bit-identical to the tree's own Algorithm 5 (``IPTree.knn`` /
+  ``IPTree.range_query``, the python reference),
 * ``update`` (plus ``insert_object`` / ``delete_object`` /
   ``move_object``) — dynamic object updates that maintain the object
   index incrementally and invalidate **only** the object-dependent
@@ -115,15 +118,11 @@ class EngineStats:
       Zero for engines that never mutate objects.
     * ``scoped_invalidations`` / ``full_invalidations`` — object-cache
       invalidation *events*, split by scope. A **scoped** event drops
-      only the kNN/range entries tagged with the leaf(s) the update
-      touched (``invalidation="scoped"``, the default); a **full**
-      event flushes both caches entirely (``invalidation="full"``, and
-      every out-of-band stale-version detection). One event per
-      ``update`` and one per stale-version detection. Both stay zero
-      when ``cache=False``
-      (there is nothing to flush). The legacy ``invalidations``
-      property — and the ``engine_invalidations_total`` series — is
-      their sum.
+      only the kNN/range entries tagged with the leaf(s) an ``update``
+      touched; a **full** event flushes both caches entirely, on an
+      out-of-band stale-version detection. One event per ``update``
+      and one per stale-version detection. Both stay zero when
+      ``cache=False`` (there is nothing to flush).
     * ``invalidation_entries_dropped`` — cached kNN/range *entries*
       removed by invalidation events (scoped and full alike). The gap
       between this and cache occupancy over time is exactly what
@@ -152,12 +151,6 @@ class EngineStats:
     knn_misses: int = 0
     range_hits: int = 0
     range_misses: int = 0
-
-    @property
-    def invalidations(self) -> int:
-        """Total invalidation events (scoped + full) — the pre-split
-        counter, kept so existing callers and dashboards keep working."""
-        return self.scoped_invalidations + self.full_invalidations
 
     @property
     def queries(self) -> int:
@@ -209,8 +202,6 @@ def _collect_engine_stats(engine: "QueryEngine"):
     s = engine.stats()
     for f in fields(s):
         yield counter_entry(f"engine_{f.name}_total", getattr(s, f.name))
-    # the pre-split series stays exported as the sum of the two scopes
-    yield counter_entry("engine_invalidations_total", s.invalidations)
     samples = s.hits + s.misses
     yield gauge_entry("engine_cache_hit_ratio", s.hit_rate, agg="mean",
                       n=max(samples, 1))
@@ -222,8 +213,8 @@ class QueryEngine:
     The engine also serves **dynamic object updates**: see
     :meth:`update` and the ``insert_object`` / ``delete_object`` /
     ``move_object`` conveniences. Updates mutate the tree's
-    :class:`ObjectIndex` incrementally and invalidate the kNN/range
-    result caches only.
+    :class:`ObjectIndex` incrementally and invalidate, leaf-scoped, the
+    kNN/range result caches only.
 
     Args:
         index: a built :class:`VIPTree` (or :class:`IPTree`); anything
@@ -243,29 +234,12 @@ class QueryEngine:
             kNN/range queries and a mutex guarding caches/counters).
             ``False`` — the default — keeps the single-threaded fast
             path entirely lock-free.
-        invalidation: update-driven kNN/range cache invalidation
-            strategy. ``"scoped"`` (default) tags every cached entry
-            with its conservative bound-ball leaf closure and drops
-            only the entries tagged with the leaf(s) an update touches
-            (cross-leaf moves touch two, out-of-band version jumps
-            still fall back to a full flush). ``"full"`` restores the
-            old behaviour — every update flushes both caches — and is
-            the baseline ``benchmarks/bench_invalidation.py`` measures
-            against. Answers are identical either way; only cache
-            retention changes.
-        kernels: kNN/range implementation — ``"numpy"`` (default: the
-            eager :class:`~repro.kernels.NumpyKernels` path) or
-            ``"python"`` (the tree's own Algorithm 5 best-first
-            reference). Answers are bit-identical; only speed changes.
-            Distance and path queries run the python code either
-            way.
         registry: optional
             :class:`~repro.obs.registry.MetricsRegistry`. When set, the
             engine records per-kind query and update latency histograms
             (``engine_query_seconds{kind=...}`` /
-            ``engine_update_seconds``), counts queries by kernel
-            backend (``engine_kernel_queries_total{backend=...}``) and
-            registers a weakly-held collector exporting every
+            ``engine_update_seconds``) and registers a weakly-held
+            collector exporting every
             :class:`EngineStats` counter plus an
             ``engine_cache_hit_ratio`` gauge — the one collector in the
             stack, because these counts sit in the caches on the query
@@ -282,8 +256,6 @@ class QueryEngine:
         distance_cache_size: int = 65536,
         result_cache_size: int = 8192,
         thread_safe: bool = False,
-        invalidation: str = "scoped",
-        kernels: str = "numpy",
         registry=None,
     ) -> None:
         if not isinstance(index, IPTree):
@@ -291,19 +263,9 @@ class QueryEngine:
                 f"QueryEngine serves a VIPTree or IPTree, got {type(index).__name__}"
             )
         self.index = index
-        if invalidation not in ("scoped", "full"):
-            raise QueryError(
-                f"invalidation must be 'scoped' or 'full', got {invalidation!r}"
-            )
-        self.invalidation = invalidation
-        if kernels not in ("numpy", "python"):
-            raise QueryError(
-                f"kernels must be 'numpy' or 'python', got {kernels!r}"
-            )
-        #: what kNN/range queries call — the eager numpy path or the
-        #: tree's own Algorithm 5; both take the :class:`IPTree`
-        #: ``knn``/``range_query`` signatures
-        self._searcher = NumpyKernels() if kernels == "numpy" else index
+        #: answers kNN/range with the :class:`IPTree` ``knn`` /
+        #: ``range_query`` signatures
+        self._kernels = NumpyKernels()
         self.registry = registry
         if registry is not None:
             self._query_timers = {
@@ -312,14 +274,11 @@ class QueryEngine:
             }
             self._update_timer = registry.histogram("engine_update_seconds")
             self._inval_timer = registry.histogram("engine_invalidation_seconds")
-            self._kernel_counter = registry.counter(
-                "engine_kernel_queries_total", backend=kernels)
             registry.register_collector(self, _collect_engine_stats)
         else:
             self._query_timers = None
             self._update_timer = None
             self._inval_timer = None
-            self._kernel_counter = None
         self.cache_enabled = bool(cache)
         self.thread_safe = bool(thread_safe)
         if self.thread_safe:
@@ -330,7 +289,6 @@ class QueryEngine:
         else:
             self._lock = NULL_RWLOCK
             self._mutex = NULL_LOCK
-        self._scoped_enabled = self.cache_enabled and invalidation == "scoped"
         if self.cache_enabled:
             self._dist_cache = LRUCache(distance_cache_size)
             self._path_cache = LRUCache(result_cache_size)
@@ -464,7 +422,6 @@ class QueryEngine:
         timers = self._query_timers
         if timers is None:
             return self._knn(query, k, stats)
-        self._kernel_counter.inc()
         start = perf_counter()
         try:
             return self._knn(query, k, stats)
@@ -480,7 +437,6 @@ class QueryEngine:
         timers = self._query_timers
         if timers is None:
             return self._range(query, radius, stats)
-        self._kernel_counter.inc()
         start = perf_counter()
         try:
             return self._range(query, radius, stats)
@@ -512,10 +468,9 @@ class QueryEngine:
 
         The :class:`ObjectIndex` updates in place (leaf lists, sorted
         access lists and subtree counts, paper §3.4), and the kNN/range
-        result caches see exactly one invalidation event — leaf-scoped
-        by default (only the entries tagged with the touched leaf(s)
-        drop; a cross-leaf move touches two), a full flush with
-        ``invalidation="full"``.
+        result caches see exactly one leaf-scoped invalidation event:
+        only the entries tagged with the touched leaf(s) drop (a
+        cross-leaf move touches two).
 
         Thread safety: takes the engine's write lock — no kNN/range
         query observes a half-applied update, and no update runs while
@@ -524,10 +479,7 @@ class QueryEngine:
         timer = self._update_timer
         start = perf_counter() if timer is not None else 0.0
         with self._lock.write():
-            if self._scoped_enabled:
-                result, leaves = self._apply_update_scoped(op)
-            else:
-                result, leaves = self._apply_update(op), None
+            result, leaves = self._apply_update(op)
             with self._mutex:
                 self._updates += 1
                 istart = perf_counter()
@@ -539,11 +491,6 @@ class QueryEngine:
         return result
 
     def _apply_update(self, op: UpdateOp):
-        if self.object_index is None:
-            raise QueryError("engine has no object set; pass objects= to QueryEngine")
-        return self.object_index.apply(op)
-
-    def _apply_update_scoped(self, op: UpdateOp):
         """Apply ``op`` and attribute it to the leaf(s) whose object
         population changed: ``(result, leaves)`` with ``leaves`` a
         frozenset of leaf ids, or ``None`` when the op cannot be
@@ -556,14 +503,14 @@ class QueryEngine:
         """
         oi = self.object_index
         if oi is None:
-            return self._apply_update(op), None
+            raise QueryError("engine has no object set; pass objects= to QueryEngine")
         before = None
         if op.kind in ("delete", "move") and op.object_id is not None:
             try:
                 before = oi.leaf_of_object(op.object_id)
             except QueryError:
                 before = None  # unknown id: let apply() raise its error
-        result = self._apply_update(op)
+        result = oi.apply(op)
         if op.kind == "insert":
             leaves = {oi.leaf_of_object(result)}
         elif op.kind == "delete":
@@ -583,7 +530,7 @@ class QueryEngine:
         drops only the entries tagged with (at least) one of those
         leaves — plus ALL-tagged entries, whose dependency set is
         unbounded — while ``None`` flushes both caches entirely
-        (``invalidation="full"`` and out-of-band version jumps).
+        (out-of-band version jumps).
 
         Caller holds the mutex (trivially true single-threaded).
         Hit/miss/eviction counters are untouched — they are lifetime
@@ -592,7 +539,7 @@ class QueryEngine:
         """
         self._objects_version = self.objects.version if self.objects is not None else 0
         if self._knn_cache is not None:
-            if leaves is not None and self._scoped_enabled:
+            if leaves is not None:
                 dropped = self._knn_cache.invalidate_leaves(leaves)
                 dropped += self._range_cache.invalidate_leaves(leaves)
                 self._scoped_invalidations += 1
@@ -704,28 +651,23 @@ class QueryEngine:
                 if stats is not None:
                     stats.cache_hit = True
                 return list(hit)
-            if self._scoped_enabled:
-                # private stats capture the answer's bound-ball leaf
-                # closure; the entry is tagged with it so updates to
-                # other leaves leave it cached (None = tag ALL)
-                qstats = QueryStats()
-                res = self._raw_knn(query, k, qstats, collect_leaves=True)
-                if stats is not None:
-                    stats.merge(qstats)
-                with self._mutex:
-                    cache.put(key, tuple(res), qstats.result_leaves)
-            else:
-                res = self._raw_knn(query, k, stats)
-                with self._mutex:
-                    cache[key] = tuple(res)
+            # private stats capture the answer's bound-ball leaf
+            # closure; the entry is tagged with it so updates to other
+            # leaves leave it cached (None = tag ALL)
+            qstats = QueryStats()
+            res = self._raw_knn(query, k, qstats, collect_leaves=True)
+            if stats is not None:
+                stats.merge(qstats)
+            with self._mutex:
+                cache.put(key, tuple(res), qstats.result_leaves)
             return res
 
     def _raw_knn(self, query, k: int, stats=None,
                  collect_leaves: bool = False) -> list[Neighbor]:
         if self.object_index is None:
             raise QueryError("engine has no object set; pass objects= to QueryEngine")
-        return self._searcher.knn(self.object_index, query, k,
-                                  stats=stats, collect_leaves=collect_leaves)
+        return self._kernels.knn(self.object_index, query, k,
+                                 stats=stats, collect_leaves=collect_leaves)
 
     def _range(self, query, radius: float, stats=None) -> list[Neighbor]:
         # Object-dependent: runs under the read lock, like _knn.
@@ -744,27 +686,21 @@ class QueryEngine:
                 if stats is not None:
                     stats.cache_hit = True
                 return list(hit)
-            if self._scoped_enabled:
-                # see _knn: tag the entry with its radius-ball closure
-                qstats = QueryStats()
-                res = self._raw_range(query, radius, qstats,
-                                      collect_leaves=True)
-                if stats is not None:
-                    stats.merge(qstats)
-                with self._mutex:
-                    cache.put(key, tuple(res), qstats.result_leaves)
-            else:
-                res = self._raw_range(query, radius, stats)
-                with self._mutex:
-                    cache[key] = tuple(res)
+            # see _knn: tag the entry with its radius-ball closure
+            qstats = QueryStats()
+            res = self._raw_range(query, radius, qstats, collect_leaves=True)
+            if stats is not None:
+                stats.merge(qstats)
+            with self._mutex:
+                cache.put(key, tuple(res), qstats.result_leaves)
             return res
 
     def _raw_range(self, query, radius: float, stats=None,
                    collect_leaves: bool = False) -> list[Neighbor]:
         if self.object_index is None:
             raise QueryError("engine has no object set; pass objects= to QueryEngine")
-        return self._searcher.range_query(self.object_index, query, radius,
-                                          stats=stats, collect_leaves=collect_leaves)
+        return self._kernels.range_query(self.object_index, query, radius,
+                                         stats=stats, collect_leaves=collect_leaves)
 
     # ------------------------------------------------------------------
     def stats(self) -> EngineStats:

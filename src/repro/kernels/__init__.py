@@ -35,9 +35,11 @@ candidate set is evaluation-order independent, and the result set is
 the k lexicographically smallest ``(distance, object_id)`` pairs on
 both paths.
 
-Selection is per engine: ``QueryEngine(kernels="numpy"|"python")``
-(default ``"numpy"``). Distance and path queries always run the python
-code in :mod:`repro.core`, which stays the oracle-checked reference.
+Every :class:`~repro.engine.QueryEngine` answers kNN/range here; the
+python Algorithm 5 stays callable as ``IPTree.knn`` /
+``IPTree.range_query``, the oracle-checked reference that tests and
+``benchmarks/bench_kernels.py`` compare against. Distance and path
+queries always run the python code in :mod:`repro.core`.
 """
 
 from __future__ import annotations

@@ -49,8 +49,8 @@ _INTP = np.intp
 
 
 class NumpyKernels:
-    """Eager kNN/range answering, selected with
-    ``QueryEngine(kernels="numpy")`` (the default)."""
+    """Eager kNN/range answering, the path every
+    :class:`~repro.engine.QueryEngine` runs."""
 
     def __init__(self) -> None:
         # eager whole-query state: flat (node, access door) slot table,

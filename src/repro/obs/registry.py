@@ -132,7 +132,8 @@ class Gauge:
     processes: ``"last"`` (an arbitrary representative), ``"sum"``
     (per-process quantities — pooled engines, queue depths), ``"max"``
     (high-water marks), or ``"mean"`` (ratios — merged as a weighted
-    mean over ``n``, the sample weight passed to :meth:`set`).
+    mean over ``n``, the sample weight: 1 once :meth:`set`, a
+    collector's own in :func:`gauge_entry`).
     """
 
     __slots__ = ("name", "labels", "agg", "value", "n", "_lock")
@@ -149,10 +150,10 @@ class Gauge:
         self.n = 0
         self._lock = lock
 
-    def set(self, value: float, weight: int = 1) -> None:
+    def set(self, value: float) -> None:
         with self._lock:
             self.value = float(value)
-            self.n = int(weight)
+            self.n = 1
 
     def _doc(self) -> dict:
         return {"name": self.name, "labels": dict(self.labels),
@@ -163,21 +164,18 @@ class Histogram:
     """Fixed-bucket latency histogram with exact count/sum/min/max.
 
     ``counts[i]`` counts observations ``v <= bounds[i]`` (and above
-    ``bounds[i-1]``); the final slot is the overflow bucket. Buckets
-    never change after creation, which is what makes histograms from
-    different processes mergeable bucket-wise.
+    ``bounds[i-1]``); the final slot is the overflow bucket. Every
+    series uses :data:`LATENCY_BUCKETS`, which is what makes histograms
+    from different processes mergeable bucket-wise.
     """
 
     __slots__ = ("name", "labels", "bounds", "counts", "count", "sum",
                  "min", "max", "_lock")
 
-    def __init__(self, name: str, labels: dict,
-                 bounds: tuple[float, ...], lock: threading.Lock) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError("histogram bounds must be a sorted, non-empty sequence")
+    def __init__(self, name: str, labels: dict, lock: threading.Lock) -> None:
         self.name = name
         self.labels = labels
-        self.bounds = tuple(float(b) for b in bounds)
+        self.bounds = LATENCY_BUCKETS
         self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum = 0.0
@@ -284,26 +282,15 @@ class MetricsRegistry:
                     f"{metric.agg!r}, not {agg!r}")
             return metric
 
-    def histogram(self, name: str, *, bounds=LATENCY_BUCKETS,
-                  **labels) -> Histogram:
+    def histogram(self, name: str, **labels) -> Histogram:
         labels = _norm_labels(labels)
         key = metric_key(name, labels)
-        bounds = tuple(float(b) for b in bounds)
         with self._lock:
             metric = self._histograms.get(key)
             if metric is None:
-                metric = Histogram(name, labels, bounds, self._lock)
+                metric = Histogram(name, labels, self._lock)
                 self._histograms[key] = metric
-            elif metric.bounds != bounds:
-                raise ValueError(
-                    f"histogram {key!r} already registered with different "
-                    "bounds — buckets are fixed per series")
             return metric
-
-    def timer(self, name: str, **labels) -> Histogram:
-        """Alias of :meth:`histogram` with the default latency buckets
-        — reads better at call sites that only ever ``.time()``."""
-        return self.histogram(name, **labels)
 
     # ------------------------------------------------------------------
     # Collectors (weakly-owned counter bridges)

@@ -81,7 +81,6 @@ from time import monotonic, perf_counter
 
 from ..exceptions import ProtocolError, ServingError
 from .protocol import (
-    MAX_FRAME_BYTES,
     ErrorResponse,
     Request,
     Response,
@@ -102,7 +101,8 @@ from .protocol import (
 )
 from .shard import _no_delay
 
-__all__ = ["FrontDoor", "IDLE_SECONDS", "LOCAL_KINDS", "MAX_CONNECTIONS"]
+__all__ = ["FrontDoor", "IDLE_SECONDS", "LOCAL_KINDS", "MAX_CONNECTIONS",
+           "SUBMIT_TIMEOUT"]
 
 #: request kinds the front door answers itself (venue must be ``""``)
 #: instead of routing to a shard
@@ -115,6 +115,10 @@ MAX_CONNECTIONS = 256
 #: seconds a connection that owes no reply may stay quiet before the
 #: door shuts it down, freeing its slot and its two threads
 IDLE_SECONDS = 60.0
+
+#: seconds a submission may block on a saturated shard before it fails
+#: with ``ServingError`` (backpressure made visible to the client)
+SUBMIT_TIMEOUT = 30.0
 
 #: ``send`` flag of a settling thread's one non-blocking attempt
 #: (``None`` where the platform lacks it: every reply then goes
@@ -256,10 +260,11 @@ class FrontDoor:
         registry: metrics registry for the front door's series;
             defaults to the cluster's own, so the series surface in the
             merged ``/metrics`` view.
-        submit_timeout: seconds a submission may block on a saturated
-            shard before failing with ``ServingError`` (backpressure
-            made visible to the client).
-        max_frame_bytes: per-frame payload ceiling.
+
+    Frames are capped at
+    :data:`~repro.serving.protocol.MAX_FRAME_BYTES` each way, and a
+    submission fails with ``ServingError`` after blocking
+    :data:`SUBMIT_TIMEOUT` seconds on a saturated shard.
 
     Lifecycle is synchronous: :meth:`start` binds the socket (raising
     the bind error) and starts the accept thread; :meth:`stop` closes
@@ -275,16 +280,12 @@ class FrontDoor:
         port: int = 0,
         names: dict | None = None,
         registry=None,
-        submit_timeout: float = 30.0,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
     ) -> None:
         self.cluster = cluster
         self.host = host
         self.port = int(port)
         self.names = dict(names or {})
         self.registry = registry if registry is not None else cluster.registry
-        self.submit_timeout = float(submit_timeout)
-        self.max_frame_bytes = int(max_frame_bytes)
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
@@ -419,8 +420,7 @@ class FrontDoor:
         try:
             while True:
                 try:
-                    payload = recv_payload(conn.sock,
-                                           max_bytes=self.max_frame_bytes)
+                    payload = recv_payload(conn.sock)
                 except (ProtocolError, OSError):
                     if not conn.idle_closed:
                         self._protocol_errors.inc()
@@ -509,7 +509,7 @@ class FrontDoor:
         try:
             _refuse_unencodable(request)
             future = self.cluster.submit(
-                request, timeout=self.submit_timeout, raw_reply=payload)
+                request, timeout=SUBMIT_TIMEOUT, raw_reply=payload)
         except Exception as exc:  # noqa: BLE001 - travels as a reply
             deliver(self._encode(error_reply(request_id, exc)))
             return
@@ -545,7 +545,7 @@ class FrontDoor:
     def _deliver(self, conn: _Connection, body: bytes) -> None:
         """Frame one reply payload and send it to ``conn``."""
         try:
-            frame = frame_payload(body, max_bytes=self.max_frame_bytes)
+            frame = frame_payload(body)
         except ProtocolError:  # pragma: no cover - reply above the limit
             self._protocol_errors.inc()
             frame = None

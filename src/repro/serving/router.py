@@ -155,7 +155,8 @@ class VenueRouter:
             one when not given. A given registry is also forwarded to
             every engine the router warm-starts (so their query
             latency lands in the same snapshot); without one the
-            engines stay bare.
+            engines stay bare. Every engine is ``thread_safe`` (a pooled
+            engine is by definition shared).
         slow_query_threshold: seconds; when set, every request is
             timed and those at or above the threshold emit one
             structured :class:`~repro.obs.slowlog.SlowQueryLog` record
@@ -164,9 +165,6 @@ class VenueRouter:
             ``None`` (default) disables slow-query timing entirely.
         slowlog_path: optional JSONL file the slow-query records are
             appended to (requires ``slow_query_threshold``).
-        **engine_kwargs: forwarded to every :class:`QueryEngine`
-            (``thread_safe=True`` is always enforced — a pooled engine
-            is by definition shared).
 
     Thread safety: all methods are safe from any thread; see the module
     docstring for the locking design.
@@ -180,12 +178,11 @@ class VenueRouter:
         registry=None,
         slow_query_threshold: float | None = None,
         slowlog_path=None,
-        **engine_kwargs,
     ) -> None:
         self.catalog = catalog
         self.capacity = int(capacity)
-        engine_kwargs["thread_safe"] = True
-        engine_kwargs.setdefault("registry", registry)
+        #: the registry engines record into: the caller's, or none
+        self._engine_registry = registry
         self.registry = registry = (registry if registry is not None
                                     else MetricsRegistry())
         self._warm_start_timer = registry.histogram("router_warm_start_seconds")
@@ -210,7 +207,6 @@ class VenueRouter:
         #: armed latency injection: ``[seconds, remaining]`` or ``None``
         #: (the ``inject_latency`` control kind; mutated under the mutex)
         self._injected_latency: list | None = None
-        self._engine_kwargs = engine_kwargs
         self._mutex = threading.Lock()
         self._venues: dict[str, _VenueSlot] = {}
         self._engines: OrderedDict[str, QueryEngine] = OrderedDict()
@@ -353,7 +349,7 @@ class VenueRouter:
         for attempt in (0, 1):
             engine = self.catalog.engine_for(
                 slot.space, objects=slot.objects, builder=slot.builder,
-                mmap=True, **self._engine_kwargs,
+                mmap=True, thread_safe=True, registry=self._engine_registry,
             )
             if engine.objects is None:
                 return engine

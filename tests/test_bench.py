@@ -3,7 +3,12 @@
 import pytest
 
 from repro.bench import Table, VenueContext, time_queries
-from repro.bench.experiments import exp_table1, exp_table2
+from repro.bench.experiments import (
+    exp_fig9,
+    exp_fig11_range,
+    exp_table1,
+    exp_table2,
+)
 from repro.bench.harness import DISTMX_MAX_DOORS
 
 
@@ -79,6 +84,21 @@ class TestExperiments:
         # measured columns are positive
         for row in tables[0].rows:
             assert row[1] > 0 and row[3] > 0
+
+    def test_fig9_reports_the_superior_door_ablation(self):
+        """Men-2: the runner checks the two trees' answers ``==``, and
+        Definition 2 leaves fewer entry doors per partition and no more
+        door pairs per query."""
+        ablation = exp_fig9(profile="tiny", venues=("MC",))[-1]
+        superior, every = ablation.rows
+        assert (superior[0], every[0]) == ("superior", "all")
+        assert superior[1] < every[1]
+        assert superior[2] <= every[2]
+
+    def test_fig11range_reports_the_radius_sweep(self):
+        sweep = exp_fig11_range(profile="tiny", venues=("MC",))[-1]
+        assert [row[0] for row in sweep.rows] == [50.0, 100.0, 500.0]
+        assert all(us > 0 for row in sweep.rows for us in row[1:])
 
     def test_cli_main(self, capsys, tmp_path):
         from repro.bench.__main__ import main

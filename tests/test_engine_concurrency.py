@@ -147,9 +147,10 @@ def test_concurrent_queries_with_interleaved_updates(storm_setup):
         assert getattr(stats, f"{kind}_queries") == want, kind
     assert stats.queries == N_QUERY_THREADS * QUERIES_PER_THREAD
     assert stats.updates == len(applied) == N_UPDATES
-    # every update invalidates once; racing stale-version readers must
-    # not inflate the count beyond one event per version change
-    assert stats.invalidations == N_UPDATES
+    # every update invalidates once, leaf-scoped; racing readers never
+    # see a stale version, so no full flush is added
+    assert stats.scoped_invalidations == N_UPDATES
+    assert stats.full_invalidations == 0
     for kind in ("distance", "path", "knn", "range"):
         hits = getattr(stats, f"{kind}_hits")
         misses = getattr(stats, f"{kind}_misses")

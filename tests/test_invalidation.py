@@ -1,12 +1,15 @@
-"""Leaf-scoped cache invalidation: tag bookkeeping, scoped == full
+"""Leaf-scoped cache invalidation: tag bookkeeping, scoped == uncached
 equivalence on interleaved update+query streams, and the move scope
 rules.
 
-The headline guarantee is correctness, not speed: a scoped engine must
-answer **element-wise identically** to a full-flush engine on arbitrary
-interleavings of updates and queries — hypothesis-tested across all
-fixture venues, both tree kinds and both kNN/range paths. The speed win
-is asserted separately in ``benchmarks/bench_invalidation.py``.
+The headline guarantee is correctness, not speed: a caching engine,
+whose updates drop only the entries tagged with the leaves they touch,
+must answer **element-wise identically** to an engine with no cache at
+all on arbitrary interleavings of updates and queries —
+hypothesis-tested across all fixture venues and both tree kinds. The
+python and numpy paths capture identical leaf tags
+(``test_backends_capture_identical_leaf_balls``). The speed win is
+asserted separately in ``benchmarks/bench_invalidation.py``.
 """
 
 from __future__ import annotations
@@ -24,13 +27,11 @@ from repro.core.results import QueryStats
 from repro.datasets import random_objects, random_point
 from repro.engine import QueryEngine, TaggedLRUCache
 from repro.engine.engine import endpoint_key
-from repro.exceptions import QueryError
 from repro.kernels import NumpyKernels
 from repro.testing import sample_points
 
 VENUES = ["fig1", "tower", "mall", "office", "campus"]
 TREE_KINDS = {"ip": IPTree, "vip": VIPTree}
-KERNELS = ["python", "numpy"]
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +134,7 @@ def test_backends_capture_identical_leaf_balls(built, venue, kind):
 
 
 # ----------------------------------------------------------------------
-# The headline property: scoped == full on interleaved streams
+# The headline property: scoped == uncached on interleaved streams
 # ----------------------------------------------------------------------
 @settings(
     max_examples=25,
@@ -141,21 +142,21 @@ def test_backends_capture_identical_leaf_balls(built, venue, kind):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_scoped_equals_full_on_interleaved_streams(built, seed):
-    """Two engines over identically seeded object sets — one scoped, one
-    full-flush — fed the same interleaved update+query stream must agree
-    element-wise on every answer. Queries repeat from a small pool so
-    the scoped engine actually serves from (potentially stale, if the
-    scoping were wrong) cached entries."""
+def test_scoped_equals_uncached_on_interleaved_streams(built, seed):
+    """Two engines over identically seeded object sets — one caching
+    under leaf-scoped invalidation, one with ``cache=False`` — fed the
+    same interleaved update+query stream must agree element-wise on
+    every answer. Queries repeat from a small pool so the scoped engine
+    actually serves from (potentially stale, if the scoping were wrong)
+    cached entries."""
     rng = random.Random(seed)
     venue = rng.choice(VENUES)
     kind = rng.choice(list(TREE_KINDS))
-    kern = rng.choice(KERNELS)
     space, tree = built[venue, kind]
     engines = [
         QueryEngine(tree, random_objects(space, 10, seed=seed % 1009),
-                    kernels=kern, invalidation=mode)
-        for mode in ("scoped", "full")
+                    cache=cache)
+        for cache in (True, False)
     ]
     pool = sample_points(space, 5, seed=(seed % 83) + 2)
     live = [o.object_id for o in engines[0].objects]
@@ -192,8 +193,10 @@ def test_scoped_equals_full_on_interleaved_streams(built, seed):
     # every engine-routed update is leaf-attributable: never a full flush
     assert s0.full_invalidations == 0
     assert s0.scoped_invalidations == s0.updates
-    assert s1.scoped_invalidations == 0
-    assert s1.invalidations == s0.invalidations  # back-compat sum agrees
+    # the uncached engine applied the same updates with nothing to drop
+    assert s1.updates == s0.updates
+    assert s1.scoped_invalidations == s1.full_invalidations == 0
+    assert s1.hits == 0
 
 
 # ----------------------------------------------------------------------
@@ -211,10 +214,8 @@ def test_move_drops_exactly_entries_tagged_with_either_leaf(built, seed):
     rng = random.Random(seed)
     venue = rng.choice(VENUES)
     kind = rng.choice(list(TREE_KINDS))
-    kern = rng.choice(KERNELS)
     space, tree = built[venue, kind]
-    engine = QueryEngine(tree, random_objects(space, 12, seed=seed % 991),
-                         kernels=kern)
+    engine = QueryEngine(tree, random_objects(space, 12, seed=seed % 991))
     for q in sample_points(space, 6, seed=(seed % 89) + 1):
         engine.knn(q, rng.randint(1, 5))
         engine.range_query(q, rng.choice([4.0, 20.0, 80.0]))
@@ -236,14 +237,13 @@ def test_move_drops_exactly_entries_tagged_with_either_leaf(built, seed):
         assert (key not in caches[name]) == should_drop
 
 
-@pytest.mark.parametrize("kern", KERNELS)
-def test_same_leaf_move_outside_bound_balls_drops_nothing(mall_space, kern):
+def test_same_leaf_move_outside_bound_balls_drops_nothing(mall_space):
     """The fast path the benchmark exploits: a same-leaf move of an
     object outside every cached bound ball drops zero entries, and the
     next identical queries are pure hits."""
     space = mall_space
     tree = VIPTree.build(space)
-    engine = QueryEngine(tree, random_objects(space, 20, seed=5), kernels=kern)
+    engine = QueryEngine(tree, random_objects(space, 20, seed=5))
     rng = random.Random(6)
     q = random_point(space, rng)
     near = engine.insert_object(q)  # co-located: the k=1 bound is 0.0
@@ -282,26 +282,6 @@ def test_out_of_band_mutation_falls_back_to_full_flush(mall_space):
     s = engine.stats()
     assert s.full_invalidations == 1
     assert len(engine._knn_cache) == 1  # only the recomputed entry
-
-
-def test_full_mode_restores_flush_semantics(mall_space):
-    tree = VIPTree.build(mall_space)
-    engine = QueryEngine(tree, random_objects(mall_space, 10, seed=10),
-                         invalidation="full")
-    rng = random.Random(11)
-    for q in sample_points(mall_space, 4, seed=12):
-        engine.knn(q, 2)
-    assert len(engine._knn_cache) == 4
-    engine.insert_object(random_point(mall_space, rng))
-    assert len(engine._knn_cache) == 0  # everything flushed
-    s = engine.stats()
-    assert s.full_invalidations == 1 and s.scoped_invalidations == 0
-
-
-def test_invalid_invalidation_mode_rejected(mall_space):
-    tree = VIPTree.build(mall_space)
-    with pytest.raises(QueryError, match="invalidation"):
-        QueryEngine(tree, invalidation="lazy")
 
 
 def test_distance_and_path_caches_survive_scoped_updates(mall_space):

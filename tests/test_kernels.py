@@ -41,7 +41,7 @@ from repro.datasets import (
     random_objects,
     random_point,
 )
-from repro.engine import QueryEngine, replay
+from repro.engine import QueryEngine
 from repro.exceptions import QueryError, SnapshotError
 from repro.graph.dijkstra import dijkstra
 from repro.kernels import NumpyKernels
@@ -72,20 +72,8 @@ def _queries(space, count=8, seed=7):
 
 
 # ----------------------------------------------------------------------
-# Selection and argument checks
+# Argument checks
 # ----------------------------------------------------------------------
-def test_engine_accepts_only_numpy_and_python(mall_space):
-    tree = VIPTree.build(mall_space)
-    objects = random_objects(mall_space, 6, seed=1)
-    q = sample_points(mall_space, 1, seed=2)[0]
-    answers = [QueryEngine(tree, objects, kernels=kern).knn(q, 3)
-               for kern in ("numpy", "python")]
-    assert answers[0] == answers[1]
-    for spec in ("auto", None, "fortran", NumpyKernels()):
-        with pytest.raises(QueryError, match="kernels must be"):
-            QueryEngine(tree, objects, kernels=spec)
-
-
 def test_invalid_k_and_radius_raise_like_the_reference(built):
     space, tree, index = built["mall", "vip"]
     q = _queries(space, count=1)[0]
@@ -429,20 +417,30 @@ def test_query_leaf_answers_without_a_dijkstra(men2_small, monkeypatch):
 @pytest.mark.slow
 def test_men2_small_numpy_equals_python_under_updates(men2_small):
     """Kernel identity at realistic leaf size: fresh-endpoint kNN (k=10)
-    and range reads interleaved with door-crossing moves, answered by
-    both paths and compared with ``==``."""
+    and range reads interleaved with door-crossing moves, each read
+    answered by the engine and by the tree's own Algorithm 5 over the
+    engine's object index, compared with ``==``."""
     space, tree = men2_small
     stream = moving_objects(
         space, random_objects(space, 200, seed=5), 600, update_ratio=0.5,
         mix={"knn": 0.7, "range": 0.3}, pool=None, k=10, seed=13,
         d2d=tree.d2d,
     )
-    answers = []
-    for kernels in ("numpy", "python"):
-        engine = QueryEngine(tree, random_objects(space, 200, seed=5),
-                             kernels=kernels)
-        answers.append(replay(engine, stream)[0])
-    assert answers[0] == answers[1]
+    engine = QueryEngine(tree, random_objects(space, 200, seed=5))
+    index = engine.object_index
+    reads = 0
+    for event in stream:
+        if isinstance(event, UpdateOp):
+            engine.update(event)
+        elif event.kind == "knn":
+            reads += 1
+            assert engine.knn(event.source, event.k) == tree.knn(
+                index, event.source, event.k)
+        else:
+            reads += 1
+            assert engine.range_query(event.source, event.radius) == \
+                tree.range_query(index, event.source, event.radius)
+    assert reads and engine.stats().updates == len(stream) - reads
 
 
 def test_query_leaf_arrays_follow_every_update(men2_small):

@@ -132,7 +132,8 @@ class TestEngineInvalidation:
         assert knn_after[0].object_id == new_id
         s1 = engine.stats()
         assert s1.updates == s0.updates + 1
-        assert s1.invalidations == s0.invalidations + 1
+        assert s1.scoped_invalidations == s0.scoped_invalidations + 1
+        assert s1.full_invalidations == s0.full_invalidations
         # the re-answered kNN was a recompute, not a stale hit
         assert s1.knn_hits == s0.knn_hits
         assert s1.knn_misses == s0.knn_misses + 1
@@ -154,7 +155,7 @@ class TestEngineInvalidation:
         new_id = engine.object_index.insert(q)  # bypasses the engine
         got = engine.knn(q, 3)
         assert got[0].object_id == new_id
-        assert engine.stats().invalidations >= 1
+        assert engine.stats().full_invalidations >= 1
 
     def test_updates_on_objectless_engine_rejected(self, fig1_space):
         engine = QueryEngine(VIPTree.build(fig1_space))
@@ -170,7 +171,7 @@ class TestEngineInvalidation:
         assert engine.knn(q, 1)[0].object_id == new_id
         s = engine.stats()
         assert s.updates == 1
-        assert s.invalidations == 0  # nothing to flush
+        assert s.scoped_invalidations == s.full_invalidations == 0  # nothing to flush
 
     def test_baseline_engine_reattaches_objects(self, fig1_space, tower_space):
         """The engine serves only trees: updates go through an engine

@@ -47,6 +47,7 @@ from repro.storage import (
     oplog_path,
     scan_oplog,
     venue_fingerprint,
+    verify_snapshot,
 )
 
 # Real child processes + sockets: wedges fail fast with a stack dump.
@@ -347,6 +348,8 @@ class TestWriteBack:
                 == (index_stat.st_ino, index_stat.st_mtime_ns))
         assert objects_path(index_file).read_bytes() != objects_before
         assert load_snapshot(index_file, space=space).objects.version == 3
+        # the written-back objects file passes the oracle cross-check
+        verify_snapshot(index_file, space=space, deep=True)
 
     def test_objects_file_is_durable_before_the_log_is_compacted(
             self, tmp_path, open_router, monkeypatch):
