@@ -76,6 +76,12 @@ from .cache import LRUCache
 from .invalidation import TaggedLRUCache
 from .locking import NULL_LOCK, NULL_RWLOCK, RWLock
 
+#: LRU capacity of an engine's distance result cache (door-to-door and
+#: point pairs share it; keys are symmetric)
+DISTANCE_CACHE_SIZE = 65536
+#: LRU capacity of each of an engine's kNN / range / path result caches
+RESULT_CACHE_SIZE = 8192
+
 _MISSING = object()
 
 
@@ -224,11 +230,8 @@ class QueryEngine:
             ``index``. Omit for distance/path-only engines.
         cache: master switch. ``False`` disables every result cache
             (each call recomputes from scratch, like calling the index
-            directly).
-        distance_cache_size: LRU capacity of the distance result cache
-            (door-to-door and point pairs share it; keys are symmetric).
-        result_cache_size: LRU capacity of each of the kNN / range /
-            path result caches.
+            directly). The caches hold :data:`DISTANCE_CACHE_SIZE` and
+            :data:`RESULT_CACHE_SIZE` entries.
         thread_safe: enable the concurrent-reader contract described in
             the module docstring (an RWLock serializing updates against
             kNN/range queries and a mutex guarding caches/counters).
@@ -253,8 +256,6 @@ class QueryEngine:
         objects=None,
         *,
         cache: bool = True,
-        distance_cache_size: int = 65536,
-        result_cache_size: int = 8192,
         thread_safe: bool = False,
         registry=None,
     ) -> None:
@@ -290,10 +291,10 @@ class QueryEngine:
             self._lock = NULL_RWLOCK
             self._mutex = NULL_LOCK
         if self.cache_enabled:
-            self._dist_cache = LRUCache(distance_cache_size)
-            self._path_cache = LRUCache(result_cache_size)
-            self._knn_cache = TaggedLRUCache(result_cache_size)
-            self._range_cache = TaggedLRUCache(result_cache_size)
+            self._dist_cache = LRUCache(DISTANCE_CACHE_SIZE)
+            self._path_cache = LRUCache(RESULT_CACHE_SIZE)
+            self._knn_cache = TaggedLRUCache(RESULT_CACHE_SIZE)
+            self._range_cache = TaggedLRUCache(RESULT_CACHE_SIZE)
         else:
             self._dist_cache = None
             self._path_cache = None

@@ -14,8 +14,8 @@ engine, each layer usable alone:
   operation-log tail. Every update is fsynced to the venue's
   :class:`~repro.storage.oplog.OpLog` before it is acknowledged.
 * **Shards** (:class:`ShardWorker` / :class:`ShardProcess`) — one
-  process per shard: a router behind a socket, with a
-  :class:`PeriodicFlusher` that writes dirty engines' object sets
+  single-threaded process per shard: a router behind a socket that,
+  between requests, periodically writes dirty engines' object sets
   back and compacts their logs.
 * **Cluster** (:class:`ClusterFrontend`) — consistent-hash placement
   over N shard processes: multi-core scaling, log-tailing replicas,
@@ -78,7 +78,7 @@ from .protocol import (
 )
 from .replay import ServingReport, concurrent_replay, sequential_replay
 from .ring import DEFAULT_VNODES, HashRing
-from .router import PeriodicFlusher, RouterStats, VENUE_ROLES, VenueRouter
+from .router import RouterStats, VENUE_ROLES, VenueRouter
 from .shard import ShardProcess, ShardStats, ShardWorker
 
 __all__ = [
@@ -96,7 +96,6 @@ __all__ = [
     "FrontDoorClient",
     "HashRing",
     "MAX_BATCH_REQUESTS",
-    "PeriodicFlusher",
     "QUERY_KINDS",
     "READ_KINDS",
     "REQUEST_KINDS",

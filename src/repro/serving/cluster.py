@@ -12,7 +12,7 @@ venue-tagged :class:`~repro.serving.protocol.Request` objects (the
 same protocol a :class:`~repro.serving.router.VenueRouter` executes
 in-process), answered through per-request futures; because shards are
 processes, the CPU-bound index math of different venues runs on
-different cores. The TCP front door submits with ``raw_reply`` set to
+different cores. The TCP front door submits with ``payload`` set to
 the client's request bytes: the cluster routes and admits on the
 parsed :class:`~repro.serving.protocol.Request`, the shard receives
 the bytes unchanged, and the future resolves to the shard's reply
@@ -41,12 +41,12 @@ Replication and durability (``replication``):
 Operational behavior:
 
 * **Backpressure** — each shard bounds its in-flight window
-  (``max_inflight``); ``submit`` blocks while the target shard is
-  saturated and raises :class:`~repro.exceptions.ServingError` after
-  ``timeout`` seconds.
+  (:data:`~repro.serving.shard.MAX_INFLIGHT`); ``submit`` blocks while
+  the target shard is saturated and raises
+  :class:`~repro.exceptions.ServingError` after ``timeout`` seconds.
 * **Crash restart** — a dead shard fails its in-flight futures; the
-  next request for one of its venues respawns it from the catalog's
-  snapshots plus each venue's log tail.
+  next request for one of its venues always respawns it from the
+  catalog's snapshots plus each venue's log tail.
 * **Graceful drain/shutdown** — :meth:`drain` barriers on every shard;
   :meth:`shutdown` drains, flushes dirty engines, and joins every
   worker process.
@@ -71,12 +71,8 @@ from ..obs import MetricsRegistry, merge_snapshots, summarize
 from ..storage.snapshot import venue_fingerprint
 from .admission import AdmissionController
 from .protocol import FAULT_KINDS, QUERY_KINDS, READ_KINDS, Request
-from .ring import DEFAULT_VNODES, HashRing
-from .shard import (
-    DEFAULT_FLUSH_INTERVAL,
-    DEFAULT_MAX_INFLIGHT,
-    ShardProcess,
-)
+from .ring import HashRing
+from .shard import DEFAULT_FLUSH_INTERVAL, ShardProcess
 
 #: how long an update waits for an in-progress venue move before
 #: giving up (the single-writer handoff window; normally milliseconds)
@@ -139,21 +135,10 @@ class ClusterFrontend:
             the live shard count; replicas serve reads and take over as
             primary when theirs dies.
         capacity: per-shard engine-pool bound.
-        flush_interval: per-shard snapshot-and-compaction period in
-            seconds; it bounds log *length*, not durability. ``0``
+        flush_interval: seconds between each shard's write-back-and-
+            compaction flushes, run on its serve thread between
+            requests; it bounds log *length*, not durability. ``0``
             disables periodic flushing.
-        max_inflight: per-shard bound on concurrently in-flight
-            requests (the backpressure knob).
-        restart: respawn crashed shards on the next request for one of
-            their venues (on by default; ``False`` turns a crash into a
-            permanent ``ServingError`` for that shard's venues once no
-            live replica remains).
-        vnodes: virtual points per shard on the placement ring.
-        registry: :class:`~repro.obs.MetricsRegistry` for the cluster's
-            own series (the ``cluster_*_total`` counters :meth:`stats`
-            reads back, respawn/move durations). A private one is
-            created when not given; :meth:`metrics` merges it with
-            every live shard's registry snapshot.
         admission: optional per-venue
             :class:`~repro.serving.admission.AdmissionController`.
             When set, engine-backed requests pass it before any shard
@@ -162,13 +147,19 @@ class ClusterFrontend:
             :class:`~repro.exceptions.OverloadedError` (retry-after
             hint attached) instead of being queued — one pathological
             venue then cannot starve the rest. :meth:`metrics` merges
-            the controller's registry too, when it is not the
-            cluster's, so its counters/gauges always surface there.
+            the controller's registry too, so its counters/gauges
+            surface there.
         slow_query_threshold: seconds; forwarded to every shard worker
             — requests slower than this land in the shard's structured
             slow-query log under ``<catalog_root>/obs/``. ``None``
             disables slow-query logging.
-        mp_context: optional :mod:`multiprocessing` context.
+
+    The cluster owns :attr:`registry`, the
+    :class:`~repro.obs.MetricsRegistry` of its own series (the
+    ``cluster_*_total`` counters :meth:`stats` reads back,
+    respawn/move durations); :meth:`metrics` merges it with every live
+    shard's registry snapshot. Placement uses
+    :data:`~repro.serving.ring.DEFAULT_VNODES` points per shard.
 
     Usable as a context manager: ``with ClusterFrontend(...) as c:``
     pre-spawns every shard and shuts down gracefully on exit.
@@ -182,13 +173,8 @@ class ClusterFrontend:
         replication: int = 1,
         capacity: int = 8,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        restart: bool = True,
-        vnodes: int = DEFAULT_VNODES,
-        registry: MetricsRegistry | None = None,
         admission: AdmissionController | None = None,
         slow_query_threshold: float | None = None,
-        mp_context=None,
     ) -> None:
         if shards < 1:
             raise ServingError(f"shards must be >= 1, got {shards}")
@@ -198,14 +184,11 @@ class ClusterFrontend:
         self.replication = int(replication)
         self.capacity = int(capacity)
         self.flush_interval = float(flush_interval)
-        self.max_inflight = int(max_inflight)
-        self.restart = bool(restart)
         self.slow_query_threshold = (
             float(slow_query_threshold)
             if slow_query_threshold is not None else None
         )
-        self.registry = registry = (registry if registry is not None
-                                    else MetricsRegistry())
+        self.registry = registry = MetricsRegistry()
         self.admission = admission
         self._respawn_timer = registry.histogram("cluster_respawn_seconds")
         self._move_timer = registry.histogram("cluster_move_seconds")
@@ -218,7 +201,6 @@ class ClusterFrontend:
         self._venues_gauge = registry.gauge("cluster_venues", agg="sum")
         self._alive_gauge.set(0)
         self._venues_gauge.set(0)
-        self._mp_context = mp_context
         self._handles: dict[int, ShardProcess | None] = {
             idx: None for idx in range(int(shards))
         }
@@ -226,7 +208,7 @@ class ClusterFrontend:
             idx: threading.Lock() for idx in range(int(shards))
         }
         self._next_shard_id = int(shards)
-        self.ring = HashRing(range(int(shards)), vnodes=vnodes)
+        self.ring = HashRing(range(int(shards)))
         self._mutex = threading.Lock()
         #: notified whenever a registration's ``routing`` count falls
         self._routed = threading.Condition(self._mutex)
@@ -373,10 +355,6 @@ class ClusterFrontend:
                 if idx not in self._handles:
                     raise ServingError(f"no such shard {idx}")
                 crashed = handle is not None
-                if crashed and not self.restart:
-                    raise ServingError(
-                        f"shard {idx} died and restart is disabled"
-                    )
                 if crashed:
                     self._restarts.inc()
                 regs = [
@@ -394,9 +372,7 @@ class ClusterFrontend:
                 shard_id=idx,
                 capacity=self.capacity,
                 flush_interval=self.flush_interval,
-                max_inflight=self.max_inflight,
                 slow_query_threshold=self.slow_query_threshold,
-                mp_context=self._mp_context,
             ).start()
             # Re-register this shard's venues with their current roles.
             # Pipelined: every registration is submitted before any
@@ -540,7 +516,7 @@ class ClusterFrontend:
     # Intake
     # ------------------------------------------------------------------
     def submit(self, request: Request, *, timeout: float | None = None,
-               raw_reply: bool | bytes = False) -> Future:
+               payload: bytes | None = None) -> Future:
         """Route one request; returns its future.
 
         Reads (:data:`~repro.serving.protocol.READ_KINDS`) rotate
@@ -548,12 +524,12 @@ class ClusterFrontend:
         primary — promoting a live replica first if the primary is
         dead. Blocks while the target shard's in-flight window is full
         (backpressure); ``timeout`` turns saturation into a
-        :class:`ServingError`. ``raw_reply`` resolves a success to the
-        shard's reply payload bytes (the canonical JSON of its
-        :class:`~repro.serving.protocol.Response` envelope, with any
-        ``stats``/``trace`` riders) instead of the decoded value; given
-        the request's own wire payload, the shard receives those bytes
-        unchanged — see :meth:`ShardProcess.submit
+        :class:`ServingError`. Given ``payload``, the request's own wire
+        bytes, the shard receives those bytes unchanged and a success
+        resolves to the shard's reply payload bytes (the canonical JSON
+        of its :class:`~repro.serving.protocol.Response` envelope, with
+        any ``stats``/``trace`` riders); without it, to the decoded
+        value — see :meth:`ShardProcess.submit
         <repro.serving.shard.ShardProcess.submit>`. Routing and
         admission read only ``request``.
 
@@ -561,8 +537,8 @@ class ClusterFrontend:
             OverloadedError: the venue was shed by admission control
                 (rate allowance or queue-depth bound) — the request was
                 not executed; retry after the attached hint.
-            ServingError: unknown venue id, cluster shut down, dead
-                shard with restart disabled, or backpressure timeout.
+            ServingError: unknown venue id, cluster shut down, or
+                backpressure timeout.
         """
         is_read = request.kind in READ_KINDS
         while True:
@@ -598,10 +574,7 @@ class ClusterFrontend:
         try:
             handle = (self._read_handle(reg) if is_read
                       else self._primary_handle(request.venue, reg))
-            # Keep the plain call signature-stable (tests wrap submit).
-            future = (handle.submit(request, timeout=timeout,
-                                    raw_reply=raw_reply)
-                      if raw_reply else handle.submit(request, timeout=timeout))
+            future = handle.submit(request, timeout=timeout, payload=payload)
         except BaseException:
             if admitted:
                 admission.release(request.venue)
@@ -619,7 +592,7 @@ class ClusterFrontend:
     def _primary_handle(self, venue_id: str, reg: _Registration) -> ShardProcess:
         """The venue's primary shard handle — promoting the first live
         replica when the primary is dead (failover), else respawning
-        the primary (restart policy applies)."""
+        the primary."""
         with self._mutex:
             nodes = list(reg.nodes)
         head = self._handle(nodes[0])
@@ -660,7 +633,7 @@ class ClusterFrontend:
         """A live shard holding the venue, rotating reads across its
         primary + replicas. Never-started shards spawn lazily in
         rotation; crashed ones are skipped (failover) until every node
-        is dead — then the restart policy decides on the first one."""
+        is dead — then the first one respawns."""
         with self._mutex:
             cursor = reg.rr
             reg.rr += 1
@@ -750,8 +723,8 @@ class ClusterFrontend:
 
     def shard_stats(self) -> list[dict]:
         """Each live shard's own stats document (pid, request counts,
-        router counters, per-venue log positions, flusher progress),
-        via a ``stats`` request."""
+        router counters, per-venue log positions), via a ``stats``
+        request."""
         return [handle.call(Request(venue="", kind="stats"))
                 for handle in self._live_handles()]
 
@@ -771,8 +744,8 @@ class ClusterFrontend:
         """One merged, summarized metrics snapshot for the cluster.
 
         Merges the frontend's own registry (cluster counters,
-        respawn/move durations), the admission controller's when it
-        keeps its own, and every live shard's registry
+        respawn/move durations), the admission controller's, and every
+        live shard's registry
         (engine/router/oplog/shard series) — counters and histogram
         buckets add, gauges combine by their aggregation policy — and
         annotates each histogram with ``p50``/``p95``/``p99``/``mean``.
@@ -781,9 +754,8 @@ class ClusterFrontend:
         """
         self._alive_gauge.set(len(self._live_handles()))
         own = [self.registry]
-        admission = self.admission
-        if admission is not None and admission.registry is not self.registry:
-            own.append(admission.registry)
+        if self.admission is not None:
+            own.append(self.admission.registry)
         return summarize(merge_snapshots(
             [reg.snapshot() for reg in own] + self.shard_metrics()
         ))

@@ -257,9 +257,9 @@ class FrontDoor:
             :meth:`start`).
         names: optional venue-id → display-name mapping echoed by the
             ``venues`` control kind.
-        registry: metrics registry for the front door's series;
-            defaults to the cluster's own, so the series surface in the
-            merged ``/metrics`` view.
+
+    The door counts into the cluster's registry, so its series surface
+    in the merged ``/metrics`` view.
 
     Frames are capped at
     :data:`~repro.serving.protocol.MAX_FRAME_BYTES` each way, and a
@@ -279,13 +279,12 @@ class FrontDoor:
         host: str = "127.0.0.1",
         port: int = 0,
         names: dict | None = None,
-        registry=None,
     ) -> None:
         self.cluster = cluster
         self.host = host
         self.port = int(port)
         self.names = dict(names or {})
-        self.registry = registry if registry is not None else cluster.registry
+        self.registry = cluster.registry
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
@@ -509,7 +508,7 @@ class FrontDoor:
         try:
             _refuse_unencodable(request)
             future = self.cluster.submit(
-                request, timeout=SUBMIT_TIMEOUT, raw_reply=payload)
+                request, timeout=SUBMIT_TIMEOUT, payload=payload)
         except Exception as exc:  # noqa: BLE001 - travels as a reply
             deliver(self._encode(error_reply(request_id, exc)))
             return

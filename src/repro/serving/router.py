@@ -51,14 +51,13 @@ with the router mutex *released*; only eviction write-back runs under
 it — a deliberate stall that makes "save then drop" atomic against a
 concurrent re-load of the same venue from the stale file. The log lock
 is taken before the engine lock everywhere (apply + append must be one
-atomic step against the flusher's save + compact). Engines and the
+atomic step against a flush's save + compact). Engines and the
 catalog never call back into the router, so the ordering is acyclic
 and deadlock-free.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from collections import OrderedDict
@@ -93,7 +92,6 @@ class _VenueSlot:
 
     space: IndoorSpace
     objects: object = None
-    builder: object = None
     role: str = "primary"
 
 
@@ -141,7 +139,7 @@ class VenueRouter:
         registry: the :class:`~repro.obs.registry.MetricsRegistry`
             the router counts into (the ``router_*_total`` series that
             :meth:`stats` reads back) and times warm starts /
-            write-backs / flush cycles / oplog appends into; a private
+            write-backs / flushes / oplog appends into; a private
             one when not given. A given registry is also forwarded to
             every engine the router warm-starts (so their query
             latency lands in the same snapshot); without one the
@@ -209,17 +207,16 @@ class VenueRouter:
         #: update count already persisted per venue — write-back and
         #: flush() only re-serialize engines dirty since their last save
         self._saved_updates: dict[str, int] = {}
-        self._flusher: PeriodicFlusher | None = None
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def add_venue(self, space: IndoorSpace, *, objects=None, builder=None,
+    def add_venue(self, space: IndoorSpace, *, objects=None,
                   role: str = "primary") -> str:
         """Register a venue and return its id (the venue fingerprint).
 
-        ``objects``/``builder`` are used only if this venue's engine is
-        ever cold-built (no snapshot in the catalog yet) — a loaded
+        ``objects`` is used only if this venue's engine is ever
+        cold-built (no snapshot in the catalog yet) — a loaded
         snapshot serves the object set it was saved with. Registering
         the same venue twice is idempotent (the latest registration
         wins) — which is also how a role changes: re-register with the
@@ -236,8 +233,7 @@ class VenueRouter:
                 f"unknown venue role {role!r}; expected one of {VENUE_ROLES}"
             )
         venue_id = venue_fingerprint(space)
-        slot = _VenueSlot(space=space, objects=objects, builder=builder,
-                          role=role)
+        slot = _VenueSlot(space=space, objects=objects, role=role)
         with self._mutex:
             self._venues[venue_id] = slot
             self._venues_gauge.set(len(self._venues))
@@ -338,8 +334,8 @@ class VenueRouter:
         against the fresh files."""
         for attempt in (0, 1):
             engine = self.catalog.engine_for(
-                slot.space, objects=slot.objects, builder=slot.builder,
-                thread_safe=True, registry=self._engine_registry,
+                slot.space, objects=slot.objects, thread_safe=True,
+                registry=self._engine_registry,
             )
             if engine.objects is None:
                 return engine
@@ -664,47 +660,9 @@ class VenueRouter:
         self._flush_timer.observe(perf_counter() - start)
         return written
 
-    # ------------------------------------------------------------------
-    # Background snapshot + compaction schedule
-    # ------------------------------------------------------------------
-    def start_auto_flush(
-        self, interval: float = 30.0, *, jitter: float = 0.1,
-        seed: int | None = None,
-    ) -> "PeriodicFlusher":
-        """Start (or return) this router's background periodic flusher.
-
-        A daemon :class:`PeriodicFlusher` thread calls :meth:`flush`
-        every ``interval`` seconds (randomized by ``±jitter`` so a
-        fleet of routers/shards started together does not flush in
-        lock-step). Idempotent while a flusher is running; a stopped
-        flusher is replaced. The schedule bounds how much op log a warm
-        start replays.
-
-        Thread safety: safe from any thread.
-        """
-        with self._mutex:
-            if self._flusher is not None and self._flusher.running:
-                return self._flusher
-            flusher = PeriodicFlusher(self, interval, jitter=jitter, seed=seed)
-            self._flusher = flusher
-        flusher.start()
-        return flusher
-
-    def stop_auto_flush(self) -> None:
-        """Stop the background flusher, if one is running (idempotent).
-
-        Blocks until the flusher thread has exited — a flush already in
-        progress completes first.
-        """
-        with self._mutex:
-            flusher, self._flusher = self._flusher, None
-        if flusher is not None:
-            flusher.stop()
-
     def close(self) -> None:
-        """Stop the background flusher and close every venue's op-log
-        append handle (idempotent). Flushes nothing: acked updates are
-        already durable in the logs.
+        """Close every venue's op-log append handle (idempotent).
+        Flushes nothing: acked updates are already durable in the logs.
 
         The router stays usable — a later update reopens its venue's
         log — so ``close`` only releases what is open right now.
@@ -712,7 +670,6 @@ class VenueRouter:
         Thread safety: safe from any thread; each log closes under its
         own lock, so an append in flight finishes first.
         """
-        self.stop_auto_flush()
         with self._log_guard:
             states = list(self._logs.values())
         for state in states:
@@ -742,88 +699,4 @@ class VenueRouter:
         return (
             f"VenueRouter(venues={s.venues}, pooled={s.pooled}/"
             f"{self.capacity or '∞'}, requests={s.requests})"
-        )
-
-
-class PeriodicFlusher:
-    """Background snapshot-and-compaction: a thread flushing a router.
-
-    Calls ``router.flush()`` every ``interval`` seconds, each cycle's
-    sleep randomized to ``interval * (1 ± jitter)`` so many flushers
-    started together (one per shard process) spread their catalog
-    writes instead of stampeding. :meth:`~VenueRouter.flush` is a no-op
-    for engines that have not been updated since their last save, so an
-    idle flusher costs one counter comparison per pooled engine per
-    cycle.
-
-    A flush that raises (e.g. the catalog directory became unwritable)
-    is recorded in :attr:`last_error` and counted in :attr:`errors`;
-    the thread keeps running — transient I/O failures must not silently
-    end compaction.
-
-    Prefer :meth:`VenueRouter.start_auto_flush` over constructing this
-    directly. :meth:`stop` is idempotent and joins the thread, letting
-    an in-progress flush finish.
-    """
-
-    def __init__(self, router: VenueRouter, interval: float = 30.0, *,
-                 jitter: float = 0.1, seed: int | None = None) -> None:
-        if interval <= 0:
-            raise ServingError(f"flush interval must be > 0, got {interval}")
-        if not 0.0 <= jitter < 1.0:
-            raise ServingError(f"jitter must be in [0, 1), got {jitter}")
-        self.router = router
-        self.interval = float(interval)
-        self.jitter = float(jitter)
-        self._rng = random.Random(seed)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        #: completed flush cycles (including no-op ones)
-        self.cycles = 0
-        #: objects files written across all cycles
-        self.written = 0
-        #: flush cycles that raised
-        self.errors = 0
-        #: the most recent flush exception, if any
-        self.last_error: BaseException | None = None
-
-    @property
-    def running(self) -> bool:
-        """``True`` from construction until :meth:`stop`."""
-        return not self._stop.is_set()
-
-    def start(self) -> "PeriodicFlusher":
-        """Start the daemon thread (idempotent until :meth:`stop`)."""
-        if self._thread is None and not self._stop.is_set():
-            self._thread = threading.Thread(
-                target=self._run, name="router-flusher", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop and join the thread (an in-progress flush finishes)."""
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join()
-
-    def _delay(self) -> float:
-        return self.interval * (1.0 + self._rng.uniform(-self.jitter, self.jitter))
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._delay()):
-            try:
-                self.written += self.router.flush()
-            except BaseException as exc:  # noqa: BLE001 - keep flushing
-                self.errors += 1
-                self.last_error = exc
-            finally:
-                self.cycles += 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "running" if self.running else "stopped"
-        return (
-            f"PeriodicFlusher({state}, interval={self.interval:g}s, "
-            f"cycles={self.cycles}, written={self.written})"
         )

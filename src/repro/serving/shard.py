@@ -14,8 +14,8 @@ child, connects the socket, and multiplexes concurrent requests over
 it — each request gets a link id and a
 :class:`~concurrent.futures.Future`; a reader thread matches replies
 by link id (the worker answers strictly in order, ids make the pairing
-robust) and a bounded in-flight window (``max_inflight``) provides
-backpressure.
+robust) and a bounded in-flight window (:data:`MAX_INFLIGHT`)
+provides backpressure.
 
 The socket carries link frames (:func:`~repro.serving.protocol.
 encode_link`): the link id rides in the frame header, so a request's
@@ -31,10 +31,12 @@ Lifecycle and durability:
   nothing but the catalog directory. A *restarted* shard warm-starts
   from the snapshots plus each venue's operation-log tail, so it
   recovers every acknowledged update,
-* the worker runs a background :class:`~repro.serving.router.
-  PeriodicFlusher` by default, and flushes once more on graceful
-  drain/shutdown. Each flush writes dirty engines' object sets back
-  and compacts their logs, which bounds how much log a restart replays,
+* the worker flushes on its serve thread: after a reply, once its
+  flush period has passed since the last flush, and once more on
+  graceful drain/shutdown. Each flush writes dirty engines' object
+  sets back and compacts their logs, which bounds how much log a
+  restart replays. Updates are requests, so the log holds at most one
+  period's updates; an idle shard flushes on its next request,
 * the fault-injection kinds (:data:`~repro.serving.protocol.
   FAULT_KINDS`) make the worker die *without* flushing: ``crash``
   immediately, ``crash_after_n_ops`` mid-update-stream after letting
@@ -49,7 +51,9 @@ Lifecycle and durability:
 
 from __future__ import annotations
 
+import logging
 import os
+import random
 import socket
 import threading
 from concurrent.futures import Future
@@ -57,7 +61,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from time import perf_counter
+from time import monotonic, perf_counter
 
 from ..exceptions import ProtocolError, ServingError
 from ..model.io_json import objects_from_dict, space_from_dict
@@ -84,25 +88,20 @@ from .protocol import (
 )
 from .router import RouterStats, VenueRouter
 
-#: default background flush interval for shard workers (seconds)
+#: default flush interval for shard workers (seconds)
 DEFAULT_FLUSH_INTERVAL = 30.0
-#: default bound on concurrently in-flight requests per shard handle
-DEFAULT_MAX_INFLIGHT = 128
+#: bound on concurrently in-flight requests per shard handle
+MAX_INFLIGHT = 128
+#: a shard's flush period is its interval times ``1 ± _FLUSH_SPREAD``,
+#: drawn once from its shard id, so shards started together drift apart
+_FLUSH_SPREAD = 0.1
 #: how long the parent waits for a spawned shard to connect (seconds)
 _CONNECT_TIMEOUT = 60.0
 
 #: reusable no-op context for untraced requests (stateless, reentrant)
 _NO_SPAN = nullcontext()
 
-
-@dataclass(slots=True)
-class FlusherStats:
-    """Point-in-time counters of a shard's background flusher."""
-
-    interval: float = 0.0
-    cycles: int = 0
-    written: int = 0
-    errors: int = 0
+logger = logging.getLogger("repro.serving.shard")
 
 
 @dataclass(slots=True)
@@ -113,7 +112,6 @@ class ShardStats:
     ``shard_request_seconds{kind}`` counts. ``log_positions`` maps
     venue id to the object-set version this shard has applied —
     replica lag is visible by diffing these across a venue's shards.
-    ``flusher`` is ``None`` when the periodic flusher is disabled.
     """
 
     shard: int
@@ -121,7 +119,6 @@ class ShardStats:
     requests: int
     router: RouterStats
     log_positions: dict
-    flusher: FlusherStats | None
 
 
 class ShardWorker:
@@ -133,9 +130,11 @@ class ShardWorker:
             the per-venue operation logs live next to the snapshots.
         shard_id: this shard's index (diagnostics only).
         capacity: engine-pool bound of the underlying router.
-        flush_interval: background snapshot-and-compaction period in
-            seconds; ``0`` disables the periodic flusher (a graceful
-            shutdown still flushes).
+        flush_interval: seconds between write-back-and-compaction
+            flushes, each run on the serve thread after a reply;
+            ``0`` disables them (a graceful shutdown still flushes). A
+            flush that raises is counted in ``shard_flush_errors_total``
+            and serving goes on.
         slow_query_threshold: seconds; requests slower than this are
             recorded in the shard's structured slow-query log (a JSONL
             file under ``<catalog_root>/obs/``). ``None`` disables the
@@ -150,9 +149,10 @@ class ShardWorker:
     cluster's series.
 
     Single-threaded by design: one shard process serves one request at
-    a time, and CPU parallelism comes from running many shard
-    processes. The worker therefore needs no locking of its own — the
-    router/engine stack below is thread-safe anyway.
+    a time, flushes between requests, and starts no thread; CPU
+    parallelism comes from running many shard processes. The worker
+    therefore needs no locking of its own — the router/engine stack
+    below is thread-safe anyway.
     """
 
     def __init__(
@@ -180,10 +180,14 @@ class ShardWorker:
         #: armed ``crash_after_n_ops`` countdown (``None`` = disarmed):
         #: how many more updates to serve before dying on the next one
         self.crash_after: int | None = None
-        self._flusher = (
-            self.router.start_auto_flush(flush_interval, seed=shard_id)
-            if flush_interval > 0 else None
+        #: seconds between flushes (``0``: none but the shutdown flush)
+        self.flush_period = (
+            flush_interval * (1.0 + random.Random(self.shard_id).uniform(
+                -_FLUSH_SPREAD, _FLUSH_SPREAD))
+            if flush_interval > 0 else 0.0
         )
+        self._last_flush = monotonic()
+        self._flush_errors = self.registry.counter("shard_flush_errors_total")
 
     # ------------------------------------------------------------------
     def handle(self, request: Request):
@@ -216,19 +220,12 @@ class ShardWorker:
             return {"shard": self.shard_id, "pid": os.getpid(),
                     "venues": len(self.router.venue_ids())}
         if kind == "stats":
-            flusher = self._flusher
             return asdict(ShardStats(
                 shard=self.shard_id,
                 pid=os.getpid(),
                 requests=sum(t.count for t in self._request_timers.values()),
                 router=self.router.stats(),
                 log_positions=self.router.log_positions(),
-                flusher=None if flusher is None else FlusherStats(
-                    interval=flusher.interval,
-                    cycles=flusher.cycles,
-                    written=flusher.written,
-                    errors=flusher.errors,
-                ),
             ))
         if kind == "metrics":
             return self.registry.snapshot()
@@ -257,11 +254,16 @@ class ShardWorker:
         with a typed ``ProtocolError`` carrying the id it salvaged
         (``-1`` if none), and the worker keeps serving. Framing errors
         are fatal for the connection — the parent treats them like a
-        crash. On exit the worker stops its flusher and flushes dirty
-        engines one final time, so a graceful drain loses nothing.
+        crash. Between a reply and the next request, the worker flushes
+        once its flush period has passed since the last flush. On exit
+        it flushes dirty engines one final time, so a graceful drain
+        loses nothing.
         """
         try:
             while True:
+                if (self.flush_period
+                        and monotonic() - self._last_flush >= self.flush_period):
+                    self._flush()
                 frame = recv_link(sock)
                 if frame is None:
                     break
@@ -333,9 +335,19 @@ class ShardWorker:
         finally:
             self.close()
 
+    def _flush(self) -> None:
+        """The serve loop's periodic flush: a failure is logged and
+        counted, and serving goes on (the next period retries)."""
+        self._last_flush = monotonic()
+        try:
+            self.router.flush()
+        except Exception:  # noqa: BLE001 - a failed flush must not stop serving
+            self._flush_errors.inc()
+            logger.exception("shard %d: flush failed", self.shard_id)
+
     def close(self) -> None:
-        """Flush dirty engines, then close the router — its flusher and
-        op-log handles (idempotent)."""
+        """Flush dirty engines, then close the router's op-log handles
+        (idempotent)."""
         self.router.flush()
         self.router.close()
 
@@ -385,7 +397,7 @@ class ShardProcess:
     :class:`Future`, and writes the frame; a daemon reader thread
     resolves futures as replies arrive. A bounded semaphore caps the
     in-flight window (**backpressure**): ``submit`` blocks while the
-    shard is ``max_inflight`` requests behind and raises
+    shard is :data:`MAX_INFLIGHT` requests behind and raises
     :class:`~repro.exceptions.ServingError` after ``timeout`` seconds.
 
     When the connection dies — worker crash, kill, or framing error —
@@ -406,12 +418,8 @@ class ShardProcess:
         shard_id: int = 0,
         capacity: int = 8,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
         slow_query_threshold: float | None = None,
-        mp_context=None,
     ) -> None:
-        if max_inflight < 1:
-            raise ServingError(f"max_inflight must be >= 1, got {max_inflight}")
         self.catalog_root = str(catalog_root)
         self.shard_id = int(shard_id)
         self.capacity = int(capacity)
@@ -420,14 +428,13 @@ class ShardProcess:
             float(slow_query_threshold)
             if slow_query_threshold is not None else None
         )
-        self.max_inflight = int(max_inflight)
-        self._mp_context = mp_context
+        self.max_inflight = MAX_INFLIGHT
         self.process = None
         self._sock: socket.socket | None = None
         self._reader: threading.Thread | None = None
         self._send_lock = threading.Lock()
         self._state = threading.Lock()
-        #: link id -> (future, wants the reply's payload bytes)
+        #: link id -> (future, resolves to the reply's payload bytes)
         self._pending: dict[int, tuple[Future, bool]] = {}
         self._next_id = 0
         self._sem = threading.Semaphore(self.max_inflight)
@@ -445,11 +452,10 @@ class ShardProcess:
             )
         import multiprocessing
 
-        ctx = self._mp_context or multiprocessing.get_context()
         listener = socket.create_server(("127.0.0.1", 0))
         try:
             port = listener.getsockname()[1]
-            self.process = ctx.Process(
+            self.process = multiprocessing.Process(
                 target=_shard_entry,
                 args=(port, self.catalog_root, self.shard_id, self.capacity,
                       self.flush_interval, self.slow_query_threshold),
@@ -512,23 +518,23 @@ class ShardProcess:
     # Requests
     # ------------------------------------------------------------------
     def submit(self, request: Request, *, timeout: float | None = None,
-               raw_reply: bool | bytes = False) -> Future:
+               payload: bytes | None = None) -> Future:
         """Send one request; returns the future its reply will resolve.
 
         Blocks while the in-flight window is full (backpressure); with
         a ``timeout``, raises :class:`ServingError` instead of blocking
         past it. Raises immediately if the shard is dead.
 
-        With ``raw_reply`` set, a success reply resolves the future to
+        Without ``payload``, ``request`` is encoded and a success reply
+        resolves the future to the decoded value. Given ``payload``, the
+        request's own wire bytes (the JSON document a client sent the
+        front door), those bytes go to the worker unchanged, the reply
+        echoes their ``id``, and a success reply resolves the future to
         the reply's payload bytes — the canonical JSON of its
         :class:`~repro.serving.protocol.Response` envelope, ``stats``
-        and ``trace`` riders included — instead of the decoded value;
-        an error reply still fails it with the carried exception. When
-        ``raw_reply`` is the request's own wire payload (the JSON
-        document bytes a client sent the front door), those bytes go to
-        the worker unchanged instead of an encoding of ``request``, and
-        the reply echoes their ``id``: how the front door forwards a
-        request and its reply without re-encoding either.
+        and ``trace`` riders included: how the front door forwards a
+        request and its reply without re-encoding either. Either way an
+        error reply fails the future with the carried exception.
         """
         if not self.alive:
             raise ServingError(
@@ -544,15 +550,15 @@ class ShardProcess:
         with self._state:
             link_id = self._next_id
             self._next_id += 1
-            self._pending[link_id] = (future, bool(raw_reply))
+            self._pending[link_id] = (future, payload is not None)
         try:
             # Encode before touching the wire: an unencodable request
             # (oversized venue doc, non-JSON payload) fails only its
             # own future — the connection carried no partial frame and
             # stays healthy.
-            payload = (raw_reply if isinstance(raw_reply, bytes)
-                       else encode_payload(request_to_doc(request, link_id)))
-            frame = encode_link(link_id, payload)
+            frame = encode_link(link_id, payload if payload is not None
+                                else encode_payload(request_to_doc(request,
+                                                                   link_id)))
         except Exception as exc:  # noqa: BLE001 - travels via the future
             self._settle(link_id, error=ServingError(
                 f"shard {self.shard_id} request not encodable: {exc}"))
@@ -591,7 +597,7 @@ class ShardProcess:
         self._sem.release()
         return True
 
-    def _wants_raw(self, link_id: int) -> bool:
+    def _wants_bytes(self, link_id: int) -> bool:
         with self._state:
             entry = self._pending.get(link_id)
         return entry is not None and entry[1]
@@ -629,8 +635,8 @@ class ShardProcess:
                 if frame is None:
                     break
                 link_id, ok, payload = frame
-                raw = self._wants_raw(link_id)
-                if ok and raw:
+                as_bytes = self._wants_bytes(link_id)
+                if ok and as_bytes:
                     self._settle(link_id, value=payload)
                     continue
                 try:
@@ -641,7 +647,7 @@ class ShardProcess:
                 if isinstance(reply, Response):
                     try:
                         self._settle(link_id,
-                                     value=payload if raw else reply.value())
+                                     value=payload if as_bytes else reply.value())
                     except Exception as exc:  # noqa: BLE001 - corrupt result
                         # e.g. ProtocolError, or ValueError from packed
                         # numerics — fail this request, keep reading

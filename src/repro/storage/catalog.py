@@ -166,17 +166,16 @@ class SnapshotCatalog:
     # ------------------------------------------------------------------
     # Warm start
     # ------------------------------------------------------------------
-    def load_or_build(self, space: IndoorSpace, objects=None,
-                      builder=None) -> tuple[Snapshot, bool]:
+    def load_or_build(self, space: IndoorSpace,
+                      objects=None) -> tuple[Snapshot, bool]:
         """``(snapshot, loaded)`` for a venue — the warm-start primitive.
 
         Loads the catalog's snapshot when present (``loaded=True``);
-        otherwise cold-builds the tree (``builder(space)`` when given,
-        else :meth:`VIPTree.build`), saves it together with the
-        :class:`ObjectSet` ``objects``, and serves the just-built tree
-        and that set directly (``loaded=False``) — no redundant
-        re-parse of the files it just wrote. Either way the result is
-        ready to query.
+        otherwise cold-builds the tree with :meth:`VIPTree.build`, saves
+        it together with the :class:`ObjectSet` ``objects``, and serves
+        the just-built tree and that set directly (``loaded=False``) —
+        no redundant re-parse of the files it just wrote. Either way the
+        result is ready to query.
 
         Thread safety: concurrent calls for the same venue slot are
         serialized — one caller builds and saves, the rest
@@ -186,12 +185,11 @@ class SnapshotCatalog:
         with self._slot_lock(self.path_for(space)):
             if self.has(space):
                 return self.load(space), True
-            index = builder(space) if builder is not None else VIPTree.build(space)
+            index = VIPTree.build(space)
             info = self.save(index, objects)
             return Snapshot(info=info, space=space, index=index, objects=objects), False
 
-    def engine_for(self, space: IndoorSpace, objects=None, builder=None,
-                   **engine_kwargs):
+    def engine_for(self, space: IndoorSpace, objects=None, **engine_kwargs):
         """A warm-started :class:`~repro.engine.engine.QueryEngine`.
 
         ``objects`` is only used on the cold-build path (it is saved
@@ -207,5 +205,5 @@ class SnapshotCatalog:
         *shared* engine per venue should pool it, which is exactly what
         the serving router does).
         """
-        snap, _ = self.load_or_build(space, objects=objects, builder=builder)
+        snap, _ = self.load_or_build(space, objects=objects)
         return snap.engine(**engine_kwargs)

@@ -1,21 +1,23 @@
-"""The sharded serving stack: PeriodicFlusher, ShardProcess, cluster.
+"""The sharded serving stack: ShardWorker, ShardProcess, cluster.
 
 Covers the worker and cluster layers end to end with real child
 processes: wire-exact answers vs a local router, exception classes
 surviving the socket, backpressure on the in-flight window, fault
 injection (``crash``) → automatic restart warm-started from snapshots
-plus the op-log tail, and the background snapshot-and-compaction
-flusher.
+plus the op-log tail, and the write-back-and-compaction flush a worker
+runs on its one serve thread.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import socket
 import threading
 import time
 import warnings
 import weakref
+from contextlib import contextmanager
 
 import pytest
 
@@ -31,13 +33,13 @@ from repro.model.io_json import objects_to_dict, space_to_dict
 from repro.model.objects import UpdateOp
 from repro.serving import (
     ClusterFrontend,
-    PeriodicFlusher,
     Request,
     ShardProcess,
     ShardWorker,
     VenueRouter,
     sequential_replay,
 )
+from repro.serving import shard as shard_module
 from repro.serving.protocol import (
     decode_frame,
     encode_link,
@@ -66,114 +68,142 @@ def wait_until(predicate, timeout=10.0, interval=0.01):
     return False
 
 
-# ----------------------------------------------------------------------
-# PeriodicFlusher
-# ----------------------------------------------------------------------
-class CountingRouter:
-    """Stub with the only method the flusher touches."""
+def venue_payload(space, objects=None):
+    return {
+        "space": space_to_dict(space),
+        "objects": objects_to_dict(objects) if objects is not None else None,
+    }
 
-    def __init__(self, written=1, raises=False):
-        self.calls = 0
-        self.written = written
-        self.raises = raises
 
-    def flush(self) -> int:
-        self.calls += 1
-        if self.raises:
+# ----------------------------------------------------------------------
+# ShardWorker: one thread serves requests and flushes between them
+# ----------------------------------------------------------------------
+@contextmanager
+def served_worker(worker):
+    """Serve ``worker`` in process on a thread over a socket pair; yields
+    ``call(request)``, which returns the decoded reply. Closing our end
+    on exit ends the serve loop, which flushes and closes the router."""
+    ours, theirs = socket.socketpair()
+    ours.settimeout(30.0)
+    serving = threading.Thread(target=worker.serve, args=(theirs,))
+    serving.start()
+    link_ids = itertools.count()
+
+    def call(request):
+        link_id = next(link_ids)
+        ours.sendall(encode_link(link_id, encode_payload(
+            request_to_doc(request, link_id))))
+        got, _, payload = recv_link(ours)
+        assert got == link_id
+        return reply_from_doc(decode_frame(payload))
+
+    try:
+        yield call
+    finally:
+        ours.close()
+        serving.join(30)
+        theirs.close()
+    assert not serving.is_alive()
+
+
+@pytest.fixture()
+def flush_clock(monkeypatch):
+    """The clock the serve loop schedules flushes by, set by the test:
+    whether a flush is due never depends on how long a request took."""
+    now = [0.0]
+    monkeypatch.setattr(shard_module, "monotonic", lambda: now[0])
+    return now
+
+
+PING = Request(venue="", kind="ping")
+STATS = Request(venue="", kind="stats")
+
+
+class TestServeLoopFlush:
+    def test_a_flushing_worker_starts_no_thread(self, tmp_path):
+        """With the default 30-s interval or a short one, a worker
+        flushes on its serve thread, so building one starts none."""
+        before = set(threading.enumerate())
+        workers = [ShardWorker(tmp_path / "cat"),
+                   ShardWorker(tmp_path / "cat", flush_interval=0.01)]
+        try:
+            assert set(threading.enumerate()) <= before
+            assert 27.0 <= workers[0].flush_period <= 33.0
+        finally:
+            for worker in workers:
+                worker.close()
+
+    def test_flush_period_is_spread_per_shard(self, tmp_path):
+        def period(shard_id, interval=10.0):
+            worker = ShardWorker(tmp_path / "cat", shard_id=shard_id,
+                                 flush_interval=interval)
+            worker.close()
+            return worker.flush_period
+
+        periods = [period(i) for i in range(8)]
+        assert all(9.0 <= p <= 11.0 for p in periods)
+        assert len(set(periods)) == 8  # shards started together drift apart
+        assert period(3) == periods[3]  # fixed by the shard id
+        assert period(3, interval=0) == 0.0
+
+    def test_flushes_on_the_first_request_after_the_interval(
+            self, tmp_path, flush_clock, open_router):
+        space = build_mall("tiny", name="serve-flush-mall")
+        catalog = tmp_path / "cat"
+        oplog = venue_oplog_path(catalog, space)
+        worker = ShardWorker(catalog, flush_interval=0.1)
+        rng = random.Random(1)
+
+        def insert(call, vid):
+            return call(Request(venue=vid, kind="update", op=UpdateOp(
+                kind="insert", location=random_point(space, rng)))).value()
+
+        with served_worker(worker) as call:
+            vid = call(Request(venue="x", kind="add_venue", payload=venue_payload(
+                space, random_objects(space, 8, seed=3)))).value()
+            new_id = insert(call, vid)
+            assert call(STATS).value()["router"]["write_backs"] == 0
+            assert len(scan_oplog(oplog).records) == 1
+
+            flush_clock[0] = 1.0  # past the interval
+            call(PING)  # the first request after it: a flush follows the reply
+            assert call(STATS).value()["router"]["write_backs"] == 1
+            assert oplog.exists() and scan_oplog(oplog).records == []
+            # A fresh router over the same catalog sees the inserted
+            # object: deleting it succeeds instead of raising QueryError.
+            reloaded = open_router(SnapshotCatalog(catalog))
+            reloaded.add_venue(space)
+            reloaded.execute(Request(venue=vid, kind="update", op=UpdateOp(
+                kind="delete", object_id=new_id)))
+
+            insert(call, vid)  # no second flush within the next interval
+            assert call(STATS).value()["router"]["write_backs"] == 1
+
+    def test_a_failed_flush_is_counted_and_serving_goes_on(
+            self, tmp_path, flush_clock, monkeypatch, caplog):
+        worker = ShardWorker(tmp_path / "cat", flush_interval=0.1)
+        errors = worker.registry.counter("shard_flush_errors_total")
+
+        def unwritable():
             raise OSError("catalog unwritable")
-        return self.written
+
+        with served_worker(worker) as call:
+            with monkeypatch.context() as patched:
+                patched.setattr(worker.router, "flush", unwritable)
+                flush_clock[0] = 1.0
+                assert call(PING).value()["venues"] == 0  # the flush fails
+                assert call(PING).value()["venues"] == 0  # still answered
+                assert errors.value == 1
+            # the shutdown flush on leaving runs the real flush again
+        assert "flush failed" in caplog.text
 
 
-class TestPeriodicFlusher:
-    def test_flushes_periodically_until_stopped(self):
-        router = CountingRouter(written=2)
-        flusher = PeriodicFlusher(router, interval=0.02, seed=0).start()
-        assert flusher.running
-        assert wait_until(lambda: flusher.cycles >= 3)
-        flusher.stop()
-        assert not flusher.running
-        settled = flusher.cycles
-        assert flusher.written == 2 * settled and router.calls == settled
-        time.sleep(0.06)
-        assert flusher.cycles == settled  # thread really exited
-
-    def test_errors_are_counted_and_do_not_stop_the_thread(self):
-        router = CountingRouter(raises=True)
-        flusher = PeriodicFlusher(router, interval=0.02, seed=0).start()
-        assert wait_until(lambda: flusher.errors >= 2)
-        flusher.stop()
-        assert flusher.errors >= 2
-        assert isinstance(flusher.last_error, OSError)
-        assert flusher.written == 0
-
-    def test_stop_is_idempotent_and_start_after_stop_is_a_noop(self):
-        flusher = PeriodicFlusher(CountingRouter(), interval=60.0).start()
-        flusher.stop()
-        flusher.stop()
-        flusher.start()  # stopped flushers stay stopped
-        assert not flusher.running
-
-    def test_validation(self):
-        with pytest.raises(ServingError, match="interval"):
-            PeriodicFlusher(CountingRouter(), interval=0.0)
-        with pytest.raises(ServingError, match="jitter"):
-            PeriodicFlusher(CountingRouter(), interval=1.0, jitter=1.0)
-
-    def test_jitter_spreads_cycle_delays(self):
-        flusher = PeriodicFlusher(CountingRouter(), interval=1.0,
-                                  jitter=0.5, seed=7)
-        delays = {flusher._delay() for _ in range(16)}
-        assert len(delays) > 1
-        assert all(0.5 <= d <= 1.5 for d in delays)
-        flusher.stop()
-
-
-class TestRouterAutoFlush:
-    def test_start_is_idempotent_and_stop_replaceable(self, tmp_path,
-                                                      open_router):
-        router = open_router(SnapshotCatalog(tmp_path / "cat"))
-        first = router.start_auto_flush(60.0)
-        assert router.start_auto_flush(60.0) is first
-        router.stop_auto_flush()
-        assert not first.running
-        second = router.start_auto_flush(60.0)
-        assert second is not first and second.running
-        router.stop_auto_flush()
-        router.stop_auto_flush()  # idempotent
-
-    def test_background_flush_persists_updates(self, tmp_path, open_router):
-        space = build_mall("tiny", name="flush-mall")
-        objects = random_objects(space, 8, seed=3)
-        router = open_router(SnapshotCatalog(tmp_path / "cat"), capacity=2)
-        vid = router.add_venue(space, objects=objects)
-        new_id = router.execute(Request(
-            venue=vid, kind="update",
-            op=UpdateOp(kind="insert",
-                        location=random_point(space, random.Random(1)),
-                        label="cart", category="cart"),
-        ))
-        flusher = router.start_auto_flush(0.05, seed=1)
-        assert wait_until(lambda: flusher.written >= 1)
-        router.stop_auto_flush()
-        # the snapshot now covers the insert, so its log record is gone
-        oplog = venue_oplog_path(tmp_path / "cat", space)
-        assert oplog.exists() and scan_oplog(oplog).records == []
-
-        # A fresh router over the same catalog sees the inserted object:
-        # deleting it succeeds instead of raising QueryError.
-        reloaded = open_router(SnapshotCatalog(tmp_path / "cat"), capacity=2)
-        reloaded.add_venue(space)
-        reloaded.execute(Request(
-            venue=vid, kind="update",
-            op=UpdateOp(kind="delete", object_id=new_id),
-        ))
-
-    def test_close_stops_the_flusher_and_releases_every_log_handle(
-            self, tmp_path):
+class TestRouterClose:
+    def test_close_releases_every_log_handle(self, tmp_path):
         """Each venue that served an update holds an open op-log append
-        handle. ``close`` stops the flusher and releases the handles, so
-        dropping the router warns nothing; it is idempotent, and the
-        router stays usable (the next append reopens its log)."""
+        handle. ``close`` releases the handles, so dropping the router
+        warns nothing; it is idempotent, and the router stays usable
+        (the next append reopens its log)."""
         rng = random.Random(5)
 
         def insert(router, vid, space):
@@ -183,19 +213,17 @@ class TestRouterAutoFlush:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             router = VenueRouter(SnapshotCatalog(tmp_path / "cat"), capacity=4)
-            flusher = router.start_auto_flush(60.0)
             venues = [(router.add_venue(s, objects=o), s)
                       for s, o in make_venues()]
             for vid, space in venues:
                 insert(router, vid, space)
             router.close()
             router.close()
-            assert not flusher.running
             insert(router, *venues[0])  # reopens the mall's log
             assert router.stats().log_appends == 3
             router.close()
             dropped = weakref.ref(router)
-            del router, flusher
+            del router
             gc.collect()
             assert dropped() is None
         assert [str(w.message) for w in caught
@@ -209,13 +237,6 @@ class TestRouterAutoFlush:
 def shard_venue():
     space = build_mall("tiny", name="shard-mall")
     return space, random_objects(space, 12, seed=9)
-
-
-def venue_payload(space, objects=None):
-    return {
-        "space": space_to_dict(space),
-        "objects": objects_to_dict(objects) if objects is not None else None,
-    }
 
 
 @pytest.fixture()
@@ -261,16 +282,6 @@ class TestShardProcess:
         stats = shard.call(Request(venue="", kind="stats"))
         assert stats["requests"] >= 2
         assert stats["router"]["venues"] == 1
-        assert stats["flusher"] is None  # flush_interval=0 disables it
-
-    def test_default_flush_interval_starts_the_flusher(self, tmp_path):
-        shard = ShardProcess(tmp_path / "cat").start()
-        try:
-            stats = shard.call(Request(venue="", kind="stats"))
-            assert stats["flusher"] is not None
-            assert stats["flusher"]["interval"] == pytest.approx(30.0)
-        finally:
-            shard.shutdown()
 
     def test_exception_classes_survive_the_socket(self, shard, shard_venue):
         space, objects = shard_venue
@@ -291,11 +302,12 @@ class TestShardProcess:
         assert shard.alive
         assert shard.call(Request(venue="", kind="ping"))["venues"] == 1
 
-    def test_backpressure_blocks_then_raises(self, tmp_path, shard_venue):
+    def test_backpressure_blocks_then_raises(self, tmp_path, shard_venue,
+                                             monkeypatch):
         space, objects = shard_venue
         slow_space = build_office("small", name="slow-office")
-        shard = ShardProcess(tmp_path / "cat", flush_interval=0,
-                             max_inflight=1).start()
+        monkeypatch.setattr(shard_module, "MAX_INFLIGHT", 1)
+        shard = ShardProcess(tmp_path / "cat", flush_interval=0).start()
         try:
             vid = shard.call(Request(
                 venue="a", kind="add_venue",
@@ -314,13 +326,11 @@ class TestShardProcess:
             assert shard.call(Request(venue="", kind="ping"))["venues"] == 1
         finally:
             shard.shutdown()
-        with pytest.raises(ServingError, match="max_inflight"):
-            ShardProcess(tmp_path / "cat", max_inflight=0)
 
     def test_unencodable_request_fails_alone_without_killing_the_shard(
-            self, tmp_path):
-        shard = ShardProcess(tmp_path / "cat", flush_interval=0,
-                             max_inflight=1).start()
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(shard_module, "MAX_INFLIGHT", 1)
+        shard = ShardProcess(tmp_path / "cat", flush_interval=0).start()
         try:
             for _ in range(3):  # would deadlock if the slot leaked
                 future = shard.submit(Request(
@@ -344,7 +354,7 @@ class TestShardProcess:
         """Link frames carry client bytes, so a well-framed document with
         a bad field reaches the worker: it answers with a typed error
         under the request's link id instead of dying."""
-        bad = shard.submit(Request(venue="", kind="ping"), raw_reply=payload)
+        bad = shard.submit(Request(venue="", kind="ping"), payload=payload)
         with pytest.raises(ProtocolError):
             bad.result(timeout=30)
         assert shard.alive
@@ -465,17 +475,6 @@ class TestClusterFrontend:
             assert cluster.stats().restarts == 1
             for i in before:
                 assert result_to_doc(before[i]) == result_to_doc(after[i])
-
-    def test_restart_disabled_turns_a_crash_into_an_error(self, tmp_path):
-        venues = make_venues()
-        with ClusterFrontend(tmp_path / "cat", shards=1, flush_interval=0,
-                             restart=False) as cluster:
-            vid = cluster.add_venue(venues[0][0], objects=venues[0][1])
-            with pytest.raises(ServingError):
-                cluster.request(vid, "crash").result()
-            wait_until(lambda: cluster.stats().alive == 0)
-            with pytest.raises(ServingError, match="restart is disabled"):
-                cluster.request(vid, "ping")
 
     def test_drain_barriers_and_stats_count(self, tmp_path):
         venues = make_venues()

@@ -42,6 +42,7 @@ from repro.datasets import (
     random_point,
 )
 from repro.engine import QueryEngine, replay
+from repro.engine import engine as engine_module
 
 N_QUERY_THREADS = 4
 QUERIES_PER_THREAD = 300
@@ -196,7 +197,7 @@ def test_thread_safe_engine_answers_match_plain_engine(storm_setup):
     assert a.as_dict() == b.as_dict()
 
 
-def test_fresh_endpoint_reads_do_not_grow_state():
+def test_fresh_endpoint_reads_do_not_grow_state(monkeypatch):
     """A long-running engine keeps no per-endpoint state: once every
     leaf's lazily derived structures exist (its door matrix and its
     numpy program), 1,000 reads at fresh endpoints leave behind only
@@ -205,8 +206,9 @@ def test_fresh_endpoint_reads_do_not_grow_state():
     space = load_venue("MC", "tiny")
     tree = VIPTree.build(space)
     objects = random_objects(space, 60, seed=5)
-    engine = QueryEngine(tree, ObjectIndex(tree, objects), thread_safe=True,
-                         distance_cache_size=8, result_cache_size=8)
+    monkeypatch.setattr(engine_module, "DISTANCE_CACHE_SIZE", 8)
+    monkeypatch.setattr(engine_module, "RESULT_CACHE_SIZE", 8)
+    engine = QueryEngine(tree, ObjectIndex(tree, objects), thread_safe=True)
     queries = mixed_queries(space, 1000, seed=41, pool=None, d2d=tree.d2d)
     radius = next(q.radius for q in queries if q.kind == "range")
 

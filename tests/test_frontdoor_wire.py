@@ -29,6 +29,7 @@ import sys
 import threading
 import time
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import pytest
 
@@ -401,7 +402,7 @@ def test_concurrent_settlers_lose_no_frame_and_keep_each_order():
     ours, theirs = socket.socketpair()
     theirs.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
     ours.settimeout(30.0)
-    door = FrontDoor(None, registry=MetricsRegistry())
+    door = FrontDoor(SimpleNamespace(registry=MetricsRegistry()))
     conn = frontdoor._Connection(theirs)
     writer = threading.Thread(target=door._write_loop, args=(conn,))
     writer.start()

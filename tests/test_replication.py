@@ -599,11 +599,11 @@ class TestElasticResize:
             routed, release = threading.Event(), threading.Event()
             send = held.submit
 
-            def held_submit(request, **kwargs):
+            def held_submit(request, *, timeout=None, payload=None):
                 if request.kind == "knn" and not routed.is_set():
                     routed.set()
                     release.wait(timeout=60.0)
-                return send(request, **kwargs)
+                return send(request, timeout=timeout, payload=payload)
 
             held.submit = held_submit
             reads = []
@@ -640,8 +640,9 @@ class TestRespawnRegistration:
             events: list[tuple[str, str]] = []
             real_submit = ShardProcess.submit
 
-            def recording_submit(self, request, *, timeout=None):
-                future = real_submit(self, request, timeout=timeout)
+            def recording_submit(self, request, *, timeout=None, payload=None):
+                future = real_submit(self, request, timeout=timeout,
+                                     payload=payload)
                 if request.kind != "add_venue":
                     return future
                 events.append(("submit", request.venue))

@@ -219,18 +219,21 @@ class TestVenueRouter:
         assert after[0].object_id == new_id and after[0].distance == 0.0
         assert before != [n.object_id for n in after]
 
-    def test_concurrent_warm_start_builds_once(self, catalog, two_venues, open_router):
+    def test_concurrent_warm_start_builds_once(self, catalog, two_venues,
+                                               open_router, monkeypatch):
         builds = []
         build_lock = threading.Lock()
+        build = VIPTree.build
 
-        def counting_builder(space):
+        def counting_build(space):
             with build_lock:
                 builds.append(space.name)
-            return VIPTree.build(space)
+            return build(space)
 
+        monkeypatch.setattr(VIPTree, "build", counting_build)
         router = open_router(catalog, capacity=4)
         space, objects = two_venues[0]
-        vid = router.add_venue(space, objects=objects, builder=counting_builder)
+        vid = router.add_venue(space, objects=objects)
         engines = []
 
         def grab():
