@@ -26,10 +26,10 @@ Two claims are asserted (the scaling one hardware permitting):
   from index computation, not from the engines' result caches —
   cache-miss traffic is the CPU-bound case the cluster exists for.
 
-The cluster scaling measurement picks its venue suite greedily so the
-consistent-hash ring lands exactly ``per_shard`` venues on each of the
-4 shards — and balances the 2-shard rung too, whose ring places
-independently — so the ladder measures process parallelism, not
+The cluster scaling measurement picks its venue suite greedily so
+rendezvous placement lands exactly ``per_shard`` venues on each of the
+4 shards — and balances the 2-shard rung too, whose placement is
+drawn independently — so the ladder measures process parallelism, not
 placement luck.
 
 Results are also written as a machine-readable ``BENCH_serving.json``
@@ -58,10 +58,10 @@ from repro.datasets import load_venue, multi_venue_streams, random_objects
 from repro.datasets.venues import VENUE_NAMES
 from repro.serving import (
     ClusterFrontend,
-    HashRing,
     Request,
     VenueRouter,
     concurrent_replay,
+    rendezvous,
     sequential_replay,
 )
 from repro.serving.protocol import result_to_doc
@@ -94,19 +94,19 @@ def pick_balanced_venues(
     profile: str, n_objects: int, seed: int,
     shards: int = CLUSTER_SHARDS, per_shard: int = VENUES_PER_SHARD,
 ):
-    """A venue suite whose ring placements spread evenly across every
-    rung of the shard ladder.
+    """A venue suite whose placements spread evenly across every rung
+    of the shard ladder.
 
     Walks the generator families over increasing seed offsets, keeping
-    a venue only while its primary shard on the consistent-hash ring
+    a venue only while its primary shard under rendezvous placement
     (:meth:`ClusterFrontend.shard_for`) still has room — at ``shards``
-    nodes *and* at each smaller ladder rung, since the rungs' rings
-    place independently. Deterministic per profile, so the scaling
-    ladder measures parallelism rather than placement luck.
+    shards *and* at each smaller ladder rung, whose placements differ.
+    Deterministic per profile, so the scaling ladder measures
+    parallelism rather than placement luck.
     """
     total = shards * per_shard
     rungs = [s for s in SHARD_LADDER if 1 < s <= shards] or [shards]
-    rings = {s: HashRing(range(s)) for s in rungs}
+    top = max(rungs)
     quotas = {s: total // s for s in rungs}
     buckets = {s: dict.fromkeys(range(s), 0) for s in rungs}
     venues = []
@@ -116,11 +116,17 @@ def pick_balanced_venues(
             space = load_venue(name, profile,
                                seed=None if offset == 0 else seed + offset)
             fp = venue_fingerprint(space)
-            homes = {s: rings[s].node_for(fp) for s in rungs}
-            if any(buckets[s][homes[s]] >= quotas[s] for s in rungs):
-                continue
+            after = {s: dict(buckets[s]) for s in rungs}
             for s in rungs:
-                buckets[s][homes[s]] += 1
+                after[s][rendezvous(fp, range(s))[0]] += 1
+            # Placements nest: a venue whose primary among the top
+            # rung's shards is j < s has primary j at rung s too, so
+            # rung s keeps room at j for the venues j still lacks on top.
+            if any(after[s][j] > quotas[s]
+                   or quotas[s] - after[s][j] < quotas[top] - after[top][j]
+                   for s in rungs for j in range(s)):
+                continue
+            buckets = after
             venues.append(
                 (space, random_objects(space, n_objects, seed=seed + len(venues)))
             )

@@ -14,13 +14,13 @@ engine, each layer usable alone:
   operation-log tail. Every update is fsynced to the venue's
   :class:`~repro.storage.oplog.OpLog` before it is acknowledged.
 * **Shards** (:class:`ShardWorker` / :class:`ShardProcess`) — one
-  single-threaded process per shard: a router behind a socket that,
-  between requests, periodically writes dirty engines' object sets
-  back and compacts their logs.
-* **Cluster** (:class:`ClusterFrontend`) — consistent-hash placement
-  over N shard processes: multi-core scaling, log-tailing replicas,
-  failover and restart with zero acknowledged updates lost, and
-  optional per-venue admission control
+  single-threaded process per shard: a router behind one end of a
+  socket pair that, between requests, periodically writes dirty
+  engines' object sets back and compacts their logs.
+* **Cluster** (:class:`ClusterFrontend`) — rendezvous-hash placement
+  (:func:`rendezvous`) over N shard processes: multi-core scaling,
+  log-tailing replicas, failover and restart with zero acknowledged
+  updates lost, and optional per-venue admission control
   (:class:`AdmissionController`; shed requests raise a typed
   :class:`~repro.exceptions.OverloadedError` with a retry-after hint).
 * **Front door** (:class:`FrontDoor`) — the TCP intake: a reader and
@@ -59,7 +59,7 @@ Quickstart (sharded cluster — same requests, N processes)::
 
 from .admission import AdmissionController, AdmissionStats, TokenBucket
 from .client import FrontDoorClient
-from .cluster import ClusterFrontend, ClusterStats
+from .cluster import ClusterFrontend, ClusterStats, rendezvous
 from .frontdoor import FrontDoor
 from .protocol import (
     CONTROL_KINDS,
@@ -77,7 +77,6 @@ from .protocol import (
     stats_to_doc,
 )
 from .replay import ServingReport, concurrent_replay, sequential_replay
-from .ring import DEFAULT_VNODES, HashRing
 from .router import RouterStats, VENUE_ROLES, VenueRouter
 from .shard import ShardProcess, ShardStats, ShardWorker
 
@@ -89,12 +88,10 @@ __all__ = [
     "CONTROL_KINDS",
     "ClusterFrontend",
     "ClusterStats",
-    "DEFAULT_VNODES",
     "ErrorResponse",
     "FAULT_KINDS",
     "FrontDoor",
     "FrontDoorClient",
-    "HashRing",
     "MAX_BATCH_REQUESTS",
     "QUERY_KINDS",
     "READ_KINDS",
@@ -110,6 +107,7 @@ __all__ = [
     "VENUE_ROLES",
     "VenueRouter",
     "concurrent_replay",
+    "rendezvous",
     "sequential_replay",
     "stats_from_doc",
     "stats_to_doc",

@@ -211,7 +211,6 @@ def _cmd_serve(args) -> int:
     catalog = Path(args.catalog)
     catalog.mkdir(parents=True, exist_ok=True)
     venues = []
-    names: dict[str, str] = {}
     slow_threshold = (args.slow_query_ms / 1000.0
                       if args.slow_query_ms > 0 else None)
     with ClusterFrontend(
@@ -225,14 +224,13 @@ def _cmd_serve(args) -> int:
             objects = (random_objects(space, args.objects, seed=args.seed + i)
                        if args.objects > 0 else None)
             vid = cluster.add_venue(space, objects=objects)
-            names[vid] = space.name
             venues.append((space, objects, vid))
             placement = cluster.placement(vid)
             print(f"registered {space.name!r} -> primary shard "
                   f"{placement[0]}, replicas {placement[1:] or '[]'} "
                   f"({vid[:12]})")
 
-        with FrontDoor(cluster, port=args.port, names=names) as door:
+        with FrontDoor(cluster, port=args.port) as door:
             host, port = door.address
             admission = cluster.admission
             policy = (

@@ -44,7 +44,6 @@ from .protocol import (
     request_to_doc,
     send_doc,
 )
-from .shard import _no_delay
 
 __all__ = ["FrontDoorClient"]
 
@@ -68,7 +67,8 @@ class FrontDoorClient:
 
     def __init__(self, address, *, timeout: float = 60.0) -> None:
         self._sock = socket.create_connection(address, timeout=timeout)
-        _no_delay(self._sock)
+        # frames are small and latency-critical: no Nagle delay
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._next_id = 0
 
     # ------------------------------------------------------------------

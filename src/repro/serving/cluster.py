@@ -1,19 +1,19 @@
-"""ClusterFrontend: replicated, consistent-hash-sharded serving.
+"""ClusterFrontend: replicated serving over N shard processes.
 
 The top layer of the sharded serving stack. A
 :class:`ClusterFrontend` runs N :class:`~repro.serving.shard.
 ShardProcess` workers — each a separate OS process owning a
 :class:`~repro.serving.router.VenueRouter` over the shared snapshot
-catalog — and places venue fingerprints on them with a
-**consistent-hash ring** (:class:`~repro.serving.ring.HashRing`):
-each venue's first ring successor is its **primary**, the next
-``replication - 1`` distinct successors its **replicas**. Requests are
-venue-tagged :class:`~repro.serving.protocol.Request` objects (the
-same protocol a :class:`~repro.serving.router.VenueRouter` executes
-in-process), answered through per-request futures; because shards are
-processes, the CPU-bound index math of different venues runs on
-different cores. The TCP front door submits with ``payload`` set to
-the client's request bytes: the cluster routes and admits on the
+catalog — and places venue fingerprints on them by **rendezvous
+hashing** (:func:`rendezvous`): every shard gets a pseudo-random
+weight per venue, the highest-weighted shard is the venue's
+**primary** and the next ``replication - 1`` its **replicas**.
+Requests are venue-tagged :class:`~repro.serving.protocol.Request`
+objects (the same protocol a :class:`~repro.serving.router.VenueRouter`
+executes in-process), answered through per-request futures; because
+shards are processes, the CPU-bound index math of different venues
+runs on different cores. The TCP front door submits with ``payload``
+set to the client's request bytes: the cluster routes and admits on the
 parsed :class:`~repro.serving.protocol.Request`, the shard receives
 the bytes unchanged, and the future resolves to the shard's reply
 bytes, so neither direction is re-encoded here.
@@ -33,10 +33,15 @@ Replication and durability (``replication``):
   tail, so zero acknowledged updates are lost); the dead shard
   respawns lazily as a trailing replica.
 * **Elastic membership** — :meth:`add_shard` / :meth:`remove_shard`
-  re-ring under traffic: only ~1/N of venues move (the consistent-hash
-  property), each moved venue is re-replicated onto its new placement
-  while reads keep flowing (updates for a venue pause briefly while it
-  moves — the single-writer handoff).
+  replan under traffic: a venue moves only if the joining shard
+  outweighs one of its shards or the leaving shard held it (~1/N of
+  venues per copy), each moved venue is re-replicated onto its new
+  placement while reads keep flowing (updates for a venue pause briefly
+  while it moves — the single-writer handoff).
+
+Placement is not persisted: snapshots and op logs live in the shared
+catalog under the venue fingerprint, so any shard can warm-start any
+venue and a new placement needs no migration.
 
 Operational behavior:
 
@@ -62,6 +67,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from time import perf_counter
 
 from ..exceptions import OverloadedError, ServingError
@@ -71,12 +77,28 @@ from ..obs import MetricsRegistry, merge_snapshots, summarize
 from ..storage.snapshot import venue_fingerprint
 from .admission import AdmissionController
 from .protocol import FAULT_KINDS, QUERY_KINDS, READ_KINDS, Request
-from .ring import HashRing
 from .shard import DEFAULT_FLUSH_INTERVAL, ShardProcess
 
 #: how long an update waits for an in-progress venue move before
 #: giving up (the single-writer handoff window; normally milliseconds)
 _MOVE_WAIT = 60.0
+
+
+def rendezvous(venue_id: str, shards, count: int = 1) -> list[int]:
+    """The ``count`` shards with the highest weight
+    ``blake2b(f"{venue_id}#{shard}")`` for ``venue_id``, highest first.
+
+    ``[0]`` is the venue's primary, the rest its replicas — distinct by
+    construction, and every shard when ``count`` exceeds their number.
+    A pure function of the venue and the member set (not its order), so
+    every process agrees on it; a joining shard takes a venue only where
+    it outweighs one of its shards, and a leaving one gives up only its
+    own venues.
+    """
+    return sorted(
+        shards, reverse=True,
+        key=lambda shard: blake2b(f"{venue_id}#{shard}".encode()).digest(),
+    )[:count]
 
 
 @dataclass(slots=True)
@@ -110,7 +132,7 @@ class _Registration:
     """What it takes to (re-)register one venue on its shards.
 
     ``nodes[0]`` is the venue's current primary, the rest its replicas
-    in ring order — promotion and relocation rewrite this list under
+    in weight order — promotion and relocation rewrite this list under
     the cluster mutex. ``rr`` is the venue's read round-robin cursor;
     ``moving`` gates updates while the venue is being re-placed (set
     means released); ``routing`` counts requests that may have read
@@ -158,8 +180,7 @@ class ClusterFrontend:
     :class:`~repro.obs.MetricsRegistry` of its own series (the
     ``cluster_*_total`` counters :meth:`stats` reads back,
     respawn/move durations); :meth:`metrics` merges it with every live
-    shard's registry snapshot. Placement uses
-    :data:`~repro.serving.ring.DEFAULT_VNODES` points per shard.
+    shard's registry snapshot.
 
     Usable as a context manager: ``with ClusterFrontend(...) as c:``
     pre-spawns every shard and shuts down gracefully on exit.
@@ -208,12 +229,13 @@ class ClusterFrontend:
             idx: threading.Lock() for idx in range(int(shards))
         }
         self._next_shard_id = int(shards)
-        self.ring = HashRing(range(int(shards)))
+        #: the shards venues are placed on (:func:`rendezvous`)
+        self._members = set(range(int(shards)))
         self._mutex = threading.Lock()
         #: notified whenever a registration's ``routing`` count falls
         self._routed = threading.Condition(self._mutex)
+        #: venue id -> registration, in registration order
         self._registrations: dict[str, _Registration] = {}
-        self._reg_order: list[str] = []
         self._accepting = True
 
     # ------------------------------------------------------------------
@@ -271,9 +293,9 @@ class ClusterFrontend:
         """The shard currently acting as ``venue_id``'s primary.
 
         For a registered venue this reflects promotions and
-        relocations; otherwise it is the ring placement — a pure
-        function of the shard ids and the fingerprint, identical across
-        processes and runs.
+        relocations; otherwise it is the :func:`rendezvous` placement — a
+        pure function of the shard ids and the fingerprint, identical
+        across processes and runs.
         """
         return self.placement(venue_id)[0]
 
@@ -283,7 +305,7 @@ class ClusterFrontend:
             reg = self._registrations.get(venue_id)
             if reg is not None:
                 return list(reg.nodes)
-            return self.ring.nodes_for(venue_id, self.replication)
+            return rendezvous(venue_id, self._members, self.replication)
 
     def add_venue(self, space: IndoorSpace, *, objects=None) -> str:
         """Register a venue on its primary + replicas; returns the
@@ -305,9 +327,7 @@ class ClusterFrontend:
                 raise ServingError("cluster is shut down")
             existing = self._registrations.get(venue_id)
             nodes = (list(existing.nodes) if existing is not None
-                     else self.ring.nodes_for(venue_id, self.replication))
-            if existing is None:
-                self._reg_order.append(venue_id)
+                     else rendezvous(venue_id, self._members, self.replication))
             self._registrations[venue_id] = _Registration(nodes=nodes,
                                                           payload=payload)
             self._venues_gauge.set(len(self._registrations))
@@ -328,10 +348,11 @@ class ClusterFrontend:
     def _role_payload(payload: dict, position: int) -> dict:
         return {**payload, "role": "primary" if position == 0 else "replica"}
 
-    def venue_ids(self) -> list[str]:
-        """Registered venue ids, in registration order."""
+    def venues(self) -> dict[str, str]:
+        """Registered venues' names by venue id, in registration order."""
         with self._mutex:
-            return list(self._reg_order)
+            return {vid: reg.payload["space"]["name"]
+                    for vid, reg in self._registrations.items()}
 
     # ------------------------------------------------------------------
     # Shard management
@@ -360,8 +381,7 @@ class ClusterFrontend:
                 regs = [
                     (vid, self._role_payload(reg.payload,
                                              reg.nodes.index(idx)))
-                    for vid in self._reg_order
-                    for reg in (self._registrations[vid],)
+                    for vid, reg in self._registrations.items()
                     if idx in reg.nodes
                 ]
             if crashed:
@@ -394,10 +414,11 @@ class ClusterFrontend:
     def add_shard(self) -> int:
         """Grow the cluster by one shard, live; returns its id.
 
-        The new shard joins the ring, which relocates only the venues
-        whose arcs it now owns (~``1/N`` of them); each is re-registered
-        on its new placement under traffic (reads keep flowing; a moved
-        venue's updates pause for the single-writer handoff).
+        The new shard joins the members, which relocates only the venues
+        it now outweighs one of their shards for (~``1/N`` of them per
+        copy); each is re-registered on its new placement under traffic
+        (reads keep flowing; a moved venue's updates pause for the
+        single-writer handoff).
         """
         with self._mutex:
             if not self._accepting:
@@ -406,7 +427,7 @@ class ClusterFrontend:
             self._next_shard_id += 1
             self._handles[idx] = None
             self._shard_locks[idx] = threading.Lock()
-            self.ring.add_node(idx)
+            self._members.add(idx)
             moves = self._replan_locked()
         self._apply_moves(moves)
         return idx
@@ -414,7 +435,7 @@ class ClusterFrontend:
     def remove_shard(self, idx: int, timeout: float = 30.0) -> None:
         """Shrink the cluster by one shard, live.
 
-        The shard leaves the ring, its venues are re-replicated onto
+        The shard leaves the members, its venues are re-replicated onto
         their new placements (again only ~``1/N`` of all venues move),
         and the process is gracefully drained, flushed and joined.
         """
@@ -423,7 +444,7 @@ class ClusterFrontend:
                 raise ServingError(f"no such shard {idx}")
             if len(self._handles) == 1:
                 raise ServingError("cannot remove the last shard")
-            self.ring.remove_node(idx)
+            self._members.discard(idx)
             moves = self._replan_locked()
         self._apply_moves(moves)
         with self._shard_locks[idx]:
@@ -435,12 +456,11 @@ class ClusterFrontend:
             self._shard_locks.pop(idx, None)
 
     def _replan_locked(self) -> list[tuple[str, list[int]]]:
-        """Venues whose ring placement no longer matches their
-        registration (caller holds the mutex)."""
+        """Venues whose :func:`rendezvous` placement no longer matches
+        their registration (caller holds the mutex)."""
         moves = []
-        for vid in self._reg_order:
-            reg = self._registrations[vid]
-            nodes = self.ring.nodes_for(vid, self.replication)
+        for vid, reg in self._registrations.items():
+            nodes = rendezvous(vid, self._members, self.replication)
             if nodes != reg.nodes:
                 moves.append((vid, nodes))
         return moves

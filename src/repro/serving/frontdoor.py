@@ -44,6 +44,13 @@ client's bytes go on unchanged, a request whose ``payload`` or
 ``trace`` canonical JSON cannot carry (a non-finite number) is refused
 here with a typed ``ProtocolError`` reply, before admission.
 
+The door answers its :data:`LOCAL_KINDS` itself, whatever venue they
+name, and routes only the query kinds
+(:data:`~repro.serving.protocol.QUERY_KINDS`). Every other kind — a
+shard's control and fault kinds, or an unknown one — gets a typed
+``ProtocolError`` reply, before admission, so no client can register,
+drop, slow down or kill a shard.
+
 Live connections are capped at :data:`MAX_CONNECTIONS`; the
 connection past the cap is accepted, closed at once and counted in
 ``frontdoor_refused_connections_total``. So that idle clients cannot
@@ -81,6 +88,7 @@ from time import monotonic, perf_counter
 
 from ..exceptions import ProtocolError, ServingError
 from .protocol import (
+    QUERY_KINDS,
     ErrorResponse,
     Request,
     Response,
@@ -99,13 +107,12 @@ from .protocol import (
     result_to_doc,
     salvage_id,
 )
-from .shard import _no_delay
 
 __all__ = ["FrontDoor", "IDLE_SECONDS", "LOCAL_KINDS", "MAX_CONNECTIONS",
            "SUBMIT_TIMEOUT"]
 
-#: request kinds the front door answers itself (venue must be ``""``)
-#: instead of routing to a shard
+#: request kinds the front door answers itself, whatever the venue; it
+#: routes the query kinds to shards and refuses every other kind
 LOCAL_KINDS = ("venues", "ping", "stats", "flush", "metrics")
 
 #: live connections served at once; each costs a reader and a writer
@@ -255,8 +262,6 @@ class FrontDoor:
         host / port: bind address (``port=0`` picks an ephemeral port;
             :attr:`address` holds the bound ``(host, port)`` after
             :meth:`start`).
-        names: optional venue-id → display-name mapping echoed by the
-            ``venues`` control kind.
 
     The door counts into the cluster's registry, so its series surface
     in the merged ``/metrics`` view.
@@ -278,12 +283,10 @@ class FrontDoor:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        names: dict | None = None,
     ) -> None:
         self.cluster = cluster
         self.host = host
         self.port = int(port)
-        self.names = dict(names or {})
         self.registry = cluster.registry
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
@@ -397,7 +400,8 @@ class FrontDoor:
                 sock.close()
                 continue
             self._connections.inc()
-            _no_delay(sock)
+            # frames are small and latency-critical: no Nagle delay
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.writer = threading.Thread(
                 target=self._write_loop, args=(conn,),
                 name=f"frontdoor-write-{number}", daemon=True)
@@ -495,9 +499,12 @@ class FrontDoor:
                 start: float, deliver) -> None:
         """Answer one request through ``deliver(reply payload bytes)``:
         at once for local kinds, refusals and submission failures, from
-        the shard future's done-callback otherwise. ``payload`` is the
-        request as the client sent it; its shard receives those bytes."""
-        if request.venue == "" and request.kind in LOCAL_KINDS:
+        the shard future's done-callback otherwise. Only query kinds are
+        routed: any other kind (a shard's control or fault kinds, an
+        unknown one) is refused with a ``ProtocolError``. ``payload`` is
+        the request as the client sent it; its shard receives those
+        bytes."""
+        if request.kind in LOCAL_KINDS:
             try:
                 reply = Response(request_id,
                                  result_to_doc(self._handle_local(request)))
@@ -506,6 +513,9 @@ class FrontDoor:
             deliver(self._encode(reply))
             return
         try:
+            if request.kind not in QUERY_KINDS:
+                raise ProtocolError(
+                    f"request kind {request.kind!r} is not served here")
             _refuse_unencodable(request)
             future = self.cluster.submit(
                 request, timeout=SUBMIT_TIMEOUT, payload=payload)
@@ -552,10 +562,8 @@ class FrontDoor:
 
     def _handle_local(self, request: Request):
         if request.kind == "venues":
-            return {"venues": [
-                {"id": vid, "name": self.names.get(vid, "")}
-                for vid in self.cluster.venue_ids()
-            ]}
+            return {"venues": [{"id": vid, "name": name} for vid, name
+                               in self.cluster.venues().items()]}
         if request.kind == "ping":
             self.cluster.drain()  # a front-door ping is a cluster barrier
             return {"ok": True}

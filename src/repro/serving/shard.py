@@ -1,4 +1,4 @@
-"""Shard worker: one process owning a VenueRouter behind a socket.
+"""Shard worker: one process owning a VenueRouter behind a socket pair.
 
 The worker layer of the sharded serving stack. A
 :class:`ShardWorker` runs inside a **child process**, owns a
@@ -9,13 +9,15 @@ shard is a separate process with its own interpreter, the CPU-bound
 index math of different shards runs truly in parallel — the scaling
 the GIL denies to threads.
 
-:class:`ShardProcess` is the **parent-side handle**: it spawns the
-child, connects the socket, and multiplexes concurrent requests over
-it — each request gets a link id and a
+:class:`ShardProcess` is the **parent-side handle**: it creates a
+:func:`socket.socketpair`, spawns the child with one end (no port, so
+no other process can reach the shard), and multiplexes concurrent
+requests over the other — each request gets a link id and a
 :class:`~concurrent.futures.Future`; a reader thread matches replies
 by link id (the worker answers strictly in order, ids make the pairing
 robust) and a bounded in-flight window (:data:`MAX_INFLIGHT`)
-provides backpressure.
+provides backpressure. When the handle's end closes, the worker sees
+EOF, flushes and exits.
 
 The socket carries link frames (:func:`~repro.serving.protocol.
 encode_link`): the link id rides in the frame header, so a request's
@@ -95,8 +97,10 @@ MAX_INFLIGHT = 128
 #: a shard's flush period is its interval times ``1 ± _FLUSH_SPREAD``,
 #: drawn once from its shard id, so shards started together drift apart
 _FLUSH_SPREAD = 0.1
-#: how long the parent waits for a spawned shard to connect (seconds)
-_CONNECT_TIMEOUT = 60.0
+#: held from creating a link's socket pair until the parent has closed
+#: the worker's end, so that no other shard forks with a copy of it (a
+#: copy would hide this worker's exit from its handle)
+_SPAWN_LOCK = threading.Lock()
 
 #: reusable no-op context for untraced requests (stateless, reentrant)
 _NO_SPAN = nullcontext()
@@ -365,20 +369,16 @@ def _send_reply(sock, link_id: int, reply: Response | ErrorResponse) -> None:
     sock.sendall(frame)
 
 
-def _no_delay(sock: socket.socket) -> None:
-    """Disable Nagle: protocol frames are small and latency-critical —
-    batching them behind delayed ACKs costs ~40ms stalls per exchange,
-    which would swamp the index math the cluster exists to parallelize."""
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
-def _shard_entry(port: int, catalog_root: str, shard_id: int, capacity: int,
+def _shard_entry(parent_end: socket.socket, sock: socket.socket,
+                 catalog_root: str, shard_id: int, capacity: int,
                  flush_interval: float,
                  slow_query_threshold: float | None = None) -> None:
-    """Child-process entry point: connect back to the parent and serve."""
-    sock = socket.create_connection(("127.0.0.1", port), timeout=_CONNECT_TIMEOUT)
-    sock.settimeout(None)  # the timeout is for the connect, not the serve
-    _no_delay(sock)
+    """Child-process entry point: serve the parent over ``sock``.
+
+    The child holds the handle's end of the pair too (a forked child
+    inherits it); it closes that first, so that it sees EOF once the
+    handle's end goes."""
+    parent_end.close()
     try:
         worker = ShardWorker(
             catalog_root, shard_id=shard_id, capacity=capacity,
@@ -445,29 +445,27 @@ class ShardProcess:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ShardProcess":
-        """Spawn the worker process and accept its connection."""
+        """Spawn the worker process with one end of a socket pair."""
         if self.process is not None:
             raise ServingError(
                 f"shard {self.shard_id} already started; restart means a new handle"
             )
         import multiprocessing
 
-        listener = socket.create_server(("127.0.0.1", 0))
-        try:
-            port = listener.getsockname()[1]
-            self.process = multiprocessing.Process(
-                target=_shard_entry,
-                args=(port, self.catalog_root, self.shard_id, self.capacity,
-                      self.flush_interval, self.slow_query_threshold),
-                name=f"repro-shard-{self.shard_id}",
-                daemon=True,
-            )
-            self.process.start()
-            listener.settimeout(_CONNECT_TIMEOUT)
-            self._sock, _ = listener.accept()
-            _no_delay(self._sock)
-        finally:
-            listener.close()
+        with _SPAWN_LOCK:
+            self._sock, child_end = socket.socketpair()
+            try:
+                self.process = multiprocessing.Process(
+                    target=_shard_entry,
+                    args=(self._sock, child_end, self.catalog_root,
+                          self.shard_id, self.capacity, self.flush_interval,
+                          self.slow_query_threshold),
+                    name=f"repro-shard-{self.shard_id}",
+                    daemon=True,
+                )
+                self.process.start()
+            finally:
+                child_end.close()
         self._alive = True
         self._reader = threading.Thread(
             target=self._read_loop, name=f"shard-{self.shard_id}-reader",
@@ -512,7 +510,7 @@ class ShardProcess:
         """Hard-kill the worker process (no flush — test/chaos hook)."""
         if self.process is not None and self.process.is_alive():
             self.process.kill()
-            self.process.join(timeout=_CONNECT_TIMEOUT)
+            self.process.join(timeout=30.0)
 
     # ------------------------------------------------------------------
     # Requests
@@ -618,9 +616,12 @@ class ShardProcess:
         sock, self._sock = self._sock, None
         if sock is not None:
             try:
-                sock.close()
-            except OSError:  # pragma: no cover
+                # wakes the reader, and ends the worker's serve loop even
+                # where another forked process holds a copy of this end
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - the worker already went
                 pass
+            sock.close()
 
     def _read_loop(self) -> None:
         sock = self._sock

@@ -54,6 +54,7 @@ from repro.serving.protocol import (
     result_to_doc,
     send_doc,
 )
+from repro.testing import ClusterFaultHarness
 
 import random
 
@@ -71,7 +72,7 @@ def served(tmp_path_factory):
     catalog = tmp_path_factory.mktemp("door-catalog")
     with ClusterFrontend(catalog, shards=2) as cluster:
         vid = cluster.add_venue(space, objects=objects)
-        with FrontDoor(cluster, names={vid: space.name}) as door:
+        with FrontDoor(cluster) as door:
             yield cluster, door, space, vid
 
 
@@ -184,6 +185,19 @@ def test_local_kinds_answered_by_the_front_door(served):
         assert "frontdoor_frames_total" in names
         hists = {h["name"] for h in metrics["histograms"].values()}
         assert "frontdoor_request_seconds" in hists
+
+
+def test_a_venue_added_after_the_door_started_is_listed_by_name(tmp_path):
+    """The door reads venue names from the cluster's registrations, so
+    a venue registered while it serves is listed with its name."""
+    with ClusterFrontend(tmp_path / "cat", shards=1) as cluster:
+        early = cluster.add_venue(build_mall("tiny", name="early-mall"))
+        with FrontDoor(cluster) as door, \
+                FrontDoorClient(door.address) as client:
+            late = cluster.add_venue(build_mall("tiny", name="late-mall"))
+            listing = client.call(Request(venue="", kind="venues"))
+    assert listing["venues"] == [{"id": early, "name": "early-mall"},
+                                 {"id": late, "name": "late-mall"}]
 
 
 def test_concurrent_clients_all_get_their_own_answers(served):
@@ -559,14 +573,13 @@ def test_a_connection_awaiting_a_slow_reply_is_not_closed(
     idle_closed = cluster.registry.counter("frontdoor_idle_closed_total")
     query = _queries(space, vid, 1, seed=11)[0]
     expected = result_to_doc(cluster.submit(query).result(timeout=30.0))
-    slow = Request(venue=vid, kind="inject_latency",
-                   payload={"seconds": 1.5, "count": 1})
     with FrontDoor(cluster) as door:
         before = idle_closed.value
+        # the venue's shard sleeps 1.5 s inside its next request
+        assert ClusterFaultHarness(cluster).slow_requests(
+            cluster.shard_for(vid), 1.5) == 1
         sock = _raw_connection(door)
         try:
-            send_doc(sock, request_to_doc(slow, 1))
-            assert reply_from_doc(recv_doc(sock)).result == result_to_doc(1)
             started = time.monotonic()
             send_doc(sock, request_to_doc(query, 2))
             assert reply_from_doc(recv_doc(sock)).result == expected

@@ -5,7 +5,7 @@ processes: wire-exact answers vs a local router, exception classes
 surviving the socket, backpressure on the in-flight window, fault
 injection (``crash``) → automatic restart warm-started from snapshots
 plus the op-log tail, and the write-back-and-compaction flush a worker
-runs on its one serve thread.
+runs on its one serve thread (in process and across real processes).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.serving import (
     ShardProcess,
     ShardWorker,
     VenueRouter,
+    rendezvous,
     sequential_replay,
 )
 from repro.serving import shard as shard_module
@@ -196,6 +197,31 @@ class TestServeLoopFlush:
                 assert errors.value == 1
             # the shutdown flush on leaving runs the real flush again
         assert "flush failed" in caplog.text
+
+    def test_a_shard_process_writes_back_on_its_serve_loop(self, tmp_path):
+        """Across real processes: acknowledged moves, a pause past the
+        flush period, one read; the worker flushes after that reply and
+        before it reads the drain's ping."""
+        space = build_mall("tiny", name="serve-loop-mall")
+        catalog = tmp_path / "cat"
+        moves, rng = 6, random.Random(4)
+        with ClusterFrontend(catalog, shards=1, flush_interval=0.2) as cluster:
+            vid = cluster.add_venue(space,
+                                    objects=random_objects(space, 8, seed=3))
+            for object_id in range(moves):
+                cluster.submit(Request(venue=vid, kind="update", op=UpdateOp(
+                    kind="move", object_id=object_id,
+                    location=random_point(space, rng)))).result(timeout=60)
+            time.sleep(0.3)  # past the period: 0.2 s, ±10% per shard
+            cluster.request(vid, "knn", source=random_point(space, rng),
+                            k=1).result(timeout=60)
+            cluster.drain()
+            write_backs = sum(
+                entry["value"] for entry in cluster.metrics()["counters"].values()
+                if entry["name"] == "router_write_backs_total")
+            assert write_backs >= 1
+            assert SnapshotCatalog(catalog).load(space).objects.version == moves
+            assert scan_oplog(venue_oplog_path(catalog, space)).records == []
 
 
 class TestRouterClose:
@@ -409,6 +435,34 @@ class TestShardProcess:
         with pytest.raises(ServingError, match="already started"):
             shard.start()
 
+    def test_start_listens_on_no_port(self, tmp_path, monkeypatch):
+        """Handle and worker talk over a socket pair, so no other local
+        process can connect to a shard's port before its worker does."""
+        def no_listener(*args, **kwargs):
+            raise OSError("a shard must not listen on a port")
+
+        monkeypatch.setattr(socket, "create_server", no_listener)
+        shard = ShardProcess(tmp_path / "cat", flush_interval=0).start()
+        try:
+            assert shard.call(Request(venue="", kind="ping"),
+                              timeout=30)["venues"] == 0
+        finally:
+            shard.shutdown()
+        assert shard.process.exitcode == 0
+
+    def test_the_worker_exits_once_its_handle_closes_the_link(
+            self, tmp_path):
+        """No ``shutdown`` request: the handle's end going is EOF to the
+        worker, which flushes and exits."""
+        shard = ShardProcess(tmp_path / "cat", flush_interval=0).start()
+        try:
+            assert shard.call(Request(venue="", kind="ping"), timeout=30)
+            shard._mark_dead("closed by the test")
+            shard.process.join(timeout=10)
+            assert shard.process.exitcode == 0
+        finally:
+            shard.kill()
+
 
 # ----------------------------------------------------------------------
 # ClusterFrontend
@@ -499,16 +553,13 @@ class TestClusterFrontend:
             ClusterFrontend(tmp_path / "cat", shards=0)
         with pytest.raises(ServingError, match="replication"):
             ClusterFrontend(tmp_path / "cat", shards=2, replication=0)
-        # Placement comes from the consistent-hash ring: stable across
-        # frontend instances over the same shard count, and always a
-        # valid shard id.
-        from repro.serving import HashRing
-
-        ring = HashRing(range(3))
+        # Placement is rendezvous hashing over the shard ids: stable
+        # across frontend instances over the same shard count, and
+        # always a valid shard id.
         cluster = ClusterFrontend(tmp_path / "cat", shards=3, flush_interval=0)
         try:
             for vid in ("ab12cd34ab12cd34ff", "00ff" * 16, "deadbeef"):
-                assert cluster.shard_for(vid) == ring.node_for(vid)
+                assert cluster.shard_for(vid) == rendezvous(vid, range(3))[0]
                 assert cluster.shard_for(vid) in (0, 1, 2)
         finally:
             cluster.shutdown()

@@ -8,9 +8,12 @@ nothing. The properties under test:
 
 * every reply payload, for a corpus of raw client frames (non-canonical
   JSON, reads, updates, stats riders, traced requests, batches with
-  malformed elements, unknown venues, query errors), is byte-identical
-  to the canonical encoding of an in-process replay's reply (span
-  seconds masked),
+  malformed elements, unknown venues, query errors, a kind the door
+  does not serve), is byte-identical to the canonical encoding of an
+  in-process replay's reply (span seconds masked),
+* a shard's control and fault kinds, sent with a venue's id, are
+  refused with a typed ``ProtocolError`` before admission: no shard
+  sees them, and the venue's answers and the counting laws hold,
 * a non-finite number in any float field, a ``payload`` or a ``trace``
   is refused with a typed ``ProtocolError`` carrying the request's id,
   in single frames and batch elements alike, before admission and
@@ -35,11 +38,19 @@ import pytest
 
 from repro.datasets import build_mall, build_office, random_objects, random_point
 from repro.exceptions import ProtocolError, ServingError
-from repro.obs import MetricsRegistry, Observation, Trace, observing
+from repro.obs import (
+    MetricsRegistry,
+    Observation,
+    Trace,
+    conservation_violations,
+    observing,
+)
 from repro.serving import (
+    QUERY_KINDS,
     AdmissionController,
     ClusterFrontend,
     FrontDoor,
+    FrontDoorClient,
     Request,
     VenueRouter,
 )
@@ -138,7 +149,8 @@ def _corpus(spaces, vids, seed: int = 31) -> list[str]:
                                      include_stats=True)))
         frames.append(json.dumps(doc(space, vid, "update", op={
             "kind": "delete", "object_id": 3, "location": None})))
-        # query errors: unknown partition, object, kind
+        # query errors: unknown partition, object; a kind the door
+        # does not serve
         frames.append(json.dumps(doc(space, vid, "knn",
                                      source=[10_000, 1.0, 1.0], k=2)))
         frames.append(json.dumps(doc(space, vid, "update", op={
@@ -188,6 +200,9 @@ def _replay_one(router, cluster, known, doc: dict) -> bytes:
         rid = salvage_id(doc)
         return encode_payload(reply_to_doc(
             error_reply(-1 if rid is None else rid, exc)))
+    if request.kind not in QUERY_KINDS:  # refused by the door itself
+        return encode_payload(reply_to_doc(error_reply(rid, ProtocolError(
+            f"request kind {request.kind!r} is not served here"))))
     if request.venue not in known:
         with pytest.raises(ServingError) as caught:
             cluster.submit(request)  # refused before any shard work
@@ -277,7 +292,8 @@ def _non_finite_docs(space, vid, token: str, first_id: int) -> list[str]:
         f'"location": [{pid}, {token}, 1.0]}}',
         f'"kind": "update", "op": {{"kind": "insert", "object_id": null, '
         f'"location": [{pid}, 1.0, {token}]}}',
-        f'"kind": "inject_latency", "payload": {{"seconds": {token}}}',
+        f'"kind": "knn", "k": 1, "source": {src}, '
+        f'"payload": {{"seconds": {token}}}',
         f'"kind": "knn", "k": 1, "source": {src}, "trace": {token}',
     ]
     return [f'{{"id": {first_id + i}, "venue": "{vid}", {body}}}'
@@ -325,6 +341,55 @@ def test_non_finite_numbers_are_refused_at_the_door(tmp_path):
                 assert submitted.value == before[0] + 1
             finally:
                 sock.close()
+
+
+# ----------------------------------------------------------------------
+# Only query kinds reach a shard
+# ----------------------------------------------------------------------
+#: the shard's control and fault kinds the door must not route, and a
+#: kind nothing serves, each with the payload it would act on
+REFUSED = {
+    "add_venue": None,
+    "remove_venue": None,
+    "shutdown": None,
+    "inject_latency": {"seconds": 5.0, "count": 100},
+    "crash": None,
+    "crash_after_n_ops": {"updates": 0},
+    "drop_connection": None,
+    "teleport": None,
+}
+
+
+def test_shard_control_and_fault_kinds_are_refused_at_the_door(tmp_path):
+    space = build_mall("tiny", name="refuse-mall")
+    admission = AdmissionController(rate=1e6)
+    with ClusterFrontend(tmp_path / "cat", shards=1,
+                         admission=admission) as cluster:
+        vid = cluster.add_venue(space, objects=random_objects(space, 8, seed=2))
+        knn = Request(venue=vid, kind="knn", k=3,
+                      source=random_point(space, random.Random(5)))
+        submitted = cluster.registry.counter("cluster_submitted_total")
+        with FrontDoor(cluster) as door, \
+                FrontDoorClient(door.address) as client:
+            answer = result_to_doc(client.call(knn))
+            pids = [doc["pid"] for doc in cluster.shard_stats()]
+            before = (submitted.value, admission.stats(vid).admitted)
+            refused = [Request(venue=vid, kind=kind, payload=payload)
+                       for kind, payload in REFUSED.items()]
+            for request in refused:
+                with pytest.raises(ProtocolError, match="not served"):
+                    client.call(request)
+            assert all(isinstance(value, ProtocolError)
+                       for value in client.call_batch(refused))
+            # a local kind is the door's, whatever venue it names
+            assert client.call(Request(venue=vid, kind="stats"))["venues"] == 1
+            assert (submitted.value, admission.stats(vid).admitted) == before
+            assert result_to_doc(client.call(knn)) == answer
+        cluster.drain()
+        stats = cluster.stats()
+        assert (stats.restarts, stats.alive) == (0, 1)
+        assert [doc["pid"] for doc in cluster.shard_stats()] == pids
+        assert conservation_violations(cluster.metrics()) == []
 
 
 # ----------------------------------------------------------------------

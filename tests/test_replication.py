@@ -1,4 +1,4 @@
-"""Replication end to end: log-tailing replicas, ring placement,
+"""Replication end to end: log-tailing replicas, rendezvous placement,
 failover and elasticity under injected faults.
 
 The tentpole guarantee — killing a primary mid-update-stream loses
@@ -31,11 +31,11 @@ from repro.exceptions import ServingError
 from repro.model.objects import UpdateOp
 from repro.serving import (
     ClusterFrontend,
-    HashRing,
     Request,
     ShardProcess,
     VenueRouter,
     concurrent_replay,
+    rendezvous,
     sequential_replay,
 )
 from repro.serving.protocol import result_to_doc
@@ -500,7 +500,7 @@ class TestCatchUpGate:
 # ----------------------------------------------------------------------
 class TestElasticResize:
     def test_add_and_remove_shard_under_traffic(self, tmp_path, open_router):
-        # names picked so the 3 -> 4 ring change relocates two of the
+        # names picked so growing 3 -> 4 shards relocates two of the
         # four venues (placement is deterministic, so this is stable)
         spaces = [build_mall("tiny", name=f"elastic-{i}") for i in range(4, 8)]
         rng = random.Random(37)
@@ -518,13 +518,10 @@ class TestElasticResize:
                     cluster.submit(Request(venue=vid, kind="update",
                                            op=op)).result(timeout=60.0)
 
-            # how many venues the ring relocates is a pure function of
-            # the membership change — compute it independently
-            before_ring = HashRing(range(3))
-            after_ring = HashRing(range(3))
-            after_ring.add_node(3)
+            # how many venues the placement relocates is a pure function
+            # of the membership change — compute it independently
             expected_moves = sum(
-                before_ring.nodes_for(vid, 2) != after_ring.nodes_for(vid, 2)
+                rendezvous(vid, range(3), 2) != rendezvous(vid, range(4), 2)
                 for vid in ids)
             assert expected_moves >= 1  # names chosen so the test bites
 
@@ -547,7 +544,7 @@ class TestElasticResize:
                 assert cluster.shards == 4
                 for vid in ids:
                     placement = cluster.placement(vid)
-                    assert placement == after_ring.nodes_for(vid, 2)
+                    assert placement == rendezvous(vid, range(4), 2)
                 cluster.remove_shard(new)
                 assert cluster.shards == 3
             finally:
@@ -561,7 +558,7 @@ class TestElasticResize:
             # and nothing was lost along the way
             local_answers = {}
             for i, vid in enumerate(ids):
-                assert cluster.placement(vid) == before_ring.nodes_for(vid, 2)
+                assert cluster.placement(vid) == rendezvous(vid, range(3), 2)
                 for op in per_venue_ops[i][2:]:
                     cluster.submit(Request(venue=vid, kind="update",
                                            op=op)).result(timeout=60.0)
@@ -581,13 +578,11 @@ class TestElasticResize:
         venue's placement must reach that node before the move drops the
         venue there: the read is held between routing and sending while
         the shard joins, then must succeed."""
-        before_ring, after_ring = HashRing(range(3)), HashRing(range(3))
-        after_ring.add_node(3)
         space, old, dropped = next(
             (s, before, [n for n in before if n not in after])
             for s in (build_mall("tiny", name=f"elastic-{i}") for i in range(4, 8))
-            for before, after in [(before_ring.nodes_for(venue_fingerprint(s), 2),
-                                   after_ring.nodes_for(venue_fingerprint(s), 2))]
+            for before, after in [(rendezvous(venue_fingerprint(s), range(3), 2),
+                                   rendezvous(venue_fingerprint(s), range(4), 2))]
             if any(n not in after for n in before))
         with ClusterFrontend(tmp_path / "cluster", shards=3, replication=2,
                              flush_interval=0) as cluster:

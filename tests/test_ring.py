@@ -1,17 +1,17 @@
-"""HashRing: consistent-hash venue placement.
+"""Rendezvous placement of venues onto shards.
 
-Pins the three properties the cluster leans on: resizing relocates
-about 1/N of the venues (never more than 2/N), placement is a pure
-function of membership (stable across instances and runs), and an
-N-way placement always lands on N distinct shards.
+Pins the properties the cluster leans on: an N-way placement always
+lands on N distinct shards, placement is a pure function of the member
+set (not its order), growing by one shard moves at most 2/N of the
+venues and only to the new shard, and removing a shard moves only the
+venues it held.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ServingError
-from repro.serving import DEFAULT_VNODES, HashRing
+from repro.serving import rendezvous
 
 
 KEYS = [f"{i:016x}{i:016x}" for i in range(1000)]  # fingerprint-shaped
@@ -19,77 +19,63 @@ KEYS = [f"{i:016x}{i:016x}" for i in range(1000)]  # fingerprint-shaped
 
 class TestPlacement:
     def test_nodes_for_returns_distinct_nodes_in_walk_order(self):
-        ring = HashRing(range(5))
         for key in KEYS[:100]:
-            placement = ring.nodes_for(key, 3)
+            placement = rendezvous(key, range(5), 3)
             assert len(placement) == 3
             assert len(set(placement)) == 3
-            assert ring.node_for(key) == placement[0]
+            # a shorter placement is a prefix: the primary is the
+            # highest-weighted shard, the replicas the next ones
+            assert rendezvous(key, range(5)) == placement[:1]
+            assert rendezvous(key, range(5), 5)[:3] == placement
 
     def test_count_is_capped_at_the_population(self):
-        ring = HashRing(range(2))
-        assert sorted(ring.nodes_for("abc", 5)) == [0, 1]
+        assert sorted(rendezvous("abc", range(2), 5)) == [0, 1]
 
     def test_every_node_serves_as_some_primary(self):
-        ring = HashRing(range(4))
-        primaries = {ring.node_for(key) for key in KEYS}
+        primaries = {rendezvous(key, range(4))[0] for key in KEYS}
         assert primaries == {0, 1, 2, 3}
-
-    def test_empty_ring_refuses_placement(self):
-        with pytest.raises(ServingError, match="no nodes"):
-            HashRing().nodes_for("abc")
-
-    def test_vnodes_validation(self):
-        with pytest.raises(ServingError, match="vnodes"):
-            HashRing(range(2), vnodes=0)
 
 
 class TestStability:
     def test_identical_across_instances_and_insertion_order(self):
-        a = HashRing([0, 1, 2, 3])
-        b = HashRing([3, 1, 0, 2])
         for key in KEYS:
-            assert a.nodes_for(key, 2) == b.nodes_for(key, 2)
-
-    def test_add_then_remove_restores_every_placement(self):
-        ring = HashRing(range(4))
-        before = {key: ring.nodes_for(key, 2) for key in KEYS}
-        ring.add_node(4)
-        ring.remove_node(4)
-        assert ring.nodes == {0, 1, 2, 3}
-        for key in KEYS:
-            assert ring.nodes_for(key, 2) == before[key]
-
-    def test_membership_changes_are_idempotent(self):
-        ring = HashRing(range(3))
-        ring.add_node(1)
-        ring.remove_node(99)
-        assert ring.nodes == {0, 1, 2} and len(ring) == 3
+            assert (rendezvous(key, [0, 1, 2, 3], 2)
+                    == rendezvous(key, (3, 1, 0, 2), 2)
+                    == rendezvous(key, {2, 0, 3, 1}, 2))
 
 
 class TestRelocationBound:
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_growing_by_one_moves_at_most_2_over_n(self, n):
-        ring = HashRing(range(n))
-        before = {key: ring.node_for(key) for key in KEYS}
-        ring.add_node(n)
-        moved = sum(before[key] != ring.node_for(key) for key in KEYS)
+        before = {key: rendezvous(key, range(n))[0] for key in KEYS}
+        after = {key: rendezvous(key, range(n + 1))[0] for key in KEYS}
+        moved = sum(before[key] != after[key] for key in KEYS)
         assert 0 < moved <= 2 * len(KEYS) // n
-        # and every moved venue moved *to* the new node — growth never
+        # and every moved venue moved *to* the new shard — growth never
         # shuffles venues between pre-existing shards
         for key in KEYS:
-            if ring.node_for(key) != before[key]:
-                assert ring.node_for(key) == n
+            if after[key] != before[key]:
+                assert after[key] == n
 
     def test_removing_one_node_only_moves_its_own_venues(self):
-        ring = HashRing(range(5))
-        before = {key: ring.node_for(key) for key in KEYS}
-        ring.remove_node(2)
+        survivors = [0, 1, 3, 4]
         for key in KEYS:
-            if before[key] != 2:
-                assert ring.node_for(key) == before[key]
+            before = rendezvous(key, range(5))[0]
+            after = rendezvous(key, survivors)[0]
+            if before != 2:
+                assert after == before
             else:
-                assert ring.node_for(key) != 2
+                assert after != 2
 
-    def test_default_vnodes_matches_export(self):
-        assert HashRing(range(2)).vnodes == DEFAULT_VNODES
+    def test_removal_keeps_two_way_placements_without_the_shard(self):
+        survivors = [0, 1, 3, 4]
+        kept = 0
+        for key in KEYS:
+            before = rendezvous(key, range(5), 2)
+            after = rendezvous(key, survivors, 2)
+            if 2 not in before:
+                assert after == before
+                kept += 1
+            else:  # the surviving copy leads, and a new replica joins
+                assert after[:1] == [s for s in before if s != 2]
+        assert kept > len(KEYS) // 2
